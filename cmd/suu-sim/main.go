@@ -49,7 +49,7 @@ func main() {
 	if *list {
 		fmt.Print("auto: strongest registered construction for the instance's class (suu.Solve dispatch)\n\n")
 		fmt.Print(solve.Describe())
-		fmt.Print("\nDiagnostics: -stats prints prefix statistics for oblivious schedules;\nfor -alg optimal it prints the value iteration's search counters\n(states, layers, assignments enumerated/pruned, closed-form hits).\nIt also reports the estimation engine the simulator selected\n(generic, compiled, bit-parallel lanes, compiled-adaptive, dynamic-step).\n")
+		fmt.Print("\nDiagnostics: -stats prints prefix statistics for oblivious schedules;\nfor -alg optimal it prints the value iteration's search counters\n(states, layers, assignments enumerated/pruned, closed-form hits).\nIt also reports the estimation engine the simulator selected\n(generic, compiled, compiled-lane, compiled-adaptive, dynamic-step).\n")
 		return
 	}
 
@@ -129,9 +129,6 @@ func main() {
 		}
 		if eng.States > 0 {
 			fmt.Printf(", %d compiled states", eng.States)
-		}
-		if eng.Spliced {
-			fmt.Print(", terminal splice")
 		}
 		fmt.Println()
 	}

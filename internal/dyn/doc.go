@@ -15,13 +15,13 @@
 // the initial solve's exported LP basis as the warm-start donor via
 // core.Params.WarmBasis).
 //
-// Estimation mirrors internal/sim's chunked contract: repetition r
-// draws its completion stream from (seed, r) and its regime stream
-// from (SeedFor(seed, "regime"), r), chunks of 256 repetitions merge
-// in index order, and rolling re-solves are cached per (surviving
-// jobs, up machines) key with key-derived construction seeds — so
-// every summary is bit-identical at any worker count and under any
-// shard tiling. A scenario with no events delegates to the static
-// engines (compiled, lane, splice paths included) and is therefore
-// bit-identical to the static pipeline by construction.
+// Estimation runs on internal/sim's chunk runner (sim.RunChunks):
+// repetition r draws its completion stream from (seed, r) and its
+// regime stream from (SeedFor(seed, "regime"), r), chunks merge in
+// index order, and rolling re-solves are cached per (surviving jobs,
+// up machines) key with key-derived construction seeds — so every
+// summary is bit-identical at any worker count and under any shard
+// tiling. A scenario with no events delegates to the static engines
+// (compiled and lane paths included) and is therefore bit-identical
+// to the static pipeline by construction.
 package dyn

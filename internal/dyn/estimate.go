@@ -21,8 +21,8 @@ type Strategy interface {
 	// StaticPolicy returns a static policy that reproduces the
 	// strategy on a scenario with no events, and whether one exists.
 	// The estimator delegates event-free scenarios through it to the
-	// static engines (compiled, lane and splice paths included), which
-	// is what pins the zero-event scenario bit-identical to the static
+	// static engines (compiled and lane paths included), which is what
+	// pins the zero-event scenario bit-identical to the static
 	// pipeline.
 	StaticPolicy() (sched.Policy, bool)
 	// parallelizable reports whether walkers may run on concurrent
@@ -30,11 +30,6 @@ type Strategy interface {
 	// e.g. a static wrapper around an outcome-observing policy).
 	parallelizable() bool
 }
-
-// estimateChunk mirrors sim's chunk size: repetitions aggregate into
-// per-chunk accumulators that merge in index order, so summaries are
-// bit-identical at any worker count.
-const estimateChunk = 256
 
 // regimeLabel derives the regime stream's seed domain from the
 // simulation seed; completion draws and regime transitions never
@@ -52,10 +47,11 @@ func Estimate(sc *Scenario, strat Strategy, reps, maxSteps int, seed int64) (sta
 // goroutines (<= 0 selects GOMAXPROCS) and returns the makespan
 // summary, the number of trajectories that hit the step cap, and the
 // engine record. Repetition r draws completions from stream (seed, r)
-// and regime transitions from (SeedFor(seed, "regime"), r); chunks of
-// estimateChunk repetitions merge in index order — bit-identical at
-// any worker count. Scenarios with no events delegate to the static
-// engines via Strategy.StaticPolicy.
+// and regime transitions from (SeedFor(seed, "regime"), r), and
+// repetitions run through sim's chunk runner (sim.RunChunks), whose
+// index-order merge makes the summary bit-identical at any worker
+// count. Scenarios with no events delegate to the static engines via
+// Strategy.StaticPolicy.
 func EstimateInfo(sc *Scenario, strat Strategy, reps, maxSteps int, seed int64, workers int) (stats.Summary, int, sim.EngineUsed, error) {
 	if reps <= 0 {
 		return stats.Summary{}, 0, sim.EngineUsed{}, errors.New("dyn: reps must be positive")
@@ -79,65 +75,22 @@ func EstimateInfo(sc *Scenario, strat Strategy, reps, maxSteps int, seed int64, 
 	// workers read it concurrently.
 	sc.In.Flat()
 	regSeed := sim.SeedFor(seed, regimeLabel)
-	nchunks := (reps + estimateChunk - 1) / estimateChunk
-	if workers > nchunks {
-		workers = nchunks
-	}
-	accs := make([]stats.Accumulator, nchunks)
-	incs := make([]int, nchunks)
-	newChunkLoop := func() func(c int) {
+	sum, incomplete, workers := sim.RunChunks(reps, workers, func() sim.ChunkFunc {
 		ws := newWalkState(sc.In, tl)
 		w := strat.NewWalker()
 		var rng, reg sim.Stream
-		return func(c int) {
-			lo, hi := c*estimateChunk, (c+1)*estimateChunk
-			if hi > reps {
-				hi = reps
-			}
-			acc := &accs[c]
+		return func(lo, hi int, acc *stats.Accumulator) (inc int) {
 			for r := lo; r < hi; r++ {
 				rng.Reseed(seed, int64(r))
 				reg.Reseed(regSeed, int64(r))
 				makespan, completed := ws.run(w, maxSteps, &rng, &reg)
 				acc.Add(float64(makespan))
 				if !completed {
-					incs[c]++
+					inc++
 				}
 			}
+			return inc
 		}
-	}
-	if workers <= 1 {
-		workers = 1
-		runChunk := newChunkLoop()
-		for c := 0; c < nchunks; c++ {
-			runChunk(c)
-		}
-	} else {
-		next := make(chan int)
-		done := make(chan struct{})
-		for g := 0; g < workers; g++ {
-			go func() {
-				defer func() { done <- struct{}{} }()
-				runChunk := newChunkLoop()
-				for c := range next {
-					runChunk(c)
-				}
-			}()
-		}
-		for c := 0; c < nchunks; c++ {
-			next <- c
-		}
-		close(next)
-		for g := 0; g < workers; g++ {
-			<-done
-		}
-	}
-	var total stats.Accumulator
-	incomplete := 0
-	for c := range accs {
-		total.Merge(accs[c])
-		incomplete += incs[c]
-	}
-	eng := sim.EngineUsed{Engine: sim.EngineDynamic, Workers: workers}
-	return total.Summary(), incomplete, eng, nil
+	})
+	return sum, incomplete, sim.EngineUsed{Engine: sim.EngineDynamic, Workers: workers}, nil
 }

@@ -29,10 +29,6 @@ func TestCompiledAdaptiveSpeedupSmoke(t *testing.T) {
 	if runtime.NumCPU() < 2 {
 		t.Skip("speedup gate needs ≥2 cores for stable timing")
 	}
-	// This gate measures the scalar table walk; at 3000 reps auto
-	// dispatch would hand the run to the lane engine (which has its own
-	// gate in bitparallelgate_test.go).
-	defer sim.SetBitParallel(sim.BitParallelOff)()
 	seed := sim.SeedFor(1, "bench-adaptive")
 	in := workload.Independent(workload.Config{Jobs: 12, Machines: 4, Seed: seed})
 	pol := &core.AdaptivePolicy{In: in}

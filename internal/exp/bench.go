@@ -187,13 +187,7 @@ type AdaptiveEngineBench struct {
 	CompiledRepsPerSec float64 `json:"compiled_reps_per_sec"`
 	GenericRepsPerSec  float64 `json:"generic_reps_per_sec"`
 	Speedup            float64 `json:"speedup"`
-	// UnsplicedRepsPerSec is the same compiled run with the
-	// terminal-layer splice disabled (every ≤2-unfinished endgame walked
-	// step by step); SpliceSpeedup = Compiled/Unspliced records what the
-	// closed-form tails buy on this family.
-	UnsplicedRepsPerSec float64 `json:"unspliced_reps_per_sec,omitempty"`
-	SpliceSpeedup       float64 `json:"splice_speedup,omitempty"`
-	Error               string  `json:"error,omitempty"`
+	Error              string  `json:"error,omitempty"`
 }
 
 // BitParallelEngineBench is one row of the bitparallel_engine
@@ -206,8 +200,8 @@ type BitParallelEngineBench struct {
 	Machines int    `json:"machines"`
 	Policy   string `json:"policy"`
 	// LaneEngine / ScalarEngine are the EngineUsed names of the two
-	// timed runs ("compiled-lane" vs "compiled", or the -adaptive
-	// pair); Lanes is the lockstep width (64).
+	// timed runs ("compiled-lane" vs "compiled"); Lanes is the lockstep
+	// width (64).
 	LaneEngine   string `json:"lane_engine"`
 	ScalarEngine string `json:"scalar_engine"`
 	Lanes        int    `json:"lanes"`
@@ -224,12 +218,7 @@ type BitParallelEngineBench struct {
 	// LaneNsPerStep normalizes the lane run by simulated machine-steps.
 	LaneNsPerStep float64 `json:"lane_ns_per_step"`
 	Speedup       float64 `json:"speedup"`
-	// UnsplicedLaneRepsPerSec is the lane run with the terminal-layer
-	// splice disabled; SpliceSpeedup = Lane/UnsplicedLane. Families
-	// whose tail shape the splice cannot close record ≈1.
-	UnsplicedLaneRepsPerSec float64 `json:"unspliced_lane_reps_per_sec,omitempty"`
-	SpliceSpeedup           float64 `json:"splice_speedup,omitempty"`
-	Error                   string  `json:"error,omitempty"`
+	Error         string  `json:"error,omitempty"`
 }
 
 // SimBenchFile is the BENCH_sim.json document.
@@ -403,10 +392,6 @@ func adaptiveEngineCases(cfg Config) []struct {
 // forced through a PolicyFunc wrapper, which strips the Memoizable
 // marker without touching the assignments.
 func AdaptiveEngineBenchmarks(cfg Config) []AdaptiveEngineBench {
-	// This section measures the SCALAR table walk (the lane engine has
-	// its own bitparallel_engine section), so pin lanes off for the
-	// duration — at these rep counts auto dispatch would select them.
-	defer sim.SetBitParallel(sim.BitParallelOff)()
 	compiledReps, genericReps := 4000, 1000
 	if cfg.Quick {
 		compiledReps, genericReps = 1000, 250
@@ -428,24 +413,11 @@ func AdaptiveEngineBenchmarks(cfg Config) []AdaptiveEngineBench {
 		}
 		row.States = eng.States
 		row.TableBuildMS = eng.TableBuildMS
-		// Same compiled walk with the terminal-layer splice off, so the
-		// record carries the closed-form endgame's before/after.
-		restore := sim.SetTerminalSplice(false)
-		start = time.Now()
-		sim.EstimateInfo(bc.in, pol, compiledReps, 5_000_000, cfg.Seed+53)
-		unsplicedSec := time.Since(start).Seconds()
-		restore()
 		start = time.Now()
 		sim.Estimate(bc.in, sched.PolicyFunc(pol.Assign), genericReps, 5_000_000, cfg.Seed+53)
 		genericSec := time.Since(start).Seconds()
 		if compiledSec > 0 {
 			row.CompiledRepsPerSec = float64(compiledReps) / compiledSec
-		}
-		if unsplicedSec > 0 {
-			row.UnsplicedRepsPerSec = float64(compiledReps) / unsplicedSec
-		}
-		if row.UnsplicedRepsPerSec > 0 {
-			row.SpliceSpeedup = row.CompiledRepsPerSec / row.UnsplicedRepsPerSec
 		}
 		if genericSec > 0 {
 			row.GenericRepsPerSec = float64(genericReps) / genericSec
@@ -461,8 +433,7 @@ func AdaptiveEngineBenchmarks(cfg Config) []AdaptiveEngineBench {
 // bitParallelEngineCases are the workloads the bitparallel_engine
 // section measures: the two T12 chains families the CI gate reads
 // (the paper constructions whose throughput story this engine
-// continues), the widest oblivious LP family, and one compiled-
-// adaptive policy for the lane table walk.
+// continues) and the widest oblivious LP family.
 func bitParallelEngineCases(cfg Config) []struct {
 	family string
 	build  func(seed int64) (*model.Instance, sched.Policy, string, error)
@@ -491,16 +462,12 @@ func bitParallelEngineCases(cfg Config) []struct {
 			}
 			return in, res.Schedule, "oblivious-lp (Thm 4.5)", nil
 		}},
-		{"adaptive-12x4", func(seed int64) (*model.Instance, sched.Policy, string, error) {
-			in := workload.Independent(workload.Config{Jobs: 12, Machines: 4, Seed: seed})
-			return in, &core.AdaptivePolicy{In: in}, "adaptive (Thm 3.3)", nil
-		}},
 	}
 }
 
 // BitParallelEngineBenchmarks measures the 64-lane bit-parallel
-// engine against the scalar compiled engine, forced through the
-// BitParallel knob on otherwise identical sequential single-worker
+// engine against the scalar compiled engine (sim.EstimateInfoLanes
+// with lanes off) on otherwise identical sequential single-worker
 // estimations. Rep counts are deliberately not lane-width multiples,
 // so every record includes a masked partial tail group.
 func BitParallelEngineBenchmarks(cfg Config) []BitParallelEngineBench {
@@ -520,21 +487,20 @@ func BitParallelEngineBenchmarks(cfg Config) []BitParallelEngineBench {
 		}
 		row.Jobs, row.Machines = in.N, in.M
 		row.Reps, row.PartialLanes = reps, reps%sim.LaneWidth
-		bestOf3 := func(mode sim.BitParallelMode) (float64, float64, sim.EngineUsed) {
-			defer sim.SetBitParallel(mode)()
+		bestOf3 := func(lanes bool) (float64, float64, sim.EngineUsed) {
 			best, mean := -1.0, 0.0
 			var eng sim.EngineUsed
 			for try := 0; try < 3; try++ {
 				start := time.Now()
-				sum, _, e := sim.EstimateInfo(in, pol, reps, 5_000_000, seed+59)
+				sum, _, e := sim.EstimateInfoLanes(in, pol, reps, 5_000_000, seed+59, lanes)
 				if sec := time.Since(start).Seconds(); best < 0 || sec < best {
 					best, mean, eng = sec, sum.Mean, e
 				}
 			}
 			return best, mean, eng
 		}
-		laneSec, laneMean, laneEng := bestOf3(sim.BitParallelOn)
-		scalarSec, _, scalarEng := bestOf3(sim.BitParallelOff)
+		laneSec, laneMean, laneEng := bestOf3(true)
+		scalarSec, _, scalarEng := bestOf3(false)
 		row.LaneEngine, row.ScalarEngine = laneEng.Engine, scalarEng.Engine
 		row.Lanes = laneEng.Lanes
 		if laneEng.Lanes != sim.LaneWidth {
@@ -553,17 +519,6 @@ func BitParallelEngineBenchmarks(cfg Config) []BitParallelEngineBench {
 		}
 		if row.ScalarRepsPerSec > 0 {
 			row.Speedup = row.LaneRepsPerSec / row.ScalarRepsPerSec
-		}
-		// Lane run again with the terminal-layer splice off: the
-		// before/after of the closed-form endgame on this family.
-		restore := sim.SetTerminalSplice(false)
-		unsplicedSec, _, _ := bestOf3(sim.BitParallelOn)
-		restore()
-		if unsplicedSec > 0 {
-			row.UnsplicedLaneRepsPerSec = float64(reps) / unsplicedSec
-		}
-		if row.UnsplicedLaneRepsPerSec > 0 {
-			row.SpliceSpeedup = row.LaneRepsPerSec / row.UnsplicedLaneRepsPerSec
 		}
 		out = append(out, row)
 	}

@@ -14,8 +14,8 @@ import (
 // TestBitParallelSpeedupSmoke is the CI bench-smoke assertion for the
 // 64-lane bit-parallel engine: estimating the SUUChains schedules on
 // the T12 chains families must beat the scalar compiled engine by ≥5×
-// (best of three timed runs each, engine selection forced through the
-// BitParallel knob, identical reps and seeds). It only runs when
+// (best of three timed runs each, the scalar run pinned per call with
+// sim.EstimateInfoLanes, identical reps and seeds). It only runs when
 // BENCH_SMOKE=1 — wall-clock ratios are meaningless under the race
 // detector or a loaded laptop — and skips on single-core runners,
 // whose scheduling noise swamps millisecond estimates. Lane-vs-scalar
@@ -46,12 +46,11 @@ func TestBitParallelSpeedupSmoke(t *testing.T) {
 		}
 		pol := built.Schedule
 
-		bestOf3 := func(mode sim.BitParallelMode, wantEngine string, wantLanes int) float64 {
-			defer sim.SetBitParallel(mode)()
+		bestOf3 := func(lanes bool, wantEngine string, wantLanes int) float64 {
 			best := -1.0
 			for try := 0; try < 3; try++ {
 				start := time.Now()
-				_, _, eng := sim.EstimateInfo(in, pol, reps, 5_000_000, 77)
+				_, _, eng := sim.EstimateInfoLanes(in, pol, reps, 5_000_000, 77, lanes)
 				if eng.Engine != wantEngine || eng.Lanes != wantLanes {
 					t.Fatalf("%s: estimation ran on %q (%d lanes), want %q (%d lanes)",
 						f.name, eng.Engine, eng.Lanes, wantEngine, wantLanes)
@@ -62,8 +61,8 @@ func TestBitParallelSpeedupSmoke(t *testing.T) {
 			}
 			return best
 		}
-		lane := bestOf3(sim.BitParallelOn, sim.EngineLane, sim.LaneWidth)
-		scalar := bestOf3(sim.BitParallelOff, sim.EngineCompiled, 0)
+		lane := bestOf3(true, sim.EngineLane, sim.LaneWidth)
+		scalar := bestOf3(false, sim.EngineCompiled, 0)
 		ratio := scalar / lane
 		t.Logf("bitparallel %s estimation (%d reps): lane %.2fms scalar %.2fms ratio %.2fx",
 			f.name, reps, lane, scalar, ratio)

@@ -43,8 +43,7 @@
 //     first leaf.
 //   - Terminal-layer closed forms: states with ≤2 unfinished jobs are
 //     solved by the closed-form expected-makespan expressions instead
-//     of the DFS machinery; internal/sim splices the same forms into
-//     the compiled simulation walks.
+//     of the DFS machinery.
 package opt
 
 import (
@@ -528,8 +527,7 @@ func (w *viWorker) solveState(si int32) {
 // unfinished job is ganged by every machine (E = 1/q), and a pair is
 // either a chain (gang the head, then the tail's 1-job form) or an
 // antichain solved over the 2^m machine splits with the two-job
-// formula. These are the same forms internal/sim splices into the
-// compiled walks.
+// formula.
 func (w *viWorker) solveTerminal(si int32) {
 	vs := w.vs
 	in := vs.in

@@ -403,11 +403,9 @@ type EstimateResult struct {
 	// Incomplete counts repetitions that hit the step cap.
 	Incomplete int `json:"incomplete,omitempty"`
 	// Engine and Lanes record the simulation engine that ran (see
-	// sim.EngineUsed); Spliced whether terminal layers were closed in
-	// closed form.
-	Engine  string `json:"engine"`
-	Lanes   int    `json:"lanes,omitempty"`
-	Spliced bool   `json:"spliced,omitempty"`
+	// sim.EngineUsed).
+	Engine string `json:"engine"`
+	Lanes  int    `json:"lanes,omitempty"`
 	// TargetHalfWidth echoes the convergence target; Converged whether
 	// the loop reached it within MaxReps; Rounds how many estimation
 	// passes the loop ran.
@@ -558,7 +556,6 @@ func runEstimate(prep *sim.Prepared, reps, maxSteps int, simSeed int64, ciHW flo
 		Incomplete:  inc,
 		Engine:      eng.Engine,
 		Lanes:       eng.Lanes,
-		Spliced:     eng.Spliced,
 	}
 	if ciHW > 0 {
 		res.TargetHalfWidth = ciHW

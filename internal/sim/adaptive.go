@@ -39,35 +39,18 @@ import (
 // the same latitude the compiled oblivious engine already takes.
 
 // DefaultAdaptiveCompileBudget bounds the reachable-state table.
-// Profitability, not memory, sets the default: compiling a state costs
-// one policy call, so the table must stay well under reps × makespan
+// Profitability, not memory, sets it: compiling a state costs one
+// policy call, so the table must stay well under reps × makespan
 // state-visits for the memoization to win. Instances whose reachable
 // space exceeds the budget (e.g. 16+ independent jobs, 2^n states)
-// run the generic step engine instead.
+// run the generic step engine instead; one-shot calls lower it
+// further to 64× their repetition count (see callBudget).
 const DefaultAdaptiveCompileBudget = 8192
-
-// adaptiveCompileBudget is the active budget; see
-// SetAdaptiveCompileBudget.
-var adaptiveCompileBudget = DefaultAdaptiveCompileBudget
 
 // maxAdaptiveTableEntries caps the summed successor-array size
 // (Σ 2^trialed(s)); states trial at most m jobs, so wide-machine
 // instances hit this before the state budget.
 const maxAdaptiveTableEntries = 1 << 21
-
-// SetAdaptiveCompileBudget replaces the compiled adaptive engine's
-// state budget and returns a func restoring the previous value. A
-// budget of 0 disables compilation. Not safe to call concurrently
-// with estimation; it exists for tests and for tuning long-running
-// harnesses.
-func SetAdaptiveCompileBudget(n int) (restore func()) {
-	old := adaptiveCompileBudget
-	adaptiveCompileBudget = n
-	return func() { adaptiveCompileBudget = old }
-}
-
-// AdaptiveCompileBudget returns the active state budget.
-func AdaptiveCompileBudget() int { return adaptiveCompileBudget }
 
 // adaptState is one memoized state: the digest of a generic-engine
 // step in that state, plus the successor index for every completion
@@ -84,10 +67,6 @@ type adaptState struct {
 	// bits are set in sub (indexing jobs, not global job ids) complete;
 	// -1 marks the terminal all-finished state.
 	next []int32
-	// terminal marks states with at most two unfinished jobs — the
-	// closed-form layer the walks exit into when splicing is on (see
-	// splice.go).
-	terminal bool
 }
 
 // compiledAdaptive is the immutable compiled policy shared read-only
@@ -96,10 +75,6 @@ type compiledAdaptive struct {
 	in     *model.Instance
 	states []adaptState
 	n      int
-	// splice snapshots the TerminalSplice knob at compile time: when
-	// set, walks sample terminal (≤2 unfinished jobs) states in closed
-	// form instead of stepping through them.
-	splice bool
 }
 
 // eligibleMask returns the eligible-job bitmask of unfinished-set s.
@@ -139,7 +114,7 @@ func compileAdaptive(in *model.Instance, pol sched.Memoizable, budget int) *comp
 		return nil
 	}
 	p := in.Flat()
-	c := &compiledAdaptive{in: in, n: n, splice: terminalSplice}
+	c := &compiledAdaptive{in: in, n: n}
 	full := uint64(1)<<uint(n) - 1
 	idx := map[uint64]int32{full: 0}
 	queue := []uint64{full}
@@ -191,11 +166,10 @@ func compileAdaptive(in *model.Instance, pol sched.Memoizable, budget int) *comp
 			return nil
 		}
 		s := adaptState{
-			jobs:     make([]int32, k),
-			succ:     make([]float64, k),
-			mass:     make([]float64, k),
-			next:     make([]int32, 1<<uint(k)),
-			terminal: bits.OnesCount64(mask) <= 2,
+			jobs: make([]int32, k),
+			succ: make([]float64, k),
+			mass: make([]float64, k),
+			next: make([]int32, 1<<uint(k)),
 		}
 		copy(s.jobs, order)
 		for b, j32 := range order {
@@ -252,25 +226,18 @@ func (c *compiledAdaptive) newRunner() *adaptRunner {
 	return &adaptRunner{c: c, mass: make([]float64, c.n)}
 }
 
-// run replays one repetition through the table. With splicing off,
-// draw-for-draw it performs the same completion trials as the step
-// engine, in the same order, against the same probabilities, so the
-// makespan distribution is bit-identical; with splicing on, terminal
-// (≤2 unfinished jobs) states are sampled in closed form instead (see
-// splice.go) — same distribution, different draws. The loop allocates
-// nothing.
+// run replays one repetition through the table. Draw for draw it
+// performs the same completion trials as the step engine, in the same
+// order, against the same probabilities, so the makespan distribution
+// is bit-identical. The loop allocates nothing.
 func (r *adaptRunner) run(maxSteps int, rng Rand) (int, bool) {
 	states := r.c.states
 	for j := range r.mass {
 		r.mass[j] = 0
 	}
 	cur := int32(0)
-	splice := r.c.splice
 	for t := 0; t < maxSteps; t++ {
 		s := &states[cur]
-		if splice && s.terminal {
-			return r.c.spliceFrom(cur, t, maxSteps, rng, r.mass)
-		}
 		sub := 0
 		for k, j := range s.jobs {
 			r.mass[j] += s.mass[k]

@@ -66,13 +66,6 @@ func adaptiveParityCases(t *testing.T) map[string]struct {
 // incomplete count EXACTLY (same draws, same order, same floats), and
 // must stay bit-identical across worker counts 1/4/GOMAXPROCS.
 func TestCompiledAdaptiveBitIdenticalToGeneric(t *testing.T) {
-	// This pins the SCALAR table walk to the step engine; at these rep
-	// counts auto dispatch would select the lane engine, whose own
-	// exactness contract lives in lane_test.go. Terminal splicing is
-	// distribution- but not draw-preserving, so it is pinned off too
-	// (see splice_test.go for its own contract).
-	defer SetBitParallel(BitParallelOff)()
-	defer SetTerminalSplice(false)()
 	const reps, cap, seed = 1500, 100000, 17
 	for name, tc := range adaptiveParityCases(t) {
 		t.Run(name, func(t *testing.T) {
@@ -109,10 +102,6 @@ func TestCompiledAdaptiveBitIdenticalToGeneric(t *testing.T) {
 // as a precomputed per-step sum — stays within float tolerance of the
 // step engine's machine-by-machine accumulation.
 func TestCompiledAdaptiveMassParity(t *testing.T) {
-	// Scalar-vs-generic draw identity: pin off the lane dispatch (whose
-	// mass contract is TestLaneMassParity) and terminal splicing.
-	defer SetBitParallel(BitParallelOff)()
-	defer SetTerminalSplice(false)()
 	in := workload.Independent(workload.Config{Jobs: 10, Machines: 3, Seed: 42})
 	pol := &core.AdaptivePolicy{In: in}
 	generic := sched.PolicyFunc(pol.Assign)
@@ -127,38 +116,37 @@ func TestCompiledAdaptiveMassParity(t *testing.T) {
 }
 
 // TestCompiledAdaptiveFallbackOverBudget pins the transparent
-// fallback: with the budget set one state below the instance's
-// reachable count, the estimator must run the generic engine — and
-// produce the exact summary the compiled engine produces when the
-// budget fits, because the engines are bit-identical. A zero budget
-// disables compilation outright.
+// fallback: compileAdaptive refuses a budget one state below the
+// instance's reachable count (and a zero budget outright), and a call
+// whose 64×reps cap falls below the table runs the generic engine —
+// producing the exact summary the table walk produces at the same
+// repetition count, because the engines are bit-identical.
 func TestCompiledAdaptiveFallbackOverBudget(t *testing.T) {
-	defer SetBitParallel(BitParallelOff)() // pin the scalar engines; see lane_test.go
-	defer SetTerminalSplice(false)()       // draw identity with the generic engine
-	in := workload.Independent(workload.Config{Jobs: 8, Machines: 3, Seed: 3})
+	in := workload.Independent(workload.Config{Jobs: 12, Machines: 4, Seed: 3})
 	pol := &core.AdaptivePolicy{In: in}
-	const reps, cap, seed = 800, 100000, 5
+	const cap, seed = 100000, 5
 
-	sumC, incC, eng := EstimateInfo(in, pol, reps, cap, seed)
+	_, _, eng := EstimateInfo(in, pol, 800, cap, seed)
 	if eng.Engine != EngineCompiledAdaptive {
-		t.Fatalf("engine %q at default budget, want compiled-adaptive", eng.Engine)
+		t.Fatalf("engine %q at 800 reps, want compiled-adaptive", eng.Engine)
 	}
-	restore := SetAdaptiveCompileBudget(eng.States - 1)
+	if c := compileAdaptive(in, pol, eng.States-1); c != nil {
+		t.Fatalf("budget %d compiled %d states", eng.States-1, len(c.states))
+	}
+	if c := compileAdaptive(in, pol, 0); c != nil {
+		t.Fatal("budget 0 compiled a table")
+	}
+
+	reps := (eng.States - 1) / 64 // the largest call whose cap undercuts the table
 	sumG, incG, engG := EstimateInfo(in, pol, reps, cap, seed)
-	restore()
 	if engG.Engine != EngineGeneric || engG.States != 0 {
-		t.Fatalf("budget %d for %d states: engine %q (states %d), want generic fallback",
-			eng.States-1, eng.States, engG.Engine, engG.States)
+		t.Fatalf("%d reps for %d states: engine %q (states %d), want generic fallback",
+			reps, eng.States, engG.Engine, engG.States)
 	}
+	table := &estimator{in: in, pol: pol, adaptive: compileAdaptive(in, pol, DefaultAdaptiveCompileBudget)}
+	sumC, incC, _ := table.run(reps, cap, seed, 1)
 	if sumC != sumG || incC != incG {
 		t.Errorf("fallback changed values: compiled %+v/%d vs generic %+v/%d", sumC, incC, sumG, incG)
-	}
-
-	restore = SetAdaptiveCompileBudget(0)
-	_, _, engOff := EstimateInfo(in, pol, reps, cap, seed)
-	restore()
-	if engOff.Engine != EngineGeneric {
-		t.Errorf("budget 0: engine %q, want generic", engOff.Engine)
 	}
 }
 
@@ -166,7 +154,6 @@ func TestCompiledAdaptiveFallbackOverBudget(t *testing.T) {
 // there forever; the compiled walk must report the same capped,
 // incomplete runs as the step engine.
 func TestCompiledAdaptiveStuckState(t *testing.T) {
-	defer SetBitParallel(BitParallelOff)() // pin the scalar engines; see lane_test.go
 	in := model.New(2, 1)
 	in.SetAt(0, 0, 0.5)
 	in.SetAt(0, 1, 0.5)
@@ -216,8 +203,6 @@ func (observingMemoizable) Memoizable() {}
 // a certain job drawn by several machines stays one trial — and the
 // engines stay bit-identical.
 func TestCompiledAdaptiveCertainJobParity(t *testing.T) {
-	defer SetBitParallel(BitParallelOff)() // pin the scalar engines; see lane_test.go
-	defer SetTerminalSplice(false)()       // draw identity with the generic engine
 	in := model.New(2, 2)
 	in.SetAt(0, 0, 1)
 	in.SetAt(1, 0, 1)
@@ -235,14 +220,11 @@ func TestCompiledAdaptiveCertainJobParity(t *testing.T) {
 	}
 	// Mass of the certain job is exactly 2 (both machines' p summed
 	// once), not 4 — the duplicate-enrollment symptom.
-	est := newEstimator(in, pol, reps)
-	w := est.newWorker()
-	var rng Stream
-	rng.Reseed(seed, 0)
-	w.run(cap, &rng)
-	if got := w.massView()[0]; math.Abs(got-2) > 1e-12 {
-		t.Errorf("certain job accumulated mass %v, want exactly 2", got)
-	}
+	newEstimator(in, pol, reps, lanesAuto).newIter(seed, false).run(0, 1, cap, func(_ int, _ bool, mass []float64) {
+		if got := mass[0]; math.Abs(got-2) > 1e-12 {
+			t.Errorf("certain job accumulated mass %v, want exactly 2", got)
+		}
+	})
 }
 
 // TestCompiledAdaptiveWideAssignmentFallsBack: a state that trials
@@ -277,7 +259,7 @@ func TestCompiledAdaptiveWideAssignmentFallsBack(t *testing.T) {
 func TestCompiledAdaptiveRepAllocationFree(t *testing.T) {
 	in := workload.Independent(workload.Config{Jobs: 10, Machines: 3, Seed: 42})
 	pol := &core.AdaptivePolicy{In: in}
-	c := compileAdaptive(in, pol, adaptiveCompileBudget)
+	c := compileAdaptive(in, pol, DefaultAdaptiveCompileBudget)
 	if c == nil {
 		t.Fatal("compile failed")
 	}

@@ -13,28 +13,34 @@
 // loop is allocation-free. When the policy is a *sched.Oblivious, the
 // estimators compile its prefix once into per-job occurrence lists
 // and replay repetitions event-wise (see oblivious.go), falling back
-// to the step engine for any repetition that outlives the prefix.
-// When the policy is stationary (sched.Memoizable) and its reachable
-// state space fits the compile budget, the estimators memoize one
-// assignment digest per unfinished-set key and replay repetitions as
-// table-driven walks (see adaptive.go), falling back transparently to
-// the step engine otherwise; EstimateInfo reports which engine ran.
-// On top of either compiled form, large-reps calls run 64 repetitions
-// per machine word with the bit-parallel lane engine (see lane.go and
-// the BitParallel knob), under a pinned SeedFor-derived stream remap.
+// to the step engine for any repetition that outlives the prefix;
+// calls of BitParallelAutoMinReps repetitions or more run that walk
+// 64 repetitions per machine word (see lane.go), under a pinned
+// SeedFor-derived stream remap. When the policy is stationary
+// (sched.Memoizable) and its reachable state space fits the compile
+// budget, the estimators memoize one assignment digest per
+// unfinished-set key and replay repetitions as table-driven walks
+// (see adaptive.go), draw for draw identical to the step engine;
+// otherwise they fall back to the step engine. Engine choice is a
+// pure function of (instance, policy, repetition count), made in one
+// place (Prepared.estimator), and EstimateInfo reports which engine
+// ran.
 //
 // Estimators derive repetition r's RNG stream from (seed, r) with a
 // SplitMix64 reseed (see rng.go) and aggregate makespans into
 // fixed-size chunks of streaming stats.Accumulator values that merge
-// in chunk order. Chunk boundaries depend only on the repetition
-// count, so Estimate and EstimateParallel return bit-identical
-// summaries at every concurrency, while memory stays O(reps/chunk)
-// instead of O(reps).
+// in chunk order (RunChunks, which internal/dyn's scenario walks use
+// too). Chunk boundaries depend only on the repetition count, so
+// Estimate and EstimateParallel return bit-identical summaries at
+// every concurrency, while memory stays O(reps/chunk) instead of
+// O(reps). The quantile and mass estimators read the same repetitions
+// in order, so MakespanQuantiles' sample is exactly the one Estimate
+// summarizes.
 //
 // Long-lived callers (the serve daemon) use Prepared: Prepare compiles
-// a (instance, policy) pair once — prefix occurrence lists, adaptive
-// digest tables, lane plans — and EstimateParallelInfo replays it for
-// any (reps, seed, concurrency) with results bit-identical to the
+// a (instance, policy) pair once — prefix occurrence lists or the
+// adaptive digest table — and EstimateParallelInfo replays it for any
+// (reps, seed, concurrency) with results bit-identical to the
 // corresponding cold Estimate call; the equivalence is pinned by
 // TestPreparedBitIdenticalToColdPath.
 package sim

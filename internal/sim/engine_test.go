@@ -41,14 +41,13 @@ func chainsFixture() (*model.Instance, *sched.Oblivious) {
 // wrapper (which disables compilation) must produce the same makespan
 // distribution and mass probabilities up to Monte Carlo error.
 func TestCompiledMatchesStepEngine(t *testing.T) {
-	// Pin the scalar compiled engine: at these rep counts auto dispatch
-	// would select the lane engine, whose parity is lane_test.go's job.
-	defer SetBitParallel(BitParallelOff)()
+	// Pin the scalar compiled engine: at these rep counts dispatch would
+	// select the lane engine, whose parity is lane_test.go's job.
 	in, o := chainsFixture()
 	generic := sched.PolicyFunc(func(st *sched.State) sched.Assignment { return o.At(st.Step) })
 
 	const reps, cap = 4000, 100000
-	fast, fastInc := Estimate(in, o, reps, cap, 21)
+	fast, fastInc, _ := EstimateInfoLanes(in, o, reps, cap, 21, false)
 	slow, slowInc := Estimate(in, generic, reps, cap, 21)
 	if fastInc != 0 || slowInc != 0 {
 		t.Fatalf("incomplete runs: compiled %d, generic %d", fastInc, slowInc)
@@ -59,7 +58,7 @@ func TestCompiledMatchesStepEngine(t *testing.T) {
 	}
 
 	horizon := int(fast.Mean)
-	fastFr := MassWithinHorizon(in, o, horizon, reps, 0.5, 31)
+	fastFr := massWithinHorizon(in, o, horizon, reps, 0.5, 31, lanesOff)
 	slowFr := MassWithinHorizon(in, generic, horizon, reps, 0.5, 31)
 	for j := range fastFr {
 		if math.Abs(fastFr[j]-slowFr[j]) > 0.05 {
@@ -72,13 +71,12 @@ func TestCompiledMatchesStepEngine(t *testing.T) {
 // so the compiled engine's tail continuation runs, and checks it
 // still completes and matches the generic engine.
 func TestCompiledTailContinuation(t *testing.T) {
-	defer SetBitParallel(BitParallelOff)() // pin the scalar engines; see lane_test.go
 	in, o := chainsFixture()
 	short := &sched.Oblivious{M: o.M, Steps: o.Steps[:2], Tail: o.Tail}
 	generic := sched.PolicyFunc(func(st *sched.State) sched.Assignment { return short.At(st.Step) })
 
 	const reps, cap = 2000, 100000
-	fast, fastInc := Estimate(in, short, reps, cap, 77)
+	fast, fastInc, _ := EstimateInfoLanes(in, short, reps, cap, 77, false) // the scalar walk; lanes are lane_test.go's job
 	slow, slowInc := Estimate(in, generic, reps, cap, 77)
 	if fastInc != 0 || slowInc != 0 {
 		t.Fatalf("incomplete runs: compiled %d, generic %d", fastInc, slowInc)

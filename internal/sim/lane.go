@@ -3,13 +3,14 @@ package sim
 import "math/bits"
 
 // The bit-parallel lane engine advances LaneWidth (64) independent
-// repetitions in lockstep, one per bit of a uint64. Per-rep state in
-// both compiled engines is tiny — "which jobs are finished" plus a
-// clock — so completion bookkeeping becomes AND/OR/popcount-style
-// word operations, and each (job, step) completion trial draws all 64
-// lanes' Bernoulli outcomes at once from the raw words SplitMix64
-// already emits (see laneBernoulli). Makespans feed the existing
-// chunked Welford accumulators 64 samples at a time, in lane order.
+// repetitions of the compiled oblivious walk in lockstep, one per bit
+// of a uint64. Per-rep state in that walk is tiny — "which jobs are
+// finished" plus a clock — so completion bookkeeping becomes
+// AND/OR/popcount-style word operations, and each (job, occurrence)
+// completion trial draws all 64 lanes' Bernoulli outcomes at once from
+// the raw words SplitMix64 already emits (see laneBernoulli).
+// Makespans feed the chunked Welford accumulators 64 samples at a
+// time, in lane order.
 //
 // # Stream remap
 //
@@ -23,21 +24,20 @@ import "math/bits"
 //     SeedFor(seed, "lane", g). Lane l of group g is repetition
 //     64g + l.
 //   - Every completion trial is keyed by its position in the
-//     schedule, via Stream.ReseedTrial(groupSeed, a, b): the compiled
-//     oblivious walk keys trials (occurrence index, 0); the adaptive
-//     table walk keys trials (step, job). Lane l's outcome depends
-//     only on the group seed, the trial key, and bit l of the drawn
-//     words — never on which other lanes are still running — so a
-//     partial tail group is exactly the restriction of a full one.
-//   - Repetitions that outlive a compiled oblivious prefix continue
-//     on the generic step engine with the sequential stream
+//     schedule, via Stream.ReseedTrial(groupSeed, k, 0) for occurrence
+//     index k. Lane l's outcome depends only on the group seed, the
+//     trial key, and bit l of the drawn words — never on which other
+//     lanes are still running — so a partial tail group is exactly the
+//     restriction of a full one.
+//   - Repetitions that outlive the prefix continue on the generic step
+//     engine with the sequential stream
 //     Reseed(SeedFor(seed, "lane-tail"), rep).
 //
-// The scalar compiled engines double as the exactness oracle: run
-// under the same remap (one lane at a time — see bitParallelOracle),
-// they reproduce every lane makespan bit for bit, which is what the
-// lane parity tests pin. Because group g's draws depend only on
-// (seed, g) and chunk boundaries are group-aligned, lane results are
+// The scalar compiled walk doubles as the exactness oracle: run under
+// the same remap (one lane at a time — see lanesOracle), it
+// reproduces every lane makespan bit for bit, which is what the lane
+// parity tests pin. Because group g's draws depend only on (seed, g)
+// and chunk boundaries are group-aligned, lane results are
 // bit-identical at any worker count, exactly like the scalar engines.
 //
 // Means and variances under the remap differ from the scalar
@@ -49,59 +49,43 @@ import "math/bits"
 // lockstep: one per bit of a uint64.
 const LaneWidth = 64
 
-// BitParallelMode selects how the estimators use the bit-parallel
-// lane engine; see SetBitParallel.
-type BitParallelMode int
-
-const (
-	// BitParallelAuto (the default) runs the lane engine whenever a
-	// compiled engine is available and the call's repetition count is
-	// at least BitParallelAutoMinReps.
-	BitParallelAuto BitParallelMode = iota
-	// BitParallelOff always runs the scalar engines.
-	BitParallelOff
-	// BitParallelOn runs the lane engine whenever a compiled engine is
-	// available, regardless of repetition count.
-	BitParallelOn
-	// bitParallelOracle runs the scalar compiled engines one lane at a
-	// time under the lane stream remap — the exactness oracle the
-	// parity tests compare against. Unexported: a test mode, not a
-	// user-facing engine (it reports the lane engine names, since it
-	// computes the lane engine's numbers).
-	bitParallelOracle
-)
-
-// bitParallelMode is the active mode; see SetBitParallel.
-var bitParallelMode = BitParallelAuto
-
-// BitParallelAutoMinReps is the repetition floor for auto dispatch:
-// below it the per-group fixed costs (SeedFor per group, per-lane
-// eligibility scatter) are not worth the lockstep win, and scalar
-// results stay bit-compatible with historical runs.
+// BitParallelAutoMinReps is the repetition floor of the lane
+// dispatch: below it the per-group fixed costs (SeedFor per group,
+// per-lane eligibility scatter) are not worth the lockstep win, and
+// scalar results stay bit-compatible with historical runs.
 const BitParallelAutoMinReps = 256
 
-// SetBitParallel replaces the lane-engine dispatch mode and returns a
-// func restoring the previous value. Not safe to call concurrently
-// with estimation; it exists for tests and benchmark harnesses that
-// must pin one engine.
-func SetBitParallel(m BitParallelMode) (restore func()) {
-	old := bitParallelMode
-	bitParallelMode = m
-	return func() { bitParallelMode = old }
+// laneMode is one call's lane decision for a compiled oblivious
+// schedule. The estimators run lanesAuto; EstimateInfoLanes also
+// reaches lanesOff. lanesOn and lanesOracle exist for this package's
+// parity tests.
+type laneMode int
+
+const (
+	// lanesAuto walks lanes at BitParallelAutoMinReps repetitions or
+	// more.
+	lanesAuto laneMode = iota
+	// lanesOff always runs the scalar walk.
+	lanesOff
+	// lanesOn walks lanes at any repetition count.
+	lanesOn
+	// lanesOracle replays the lane walk one lane at a time on the
+	// scalar walk — the exactness oracle the parity tests compare
+	// against. It reports the lane engine's name, since it computes the
+	// lane engine's numbers.
+	lanesOracle
+)
+
+// use reports whether a call of reps repetitions walks lanes.
+func (m laneMode) use(reps int) bool {
+	switch m {
+	case lanesAuto:
+		return reps >= BitParallelAutoMinReps
+	case lanesOff:
+		return false
+	}
+	return true
 }
-
-// BitParallel returns the active lane-engine dispatch mode.
-func BitParallel() BitParallelMode { return bitParallelMode }
-
-// laneAdaptDemoteStates is the divergence threshold of the lane
-// adaptive walk: when a step's live lanes trial more than this many
-// distinct (job, succ) pairs — draws that cannot be shared across
-// lanes — the group demotes to the per-lane scalar walk. Demotion
-// changes no result — the scalar walk consumes the same
-// position-keyed trials — only where the remaining time is spent; the
-// threshold is a pure performance knob (var, so the invariance test
-// can sweep it).
-var laneAdaptDemoteStates = 48
 
 // laneGroupSeed derives lane group g's trial-stream seed.
 func laneGroupSeed(seed, g int64) int64 { return SeedFor(seed, "lane", g) }
@@ -167,28 +151,22 @@ func laneBernoulli(tr *Stream, gseed, a, b int64, succ float64, need uint64) uin
 // subsequent runGroup calls fill: lane l's per-job masses are
 // mass[l*n : (l+1)*n], valid until the next call. Tracking is off by
 // default — Estimate never pays for it — and is what lets
-// MassWithinHorizon run on the lane engines. Per lane, masses accrue
+// MassWithinHorizon run on the lane engine. Per lane, masses accrue
 // in the same order as the scalar walk under the remap, so the lane
-// engines and the one-lane-at-a-time oracle stay bit-identical.
+// engine and the one-lane-at-a-time oracle stay bit-identical.
 type laneWorker interface {
 	runGroup(g int64, cnt, maxSteps int) (mk []int32, completed uint64)
 	massLanes() []float64
 }
 
 // newLaneWorker builds the lane engine (or, in oracle mode, the
-// scalar replay of it) for this estimator's compiled policy. Callers
+// scalar replay of it) for this estimator's compiled schedule. Callers
 // guarantee est.lane.
 func (e *estimator) newLaneWorker(seed int64) laneWorker {
-	if e.compiled != nil {
-		if e.oracle {
-			return &laneOblivOracle{r: e.compiled.newRunner(), seed: seed}
-		}
-		return newLaneOblivRunner(e.compiled, seed)
-	}
 	if e.oracle {
-		return &laneAdaptOracle{c: e.adaptive, seed: seed}
+		return &laneOblivOracle{r: e.compiled.newRunner(), seed: seed}
 	}
-	return newLaneAdaptRunner(e.adaptive, seed)
+	return newLaneOblivRunner(e.compiled, seed)
 }
 
 // laneOblivRunner walks the compiled oblivious occurrence lists with
@@ -400,9 +378,8 @@ func (r *laneOblivRunner) winsBefore(pr int, x int32) uint64 {
 	return r.winMask[i-1]
 }
 
-// continueTailLane hands lane l to the scalar continuation (closed-
-// form splice or generic step engine): it copies the lane's completion
-// column — and, when mass tracking is on, its accumulated prefix mass
+// continueTailLane hands lane l to the scalar continuation on the
+// generic step engine: it copies the lane's completion column — and, when mass tracking is on, its accumulated prefix mass
 // — into the scratch scalar runner and reuses its continueTail
 // seeding, with the rep's pinned tail stream.
 func (r *laneOblivRunner) continueTailLane(g int64, l, maxSteps int) (int, bool) {
@@ -471,275 +448,6 @@ func (o *laneOblivOracle) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 func (o *laneOblivOracle) massLanes() []float64 {
 	if o.massB == nil {
 		o.massB = make([]float64, o.r.c.in.N*LaneWidth)
-	}
-	return o.massB
-}
-
-// laneAdaptMaxFan bounds the per-state trial fan-out; it matches the
-// assignment width compileAdaptive accepts.
-const laneAdaptMaxFan = 20
-
-// laneAdaptRunner walks the compiled adaptive transition table with
-// 64 lanes in lockstep. Lanes share the immutable table but diverge
-// on unfinished-set keys; the lockstep win survives divergence
-// because trials are keyed (step, job), not (step, state): lanes in
-// different states that trial the same job with the same success
-// probability read the same stream position, so each step draws once
-// per distinct (job, succ) pair across all live lanes instead of once
-// per lane. When a step's pair count exceeds laneAdaptDemoteStates,
-// the lanes have diverged so far that the shared draws stop paying
-// and the group demotes to the per-lane scalar walk — same
-// position-keyed trials, so identical results.
-type laneAdaptRunner struct {
-	c   *compiledAdaptive
-	cur [LaneWidth]int32
-	mk  [LaneWidth]int32
-	// The distinct (job, succ) pairs of the whole table, interned at
-	// construction: spID[spOff[s]+ki] is the pair trialed by state s's
-	// slot ki, so the per-step pair lookup is one indexed load.
-	spOff    []int32
-	spID     []int32
-	pairJob  []int32
-	pairSucc []float64
-	// Per-step scratch: each touched pair's needing-lane mask and
-	// drawn word, plus the list of touched pair ids (pairNeed is dense
-	// over all pairs; only touched entries are ever non-zero).
-	pairNeed []uint64
-	pairWord []uint64
-	touched  []int32
-	sub      [LaneWidth][laneAdaptMaxFan]int32 // pair id per (lane, trial slot)
-	seed     int64
-	tr       Stream
-	// massB is the per-lane mass buffer (massB[l*n+j]), nil until
-	// massLanes enables tracking.
-	massB []float64
-}
-
-// massCol returns lane l's mass column, or nil when tracking is off.
-func (r *laneAdaptRunner) massCol(l int) []float64 {
-	if r.massB == nil {
-		return nil
-	}
-	return r.massB[l*r.c.n : (l+1)*r.c.n]
-}
-
-func (r *laneAdaptRunner) massLanes() []float64 {
-	if r.massB == nil {
-		r.massB = make([]float64, r.c.n*LaneWidth)
-	}
-	return r.massB
-}
-
-func newLaneAdaptRunner(c *compiledAdaptive, seed int64) *laneAdaptRunner {
-	r := &laneAdaptRunner{c: c, seed: seed, spOff: make([]int32, len(c.states)+1)}
-	type pairKey struct {
-		j int32
-		p float64
-	}
-	ids := make(map[pairKey]int32)
-	for si := range c.states {
-		s := &c.states[si]
-		r.spOff[si] = int32(len(r.spID))
-		for ki, j := range s.jobs {
-			k := pairKey{int32(j), s.succ[ki]}
-			id, ok := ids[k]
-			if !ok {
-				id = int32(len(r.pairJob))
-				ids[k] = id
-				r.pairJob = append(r.pairJob, k.j)
-				r.pairSucc = append(r.pairSucc, k.p)
-			}
-			r.spID = append(r.spID, id)
-		}
-	}
-	r.spOff[len(c.states)] = int32(len(r.spID))
-	r.pairNeed = make([]uint64, len(r.pairJob))
-	r.pairWord = make([]uint64, len(r.pairJob))
-	return r
-}
-
-func (r *laneAdaptRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64) {
-	gseed := laneGroupSeed(r.seed, g)
-	n := r.c.n
-	laneMask := ^uint64(0)
-	if cnt < LaneWidth {
-		laneMask = uint64(1)<<uint(cnt) - 1
-	}
-	active := laneMask
-	for l := 0; l < cnt; l++ {
-		r.cur[l] = 0
-	}
-	if r.massB != nil {
-		clear(r.massB[:cnt*n])
-	}
-	var completed uint64
-	states := r.c.states
-	// A start state already in the terminal layer (n ≤ 2) splices every
-	// lane straight away via the per-lane walk.
-	if r.c.splice && states[0].terminal {
-		for m := active; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			mk, done := r.c.laneRunFrom(&r.tr, gseed, uint(l), 0, 0, maxSteps, r.massCol(l))
-			r.mk[l] = int32(mk)
-			if done {
-				completed |= uint64(1) << uint(l)
-			}
-		}
-		return r.mk[:cnt], completed
-	}
-	for t := 0; t < maxSteps && active != 0; t++ {
-		// Collect the step's touched (job, succ) pairs and each pair's
-		// needing-lane mask.
-		r.touched = r.touched[:0]
-		for m := active; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			cur := r.cur[l]
-			sp := r.spID[r.spOff[cur]:r.spOff[cur+1]]
-			sub := &r.sub[l]
-			for ki, q := range sp {
-				if r.pairNeed[q] == 0 {
-					r.touched = append(r.touched, q)
-				}
-				r.pairNeed[q] |= uint64(1) << uint(l)
-				sub[ki] = q
-			}
-		}
-		if len(r.touched) > laneAdaptDemoteStates {
-			for _, q := range r.touched {
-				r.pairNeed[q] = 0
-			}
-			for m := active; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				mk, done := r.c.laneRunFrom(&r.tr, gseed, uint(l), r.cur[l], t, maxSteps, r.massCol(l))
-				r.mk[l] = int32(mk)
-				if done {
-					completed |= uint64(1) << uint(l)
-				}
-			}
-			active = 0
-			break
-		}
-		for _, q := range r.touched {
-			r.pairWord[q] = laneBernoulli(&r.tr, gseed, int64(t), int64(r.pairJob[q]), r.pairSucc[q], r.pairNeed[q])
-			r.pairNeed[q] = 0
-		}
-		for m := active; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			s := &states[r.cur[l]]
-			if r.massB != nil {
-				col := r.massB[l*n : (l+1)*n]
-				for ki, j := range s.jobs {
-					col[j] += s.mass[ki]
-				}
-			}
-			sub := 0
-			for ki := range s.jobs {
-				sub |= int(r.pairWord[r.sub[l][ki]]>>uint(l)&1) << uint(ki)
-			}
-			if sub == 0 {
-				// No completions this step; a state with no trialed jobs
-				// is stuck, exactly like the step engine under an
-				// all-idle assignment.
-				continue
-			}
-			nxt := s.next[sub]
-			switch {
-			case nxt < 0:
-				r.mk[l] = int32(t + 1)
-				completed |= uint64(1) << uint(l)
-				active &^= uint64(1) << uint(l)
-			case r.c.splice && states[nxt].terminal:
-				// Entering the ≤2-job terminal layer: demote the lane to
-				// the per-lane walk, which splices immediately — the same
-				// point at which the oracle's laneRunFrom splices, on the
-				// same pinned stream.
-				mk, done := r.c.laneRunFrom(&r.tr, gseed, uint(l), nxt, t+1, maxSteps, r.massCol(l))
-				r.mk[l] = int32(mk)
-				if done {
-					completed |= uint64(1) << uint(l)
-				}
-				active &^= uint64(1) << uint(l)
-			default:
-				r.cur[l] = nxt
-			}
-		}
-	}
-	for m := active; m != 0; m &= m - 1 {
-		r.mk[bits.TrailingZeros64(m)] = int32(maxSteps)
-	}
-	return r.mk[:cnt], completed
-}
-
-// laneRunFrom walks one lane of group gseed through the table from
-// state cur at step t0, drawing each trial from its pinned (step,
-// job) stream position and accruing mass into the optional per-job
-// column. Both the demoted lane walk and the adaptive oracle run
-// exactly this code, which is why demotion is invisible in the
-// results. With splicing on, entering a terminal state exits into the
-// closed-form sampler on the lane's dedicated splice stream.
-func (c *compiledAdaptive) laneRunFrom(tr *Stream, gseed int64, lane uint, cur int32, t0, maxSteps int, mass []float64) (int, bool) {
-	states := c.states
-	need := uint64(1) << lane
-	for t := t0; t < maxSteps; t++ {
-		s := &states[cur]
-		if c.splice && s.terminal {
-			tr.ReseedTrial(gseed, spliceLaneKey, int64(lane))
-			return c.spliceFrom(cur, t, maxSteps, tr, mass)
-		}
-		sub := 0
-		for ki, j := range s.jobs {
-			if mass != nil {
-				mass[j] += s.mass[ki]
-			}
-			if laneBernoulli(tr, gseed, int64(t), int64(j), s.succ[ki], need)&need != 0 {
-				sub |= 1 << uint(ki)
-			}
-		}
-		if sub == 0 {
-			continue
-		}
-		nxt := s.next[sub]
-		if nxt < 0 {
-			return t + 1, true
-		}
-		cur = nxt
-	}
-	return maxSteps, false
-}
-
-// laneAdaptOracle replays the lane engine's numbers one lane at a
-// time via laneRunFrom — the exactness oracle for the adaptive lane
-// walk.
-type laneAdaptOracle struct {
-	c     *compiledAdaptive
-	seed  int64
-	tr    Stream
-	mk    [LaneWidth]int32
-	massB []float64
-}
-
-func (o *laneAdaptOracle) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64) {
-	gseed := laneGroupSeed(o.seed, g)
-	n := o.c.n
-	var completed uint64
-	for l := 0; l < cnt; l++ {
-		var col []float64
-		if o.massB != nil {
-			col = o.massB[l*n : (l+1)*n]
-			clear(col)
-		}
-		mk, done := o.c.laneRunFrom(&o.tr, gseed, uint(l), 0, 0, maxSteps, col)
-		o.mk[l] = int32(mk)
-		if done {
-			completed |= uint64(1) << uint(l)
-		}
-	}
-	return o.mk[:cnt], completed
-}
-
-func (o *laneAdaptOracle) massLanes() []float64 {
-	if o.massB == nil {
-		o.massB = make([]float64, o.c.n*LaneWidth)
 	}
 	return o.massB
 }

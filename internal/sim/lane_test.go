@@ -9,14 +9,7 @@ import (
 	"suu/internal/core"
 	"suu/internal/model"
 	"suu/internal/sched"
-	"suu/internal/workload"
 )
-
-// withMode runs f under the given BitParallel dispatch mode.
-func withMode(m BitParallelMode, f func()) {
-	defer SetBitParallel(m)()
-	f()
-}
 
 // TestLaneBernoulliOracleBit pins laneBernoulli's core property: a
 // decided lane's outcome is identical whether it is drawn as part of
@@ -88,8 +81,8 @@ func TestLaneObliviousMatchesScalarRemapExactly(t *testing.T) {
 	for _, reps := range []int{1, 63, 64, 65, 256, 300, 1000} {
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			var engL, engO EngineUsed
-			sL := summaryOf(t, in, o, reps, cap, seed, workers, BitParallelOn, &engL)
-			sO := summaryOf(t, in, o, reps, cap, seed, workers, bitParallelOracle, &engO)
+			sL := summaryOf(t, in, o, reps, cap, seed, workers, lanesOn, &engL)
+			sO := summaryOf(t, in, o, reps, cap, seed, workers, lanesOracle, &engO)
 			if engL.Engine != EngineLane || engL.Lanes != LaneWidth {
 				t.Fatalf("reps %d workers %d: lane engine reported %+v", reps, workers, engL)
 			}
@@ -103,41 +96,13 @@ func TestLaneObliviousMatchesScalarRemapExactly(t *testing.T) {
 	}
 }
 
-// summaryOf runs EstimateParallelInfo under the given lane mode and
+// summaryOf runs the parallel estimator under the given lane mode and
 // returns the summary and incomplete count as one comparable value.
-func summaryOf(t *testing.T, in *model.Instance, pol sched.Policy, reps, cap int, seed int64, workers int, mode BitParallelMode, eng *EngineUsed) [2]interface{} {
+func summaryOf(t *testing.T, in *model.Instance, pol sched.Policy, reps, cap int, seed int64, workers int, mode laneMode, eng *EngineUsed) [2]interface{} {
 	t.Helper()
-	var out [2]interface{}
-	withMode(mode, func() {
-		sum, inc, e := EstimateParallelInfo(in, pol, reps, cap, seed, workers)
-		out[0], out[1] = sum, inc
-		*eng = e
-	})
-	return out
-}
-
-// TestLaneAdaptiveMatchesScalarRemapExactly mirrors the oblivious
-// bar for the adaptive table walk, across every stationary-policy
-// family of the compiled adaptive engine.
-func TestLaneAdaptiveMatchesScalarRemapExactly(t *testing.T) {
-	const cap, seed = 100000, 29
-	for name, tc := range adaptiveParityCases(t) {
-		t.Run(name, func(t *testing.T) {
-			for _, reps := range []int{64, 65, 500} {
-				for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-					var engL, engO EngineUsed
-					sL := summaryOf(t, tc.in, tc.pol, reps, cap, seed, workers, BitParallelOn, &engL)
-					sO := summaryOf(t, tc.in, tc.pol, reps, cap, seed, workers, bitParallelOracle, &engO)
-					if engL.Engine != EngineLaneAdaptive || engL.Lanes != LaneWidth {
-						t.Fatalf("reps %d: lane engine reported %+v", reps, engL)
-					}
-					if sL != sO {
-						t.Errorf("reps %d workers %d: lane %+v != oracle %+v", reps, workers, sL, sO)
-					}
-				}
-			}
-		})
-	}
+	sum, inc, e := estimate(in, pol, reps, cap, seed, workers, mode)
+	*eng = e
+	return [2]interface{}{sum, inc}
 }
 
 // TestLaneTailContinuation forces lanes past a short prefix so the
@@ -148,8 +113,8 @@ func TestLaneTailContinuation(t *testing.T) {
 	short := &sched.Oblivious{M: o.M, Steps: o.Steps[:2], Tail: o.Tail}
 	const reps, cap, seed = 500, 100000, 41
 	var engL, engO EngineUsed
-	sL := summaryOf(t, in, short, reps, cap, seed, 1, BitParallelOn, &engL)
-	sO := summaryOf(t, in, short, reps, cap, seed, 1, bitParallelOracle, &engO)
+	sL := summaryOf(t, in, short, reps, cap, seed, 1, lanesOn, &engL)
+	sO := summaryOf(t, in, short, reps, cap, seed, 1, lanesOracle, &engO)
 	if engL.Engine != EngineLane {
 		t.Fatalf("engine %+v", engL)
 	}
@@ -164,8 +129,9 @@ func TestLaneTailContinuation(t *testing.T) {
 // TestLaneParityFuzz hammers the lane/oracle equality with randomized
 // instances: random dags and probability matrices with forced p=0 and
 // p=1 entries, single-job instances, rep counts not divisible by 64,
-// capped horizons that strand unfinished runs, and both engine
-// families. Run under -race in CI's engine group.
+// capped horizons that strand unfinished runs, and random oblivious
+// prefixes over a topo round-robin tail. Run under -race in CI's
+// engine group.
 func TestLaneParityFuzz(t *testing.T) {
 	rng := rand.New(NewStream(SeedFor(3, "lane-fuzz")))
 	laneRuns := 0
@@ -197,33 +163,27 @@ func TestLaneParityFuzz(t *testing.T) {
 		seed := rng.Int63()
 		workers := 1 + rng.Intn(4)
 
-		var pol sched.Policy
-		if iter%2 == 0 {
-			// Oblivious: random prefix over a topo round-robin tail.
-			order, err := in.Prec.TopoOrder()
-			if err != nil {
-				t.Fatal(err)
-			}
-			steps := make([]sched.Assignment, 1+rng.Intn(3*n))
-			for s := range steps {
-				a := make(sched.Assignment, m)
-				for i := range a {
-					if rng.Intn(5) == 0 {
-						a[i] = sched.Idle
-					} else {
-						a[i] = rng.Intn(n)
-					}
-				}
-				steps[s] = a
-			}
-			pol = &sched.Oblivious{M: m, Steps: steps, Tail: &sched.TopoRoundRobin{M: m, Order: order}}
-		} else {
-			pol = &core.AdaptivePolicy{In: in}
+		order, err := in.Prec.TopoOrder()
+		if err != nil {
+			t.Fatal(err)
 		}
+		steps := make([]sched.Assignment, 1+rng.Intn(3*n))
+		for s := range steps {
+			a := make(sched.Assignment, m)
+			for i := range a {
+				if rng.Intn(5) == 0 {
+					a[i] = sched.Idle
+				} else {
+					a[i] = rng.Intn(n)
+				}
+			}
+			steps[s] = a
+		}
+		pol := &sched.Oblivious{M: m, Steps: steps, Tail: &sched.TopoRoundRobin{M: m, Order: order}}
 
 		var engL, engO EngineUsed
-		sL := summaryOf(t, in, pol, reps, cap, seed, workers, BitParallelOn, &engL)
-		sO := summaryOf(t, in, pol, reps, cap, seed, workers, bitParallelOracle, &engO)
+		sL := summaryOf(t, in, pol, reps, cap, seed, workers, lanesOn, &engL)
+		sO := summaryOf(t, in, pol, reps, cap, seed, workers, lanesOracle, &engO)
 		if engL.Engine != engO.Engine {
 			t.Fatalf("iter %d: engines diverged: %q vs %q", iter, engL.Engine, engO.Engine)
 		}
@@ -240,61 +200,35 @@ func TestLaneParityFuzz(t *testing.T) {
 	}
 }
 
-// TestLaneAutoDispatchByRepCount pins the BitParallel knob semantics:
-// Auto switches on the BitParallelAutoMinReps floor, On forces lanes
-// at any rep count, Off always runs the scalar engines.
+// TestLaneAutoDispatchByRepCount pins the lane dispatch: the default
+// switches on the BitParallelAutoMinReps floor, EstimateInfoLanes
+// (false) pins the scalar walk, the test-only forced mode lanes any rep
+// count, and neither the generic engine nor the compiled adaptive
+// table ever lanes.
 func TestLaneAutoDispatchByRepCount(t *testing.T) {
 	in, o := chainsFixture()
-	check := func(mode BitParallelMode, reps int, want string, wantLanes int) {
+	check := func(name string, eng EngineUsed, want string, wantLanes int) {
 		t.Helper()
-		withMode(mode, func() {
-			_, _, eng := EstimateInfo(in, o, reps, 100000, 3)
-			if eng.Engine != want || eng.Lanes != wantLanes {
-				t.Errorf("mode %d reps %d: engine %+v, want %s/lanes=%d", mode, reps, eng, want, wantLanes)
-			}
-		})
+		if eng.Engine != want || eng.Lanes != wantLanes {
+			t.Errorf("%s: engine %+v, want %s/lanes=%d", name, eng, want, wantLanes)
+		}
 	}
-	check(BitParallelAuto, BitParallelAutoMinReps-1, EngineCompiled, 0)
-	check(BitParallelAuto, BitParallelAutoMinReps, EngineLane, LaneWidth)
-	check(BitParallelOff, 10000, EngineCompiled, 0)
-	check(BitParallelOn, 10, EngineLane, LaneWidth)
+	_, _, eng := EstimateInfo(in, o, BitParallelAutoMinReps-1, 100000, 3)
+	check("auto below floor", eng, EngineCompiled, 0)
+	_, _, eng = EstimateInfo(in, o, BitParallelAutoMinReps, 100000, 3)
+	check("auto at floor", eng, EngineLane, LaneWidth)
+	_, _, eng = EstimateInfoLanes(in, o, 10000, 100000, 3, false)
+	check("lanes=false", eng, EngineCompiled, 0)
+	_, _, eng = EstimateInfoLanes(in, o, 10000, 100000, 3, true)
+	check("lanes=true", eng, EngineLane, LaneWidth)
+	_, _, eng = estimate(in, o, 10, 100000, 3, 1, lanesOn)
+	check("forced on", eng, EngineLane, LaneWidth)
 
-	// The generic engine never grows lanes, whatever the knob says.
 	generic := sched.PolicyFunc(func(st *sched.State) sched.Assignment { return o.At(st.Step) })
-	withMode(BitParallelOn, func() {
-		_, _, eng := EstimateInfo(in, generic, 1000, 100000, 3)
-		if eng.Engine != EngineGeneric || eng.Lanes != 0 {
-			t.Errorf("generic policy dispatched to %+v", eng)
-		}
-	})
-}
-
-// TestLaneDemotionThresholdInvariance: the adaptive divergence
-// threshold is a pure performance knob. Because the demoted scalar
-// walk consumes the same position-keyed trials as the lockstep walk,
-// every threshold — including demote-immediately — must produce
-// identical results.
-func TestLaneDemotionThresholdInvariance(t *testing.T) {
-	in := workload.Independent(workload.Config{Jobs: 10, Machines: 3, Seed: 42})
-	pol := &core.AdaptivePolicy{In: in}
-	const reps, cap, seed = 700, 100000, 53
-	old := laneAdaptDemoteStates
-	defer func() { laneAdaptDemoteStates = old }()
-
-	var want [2]interface{}
-	for i, thr := range []int{0, 1, 4, 16, LaneWidth} {
-		laneAdaptDemoteStates = thr
-		var eng EngineUsed
-		got := summaryOf(t, in, pol, reps, cap, seed, 1, BitParallelOn, &eng)
-		if eng.Engine != EngineLaneAdaptive {
-			t.Fatalf("threshold %d: engine %+v", thr, eng)
-		}
-		if i == 0 {
-			want = got
-		} else if got != want {
-			t.Errorf("threshold %d changed results: %+v vs %+v", thr, got, want)
-		}
-	}
+	_, _, eng = estimate(in, generic, 1000, 100000, 3, 1, lanesOn)
+	check("generic policy", eng, EngineGeneric, 0)
+	_, _, eng = estimate(in, &core.AdaptivePolicy{In: in}, 1000, 100000, 3, 1, lanesOn)
+	check("adaptive policy", eng, EngineCompiledAdaptive, 0)
 }
 
 // TestLaneDeterministicAcrossConcurrency: the lane engine inherits
@@ -302,7 +236,6 @@ func TestLaneDemotionThresholdInvariance(t *testing.T) {
 // summaries at every concurrency — because chunk boundaries stay
 // group-aligned and group draws depend only on (seed, group).
 func TestLaneDeterministicAcrossConcurrency(t *testing.T) {
-	defer SetBitParallel(BitParallelOn)()
 	in, o := chainsFixture()
 	want, wantInc, eng := EstimateParallelInfo(in, o, 1500, 100000, 9, 1)
 	if eng.Engine != EngineLane {
@@ -336,54 +269,23 @@ func TestLaneGroupAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("oblivious lane group: %v allocs/run, want 0", allocs)
 	}
-
-	ain := workload.Independent(workload.Config{Jobs: 10, Machines: 3, Seed: 42})
-	apol := &core.AdaptivePolicy{In: ain}
-	ac := compileAdaptive(ain, apol, adaptiveCompileBudget)
-	if ac == nil {
-		t.Fatal("adaptive compile failed")
-	}
-	aw := newLaneAdaptRunner(ac, 7)
-	aw.runGroup(0, LaneWidth, 100000)
-	allocs = testing.AllocsPerRun(50, func() {
-		aw.runGroup(1, LaneWidth, 100000)
-	})
-	if allocs != 0 {
-		t.Errorf("adaptive lane group: %v allocs/run, want 0", allocs)
-	}
 }
 
-// TestLaneMassParity pins satellite mass tracking on the lane engines:
+// TestLaneMassParity pins satellite mass tracking on the lane engine:
 // MassWithinHorizon under the wordwise lane engine and under the
 // one-lane-at-a-time oracle must agree EXACTLY — threshold counts are
 // integers, so any per-lane mass divergence shows up as a changed
-// fraction. Covers both compiled engines, with terminal splicing on
-// (the lane walk and the oracle splice through the same code on the
-// same pinned streams).
+// fraction.
 func TestLaneMassParity(t *testing.T) {
 	in, o := chainsFixture()
-	apol := &core.AdaptivePolicy{In: in}
-	const reps, seed = 1000, 29
-	for name, tc := range map[string]struct {
-		pol     sched.Policy
-		horizon int
-	}{
-		"oblivious": {o, 30},
-		"adaptive":  {apol, 8},
-	} {
-		for _, threshold := range []float64{0.25, 1.0} {
-			var lane, oracle []float64
-			withMode(BitParallelOn, func() {
-				lane = MassWithinHorizon(in, tc.pol, tc.horizon, reps, threshold, seed)
-			})
-			withMode(bitParallelOracle, func() {
-				oracle = MassWithinHorizon(in, tc.pol, tc.horizon, reps, threshold, seed)
-			})
-			for j := range lane {
-				if lane[j] != oracle[j] {
-					t.Errorf("%s threshold %v job %d: lane fraction %v != oracle %v",
-						name, threshold, j, lane[j], oracle[j])
-				}
+	const reps, horizon, seed = 1000, 30, 29
+	for _, threshold := range []float64{0.25, 1.0} {
+		lane := massWithinHorizon(in, o, horizon, reps, threshold, seed, lanesOn)
+		oracle := massWithinHorizon(in, o, horizon, reps, threshold, seed, lanesOracle)
+		for j := range lane {
+			if lane[j] != oracle[j] {
+				t.Errorf("threshold %v job %d: lane fraction %v != oracle %v",
+					threshold, j, lane[j], oracle[j])
 			}
 		}
 	}
@@ -392,27 +294,13 @@ func TestLaneMassParity(t *testing.T) {
 	// the scalar sample: fractions must agree statistically (binomial
 	// 6-sigma at 1000 reps), which guards against systematic accrual
 	// bugs the oracle comparison alone would share.
-	for name, tc := range map[string]struct {
-		pol     sched.Policy
-		horizon int
-	}{
-		"oblivious": {o, 30},
-		"adaptive":  {apol, 8},
-	} {
-		var lane, scalar []float64
-		withMode(BitParallelOn, func() {
-			lane = MassWithinHorizon(in, tc.pol, tc.horizon, reps, 0.25, seed)
-		})
-		withMode(BitParallelOff, func() {
-			scalar = MassWithinHorizon(in, tc.pol, tc.horizon, reps, 0.25, seed)
-		})
-		for j := range lane {
-			p := (lane[j] + scalar[j]) / 2 // pooled: either sample alone can sit at 0 or 1
-			sd := math.Sqrt(p * (1 - p) / reps)
-			if math.Abs(lane[j]-scalar[j]) > 6*sd+1e-3 {
-				t.Errorf("%s job %d: lane fraction %v vs scalar %v (sd %v)",
-					name, j, lane[j], scalar[j], sd)
-			}
+	lane := massWithinHorizon(in, o, horizon, reps, 0.25, seed, lanesOn)
+	scalar := massWithinHorizon(in, o, horizon, reps, 0.25, seed, lanesOff)
+	for j := range lane {
+		p := (lane[j] + scalar[j]) / 2 // pooled: either sample alone can sit at 0 or 1
+		sd := math.Sqrt(p * (1 - p) / reps)
+		if math.Abs(lane[j]-scalar[j]) > 6*sd+1e-3 {
+			t.Errorf("job %d: lane fraction %v vs scalar %v (sd %v)", j, lane[j], scalar[j], sd)
 		}
 	}
 }

@@ -35,15 +35,6 @@ type compiledOblivious struct {
 	steps []int32
 	succ  []float64
 	mass  []float64
-	// Terminal-tail splicing (see splice.go): spliceMode is spliceCycle
-	// when a nil Tail replays the prefix forever, spliceRR for a
-	// TopoRoundRobin tail (with the per-job period profile below), and
-	// spliceOff otherwise or when the knob is off.
-	spliceMode int
-	tailPos    []int32 // job → position in the round-robin order, -1 if absent
-	tailSucc   []float64
-	tailMass   []float64
-	tailPeriod int
 }
 
 // compileOblivious builds the per-job occurrence lists. Cost is
@@ -116,56 +107,7 @@ func compileOblivious(in *model.Instance, o *sched.Oblivious) *compiledOblivious
 	for k := range c.succ {
 		c.succ[k] = 1 - c.succ[k]
 	}
-	c.compileSplice()
 	return c
-}
-
-// compileSplice classifies the schedule's tail for terminal splicing.
-// A nil Tail replays the prefix (the compiled occurrence lists are
-// exactly one period); a TopoRoundRobin tail gangs all machines on one
-// job per step, so each listed job gets a single-occurrence period
-// profile. Any other tail, a job repeated in the round-robin order, or
-// the knob being off leaves the generic continuation in place.
-func (c *compiledOblivious) compileSplice() {
-	if !terminalSplice {
-		return
-	}
-	switch tl := c.o.Tail.(type) {
-	case nil:
-		c.spliceMode = spliceCycle
-	case *sched.TopoRoundRobin:
-		n := c.in.N
-		if len(tl.Order) == 0 {
-			return
-		}
-		pos := make([]int32, n)
-		for j := range pos {
-			pos[j] = -1
-		}
-		for k, j := range tl.Order {
-			if j < 0 || j >= n {
-				continue // ignored by the executor: never a trial
-			}
-			if pos[j] >= 0 {
-				return // repeated job: not a one-occurrence period
-			}
-			pos[j] = int32(k)
-		}
-		p := c.in.Flat()
-		succ := make([]float64, n)
-		mass := make([]float64, n)
-		for j := 0; j < n; j++ {
-			fail := 1.0
-			for i := 0; i < c.in.M; i++ {
-				fail *= 1 - p[i*n+j]
-				mass[j] += p[i*n+j]
-			}
-			succ[j] = 1 - fail
-		}
-		c.tailPos, c.tailSucc, c.tailMass = pos, succ, mass
-		c.tailPeriod = len(tl.Order)
-		c.spliceMode = spliceRR
-	}
 }
 
 // oblivRunner is one worker's mutable state for the compiled engine.
@@ -299,15 +241,11 @@ func oblivRun[D oblivDraw](r *oblivRunner, maxSteps int, d D) (int, bool) {
 	return r.continueTail(unfinished, maxSteps, d.tailRand())
 }
 
-// continueTail finishes a repetition that outlived the prefix: with at
-// most two jobs left and a cyclic tail it samples the remainder in
-// closed form (see splice.go); otherwise it seeds the generic step
-// engine with the post-prefix state and runs it to the cap.
+// continueTail finishes a repetition that outlived the prefix: it
+// seeds the generic step engine with the post-prefix state and runs it
+// to the cap.
 func (r *oblivRunner) continueTail(unfinished, maxSteps int, rng Rand) (int, bool) {
 	c := r.c
-	if c.spliceMode != spliceOff && unfinished <= 2 {
-		return r.spliceTail(maxSteps, rng)
-	}
 	if r.cont == nil {
 		r.cont = NewRunner(c.in, c.o)
 	}

@@ -45,10 +45,7 @@ func EstimateParallel(in *model.Instance, pol sched.Policy, reps, maxSteps int, 
 // silently degraded the requested fan-out to sequential, which is how
 // grid rows and BENCH_sim.json record the engine that actually ran.
 func EstimateParallelInfo(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, concurrency int) (stats.Summary, int, EngineUsed) {
-	if reps <= 0 {
-		panic("sim: reps must be positive")
-	}
-	return estimateChunked(in, pol, reps, maxSteps, seed, effectiveWorkers(pol, concurrency))
+	return estimate(in, pol, reps, maxSteps, seed, effectiveWorkers(pol, concurrency), lanesAuto)
 }
 
 // effectiveWorkers resolves a requested concurrency against the

@@ -21,11 +21,11 @@ import (
 // top of the shared tables, exactly as the per-call estimators fan
 // workers out over one compiled engine.
 //
-// Results are bit-identical to the cold path: EstimateInfo selects
-// the engine for each call with the same reps-dependent dispatch
-// rules (the 64×reps adaptive profitability cap, the bit-parallel
-// auto floor) that the one-shot estimators apply, so a cached engine
-// can change wall-clock only, never a digit. The parity is pinned by
+// Results are bit-identical to the cold path: the one-shot estimators
+// are themselves a prepare under the call's budget followed by the
+// per-call selection EstimateParallelInfo applies (see
+// Prepared.estimator), so a cached engine can change wall-clock only,
+// never a digit. The parity is pinned by
 // TestPreparedBitIdenticalToColdPath.
 type Prepared struct {
 	in       *model.Instance
@@ -38,23 +38,29 @@ type Prepared struct {
 // Prepare compiles the fastest engine the policy admits and returns
 // the reusable context. Unlike the per-call estimators, the adaptive
 // compile is not capped at 64× any particular repetition count — a
-// cached engine amortizes across requests, so the full state budget
-// applies at build time; the per-call profitability cap still governs
-// which calls use the table (see estimator). Prepare never fails:
-// policies no engine compiles (observers, over-budget state spaces,
-// cyclic instances) yield a context whose calls run the generic step
-// engine, which is still reusable — the instance's flat backing and
-// parallel-dispatch decisions are resolved once.
+// cached engine amortizes across requests, so the full
+// DefaultAdaptiveCompileBudget applies at build time; the per-call
+// profitability cap still governs which calls use the table. Prepare
+// never fails: policies no engine compiles (observers, over-budget
+// state spaces, cyclic instances) yield a context whose calls run the
+// generic step engine, which is still reusable — the instance's flat
+// backing and parallel-dispatch decisions are resolved once.
 func Prepare(in *model.Instance, pol sched.Policy) *Prepared {
+	return prepare(in, pol, DefaultAdaptiveCompileBudget)
+}
+
+// prepare is Prepare with an explicit adaptive state budget.
+func prepare(in *model.Instance, pol sched.Policy, budget int) *Prepared {
 	p := &Prepared{in: in, pol: pol}
-	// Resolve the flat backing once, on this goroutine, for the same
-	// reason newEstimator does: workers read it concurrently.
+	// Resolve the flat backing once, on this goroutine: workers read it
+	// concurrently via newRunState, and Instance.Flat rebuilds lazily
+	// when the rows were replaced wholesale.
 	in.Flat()
 	start := time.Now()
 	if UsesCompiledEngine(in, pol) {
 		p.compiled = compileOblivious(in, pol.(*sched.Oblivious))
 	} else if mpol, ok := pol.(sched.Memoizable); ok {
-		p.adaptive = compileAdaptive(in, mpol, adaptiveCompileBudget)
+		p.adaptive = compileAdaptive(in, mpol, budget)
 	}
 	p.buildMS = float64(time.Since(start).Nanoseconds()) / 1e6
 	return p
@@ -82,9 +88,7 @@ func (p *Prepared) Engine() (engine string, states int, buildMS float64) {
 func (p *Prepared) SizeBytes() int64 {
 	const word = 8
 	if c := p.compiled; c != nil {
-		n := int64(len(c.steps))*(4+word+word) + int64(len(c.offs)+len(c.topo))*4 +
-			int64(len(c.tailPos))*4 + int64(len(c.tailSucc)+len(c.tailMass))*word
-		return n + 256
+		return int64(len(c.steps))*(4+word+word) + int64(len(c.offs)+len(c.topo))*4 + 256
 	}
 	if a := p.adaptive; a != nil {
 		var n int64
@@ -97,37 +101,27 @@ func (p *Prepared) SizeBytes() int64 {
 	return 256
 }
 
-// estimator assembles the per-call engine selection on top of the
-// prepared tables, mirroring newEstimator's dispatch exactly: the
-// compiled oblivious engine whenever it exists, the adaptive table
-// only when its state count fits the same 64×reps profitability cap
-// the cold path applies to its compile budget, the generic step
-// engine otherwise; then the same lane upgrade. Matching the cold
-// dispatch rule for rule is what keeps warm results bit-identical —
-// the engines themselves are pinned equal, but the lane engines
-// consume a different (pinned) stream remap, so the lane DECISION
-// must agree too.
-func (p *Prepared) estimator(reps int) *estimator {
+// estimator is the per-call engine selection, the one dispatch every
+// estimator runs: the compiled oblivious walk whenever it exists, in
+// its lane form when the lane mode picks it for reps; the adaptive
+// table when its state count fits the call's budget (callBudget); the
+// generic step engine otherwise. Cold calls compile under that same
+// budget, which is what keeps warm results bit-identical to them.
+func (p *Prepared) estimator(reps int, lanes laneMode) *estimator {
 	e := &estimator{in: p.in, pol: p.pol, engine: EngineUsed{Engine: EngineGeneric}}
 	switch {
 	case p.compiled != nil:
 		e.compiled = p.compiled
 		e.engine.Engine = EngineCompiled
-		e.engine.Spliced = p.compiled.spliceMode != spliceOff
-	case p.adaptive != nil:
-		budget := adaptiveCompileBudget
-		if reps < budget/64 {
-			budget = 64 * reps
+		if lanes.use(reps) {
+			e.lane, e.oracle = true, lanes == lanesOracle
+			e.engine.Engine, e.engine.Lanes = EngineLane, LaneWidth
 		}
-		if len(p.adaptive.states) <= budget {
-			e.adaptive = p.adaptive
-			e.engine.Engine = EngineCompiledAdaptive
-			e.engine.States = len(p.adaptive.states)
-			// TableBuildMS stays 0: this call paid nothing.
-			e.engine.Spliced = p.adaptive.splice
-		}
+	case p.adaptive != nil && len(p.adaptive.states) <= callBudget(reps):
+		e.adaptive = p.adaptive
+		e.engine.Engine = EngineCompiledAdaptive
+		e.engine.States = len(p.adaptive.states)
 	}
-	e.maybeLane(reps)
 	return e
 }
 
@@ -143,10 +137,10 @@ func (p *Prepared) EstimateInfo(reps, maxSteps int, seed int64) (stats.Summary, 
 // bit-identical to a cold estimate of the same (reps, maxSteps, seed)
 // at any concurrency. concurrency <= 0 selects GOMAXPROCS; observer
 // policies degrade to sequential exactly as EstimateParallel does.
+// TableBuildMS stays 0: the call compiled nothing.
 func (p *Prepared) EstimateParallelInfo(reps, maxSteps int, seed int64, concurrency int) (stats.Summary, int, EngineUsed) {
 	if reps <= 0 {
 		panic("sim: reps must be positive")
 	}
-	workers := effectiveWorkers(p.pol, concurrency)
-	return runEstimator(p.estimator(reps), reps, maxSteps, seed, workers)
+	return p.estimator(reps, lanesAuto).run(reps, maxSteps, seed, effectiveWorkers(p.pol, concurrency))
 }

@@ -15,8 +15,8 @@ import (
 // stationary adaptive), repetition counts on both sides of the
 // bit-parallel auto floor, and worker counts. The repetition counts
 // also straddle the adaptive 64×reps profitability cap, so the
-// dispatch mimicry in Prepared.estimator is exercised, not just the
-// happy path.
+// per-call budget check in Prepared.estimator is exercised, not just
+// the happy path.
 func TestPreparedBitIdenticalToColdPath(t *testing.T) {
 	oblIn, obl := chainsFixture()
 	adIn := workload.Independent(workload.Config{Jobs: 10, Machines: 3, Seed: 42})
@@ -32,8 +32,9 @@ func TestPreparedBitIdenticalToColdPath(t *testing.T) {
 	for _, c := range cases {
 		p := Prepare(c.in, c.pol)
 		// Reps below and above BitParallelAutoMinReps, and small enough
-		// that 64×reps undercuts the default adaptive budget.
-		for _, reps := range []int{7, 60, 256, 500} {
+		// that 64×reps undercuts the default adaptive budget — at 2 reps
+		// also the adaptive fixture's state count.
+		for _, reps := range []int{2, 7, 60, 256, 500} {
 			for _, workers := range []int{1, 4} {
 				wantSum, wantInc, wantEng := EstimateParallelInfo(c.in, c.pol, reps, 10000, 9, workers)
 				gotSum, gotInc, gotEng := p.EstimateParallelInfo(reps, 10000, 9, workers)
@@ -42,7 +43,7 @@ func TestPreparedBitIdenticalToColdPath(t *testing.T) {
 						c.name, reps, workers, gotSum, gotInc, wantSum, wantInc)
 				}
 				if gotEng.Engine != wantEng.Engine || gotEng.Lanes != wantEng.Lanes ||
-					gotEng.States != wantEng.States || gotEng.Spliced != wantEng.Spliced {
+					gotEng.States != wantEng.States {
 					t.Fatalf("%s reps=%d: prepared engine %+v, cold %+v", c.name, reps, gotEng, wantEng)
 				}
 			}

@@ -52,9 +52,8 @@ func TestMakespanP2QuantilesLaneDrainOrder(t *testing.T) {
 	const cap, seed = 100000, 61
 	qs := []float64{0.5, 0.9, 0.99}
 	for _, reps := range []int{100, 1000} {
-		var lane, oracle []float64
-		withMode(BitParallelOn, func() { lane = MakespanP2Quantiles(in, o, reps, cap, seed, qs) })
-		withMode(bitParallelOracle, func() { oracle = MakespanP2Quantiles(in, o, reps, cap, seed, qs) })
+		lane := makespanP2Quantiles(in, o, reps, cap, seed, qs, lanesOn)
+		oracle := makespanP2Quantiles(in, o, reps, cap, seed, qs, lanesOracle)
 		for k := range qs {
 			if lane[k] != oracle[k] {
 				t.Errorf("reps %d q%v: lane %v != oracle %v (drain order drifted)",
@@ -62,8 +61,7 @@ func TestMakespanP2QuantilesLaneDrainOrder(t *testing.T) {
 			}
 		}
 		// Sanity: the estimates sit inside the sample's support.
-		var off []float64
-		withMode(BitParallelOff, func() { off = MakespanP2Quantiles(in, o, reps, cap, seed, qs) })
+		off := makespanP2Quantiles(in, o, reps, cap, seed, qs, lanesOff)
 		for k := 1; k < len(qs); k++ {
 			if lane[k] < lane[k-1] || off[k] < off[k-1] {
 				t.Errorf("reps %d: non-monotone quantiles lane=%v scalar=%v", reps, lane, off)
@@ -72,20 +70,40 @@ func TestMakespanP2QuantilesLaneDrainOrder(t *testing.T) {
 	}
 
 	// The scalar path keeps matching MakespanQuantiles' sample order.
-	// Splicing off pins the historical sample: P²'s accuracy at q0.99
-	// over 400 reps is sample-sensitive, and this block grades accuracy,
-	// not splicing.
-	defer SetTerminalSplice(false)()
-	withMode(BitParallelOff, func() {
-		exact, xs := MakespanQuantiles(in, o, 400, cap, seed, qs)
-		p2 := MakespanP2Quantiles(in, o, 400, cap, seed, qs)
-		if len(xs) != 400 {
-			t.Fatalf("sample size %d", len(xs))
+	exact, xs := makespanQuantiles(in, o, 400, cap, seed, qs, lanesOff)
+	p2 := makespanP2Quantiles(in, o, 400, cap, seed, qs, lanesOff)
+	if len(xs) != 400 {
+		t.Fatalf("sample size %d", len(xs))
+	}
+	for k := range qs {
+		if math.Abs(p2[k]-exact[k]) > 3+0.1*exact[k] {
+			t.Errorf("q%v: P² %v far from exact %v", qs[k], p2[k], exact[k])
 		}
-		for k := range qs {
-			if math.Abs(p2[k]-exact[k]) > 3+0.1*exact[k] {
-				t.Errorf("q%v: P² %v far from exact %v", qs[k], p2[k], exact[k])
-			}
-		}
-	})
+	}
+}
+
+// TestMakespanQuantilesMatchEstimate pins MakespanQuantiles to
+// Estimate's sample at a rep count where the lane engine runs: the
+// quantile sample's extremes must equal the summary's and its mean
+// must match to rounding.
+func TestMakespanQuantilesMatchEstimate(t *testing.T) {
+	in, o := chainsFixture()
+	const reps, cap, seed = 1000, 100000, 67
+	sum, _, eng := EstimateInfo(in, o, reps, cap, seed)
+	if eng.Engine != EngineLane {
+		t.Fatalf("engine %+v, want the lane engine at %d reps", eng, reps)
+	}
+	_, xs := MakespanQuantiles(in, o, reps, cap, seed, []float64{0.5})
+	lo, hi, mean := xs[0], xs[0], 0.0
+	for _, x := range xs {
+		lo, hi = math.Min(lo, x), math.Max(hi, x)
+		mean += x
+	}
+	mean /= float64(len(xs))
+	if lo != sum.Min || hi != sum.Max {
+		t.Errorf("sample range [%v, %v], Estimate range [%v, %v]", lo, hi, sum.Min, sum.Max)
+	}
+	if math.Abs(mean-sum.Mean) > 1e-9*sum.Mean {
+		t.Errorf("sample mean %v, Estimate mean %v", mean, sum.Mean)
+	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"time"
 
 	"suu/internal/model"
 	"suu/internal/sched"
@@ -47,14 +46,17 @@ func (r *Runner) massView() []float64 { return r.rs.mass }
 
 // Engine names for EngineUsed.Engine. The compiled oblivious engine
 // keeps the short name "compiled" that BENCH_sim.json has carried
-// since the engine landed; the "-lane" suffix marks the bit-parallel
-// 64-repetitions-per-word forms (see lane.go).
+// since the engine landed; "compiled-lane" is its bit-parallel
+// 64-repetitions-per-word form (see lane.go).
 const (
 	EngineGeneric          = "generic"
 	EngineCompiled         = "compiled"
 	EngineCompiledAdaptive = "compiled-adaptive"
 	EngineLane             = "compiled-lane"
-	EngineLaneAdaptive     = "compiled-adaptive-lane"
+	// EngineLaneAdaptive named the adaptive table walk's lane form,
+	// which lost to its scalar walk and was removed. No engine reports
+	// it; the name stays for per-engine tallies that still list it.
+	EngineLaneAdaptive = "compiled-adaptive-lane"
 	// EngineDynamic is the dynamic-scenario step walk (internal/dyn):
 	// arrivals, outages and regime modulation change the instance
 	// mid-run, which the compiled engines' immutable tables cannot
@@ -69,9 +71,9 @@ const (
 // so a silent fallback to the slow path is visible in the output, not
 // just in wall-clock time.
 type EngineUsed struct {
-	// Engine is EngineCompiled (event-wise oblivious), the
-	// EngineCompiledAdaptive transition-table walk, their bit-parallel
-	// lane forms EngineLane / EngineLaneAdaptive, or EngineGeneric.
+	// Engine is EngineCompiled (event-wise oblivious), its bit-parallel
+	// lane form EngineLane, the EngineCompiledAdaptive transition-table
+	// walk, or EngineGeneric.
 	Engine string
 	// Lanes is the lockstep width of the bit-parallel engine (64), or
 	// 0 for the scalar engines.
@@ -86,22 +88,12 @@ type EngineUsed struct {
 	// TableBuildMS is the adaptive table's compile wall-clock for this
 	// call — provenance for perf records, never merge payload.
 	TableBuildMS float64
-	// Spliced reports whether the engine samples terminal (≤2
-	// unfinished jobs) stretches in closed form (see splice.go): the
-	// TerminalSplice knob as snapshotted at compile time, and for the
-	// compiled oblivious engine additionally whether the schedule's
-	// tail shape admits splicing. Spliced results are a different Monte
-	// Carlo sample of the same distribution, so persisted records need
-	// the flag to explain last-digit differences.
-	Spliced bool
 }
 
-// estimator selects and shares the engine for one estimation call:
-// the compiled event engine for oblivious policies, the compiled
-// transition-table engine for stationary (sched.Memoizable) adaptive
-// policies within the state budget, the generic step engine
-// otherwise. The compiled forms are immutable and shared by all
-// workers; each worker gets its own mutable runner.
+// estimator is one estimation call's engine: the compiled artifacts
+// its workers share read-only (each worker gets its own mutable
+// runner), the lane decision, and the record the call reports. Only
+// Prepared.estimator builds one.
 type estimator struct {
 	in       *model.Instance
 	pol      sched.Policy
@@ -109,9 +101,9 @@ type estimator struct {
 	adaptive *compiledAdaptive
 	engine   EngineUsed
 	// lane selects the bit-parallel lockstep form of the compiled
-	// engine for the chunked estimators (see lane.go and maybeLane);
-	// oracle additionally replays it one lane at a time on the scalar
-	// walk (the parity tests' exactness oracle).
+	// oblivious walk (see lane.go); oracle additionally replays it one
+	// lane at a time on the scalar walk (the parity tests' exactness
+	// oracle).
 	lane   bool
 	oracle bool
 }
@@ -132,83 +124,25 @@ func UsesCompiledEngine(in *model.Instance, pol sched.Policy) bool {
 	return err == nil
 }
 
-// newEstimator selects the engine for one estimation call of `reps`
-// repetitions. The repetition count bounds the adaptive compile: a
-// state costs about one policy call to memoize, the same as one step
-// of the generic engine, so a table bigger than 64× the repetitions
-// could never amortize — the BFS is capped there, which also bounds
-// the wasted walk on instances whose reachable space would exhaust
-// the full budget anyway.
-func newEstimator(in *model.Instance, pol sched.Policy, reps int) *estimator {
-	e := &estimator{in: in, pol: pol, engine: EngineUsed{Engine: EngineGeneric}}
-	// Resolve the flat backing once, on this goroutine: workers read
-	// it concurrently via newRunState, and Instance.Flat rebuilds
-	// lazily when the rows were replaced wholesale.
-	in.Flat()
-	if UsesCompiledEngine(in, pol) {
-		e.compiled = compileOblivious(in, pol.(*sched.Oblivious))
-		if e.compiled != nil {
-			e.engine.Engine = EngineCompiled
-			e.engine.Spliced = e.compiled.spliceMode != spliceOff
-		}
-		e.maybeLane(reps)
-		return e
-	}
-	if mpol, ok := pol.(sched.Memoizable); ok {
-		budget := adaptiveCompileBudget
-		if reps < budget/64 {
-			budget = 64 * reps
-		}
-		start := time.Now()
-		e.adaptive = compileAdaptive(in, mpol, budget)
-		if e.adaptive != nil {
-			e.engine.Engine = EngineCompiledAdaptive
-			e.engine.States = len(e.adaptive.states)
-			e.engine.TableBuildMS = float64(time.Since(start).Nanoseconds()) / 1e6
-			e.engine.Spliced = e.adaptive.splice
-		}
-		e.maybeLane(reps)
+// callBudget is the adaptive state budget of one call of reps
+// repetitions. A state costs about one policy call to memoize, the
+// same as one step of the generic engine, so a table bigger than 64×
+// the repetitions could never amortize. One-shot calls compile under
+// this cap, which also bounds the wasted walk on instances whose
+// reachable space would exhaust the full budget anyway; prepared
+// tables are used only when they fit it.
+func callBudget(reps int) int { return min(DefaultAdaptiveCompileBudget, 64*reps) }
+
+// newEstimator selects the engine for one one-shot call: it prepares
+// the pair under the call's budget, then applies the same per-call
+// selection a cached Prepared applies.
+func newEstimator(in *model.Instance, pol sched.Policy, reps int, lanes laneMode) *estimator {
+	p := prepare(in, pol, callBudget(reps))
+	e := p.estimator(reps, lanes)
+	if e.adaptive != nil {
+		e.engine.TableBuildMS = p.buildMS
 	}
 	return e
-}
-
-// maybeLane upgrades a compiled engine to its bit-parallel lane form
-// per the BitParallel knob and the auto-dispatch repetition floor.
-// The chunked estimators and MassWithinHorizon act on the flag
-// (through newLaneWorker); callers that drive repetitions one at a
-// time (MakespanQuantiles via newWorker) always run the scalar
-// engines.
-func (e *estimator) maybeLane(reps int) {
-	if e.compiled == nil && e.adaptive == nil {
-		return
-	}
-	switch bitParallelMode {
-	case BitParallelOff:
-		return
-	case BitParallelAuto:
-		if reps < BitParallelAutoMinReps {
-			return
-		}
-	case bitParallelOracle:
-		e.oracle = true
-	}
-	e.lane = true
-	e.engine.Lanes = LaneWidth
-	if e.compiled != nil {
-		e.engine.Engine = EngineLane
-	} else {
-		e.engine.Engine = EngineLaneAdaptive
-	}
-}
-
-func (e *estimator) newWorker() repRunner {
-	if e.compiled != nil {
-		return e.compiled.newRunner()
-	}
-	if e.adaptive != nil {
-		return e.adaptive.newRunner()
-	}
-	return NewRunner(e.in, e.pol)
 }
 
 // estimateChunk is the number of repetitions aggregated into one
@@ -222,79 +156,33 @@ const estimateChunk = 256
 // partial group ends mid-width). Compile-time assert.
 var _ [estimateChunk % LaneWidth]struct{} = [0]struct{}{}
 
-// estimateChunked runs reps repetitions on the given number of
-// workers. Repetition r draws from stream (seed, r) — or, under the
-// lane engine, from the group-g lane streams of the remap documented
-// in lane.go — and lands in accumulator r/estimateChunk regardless of
-// which worker ran it, and chunks merge in index order, so the result
-// is bit-identical for every worker count.
-func estimateChunked(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, workers int) (stats.Summary, int, EngineUsed) {
-	if reps <= 0 {
-		panic("sim: reps must be positive")
-	}
-	return runEstimator(newEstimator(in, pol, reps), reps, maxSteps, seed, workers)
-}
+// ChunkFunc runs repetitions [lo, hi) on one worker's engine, adds
+// each makespan to acc in repetition order, and returns how many of
+// them hit the step cap.
+type ChunkFunc func(lo, hi int, acc *stats.Accumulator) (incomplete int)
 
-// runEstimator executes the chunked estimation loop on an
-// already-selected engine. Split from estimateChunked so a cached
-// sim.Prepared can feed its reusable compiled engines through the
-// exact execution path the cold estimators use.
-func runEstimator(est *estimator, reps, maxSteps int, seed int64, workers int) (stats.Summary, int, EngineUsed) {
+// RunChunks is the estimators' chunk runner. It splits reps
+// repetitions into fixed chunks, hands chunk indices to workers
+// goroutines (each builds its engine once with newWorker, on its own
+// goroutine), and merges the per-chunk accumulators in index order.
+// Repetition r lands in chunk r/estimateChunk whichever worker ran it,
+// so the summary is bit-identical at every worker count provided a
+// ChunkFunc's output depends only on its repetition range. It returns
+// the summary, the summed incomplete count, and the effective worker
+// count (workers clamped to [1, chunks]).
+func RunChunks(reps, workers int, newWorker func() ChunkFunc) (stats.Summary, int, int) {
 	nchunks := (reps + estimateChunk - 1) / estimateChunk
 	accs := make([]stats.Accumulator, nchunks)
 	incs := make([]int, nchunks)
-	// newChunkLoop builds one worker's engine and returns its
-	// chunk-execution func. Lane workers fold each group's makespans
-	// in lane order (= repetition order under the remap).
-	newChunkLoop := func() func(c int) {
-		if est.lane {
-			w := est.newLaneWorker(seed)
-			return func(c int) {
-				lo, hi := c*estimateChunk, (c+1)*estimateChunk
-				if hi > reps {
-					hi = reps
-				}
-				acc := &accs[c]
-				for glo := lo; glo < hi; glo += LaneWidth {
-					cnt := hi - glo
-					if cnt > LaneWidth {
-						cnt = LaneWidth
-					}
-					mk, completed := w.runGroup(int64(glo/LaneWidth), cnt, maxSteps)
-					for l := 0; l < cnt; l++ {
-						acc.Add(float64(mk[l]))
-						if completed>>uint(l)&1 == 0 {
-							incs[c]++
-						}
-					}
-				}
-			}
-		}
-		w := est.newWorker()
-		var rng Stream
-		return func(c int) {
-			lo, hi := c*estimateChunk, (c+1)*estimateChunk
-			if hi > reps {
-				hi = reps
-			}
-			acc := &accs[c]
-			for r := lo; r < hi; r++ {
-				rng.Reseed(seed, int64(r))
-				makespan, completed := w.run(maxSteps, &rng)
-				acc.Add(float64(makespan))
-				if !completed {
-					incs[c]++
-				}
-			}
-		}
+	runChunk := func(run ChunkFunc, c int) {
+		lo := c * estimateChunk
+		incs[c] = run(lo, min(lo+estimateChunk, reps), &accs[c])
 	}
-	if workers > nchunks {
-		workers = nchunks
-	}
-	if workers <= 1 {
-		runChunk := newChunkLoop()
+	workers = max(min(workers, nchunks), 1)
+	if workers == 1 {
+		run := newWorker()
 		for c := 0; c < nchunks; c++ {
-			runChunk(c)
+			runChunk(run, c)
 		}
 	} else {
 		next := make(chan int)
@@ -302,9 +190,9 @@ func runEstimator(est *estimator, reps, maxSteps int, seed int64, workers int) (
 		for g := 0; g < workers; g++ {
 			go func() {
 				defer func() { done <- struct{}{} }()
-				runChunk := newChunkLoop()
+				run := newWorker()
 				for c := range next {
-					runChunk(c)
+					runChunk(run, c)
 				}
 			}()
 		}
@@ -322,12 +210,104 @@ func runEstimator(est *estimator, reps, maxSteps int, seed int64, workers int) (
 		total.Merge(accs[c])
 		incomplete += incs[c]
 	}
-	eng := est.engine
-	if workers < 1 {
-		workers = 1
-	}
+	return total.Summary(), incomplete, workers
+}
+
+// run executes the chunked estimation on the selected engine.
+// Repetition r draws from stream (seed, r) — or, under the lane
+// engine, from the group-g lane streams of the remap documented in
+// lane.go — so the result is bit-identical for every worker count.
+func (e *estimator) run(reps, maxSteps int, seed int64, workers int) (stats.Summary, int, EngineUsed) {
+	sum, incomplete, workers := RunChunks(reps, workers, func() ChunkFunc {
+		it := e.newIter(seed, false)
+		return func(lo, hi int, acc *stats.Accumulator) (inc int) {
+			it.run(lo, hi, maxSteps, func(makespan int, completed bool, _ []float64) {
+				acc.Add(float64(makespan))
+				if !completed {
+					inc++
+				}
+			})
+			return inc
+		}
+	})
+	eng := e.engine
 	eng.Workers = workers
-	return total.Summary(), incomplete, eng
+	return sum, incomplete, eng
+}
+
+// repIter runs one worker's repetitions in repetition order on the
+// selected engine. The scalar walks reseed stream (seed, r) for
+// repetition r; the lane walk runs 64-repetition groups under the
+// remap and drains each group in lane order, which is repetition
+// order. Every estimator — chunked, quantile and mass — reads its
+// repetitions through this loop, so all of them see the same sample
+// for the same (engine, seed, reps).
+type repIter struct {
+	scalar repRunner
+	lanes  laneWorker
+	// mass holds the lane walk's per-lane mass columns when tracking is
+	// on, nil otherwise.
+	mass []float64
+	n    int
+	seed int64
+	rng  Stream
+}
+
+// newIter builds one worker's iterator. trackMass turns on the lane
+// walk's per-lane mass columns; the scalar walks always track mass.
+func (e *estimator) newIter(seed int64, trackMass bool) *repIter {
+	it := &repIter{n: e.in.N, seed: seed}
+	switch {
+	case e.lane:
+		it.lanes = e.newLaneWorker(seed)
+		if trackMass {
+			it.mass = it.lanes.massLanes()
+		}
+	case e.compiled != nil:
+		it.scalar = e.compiled.newRunner()
+	case e.adaptive != nil:
+		it.scalar = e.adaptive.newRunner()
+	default:
+		it.scalar = NewRunner(e.in, e.pol)
+	}
+	return it
+}
+
+// run executes repetitions [lo, hi) — lo a multiple of LaneWidth on
+// the lane walk — and calls visit for each in repetition order with
+// its makespan, completion flag and per-job mass. The mass slice is a
+// view valid only during the call, and nil on the lane walk without
+// mass tracking.
+func (it *repIter) run(lo, hi, maxSteps int, visit func(makespan int, completed bool, mass []float64)) {
+	if it.lanes == nil {
+		for r := lo; r < hi; r++ {
+			it.rng.Reseed(it.seed, int64(r))
+			makespan, completed := it.scalar.run(maxSteps, &it.rng)
+			visit(makespan, completed, it.scalar.massView())
+		}
+		return
+	}
+	for g := lo; g < hi; g += LaneWidth {
+		cnt := min(hi-g, LaneWidth)
+		mk, completed := it.lanes.runGroup(int64(g/LaneWidth), cnt, maxSteps)
+		for l := 0; l < cnt; l++ {
+			var mass []float64
+			if it.mass != nil {
+				mass = it.mass[l*it.n : (l+1)*it.n]
+			}
+			visit(int(mk[l]), completed>>uint(l)&1 == 1, mass)
+		}
+	}
+}
+
+// estimate is the one-shot estimator behind every exported form:
+// engine selection for (in, pol, reps) under the lane mode, then the
+// chunked run.
+func estimate(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, workers int, lanes laneMode) (stats.Summary, int, EngineUsed) {
+	if reps <= 0 {
+		panic("sim: reps must be positive")
+	}
+	return newEstimator(in, pol, reps, lanes).run(reps, maxSteps, seed, workers)
 }
 
 // Estimate runs reps independent executions (repetition r's RNG
@@ -336,17 +316,30 @@ func runEstimator(est *estimator, reps, maxSteps int, seed int64, workers int) (
 // hit the step cap without completing. Aggregation is streaming: the
 // full sample is never materialized.
 func Estimate(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64) (stats.Summary, int) {
-	sum, inc, _ := estimateChunked(in, pol, reps, maxSteps, seed, 1)
+	sum, inc, _ := estimate(in, pol, reps, maxSteps, seed, 1, lanesAuto)
 	return sum, inc
 }
 
 // EstimateInfo is Estimate plus the EngineUsed record — which engine
-// actually ran (compiled oblivious, compiled adaptive with its state
-// count and table build time, or the generic step engine). Harness
-// code that persists results should prefer this form so a fallback to
-// the slow path is recorded, not inferred.
+// actually ran (compiled oblivious or its lane form, compiled adaptive
+// with its state count and table build time, or the generic step
+// engine). Harness code that persists results should prefer this form
+// so a fallback to the slow path is recorded, not inferred.
 func EstimateInfo(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64) (stats.Summary, int, EngineUsed) {
-	return estimateChunked(in, pol, reps, maxSteps, seed, 1)
+	return estimate(in, pol, reps, maxSteps, seed, 1, lanesAuto)
+}
+
+// EstimateInfoLanes is EstimateInfo with the lane decision passed per
+// call: lanes=true is EstimateInfo's dispatch, lanes=false runs the
+// scalar walks at every repetition count — what a lane-vs-scalar
+// timing needs where dispatch would pick lanes. The two forms sample
+// different draws of the same distribution whenever lanes would run.
+func EstimateInfoLanes(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, lanes bool) (stats.Summary, int, EngineUsed) {
+	mode := lanesAuto
+	if !lanes {
+		mode = lanesOff
+	}
+	return estimate(in, pol, reps, maxSteps, seed, 1, mode)
 }
 
 // massSeedSalt decorrelates MassWithinHorizon's streams from
@@ -356,49 +349,25 @@ const massSeedSalt = 0x6D617373 // "mass"
 // MassWithinHorizon runs reps executions of pol truncated at horizon
 // steps and returns, for job j, the fraction of runs in which j
 // accumulated mass at least threshold. Used to validate Theorem 2.2
-// empirically. Large-reps calls on compiled policies run the
-// bit-parallel lane engine with per-lane mass tracking (see
-// laneWorker.massLanes); the threshold counts are then taken over the
-// lane remap's sample instead of the scalar streams — same
-// distribution, different draws.
+// empirically. It runs on the engine Estimate would select for reps,
+// the lane walk included (with per-lane mass columns, see
+// laneWorker.massLanes).
 func MassWithinHorizon(in *model.Instance, pol sched.Policy, horizon, reps int, threshold float64, seed int64) []float64 {
+	return massWithinHorizon(in, pol, horizon, reps, threshold, seed, lanesAuto)
+}
+
+func massWithinHorizon(in *model.Instance, pol sched.Policy, horizon, reps int, threshold float64, seed int64, lanes laneMode) []float64 {
 	counts := make([]float64, in.N)
-	est := newEstimator(in, pol, reps)
-	if est.lane {
-		w := est.newLaneWorker(seed ^ massSeedSalt)
-		mass := w.massLanes()
-		n := in.N
-		for glo := 0; glo < reps; glo += LaneWidth {
-			cnt := reps - glo
-			if cnt > LaneWidth {
-				cnt = LaneWidth
-			}
-			w.runGroup(int64(glo/LaneWidth), cnt, horizon)
-			for l := 0; l < cnt; l++ {
-				accrueMassHits(counts, mass[l*n:(l+1)*n], threshold)
+	it := newEstimator(in, pol, reps, lanes).newIter(seed^massSeedSalt, true)
+	it.run(0, reps, horizon, func(_ int, _ bool, mass []float64) {
+		for j, m := range mass {
+			if m >= threshold-1e-12 {
+				counts[j]++
 			}
 		}
-	} else {
-		w := est.newWorker()
-		var rng Stream
-		for r := 0; r < reps; r++ {
-			rng.Reseed(seed^massSeedSalt, int64(r))
-			w.run(horizon, &rng)
-			accrueMassHits(counts, w.massView(), threshold)
-		}
-	}
+	})
 	for j := range counts {
 		counts[j] /= float64(reps)
 	}
 	return counts
-}
-
-// accrueMassHits bumps counts[j] for every job whose accumulated mass
-// clears the threshold (comparison tolerance shared by both engines).
-func accrueMassHits(counts, mass []float64, threshold float64) {
-	for j, mss := range mass {
-		if mss >= threshold-1e-12 {
-			counts[j]++
-		}
-	}
 }

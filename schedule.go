@@ -55,13 +55,10 @@ type Estimate struct {
 
 // EngineInfo is the provenance of one estimate: which engine ran and
 // at what effective fan-out. Estimates are bit-identical across
-// worker counts; the engine name explains speed, and Spliced explains
-// last-digit differences between otherwise identical configurations
-// (a spliced run is a different Monte Carlo sample of the same
-// distribution).
+// worker counts; the engine name explains speed.
 type EngineInfo struct {
-	// Name is the engine identifier: "generic", "compiled",
-	// "compiled-adaptive", their bit-parallel "-lane" forms, or
+	// Name is the engine identifier: "generic", "compiled", its
+	// bit-parallel form "compiled-lane", "compiled-adaptive", or
 	// "dynamic-step" for scenario walks.
 	Name string
 	// Lanes is the lockstep width of the bit-parallel engines (64), 0
@@ -72,8 +69,6 @@ type EngineInfo struct {
 	Workers int
 	// States is the compiled adaptive engine's table size (0 otherwise).
 	States int
-	// Spliced reports closed-form sampling of terminal stretches.
-	Spliced bool
 }
 
 // newEstimate converts an internal summary + engine record.
@@ -90,7 +85,6 @@ func newEstimate(sum stats.Summary, incomplete int, eng sim.EngineUsed) Estimate
 			Lanes:   eng.Lanes,
 			Workers: eng.Workers,
 			States:  eng.States,
-			Spliced: eng.Spliced,
 		},
 	}
 }
