@@ -128,7 +128,7 @@ func main() {
 			fmt.Printf(", %d lanes", eng.Lanes)
 		}
 		if eng.States > 0 {
-			fmt.Printf(", %d compiled states", eng.States)
+			fmt.Printf(", %d memoized states", eng.States)
 		}
 		fmt.Println()
 	}

@@ -93,19 +93,23 @@ func (lp *LearningPolicy) Assign(st *sched.State) sched.Assignment {
 // greedy over a fixed estimate matrix, with no optimism bonus and no
 // further posterior updates. Because it neither observes outcomes nor
 // reads the step counter, it is sched.Memoizable — the simulation
-// engine compiles it into a transition table and fans repetitions out
-// across workers, which is how trained learners are evaluated at
+// engine memoizes its states and fans repetitions out across
+// workers, which is how trained learners are evaluated at
 // scale (the live learner must stay on the sequential generic engine).
 type FrozenLearningPolicy struct {
-	// Est carries the frozen posterior means in an instance shell.
+	// Est carries the frozen posterior means in an instance shell. Like
+	// AdaptivePolicy.In, it is sorted on the first Assign and must not
+	// change after.
 	Est *model.Instance
+
+	order onceOrder
 }
 
 var _ sched.Memoizable = (*FrozenLearningPolicy)(nil)
 
 // Assign implements sched.Policy.
 func (p *FrozenLearningPolicy) Assign(st *sched.State) sched.Assignment {
-	return MSMAlg(p.Est, st.Eligible)
+	return p.order.get(p.Est).MSM(st.Eligible, nil)
 }
 
 // Memoizable marks the snapshot stationary.

@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"suu/internal/model"
 	"suu/internal/sched"
@@ -14,35 +16,89 @@ type pairPJ struct {
 	p    float64
 }
 
-// sortedPairs returns all (i,j) pairs with p[i][j] > 0 and j active,
-// in non-increasing probability order (ties broken by machine then job
-// index for determinism).
-func sortedPairs(in *model.Instance, active []bool) []pairPJ {
-	var ps []pairPJ
+// PairOrder is MSM-ALG's processing order for one instance: every
+// (machine, job) pair with p_ij > 0, in non-increasing probability
+// order, ties broken by machine then job index for determinism. The
+// order never depends on which jobs are active, and a filtered scan of
+// it is exactly the sorted order of the filtered pairs, so callers
+// that rerun the greedy on changing active sets (SUU-I-ALG every step,
+// SUU-I-OBL every peeling round) sort once per instance and scan it.
+// A PairOrder is immutable and safe for concurrent use; the instance's
+// probabilities must not change after it is built.
+type PairOrder struct {
+	m, n  int
+	pairs []pairPJ
+}
+
+// NewPairOrder sorts every positive pair of in.
+func NewPairOrder(in *model.Instance) *PairOrder { return newPairOrder(in, nil) }
+
+// newPairOrder sorts the positive pairs of the jobs marked active (nil
+// = every job). The one-shot greedies sort only their active pairs,
+// which is cheaper than the full order when few jobs are active.
+func newPairOrder(in *model.Instance, active []bool) *PairOrder {
+	o := &PairOrder{m: in.M, n: in.N}
 	for i := 0; i < in.M; i++ {
 		for j := 0; j < in.N; j++ {
-			if active[j] && in.P[i][j] > 0 {
-				ps = append(ps, pairPJ{i, j, in.P[i][j]})
+			if (active == nil || active[j]) && in.P[i][j] > 0 {
+				o.pairs = append(o.pairs, pairPJ{i, j, in.P[i][j]})
 			}
 		}
 	}
-	sort.Slice(ps, func(a, b int) bool {
-		if ps[a].p != ps[b].p {
-			return ps[a].p > ps[b].p
+	slices.SortFunc(o.pairs, func(a, b pairPJ) int {
+		if c := cmp.Compare(b.p, a.p); c != 0 {
+			return c
 		}
-		if ps[a].i != ps[b].i {
-			return ps[a].i < ps[b].i
+		if c := cmp.Compare(a.i, b.i); c != 0 {
+			return c
 		}
-		return ps[a].j < ps[b].j
+		return cmp.Compare(a.j, b.j)
 	})
-	return ps
+	return o
+}
+
+// MSM is MSM-ALG over the order: the jobs marked active, the machines
+// marked up (nil = every machine). It allocates the returned
+// assignment and its mass scratch; MSMInto reuses caller buffers.
+func (o *PairOrder) MSM(active, up []bool) sched.Assignment {
+	return o.MSMInto(make(sched.Assignment, o.m), make([]float64, o.n), active, up)
+}
+
+// MSMInto is MSM with caller-owned buffers: f (one entry per machine)
+// receives the assignment and is returned, mass (one entry per job) is
+// scratch. The scan skips inactive jobs and machines already claimed
+// or down, and stops once every up machine is claimed.
+func (o *PairOrder) MSMInto(f sched.Assignment, mass []float64, active, up []bool) sched.Assignment {
+	free := 0
+	for i := range f {
+		f[i] = sched.Idle
+		if up == nil || up[i] {
+			free++
+		}
+	}
+	clear(mass)
+	for _, pr := range o.pairs {
+		if free == 0 {
+			break
+		}
+		if !active[pr.j] || f[pr.i] != sched.Idle || (up != nil && !up[pr.i]) {
+			continue
+		}
+		if mass[pr.j]+pr.p <= 1+1e-12 {
+			f[pr.i] = pr.j
+			mass[pr.j] += pr.p
+			free--
+		}
+	}
+	return f
 }
 
 // MSMAlg is MSM-ALG (Figure 2): the greedy 1/3-approximation for
 // MaxSumMass. It processes the p_ij in non-increasing order and
 // assigns machine i to job j when i is still free and j's accumulated
 // mass would stay at most 1. active[j] marks the jobs to serve;
-// machines left unused are Idle.
+// machines left unused are Idle. Callers that rerun the greedy on one
+// instance should build a PairOrder once instead.
 func MSMAlg(in *model.Instance, active []bool) sched.Assignment {
 	return MSMAlgMasked(in, active, nil)
 }
@@ -53,21 +109,7 @@ func MSMAlg(in *model.Instance, active []bool) sched.Assignment {
 // unchanged, machines that are down simply never claim a pair, so on
 // an all-up mask it coincides with MSMAlg exactly.
 func MSMAlgMasked(in *model.Instance, active, up []bool) sched.Assignment {
-	f := sched.NewIdle(in.M)
-	mass := make([]float64, in.N)
-	for _, pr := range sortedPairs(in, active) {
-		if up != nil && !up[pr.i] {
-			continue
-		}
-		if f[pr.i] != sched.Idle {
-			continue
-		}
-		if mass[pr.j]+pr.p <= 1+1e-12 {
-			f[pr.i] = pr.j
-			mass[pr.j] += pr.p
-		}
-	}
-	return f
+	return newPairOrder(in, active).MSM(active, up)
 }
 
 // SumMass returns the MaxSumMass objective of an assignment: the sum
@@ -136,13 +178,20 @@ func BruteForceMSM(in *model.Instance, active []bool) (sched.Assignment, float64
 // jobs this is the O(log n)-approximation of Theorem 3.3; with
 // precedence constraints it remains a feasible (greedy) policy and is
 // used as an adaptive baseline.
+//
+// The policy sorts In's pairs once, on its first Assign, and scans
+// that order every step after; In must not change once the policy is
+// in use. Concurrent Assign calls are safe (estimation workers share
+// one policy).
 type AdaptivePolicy struct {
 	In *model.Instance
+
+	order onceOrder
 }
 
 // Assign implements sched.Policy.
 func (p *AdaptivePolicy) Assign(st *sched.State) sched.Assignment {
-	return MSMAlg(p.In, st.Eligible)
+	return p.order.get(p.In).MSM(st.Eligible, nil)
 }
 
 // Memoizable marks SUU-I-ALG stationary: MSM-ALG is a deterministic
@@ -150,3 +199,15 @@ func (p *AdaptivePolicy) Assign(st *sched.State) sched.Assignment {
 // its assignment per unfinished-set key and run repetitions through
 // the compiled adaptive engine.
 func (p *AdaptivePolicy) Memoizable() {}
+
+// onceOrder is a PairOrder built on first use, for policies that
+// estimation workers share.
+type onceOrder struct {
+	once  sync.Once
+	order *PairOrder
+}
+
+func (o *onceOrder) get(in *model.Instance) *PairOrder {
+	o.once.Do(func() { o.order = NewPairOrder(in) })
+	return o.order
+}

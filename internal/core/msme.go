@@ -18,33 +18,47 @@ import (
 // capacity t_i and the job's remaining mass budget
 // (1 − Σ_k x_kj·p_kj)/p_ij.
 func MSMExt(in *model.Instance, active []bool, t int) [][]int {
+	return newPairOrder(in, active).ext(active, t)
+}
+
+// ext is MSM-E-ALG over the order (see MSMExt). The scan skips
+// inactive jobs and machines whose capacity is spent, and stops once
+// every machine's capacity is.
+func (o *PairOrder) ext(active []bool, t int) [][]int {
 	if t < 0 {
 		panic("core: negative schedule length")
 	}
-	x := make([][]int, in.M)
+	x := make([][]int, o.m)
 	for i := range x {
-		x[i] = make([]int, in.N)
+		x[i] = make([]int, o.n)
 	}
-	ti := make([]int, in.M)
+	ti := make([]int, o.m)
 	for i := range ti {
 		ti[i] = t
 	}
-	mass := make([]float64, in.N)
-	for _, pr := range sortedPairs(in, active) {
-		if ti[pr.i] == 0 {
+	open := o.m // machines with capacity left
+	if t == 0 {
+		open = 0
+	}
+	mass := make([]float64, o.n)
+	for _, pr := range o.pairs {
+		if open == 0 {
+			break
+		}
+		if !active[pr.j] || ti[pr.i] == 0 {
 			continue
 		}
 		budget := int(math.Floor((1 - mass[pr.j]) / pr.p))
 		if budget <= 0 {
 			continue
 		}
-		take := budget
-		if ti[pr.i] < take {
-			take = ti[pr.i]
-		}
+		take := min(budget, ti[pr.i])
 		x[pr.i][pr.j] = take
 		ti[pr.i] -= take
 		mass[pr.j] += float64(take) * pr.p
+		if ti[pr.i] == 0 {
+			open--
+		}
 	}
 	return x
 }

@@ -50,6 +50,7 @@ func SUUIOblivious(in *model.Instance, par Params) (*OblResult, error) {
 	if maxRounds < 1 {
 		maxRounds = 1
 	}
+	order := NewPairOrder(in) // one order for every MSM-E-ALG round
 	t := 1
 	for doubling := 0; doubling <= par.MaxDoublings; doubling++ {
 		remaining := make([]bool, in.N)
@@ -60,7 +61,7 @@ func SUUIOblivious(in *model.Instance, par Params) (*OblResult, error) {
 		var prefix []sched.Assignment
 		rounds := 0
 		for left > 0 && rounds < maxRounds {
-			x := MSMExt(in, remaining, t)
+			x := order.ext(remaining, t)
 			mass := MassOfCounts(in, x)
 			o := ScheduleFromCounts(in, x, t)
 			prefix = append(prefix, o.Steps...)

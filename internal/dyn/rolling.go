@@ -154,6 +154,8 @@ type rollingWalker struct {
 	subElig  []bool
 	out      sched.Assignment
 	subState sched.State
+	// msm plays the masked-MSM fallback, built on its first use.
+	msm *msmWalker
 }
 
 func (w *rollingWalker) Reset() {
@@ -167,7 +169,10 @@ func (w *rollingWalker) Assign(st *State) sched.Assignment {
 	}
 	pl := w.cur
 	if pl.fallback {
-		return core.MSMAlgMasked(w.s.sc.In, st.Eligible, st.Up)
+		if w.msm == nil {
+			w.msm = newMSMWalker(w.s.sc.In)
+		}
+		return w.msm.Assign(st)
 	}
 	for i := range w.out {
 		w.out[i] = sched.Idle

@@ -53,7 +53,8 @@ func (w *staticWalker) Assign(st *State) sched.Assignment {
 }
 
 // AdaptiveStrategy reruns the MSM greedy every step on the currently
-// eligible jobs and up machines (core.MSMAlgMasked) — SUU-I-ALG made
+// eligible jobs and up machines (core.MSMAlgMasked's greedy, scanned
+// over a per-walker core.PairOrder) — SUU-I-ALG made
 // availability-aware. It reads the static probabilities only: the
 // hidden regime stays hidden.
 type AdaptiveStrategy struct {
@@ -76,14 +77,27 @@ func (s *AdaptiveStrategy) StaticPolicy() (sched.Policy, bool) {
 func (s *AdaptiveStrategy) parallelizable() bool { return true }
 
 // NewWalker implements Strategy.
-func (s *AdaptiveStrategy) NewWalker() Walker { return &adaptiveWalker{in: s.sc.In} }
+func (s *AdaptiveStrategy) NewWalker() Walker { return newMSMWalker(s.sc.In) }
 
-type adaptiveWalker struct {
-	in *model.Instance
+// msmWalker runs the masked MSM greedy over its own pair order, sorted
+// once per walker, into its own assignment and mass buffers, so a step
+// allocates nothing.
+type msmWalker struct {
+	order *core.PairOrder
+	out   sched.Assignment
+	mass  []float64
 }
 
-func (w *adaptiveWalker) Reset() {}
+func newMSMWalker(in *model.Instance) *msmWalker {
+	return &msmWalker{
+		order: core.NewPairOrder(in),
+		out:   make(sched.Assignment, in.M),
+		mass:  make([]float64, in.N),
+	}
+}
 
-func (w *adaptiveWalker) Assign(st *State) sched.Assignment {
-	return core.MSMAlgMasked(w.in, st.Eligible, st.Up)
+func (w *msmWalker) Reset() {}
+
+func (w *msmWalker) Assign(st *State) sched.Assignment {
+	return w.order.MSMInto(w.out, w.mass, st.Eligible, st.Up)
 }

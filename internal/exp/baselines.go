@@ -12,8 +12,7 @@ package exp
 // a declared plan, so CI runs its cells as disjoint ranges — and each
 // row records which simulation engine estimated it: the stationary
 // policies (adaptive, greedy-maxp, all-on-one) run the compiled
-// transition-table engine when the instance's reachable state space
-// fits the budget.
+// adaptive (memoizing) engine.
 func T10(cfg Config) *Table {
 	g, _ := GridDriverByID("T10")
 	return runGridDriver(cfg, g)

@@ -167,19 +167,18 @@ type ServeBench struct {
 }
 
 // AdaptiveEngineBench is one row of the adaptive_engine section: the
-// compiled transition-table engine measured head to head against the
-// generic step engine on the same stationary policy — the number the
-// CI bench-smoke gate asserts stays ≥3x.
+// compiled adaptive (memoizing) engine measured head to head against
+// the generic step engine on the same stationary policy — the number
+// the CI bench-smoke gate asserts stays ≥3x.
 type AdaptiveEngineBench struct {
 	Family   string `json:"family"`
 	Jobs     int    `json:"jobs"`
 	Machines int    `json:"machines"`
 	Policy   string `json:"policy"`
-	// States is the compiled table's reachable-state count;
-	// TableBuildMS the one-off compile cost amortized over the
-	// repetitions (already included in CompiledRepsPerSec).
-	States       int     `json:"states"`
-	TableBuildMS float64 `json:"table_build_ms"`
+	// States is the number of states the compiled run memoized on
+	// first visit (their digest cost is included in
+	// CompiledRepsPerSec).
+	States int `json:"states"`
 	// CompiledRepsPerSec and GenericRepsPerSec are sequential
 	// single-worker throughputs, so the ratio isolates the engine —
 	// compiled policies additionally parallelize, generic adaptive
@@ -385,7 +384,7 @@ func adaptiveEngineCases(cfg Config) []struct {
 	}
 }
 
-// AdaptiveEngineBenchmarks measures the compiled transition-table
+// AdaptiveEngineBenchmarks measures the compiled adaptive (memoizing)
 // engine against the generic step engine on the MSM greedy policy.
 // Both runs are sequential single-worker estimations with identical
 // per-rep streams, so only the engine differs; the generic run is
@@ -412,7 +411,6 @@ func AdaptiveEngineBenchmarks(cfg Config) []AdaptiveEngineBench {
 			continue
 		}
 		row.States = eng.States
-		row.TableBuildMS = eng.TableBuildMS
 		start = time.Now()
 		sim.Estimate(bc.in, sched.PolicyFunc(pol.Assign), genericReps, 5_000_000, cfg.Seed+53)
 		genericSec := time.Since(start).Seconds()

@@ -38,8 +38,9 @@ func T11(cfg Config) *Table {
 		if err != nil {
 			return cell{}
 		}
+		order := core.NewPairOrder(in)
 		reg, err := opt.GreedyRegimen(in, func(unf, elig []bool) sched.Assignment {
-			return core.MSMAlg(in, elig)
+			return order.MSM(elig, nil)
 		})
 		if err != nil {
 			return cell{}

@@ -138,8 +138,9 @@ func T3(cfg Config) *Table {
 		// itself is exact; otherwise simulate.
 		mean := -1.0
 		if exact {
+			order := core.NewPairOrder(in)
 			if reg, err := opt.GreedyRegimen(in, func(unf, elig []bool) sched.Assignment {
-				return core.MSMAlg(in, elig)
+				return order.MSM(elig, nil)
 			}); err == nil {
 				if v, err := opt.ExactRegimen(in, reg); err == nil && !math.IsInf(v, 1) {
 					mean = v

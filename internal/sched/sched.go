@@ -66,10 +66,10 @@ type OutcomeObserver interface {
 // be a pure function of the unfinished set — the same
 // Unfinished/Eligible always yields the same assignment, independent
 // of Step, call order, or any prior call. The simulation engine
-// compiles such policies into per-state transition tables (one
-// memoized assignment digest per reachable unfinished-set key) and
-// runs repetitions as table-driven walks that are bit-identical to
-// the generic step engine; see sim's compiled adaptive engine. A
+// memoizes such policies per state (one assignment digest per
+// unfinished-set key a repetition reaches) and runs repetitions as
+// walks over the memo that are bit-identical to the generic step
+// engine; see sim's compiled adaptive engine. A
 // policy must not implement both Memoizable and OutcomeObserver —
 // observation feedback is execution history, which a stationary
 // assignment by definition cannot depend on.

@@ -26,7 +26,8 @@
 // Four LRU caches with independent byte budgets front the expensive
 // steps: results (solve and estimate response bodies, with the built
 // schedules — the schedule store), engines (sim.Prepared compiled
-// simulation contexts), bases (LP optimal bases, so a re-solve after
+// simulation contexts; only oblivious schedules compile a table, an
+// adaptive policy re-memoizes its states on every estimate), bases (LP optimal bases, so a re-solve after
 // result eviction warm-starts pivot-free), and instances (submissions
 // behind instance_id references). Builds are single-flight: N
 // concurrent identical cold requests run ONE build, and the N-1

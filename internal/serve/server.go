@@ -21,7 +21,9 @@ type Config struct {
 	// their built schedules) and estimate responses.
 	ResultCacheBytes int64
 	// EngineCacheBytes bounds the compiled-engine cache: sim.Prepared
-	// contexts (occurrence lists, adaptive transition tables).
+	// contexts (oblivious occurrence lists; an adaptive policy's
+	// context holds no table and is charged a nominal size, because
+	// its memo is rebuilt on every estimate).
 	EngineCacheBytes int64
 	// BasisCacheBytes bounds the LP warm-start basis cache. Bases are
 	// tiny (two int slices), so this cache outlives result entries by

@@ -115,38 +115,56 @@ func TestCompiledAdaptiveMassParity(t *testing.T) {
 	}
 }
 
-// TestCompiledAdaptiveFallbackOverBudget pins the transparent
-// fallback: compileAdaptive refuses a budget one state below the
-// instance's reachable count (and a zero budget outright), and a call
-// whose 64×reps cap falls below the table runs the generic engine —
-// producing the exact summary the table walk produces at the same
-// repetition count, because the engines are bit-identical.
-func TestCompiledAdaptiveFallbackOverBudget(t *testing.T) {
+// TestCompiledAdaptiveMemoCapParity pins the bounded memo: whatever
+// the per-worker state cap — so whichever states are kept and which
+// are digested into the scratch state on every visit — the summary
+// and incomplete count equal the generic step engine's at 1 and 3
+// workers, and the memoized-state count is the same at 1, 2 and 4
+// workers and never above the cap.
+func TestCompiledAdaptiveMemoCapParity(t *testing.T) {
 	in := workload.Independent(workload.Config{Jobs: 12, Machines: 4, Seed: 3})
 	pol := &core.AdaptivePolicy{In: in}
-	const cap, seed = 100000, 5
-
-	_, _, eng := EstimateInfo(in, pol, 800, cap, seed)
-	if eng.Engine != EngineCompiledAdaptive {
-		t.Fatalf("engine %q at 800 reps, want compiled-adaptive", eng.Engine)
+	const reps, cap, seed = 700, 100000, 5
+	sumG, incG := Estimate(in, sched.PolicyFunc(pol.Assign), reps, cap, seed)
+	_, _, full := EstimateInfo(in, pol, reps, cap, seed)
+	if full.Engine != EngineCompiledAdaptive || full.States < 60 {
+		t.Fatalf("default memo: %+v, want compiled-adaptive with the fixture's states", full)
 	}
-	if c := compileAdaptive(in, pol, eng.States-1); c != nil {
-		t.Fatalf("budget %d compiled %d states", eng.States-1, len(c.states))
-	}
-	if c := compileAdaptive(in, pol, 0); c != nil {
-		t.Fatal("budget 0 compiled a table")
-	}
-
-	reps := (eng.States - 1) / 64 // the largest call whose cap undercuts the table
-	sumG, incG, engG := EstimateInfo(in, pol, reps, cap, seed)
-	if engG.Engine != EngineGeneric || engG.States != 0 {
-		t.Fatalf("%d reps for %d states: engine %q (states %d), want generic fallback",
-			reps, eng.States, engG.Engine, engG.States)
-	}
-	table := &estimator{in: in, pol: pol, adaptive: compileAdaptive(in, pol, DefaultAdaptiveCompileBudget)}
-	sumC, incC, _ := table.run(reps, cap, seed, 1)
-	if sumC != sumG || incC != incG {
-		t.Errorf("fallback changed values: compiled %+v/%d vs generic %+v/%d", sumC, incC, sumG, incG)
+	for _, budget := range []int{1, 2, 3, 10, 50, callBudget(reps)} {
+		memo := &estimator{in: in, pol: pol, memo: pol, budget: budget,
+			engine: EngineUsed{Engine: EngineCompiledAdaptive}}
+		for _, workers := range []int{1, 3} {
+			sum, inc, _ := memo.run(reps, cap, seed, workers)
+			if sum != sumG || inc != incG {
+				t.Errorf("cap %d, %d workers: memo %+v/%d vs generic %+v/%d", budget, workers, sum, inc, sumG, incG)
+			}
+		}
+		var states []int
+		for _, workers := range []int{1, 2, 4} {
+			_, _, eng := memo.run(reps, cap, seed, workers)
+			states = append(states, eng.States)
+		}
+		if want := min(full.States, budget); states[0] != want || states[1] != want || states[2] != want {
+			t.Errorf("cap %d: states at 1/2/4 workers = %v, want %d each", budget, states, want)
+		}
+		// Whichever worker ran which repetitions, the union is the
+		// one-worker count: split the repetitions by hand.
+		var rng Stream
+		walk := func(r *adaptRunner, lo, hi int) *adaptRunner {
+			for rep := lo; rep < hi; rep++ {
+				rng.Reseed(seed, int64(rep))
+				r.run(cap, &rng)
+			}
+			return r
+		}
+		one := walk(newAdaptRunner(in, pol, budget), 0, reps)
+		a, b := walk(newAdaptRunner(in, pol, budget), 0, 40), walk(newAdaptRunner(in, pol, budget), 40, reps)
+		if budget > full.States && len(a.keys) == len(one.keys) {
+			t.Fatalf("cap %d: the first 40 repetitions already visit all %d states; the split tests no union", budget, len(one.keys))
+		}
+		if got, want := memoizedStates([]*adaptRunner{a, b}, budget), memoizedStates([]*adaptRunner{one}, budget); got != want {
+			t.Errorf("cap %d: split workers memoized %d states, one worker %d", budget, got, want)
+		}
 	}
 }
 
@@ -227,11 +245,12 @@ func TestCompiledAdaptiveCertainJobParity(t *testing.T) {
 	})
 }
 
-// TestCompiledAdaptiveWideAssignmentFallsBack: a state that trials
-// more than 20 jobs would need a >2^20-slot successor array; the
-// compiler must refuse (before allocating) and the estimator fall
-// back to the generic engine instead of exhausting memory.
-func TestCompiledAdaptiveWideAssignmentFallsBack(t *testing.T) {
+// TestCompiledAdaptiveWideAssignmentRunsFromScratch: a state that
+// trials more than maxMemoFanout jobs would need a >2^20-slot
+// successor array; the memo must not keep it (nor allocate the array)
+// and instead digest it into the scratch state on every visit, with
+// draws still identical to the generic engine's.
+func TestCompiledAdaptiveWideAssignmentRunsFromScratch(t *testing.T) {
 	const n = 24
 	in := model.New(n, n)
 	for i := 0; i < n; i++ {
@@ -245,25 +264,29 @@ func TestCompiledAdaptiveWideAssignmentFallsBack(t *testing.T) {
 	}
 	pol := &core.GreedyMaxPPolicy{In: in}
 	sum, inc, eng := EstimateInfo(in, pol, 200, 10000, 7)
-	if eng.Engine != EngineGeneric {
-		t.Fatalf("wide assignment compiled to %q (states %d), want generic fallback", eng.Engine, eng.States)
+	if eng.Engine != EngineCompiledAdaptive {
+		t.Fatalf("wide assignment ran %q, want compiled-adaptive", eng.Engine)
 	}
 	sumG, incG := Estimate(in, sched.PolicyFunc(pol.Assign), 200, 10000, 7)
 	if sum != sumG || inc != incG {
-		t.Errorf("fallback changed values: %+v/%d vs %+v/%d", sum, inc, sumG, incG)
+		t.Errorf("scratch digests changed values: %+v/%d vs %+v/%d", sum, inc, sumG, incG)
+	}
+	r := newAdaptRunner(in, pol, DefaultAdaptiveCompileBudget)
+	var rng Stream
+	rng.Reseed(7, 0)
+	r.run(10000, &rng)
+	if idx, ok := r.keys[1<<n-1]; !ok || idx != scratchState || r.slots > maxAdaptiveTableEntries {
+		t.Errorf("full set: recorded %v, kept at %d (want scratch); %d successor slots", ok, idx, r.slots)
 	}
 }
 
-// TestCompiledAdaptiveRepAllocationFree proves the table walk
-// allocates nothing per repetition.
+// TestCompiledAdaptiveRepAllocationFree proves the memo walk
+// allocates nothing per repetition once the memo holds the states the
+// repetition visits (AllocsPerRun's warm-up run memoizes them).
 func TestCompiledAdaptiveRepAllocationFree(t *testing.T) {
 	in := workload.Independent(workload.Config{Jobs: 10, Machines: 3, Seed: 42})
 	pol := &core.AdaptivePolicy{In: in}
-	c := compileAdaptive(in, pol, DefaultAdaptiveCompileBudget)
-	if c == nil {
-		t.Fatal("compile failed")
-	}
-	w := c.newRunner()
+	w := newAdaptRunner(in, pol, DefaultAdaptiveCompileBudget)
 	var rng Stream
 	rng.Reseed(1, 0)
 	w.run(100000, &rng)

@@ -17,14 +17,14 @@
 // calls of BitParallelAutoMinReps repetitions or more run that walk
 // 64 repetitions per machine word (see lane.go), under a pinned
 // SeedFor-derived stream remap. When the policy is stationary
-// (sched.Memoizable) and its reachable state space fits the compile
-// budget, the estimators memoize one assignment digest per
-// unfinished-set key and replay repetitions as table-driven walks
-// (see adaptive.go), draw for draw identical to the step engine;
-// otherwise they fall back to the step engine. Engine choice is a
-// pure function of (instance, policy, repetition count), made in one
-// place (Prepared.estimator), and EstimateInfo reports which engine
-// ran.
+// (sched.Memoizable) on at most 64 jobs, each worker memoizes one
+// assignment digest per unfinished-set key the first time a
+// repetition reaches it and replays repetitions as walks over the
+// memo (see adaptive.go), draw for draw identical to the step engine;
+// a bounded memo digests states past its cap afresh on every visit
+// rather than falling back. Engine choice is a pure function of
+// (instance, policy, repetition count), made in one place
+// (Prepared.estimator), and EstimateInfo reports which engine ran.
 //
 // Estimators derive repetition r's RNG stream from (seed, r) with a
 // SplitMix64 reseed (see rng.go) and aggregate makespans into
@@ -38,9 +38,10 @@
 // summarizes.
 //
 // Long-lived callers (the serve daemon) use Prepared: Prepare compiles
-// a (instance, policy) pair once — prefix occurrence lists or the
-// adaptive digest table — and EstimateParallelInfo replays it for any
-// (reps, seed, concurrency) with results bit-identical to the
-// corresponding cold Estimate call; the equivalence is pinned by
-// TestPreparedBitIdenticalToColdPath.
+// an oblivious schedule's prefix occurrence lists once, and
+// EstimateParallelInfo replays them for any (reps, seed, concurrency)
+// with results bit-identical to the corresponding cold Estimate call;
+// the equivalence is pinned by TestPreparedBitIdenticalToColdPath. A
+// stationary policy's context holds no table: its memo is built per
+// call.
 package sim

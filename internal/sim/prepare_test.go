@@ -64,10 +64,12 @@ func TestPreparedEngineRecord(t *testing.T) {
 	}
 
 	adIn := workload.Independent(workload.Config{Jobs: 10, Machines: 3, Seed: 42})
+	// A stationary policy builds nothing: its calls memoize states.
 	p = Prepare(adIn, &core.AdaptivePolicy{In: adIn})
 	eng, states, _ := p.Engine()
-	if eng != EngineCompiledAdaptive || states == 0 {
-		t.Fatalf("adaptive prepared engine = %q states=%d, want %q with states", eng, states, EngineCompiledAdaptive)
+	if eng != EngineCompiledAdaptive || states != 0 || p.SizeBytes() != 256 {
+		t.Fatalf("adaptive prepared engine = %q states=%d size=%d, want %q, 0 states, nominal size",
+			eng, states, p.SizeBytes(), EngineCompiledAdaptive)
 	}
 
 	// An observer policy compiles nothing but still estimates.

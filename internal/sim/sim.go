@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sync"
 
 	"suu/internal/model"
 	"suu/internal/sched"
@@ -72,8 +73,8 @@ const (
 // just in wall-clock time.
 type EngineUsed struct {
 	// Engine is EngineCompiled (event-wise oblivious), its bit-parallel
-	// lane form EngineLane, the EngineCompiledAdaptive transition-table
-	// walk, or EngineGeneric.
+	// lane form EngineLane, the EngineCompiledAdaptive memo walk, or
+	// EngineGeneric.
 	Engine string
 	// Lanes is the lockstep width of the bit-parallel engine (64), or
 	// 0 for the scalar engines.
@@ -82,12 +83,12 @@ type EngineUsed struct {
 	// check (1 = sequential, also for observer policies that silently
 	// lose their requested concurrency).
 	Workers int
-	// States is the compiled adaptive table's state count (0 for the
-	// other engines). Deterministic for a given (instance, policy).
+	// States is the number of states the compiled adaptive engine
+	// memoized: the distinct unfinished sets the call's repetitions
+	// visited, capped at the call's budget (0 for the other engines).
+	// Deterministic for a given (instance, policy, reps, maxSteps,
+	// seed), at every worker count.
 	States int
-	// TableBuildMS is the adaptive table's compile wall-clock for this
-	// call — provenance for perf records, never merge payload.
-	TableBuildMS float64
 }
 
 // estimator is one estimation call's engine: the compiled artifacts
@@ -98,8 +99,11 @@ type estimator struct {
 	in       *model.Instance
 	pol      sched.Policy
 	compiled *compiledOblivious
-	adaptive *compiledAdaptive
-	engine   EngineUsed
+	// memo selects the compiled adaptive engine: each worker memoizes
+	// memo's states on first visit, at most budget of them.
+	memo   sched.Memoizable
+	budget int
+	engine EngineUsed
 	// lane selects the bit-parallel lockstep form of the compiled
 	// oblivious walk (see lane.go); oracle additionally replays it one
 	// lane at a time on the scalar walk (the parity tests' exactness
@@ -125,24 +129,17 @@ func UsesCompiledEngine(in *model.Instance, pol sched.Policy) bool {
 }
 
 // callBudget is the adaptive state budget of one call of reps
-// repetitions. A state costs about one policy call to memoize, the
-// same as one step of the generic engine, so a table bigger than 64×
-// the repetitions could never amortize. One-shot calls compile under
-// this cap, which also bounds the wasted walk on instances whose
-// reachable space would exhaust the full budget anyway; prepared
-// tables are used only when they fit it.
+// repetitions: the most states one worker memoizes. A state costs
+// about one policy call to memoize, the same as one step of the
+// generic engine, so a memo bigger than 64× the repetitions could
+// never amortize; states past the budget run from a scratch digest.
 func callBudget(reps int) int { return min(DefaultAdaptiveCompileBudget, 64*reps) }
 
 // newEstimator selects the engine for one one-shot call: it prepares
-// the pair under the call's budget, then applies the same per-call
-// selection a cached Prepared applies.
+// the pair, then applies the same per-call selection a cached
+// Prepared applies.
 func newEstimator(in *model.Instance, pol sched.Policy, reps int, lanes laneMode) *estimator {
-	p := prepare(in, pol, callBudget(reps))
-	e := p.estimator(reps, lanes)
-	if e.adaptive != nil {
-		e.engine.TableBuildMS = p.buildMS
-	}
-	return e
+	return Prepare(in, pol).estimator(reps, lanes)
 }
 
 // estimateChunk is the number of repetitions aggregated into one
@@ -218,8 +215,15 @@ func RunChunks(reps, workers int, newWorker func() ChunkFunc) (stats.Summary, in
 // engine, from the group-g lane streams of the remap documented in
 // lane.go — so the result is bit-identical for every worker count.
 func (e *estimator) run(reps, maxSteps int, seed int64, workers int) (stats.Summary, int, EngineUsed) {
+	var mu sync.Mutex
+	var memos []*adaptRunner
 	sum, incomplete, workers := RunChunks(reps, workers, func() ChunkFunc {
 		it := e.newIter(seed, false)
+		if a, ok := it.scalar.(*adaptRunner); ok {
+			mu.Lock()
+			memos = append(memos, a)
+			mu.Unlock()
+		}
 		return func(lo, hi int, acc *stats.Accumulator) (inc int) {
 			it.run(lo, hi, maxSteps, func(makespan int, completed bool, _ []float64) {
 				acc.Add(float64(makespan))
@@ -232,6 +236,9 @@ func (e *estimator) run(reps, maxSteps int, seed int64, workers int) (stats.Summ
 	})
 	eng := e.engine
 	eng.Workers = workers
+	if memos != nil {
+		eng.States = memoizedStates(memos, e.budget)
+	}
 	return sum, incomplete, eng
 }
 
@@ -265,8 +272,8 @@ func (e *estimator) newIter(seed int64, trackMass bool) *repIter {
 		}
 	case e.compiled != nil:
 		it.scalar = e.compiled.newRunner()
-	case e.adaptive != nil:
-		it.scalar = e.adaptive.newRunner()
+	case e.memo != nil:
+		it.scalar = newAdaptRunner(e.in, e.memo, e.budget)
 	default:
 		it.scalar = NewRunner(e.in, e.pol)
 	}
@@ -322,9 +329,9 @@ func Estimate(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int
 
 // EstimateInfo is Estimate plus the EngineUsed record — which engine
 // actually ran (compiled oblivious or its lane form, compiled adaptive
-// with its state count and table build time, or the generic step
-// engine). Harness code that persists results should prefer this form
-// so a fallback to the slow path is recorded, not inferred.
+// with its memoized state count, or the generic step engine). Harness
+// code that persists results should prefer this form so a fallback to
+// the slow path is recorded, not inferred.
 func EstimateInfo(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64) (stats.Summary, int, EngineUsed) {
 	return estimate(in, pol, reps, maxSteps, seed, 1, lanesAuto)
 }

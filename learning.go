@@ -78,6 +78,7 @@ func LoadSchedule(data []byte) (*Schedule, error) {
 	}
 	return &Schedule{
 		policy:    raw.Schedule,
+		machines:  raw.Schedule.M,
 		Kind:      raw.Kind,
 		Guarantee: raw.Guarantee,
 		PrefixLen: raw.Schedule.Len(),

@@ -86,6 +86,9 @@ func (sc *Scenario) estimate(strat dyn.Strategy, reps int, o options) (Estimate,
 // "how would this deployed schedule have fared". With no events it is
 // bit-identical to Schedule.EstimateMakespan.
 func (sc *Scenario) EstimateMakespan(s *Schedule, reps int, opts ...Option) (Estimate, error) {
+	if err := s.checkShape(sc.x); err != nil {
+		return Estimate{}, err
+	}
 	return sc.estimate(dyn.NewStatic(sc.inner, s.policy), reps, buildOptions(opts))
 }
 

@@ -16,6 +16,10 @@ import (
 // construction's certified metadata.
 type Schedule struct {
 	policy sched.Policy
+	// jobs and machines are the shape of the instance the schedule was
+	// built for; 0 is unknown and not checked. A loaded schedule's
+	// payload records only its machine count.
+	jobs, machines int
 
 	// Kind names the construction ("chains (Thm 4.4)", ...).
 	Kind string
@@ -67,7 +71,9 @@ type EngineInfo struct {
 	// Workers is the effective goroutine fan-out after the
 	// parallelizability check.
 	Workers int
-	// States is the compiled adaptive engine's table size (0 otherwise).
+	// States is the number of states the compiled adaptive engine
+	// memoized: the distinct unfinished sets the repetitions visited,
+	// capped at the call's budget (0 for the other engines).
 	States int
 }
 
@@ -102,6 +108,9 @@ func (s *Schedule) EstimateMakespan(x *Instance, reps int, opts ...Option) (Esti
 	if err := x.Validate(); err != nil {
 		return Estimate{}, err
 	}
+	if err := s.checkShape(x); err != nil {
+		return Estimate{}, err
+	}
 	o := buildOptions(opts)
 	sum, incomplete, eng := sim.EstimateParallelInfo(x.inner, s.policy, reps, o.maxSteps, o.simSeed, o.workers)
 	return newEstimate(sum, incomplete, eng), nil
@@ -109,9 +118,27 @@ func (s *Schedule) EstimateMakespan(x *Instance, reps int, opts ...Option) (Esti
 
 // RunOnce executes the schedule once with the given seed and returns
 // the realized makespan and whether all jobs completed within the cap.
+// It panics when x's shape differs from the schedule's build instance.
 func (s *Schedule) RunOnce(x *Instance, seed int64, maxSteps int) (int, bool) {
+	if err := s.checkShape(x); err != nil {
+		panic(err.Error())
+	}
 	res := sim.Run(x.inner, s.policy, maxSteps, rand.New(rand.NewSource(seed)))
 	return res.Makespan, res.Completed
+}
+
+// checkShape reports an error when x is not shaped like the instance
+// the schedule was built for: the engines index the schedule's
+// assignments by x's machines and jobs.
+func (s *Schedule) checkShape(x *Instance) error {
+	if (s.machines == 0 || s.machines == x.inner.M) && (s.jobs == 0 || s.jobs == x.inner.N) {
+		return nil
+	}
+	built := fmt.Sprintf("%d jobs × %d machines", s.jobs, s.machines)
+	if s.jobs == 0 {
+		built = fmt.Sprintf("%d machines", s.machines)
+	}
+	return fmt.Errorf("suu: schedule built for %s, instance has %d jobs × %d machines", built, x.inner.N, x.inner.M)
 }
 
 // Baseline names a reference policy for comparisons.
@@ -144,7 +171,7 @@ func NewBaseline(x *Instance, b Baseline, seed int64) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromResult(res), nil
+	return fromResult(res, x), nil
 }
 
 // MakespanQuantiles estimates quantiles of the makespan distribution
@@ -153,6 +180,9 @@ func NewBaseline(x *Instance, b Baseline, seed int64) (*Schedule, error) {
 // mean.
 func (s *Schedule) MakespanQuantiles(x *Instance, reps int, qs []float64, opts ...Option) ([]float64, error) {
 	if err := x.Validate(); err != nil {
+		return nil, err
+	}
+	if err := s.checkShape(x); err != nil {
 		return nil, err
 	}
 	o := buildOptions(opts)

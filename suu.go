@@ -138,7 +138,7 @@ func Solve(x *Instance, opts ...Option) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromResult(res), nil
+	return fromResult(res, x), nil
 }
 
 // registrySchedule builds the named registry solver; it panics on an
@@ -152,7 +152,7 @@ func registrySchedule(id string, x *Instance, par core.Params) (*Schedule, error
 	if err != nil {
 		return nil, err
 	}
-	return fromResult(res), nil
+	return fromResult(res, x), nil
 }
 
 // Adaptive returns SUU-I-ALG (Theorem 3.3): the greedy adaptive policy
@@ -201,7 +201,7 @@ func Optimal(x *Instance) (*Schedule, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return fromResult(res), res.ExactValue, nil
+	return fromResult(res, x), res.ExactValue, nil
 }
 
 // LowerBound computes a certified lower bound on the optimal expected
@@ -222,10 +222,13 @@ func LowerBound(x *Instance, opts ...Option) (float64, error) {
 	return core.CombinedLowerBound(x.inner, fs.T), nil
 }
 
-// fromResult wraps a registry result in the public Schedule type.
-func fromResult(res *solve.Result) *Schedule {
+// fromResult wraps a registry result built on x in the public
+// Schedule type.
+func fromResult(res *solve.Result, x *Instance) *Schedule {
 	return &Schedule{
 		policy:     res.Policy,
+		jobs:       x.inner.N,
+		machines:   x.inner.M,
 		Kind:       res.Kind,
 		Guarantee:  res.Guarantee,
 		Adaptive:   res.Adaptive,
