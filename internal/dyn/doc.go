@@ -24,4 +24,12 @@
 // tiling. A scenario with no events delegates to the static engines
 // (compiled and lane paths included) and is therefore bit-identical
 // to the static pipeline by construction.
+//
+// The walk executes every step, except where Static replays a
+// *sched.Oblivious: its prefix comes in runs of identical steps
+// (Replicate makes runs of σ), so after a step that trials no job the
+// walk jumps to the end of the run, stopping early at the next event
+// or the step cap, and draws only the skipped steps' regime
+// transitions. A skipped step would have drawn nothing else, so the
+// jump moves no draw.
 package dyn

@@ -39,6 +39,10 @@ func TestScenarioValidation(t *testing.T) {
 		"regime machine":  New(in).AddRegime(Regime{Machine: -2}),
 		"regime prob":     New(in).AddRegime(Regime{Machine: 0, GoodToBad: 1.5}),
 		"regime severity": New(in).AddRegime(Regime{Machine: 0, Severity: -0.1}),
+		"NaN severity":    New(in).Burst(-1, 0.3, 0.9, math.NaN()),
+		"NaN p0":          New(in).Burst(-1, math.NaN(), 0.9, 0.5),
+		"NaN alpha":       New(in).Burst(-1, 0.3, math.NaN(), 0.5),
+		"NaN transition":  New(in).AddRegime(Regime{Machine: 0, BadToGood: math.NaN()}),
 	}
 	for name, sc := range cases {
 		if sc.Validate() == nil {

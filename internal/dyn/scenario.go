@@ -125,7 +125,7 @@ func (s *Scenario) AddRegime(r Regime) *Scenario {
 		s.seterr(fmt.Errorf("dyn: regime machine %d out of range", r.Machine))
 		return s
 	}
-	if bad := func(p float64) bool { return p < 0 || p > 1 }; bad(r.GoodToBad) || bad(r.BadToGood) || bad(r.Severity) {
+	if bad := func(p float64) bool { return !(p >= 0 && p <= 1) }; bad(r.GoodToBad) || bad(r.BadToGood) || bad(r.Severity) {
 		s.seterr(fmt.Errorf("dyn: regime probabilities and severity must lie in [0,1]"))
 		return s
 	}
@@ -163,9 +163,18 @@ type timeline struct {
 	events []int
 	topo   []int
 	downs  [][]Outage
-	reg    []Regime
-	regOn  []bool
-	hasReg bool
+	// reg is indexed by machine; the walk reads Severity while the
+	// machine is bad. regs lists the machines that carry a regime, in
+	// machine order: the order of their per-step transition draws.
+	reg  []Regime
+	regs []regimeMachine
+}
+
+// regimeMachine is one machine's regime chain, compiled for the
+// walk's transition loop.
+type regimeMachine struct {
+	machine              int
+	goodToBad, badToGood float64
 }
 
 // compile validates the scenario and precomputes the timeline.
@@ -182,8 +191,8 @@ func (s *Scenario) compile() (*timeline, error) {
 		topo:   topo,
 		downs:  make([][]Outage, s.In.M),
 		reg:    make([]Regime, s.In.M),
-		regOn:  make([]bool, s.In.M),
 	}
+	regOn := make([]bool, s.In.M)
 	set := map[int]bool{}
 	for _, at := range s.arrive {
 		if at > 0 {
@@ -201,17 +210,17 @@ func (s *Scenario) compile() (*timeline, error) {
 		if r.Machine < 0 {
 			for i := range tl.reg {
 				tl.reg[i] = r
-				tl.regOn[i] = true
+				regOn[i] = true
 			}
 		} else {
 			tl.reg[r.Machine] = r
-			tl.regOn[r.Machine] = true
+			regOn[r.Machine] = true
 		}
 	}
-	for _, on := range tl.regOn {
+	for i, on := range regOn {
 		if on {
-			tl.hasReg = true
-			break
+			r := tl.reg[i]
+			tl.regs = append(tl.regs, regimeMachine{machine: i, goodToBad: r.GoodToBad, badToGood: r.BadToGood})
 		}
 	}
 	for t := range set {

@@ -1,6 +1,9 @@
 package dyn
 
 import (
+	"slices"
+	"sync"
+
 	"suu/internal/core"
 	"suu/internal/model"
 	"suu/internal/sched"
@@ -16,6 +19,12 @@ import (
 type StaticStrategy struct {
 	sc  *Scenario
 	pol sched.Policy
+
+	// runEnds is the run table of an oblivious policy's prefix, built
+	// on the first NewWalker call; sim.RunChunks calls NewWalker on
+	// concurrent workers.
+	once    sync.Once
+	runEnds []int32
 }
 
 // NewStatic wraps pol for walks over sc.
@@ -35,8 +44,15 @@ func (s *StaticStrategy) StaticPolicy() (sched.Policy, bool) { return s.pol, tru
 // one worker exactly as the static estimators do.
 func (s *StaticStrategy) parallelizable() bool { return sim.Parallelizable(s.pol) }
 
-// NewWalker implements Strategy.
-func (s *StaticStrategy) NewWalker() Walker { return &staticWalker{pol: s.pol} }
+// NewWalker implements Strategy. An oblivious policy with a non-empty
+// prefix gets a walker that reports its runs of identical steps.
+func (s *StaticStrategy) NewWalker() Walker {
+	if o, ok := s.pol.(*sched.Oblivious); ok && o.Len() > 0 {
+		s.once.Do(func() { s.runEnds = runEnds(o.Steps) })
+		return &obliviousWalker{o: o, ends: s.runEnds}
+	}
+	return &staticWalker{pol: s.pol}
+}
 
 type staticWalker struct {
 	pol sched.Policy
@@ -50,6 +66,47 @@ func (w *staticWalker) Assign(st *State) sched.Assignment {
 	w.st.Eligible = st.Eligible
 	w.st.Step = st.Step
 	return w.pol.Assign(&w.st)
+}
+
+// obliviousWalker is the static walker of an oblivious schedule.
+// Oblivious.At is pure, so the walk may skip its Assign calls.
+type obliviousWalker struct {
+	o *sched.Oblivious
+	// ends[s] is the first prefix step after s whose assignment
+	// differs in content from step s's, or the prefix length.
+	ends []int32
+}
+
+func (w *obliviousWalker) Reset() {}
+
+func (w *obliviousWalker) Assign(st *State) sched.Assignment { return w.o.At(st.Step) }
+
+// runEnd implements runWalker. A nil tail cycles the prefix, so the
+// table wraps; a tail such as TopoRoundRobin may change job every
+// step.
+func (w *obliviousWalker) runEnd(t int) int {
+	l := len(w.ends)
+	switch {
+	case t < l:
+		return int(w.ends[t])
+	case w.o.Tail != nil:
+		return t + 1
+	default:
+		return t - t%l + int(w.ends[t%l])
+	}
+}
+
+// runEnds builds obliviousWalker's run table over a prefix.
+func runEnds(steps []sched.Assignment) []int32 {
+	ends := make([]int32, len(steps))
+	end := len(steps)
+	for s := len(steps) - 1; s >= 0; s-- {
+		if s+1 < len(steps) && !slices.Equal(steps[s], steps[s+1]) {
+			end = s + 1
+		}
+		ends[s] = int32(end)
+	}
+	return ends
 }
 
 // AdaptiveStrategy reruns the MSM greedy every step on the currently

@@ -35,13 +35,25 @@ type Walker interface {
 	Assign(st *State) sched.Assignment
 }
 
+// runWalker is the capability the walk jumps on: a walker whose
+// assignments come in runs of identical steps reports where each run
+// ends.
+type runWalker interface {
+	// runEnd returns the first step after t whose assignment may
+	// differ from step t's.
+	runEnd(t int) int
+}
+
 // walkState is the dynamic analogue of sim's runState: every buffer
-// one trajectory needs, allocated once per worker. The step loop
-// mirrors the static walk draw for draw — one uniform per touched job
-// in machine-scan order — so a scenario whose events never fire
-// produces bit-identical completion draws to the static generic
-// engine. Regime transitions draw from a separate stream, so adding a
-// regime never shifts the completion randomness.
+// one trajectory needs, allocated once per worker. A step that trials
+// something draws exactly as the static generic engine does — one
+// uniform per touched job in machine-scan order — so a scenario whose
+// events never fire produces bit-identical completion draws to it.
+// Regime transitions draw from a separate stream, so adding a regime
+// never shifts the completion randomness. A step that trials nothing
+// draws no completion uniform, so when the walker reports runs the
+// walk jumps over the steps after it that would trial nothing too,
+// drawing only their regime transitions.
 type walkState struct {
 	in   *model.Instance
 	tl   *timeline
@@ -112,9 +124,10 @@ func (ws *walkState) reset() {
 // rng feeds completion draws, reg the regime transitions. It returns
 // the makespan (1-based step index of the last completion, or
 // maxSteps at the cap) and whether every job finished.
-func (ws *walkState) run(w Walker, maxSteps int, rng, reg sim.Rand) (int, bool) {
+func (ws *walkState) run(w Walker, maxSteps int, rng, reg *sim.Stream) (int, bool) {
 	ws.reset()
 	w.Reset()
+	runs, _ := w.(runWalker)
 	n, m, p := ws.n, ws.m, ws.p
 	for t := 0; t < maxSteps && ws.remaining > 0; t++ {
 		epoch := t == 0
@@ -135,24 +148,7 @@ func (ws *walkState) run(w Walker, maxSteps int, rng, reg sim.Rand) (int, bool) 
 				ws.up[i] = !ws.tl.downAt(i, t)
 			}
 		}
-		if ws.tl.hasReg {
-			// One transition draw per regime machine per step, in
-			// machine order — a fixed draw schedule, so trajectories
-			// stay reproducible whatever the policy does.
-			for i := 0; i < m; i++ {
-				if !ws.tl.regOn[i] {
-					continue
-				}
-				u := reg.Float64()
-				if ws.bad[i] {
-					if u < ws.tl.reg[i].BadToGood {
-						ws.bad[i] = false
-					}
-				} else if u < ws.tl.reg[i].GoodToBad {
-					ws.bad[i] = true
-				}
-			}
-		}
+		ws.advanceRegimes(reg, 1)
 		ws.st.Step = t
 		ws.st.Epoch = epoch
 		a := w.Assign(&ws.st)
@@ -194,6 +190,40 @@ func (ws *walkState) run(w Walker, maxSteps int, rng, reg sim.Rand) (int, bool) 
 		if ws.remaining == 0 {
 			return t + 1, true
 		}
+		if len(ws.touched) == 0 && runs != nil {
+			// Until the run ends, no event fires and no job completes,
+			// so every step before next assigns what step t did to the
+			// same eligible jobs and up machines: it trials nothing and
+			// draws only its regime transitions.
+			next := min(runs.runEnd(t), maxSteps)
+			if ws.evt < len(ws.tl.events) {
+				next = min(next, ws.tl.events[ws.evt])
+			}
+			ws.advanceRegimes(reg, next-t-1)
+			t = next - 1
+		}
 	}
 	return maxSteps, ws.remaining == 0
+}
+
+// advanceRegimes draws the regime transitions of steps consecutive
+// steps: one draw per regime machine per step, in machine order — a
+// fixed draw schedule, so trajectories stay reproducible whatever the
+// policy does.
+func (ws *walkState) advanceRegimes(reg *sim.Stream, steps int) {
+	regs := ws.tl.regs
+	if len(regs) == 0 {
+		return
+	}
+	for ; steps > 0; steps-- {
+		for k := range regs {
+			r := &regs[k]
+			u := reg.Float64()
+			if ws.bad[r.machine] {
+				ws.bad[r.machine] = u >= r.badToGood
+			} else {
+				ws.bad[r.machine] = u < r.goodToBad
+			}
+		}
+	}
 }

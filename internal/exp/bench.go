@@ -250,7 +250,8 @@ type SimBenchFile struct {
 	ExactSolver []ExactSolverBench `json:"exact_solver,omitempty"`
 	// Dynamic records the T15 dynamic-scenario strategies head to head
 	// (oblivious vs adaptive vs rolling re-solve) at each burst
-	// intensity, with the oblivious-vs-rolling adaptivity gap.
+	// intensity, with the oblivious-vs-rolling adaptivity gap and the
+	// oblivious walk's skip speedup.
 	Dynamic []DynamicBench `json:"dynamic,omitempty"`
 	// Grid records the scenario-grid harness's cell throughput and
 	// parallel speedup.

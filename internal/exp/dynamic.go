@@ -2,9 +2,11 @@ package exp
 
 import (
 	"fmt"
+	"time"
 
 	"suu/internal/dyn"
 	"suu/internal/model"
+	"suu/internal/sched"
 	"suu/internal/sim"
 	"suu/internal/solve"
 	"suu/internal/stats"
@@ -54,6 +56,9 @@ var t15Strategies = []string{"oblivious", "adaptive", "rolling"}
 // down for steps [4, 10) — early enough that the oblivious prefix
 // planned around it, late enough that work is already in flight.
 const t15OutageFrom, t15OutageTo = 4, 10
+
+// t15MaxSteps caps every T15 trajectory.
+const t15MaxSteps = 5_000_000
 
 // t15Size returns the instance size.
 func t15Size(cfg Config) (int, int) {
@@ -150,7 +155,7 @@ func evalT15Dynamic(cfg Config, c GridCell) GridResult {
 	default:
 		return GridResult{Cell: c, Err: fmt.Errorf("exp: unknown T15 strategy %q", c.Solver)}
 	}
-	sum, incomplete, eng, err := dyn.EstimateInfo(sc, strat, cfg.reps(), 5_000_000, sim.SeedFor(seed, "sim"), 1)
+	sum, incomplete, eng, err := dyn.EstimateInfo(sc, strat, cfg.reps(), t15MaxSteps, sim.SeedFor(seed, "sim"), 1)
 	if err != nil {
 		return GridResult{Cell: c, Class: in.Prec.Classify().String(), Err: err}
 	}
@@ -239,7 +244,25 @@ type DynamicBench struct {
 	// GapVsRolling = Oblivious/Rolling — the adaptivity gap; > 1 means
 	// re-solving at event epochs beat replaying the static schedule.
 	GapVsRolling float64 `json:"gap_vs_rolling"`
-	Error        string  `json:"error,omitempty"`
+	// ObliviousMS times the oblivious estimate (best of three at
+	// Reps); ObliviousStepwiseMS times the same schedule behind
+	// sched.PolicyFunc, which forces the per-step walk; SkipSpeedup is
+	// their ratio.
+	ObliviousMS         float64 `json:"oblivious_ms"`
+	ObliviousStepwiseMS float64 `json:"oblivious_stepwise_ms"`
+	SkipSpeedup         float64 `json:"skip_speedup"`
+	Error               string  `json:"error,omitempty"`
+}
+
+// t15StreamingSpacing indexes spacing 2 in t15Spacings: the bursty
+// streaming column the dynamic bench section records.
+const t15StreamingSpacing = 1
+
+// t15StreamingPoint is the T15 point of the streaming column at burst
+// index bi.
+func t15StreamingPoint(cfg Config, bi int) GridPoint {
+	n, m := t15Size(cfg)
+	return GridPoint{Scenario: "independent", Jobs: n, Machines: m, Arg: t15StreamingSpacing*len(t15Bursts) + bi}
 }
 
 // DynamicBenchmarks fills the dynamic section by evaluating the
@@ -250,12 +273,11 @@ type DynamicBench struct {
 func DynamicBenchmarks(cfg Config) []DynamicBench {
 	n, m := t15Size(cfg)
 	var out []DynamicBench
-	const si = 1 // spacing 2: the bursty streaming column
 	for bi, b := range t15Bursts {
-		p := GridPoint{Scenario: "independent", Jobs: n, Machines: m, Arg: si*len(t15Bursts) + bi}
+		p := t15StreamingPoint(cfg, bi)
 		row := DynamicBench{
 			Family: "independent", Jobs: n, Machines: m,
-			Spacing: t15Spacings[si], Burst: b.name,
+			Spacing: t15Spacings[t15StreamingSpacing], Burst: b.name,
 			OutageFrom: t15OutageFrom, OutageTo: t15OutageTo,
 			Reps: cfg.reps(),
 		}
@@ -280,8 +302,61 @@ func DynamicBenchmarks(cfg Config) []DynamicBench {
 			if row.Rolling > 0 {
 				row.GapVsRolling = row.Oblivious / row.Rolling
 			}
+			var err error
+			row.ObliviousMS, row.ObliviousStepwiseMS, err = dynamicSkipTiming(cfg, p)
+			if err != nil {
+				row.Error = err.Error()
+			} else {
+				row.SkipSpeedup = row.ObliviousStepwiseMS / row.ObliviousMS
+			}
 		}
 		out = append(out, row)
 	}
 	return out
+}
+
+// dynamicSkipTiming times the oblivious strategy of the T15 cell at p,
+// best of three at the cell's repetitions: first the deployed
+// schedule, whose walk jumps over runs of steps that trial nothing,
+// then the same schedule behind sched.PolicyFunc, which hides the
+// *sched.Oblivious and so forces the per-step walk. The two must agree
+// on every draw.
+func dynamicSkipTiming(cfg Config, p GridPoint) (skipMS, stepwiseMS float64, err error) {
+	in, seed, err := cellInstance(cfg, GridCell{Point: p})
+	if err != nil {
+		return 0, 0, err
+	}
+	sc := t15Scenario(in, p.Arg)
+	_, res, err := solve.Auto(in, paramsWithSeed(sim.SeedFor(seed, "build")))
+	if err != nil {
+		return 0, 0, err
+	}
+	bestOf3 := func(pol sched.Policy) (float64, stats.Summary, error) {
+		best := -1.0
+		var sum stats.Summary
+		for try := 0; try < 3; try++ {
+			start := time.Now()
+			s, _, _, err := dyn.EstimateInfo(sc, dyn.NewStatic(sc, pol), cfg.reps(), t15MaxSteps, sim.SeedFor(seed, "sim"), 1)
+			if err != nil {
+				return 0, s, err
+			}
+			if e := time.Since(start).Seconds() * 1000; best < 0 || e < best {
+				best = e
+			}
+			sum = s
+		}
+		return best, sum, nil
+	}
+	skipMS, skipSum, err := bestOf3(res.Policy)
+	if err != nil {
+		return 0, 0, err
+	}
+	stepwiseMS, stepSum, err := bestOf3(sched.PolicyFunc(res.Policy.Assign))
+	if err != nil {
+		return 0, 0, err
+	}
+	if skipSum != stepSum {
+		return 0, 0, fmt.Errorf("exp: skipping walk %+v diverged from the per-step walk %+v", skipSum, stepSum)
+	}
+	return skipMS, stepwiseMS, nil
 }

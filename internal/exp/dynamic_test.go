@@ -57,7 +57,8 @@ func TestDynamicBenchmarks(t *testing.T) {
 		if r.Error != "" {
 			t.Fatalf("bench row %s/%d errored: %s", r.Burst, r.Spacing, r.Error)
 		}
-		if r.Oblivious <= 0 || r.Adaptive <= 0 || r.Rolling <= 0 || r.GapVsRolling <= 0 {
+		if r.Oblivious <= 0 || r.Adaptive <= 0 || r.Rolling <= 0 || r.GapVsRolling <= 0 ||
+			r.ObliviousMS <= 0 || r.ObliviousStepwiseMS <= 0 || r.SkipSpeedup <= 0 {
 			t.Fatalf("degenerate bench row: %+v", r)
 		}
 		if r.Engine != "dynamic-step" {

@@ -120,7 +120,7 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("model: P[%d] has %d columns, want N=%d", i, len(row), in.N)
 		}
 		for j, p := range row {
-			if p < 0 || p > 1 {
+			if !(p >= 0 && p <= 1) { // NaN fails too
 				return fmt.Errorf("model: P[%d][%d]=%v out of [0,1]", i, j, p)
 			}
 		}

@@ -29,6 +29,11 @@ func TestValidateRejectsBadProbability(t *testing.T) {
 	if err := in.Validate(); err == nil {
 		t.Error("p<0 accepted")
 	}
+	in = New(2, 2)
+	in.P = [][]float64{{0.5, math.NaN()}, {0.5, 0.5}}
+	if err := in.Validate(); err == nil {
+		t.Error("NaN accepted")
+	}
 }
 
 func TestValidateRejectsCycle(t *testing.T) {
