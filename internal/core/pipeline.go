@@ -311,7 +311,7 @@ func SUUForest(in *model.Instance, par Params) (*ForestResult, error) {
 	}
 	dc := in.Prec.ChainDecomposition()
 	res := &ForestResult{Decomposition: dc}
-	var combined *sched.Oblivious
+	blocks := make([]*sched.Oblivious, 0, len(dc.Blocks))
 	coreLen := 0
 	minMass := 1.0
 	// Theorem 4.8 (rank-decomposed trees/forests): delays within a
@@ -344,14 +344,9 @@ func SUUForest(in *model.Instance, par Params) (*ForestResult, error) {
 			minMass = br.MassAchieved
 		}
 		coreLen += br.CoreLength
-		// br.Schedule's prefix is the replicated block schedule; strip
-		// its tail and concatenate.
-		blockSched := &sched.Oblivious{M: in.M, Steps: br.Schedule.Steps}
-		if combined == nil {
-			combined = blockSched
-		} else {
-			combined = sched.Concat(combined, blockSched)
-		}
+		// br.Schedule's prefix is the replicated block schedule; its
+		// tail is replaced below.
+		blocks = append(blocks, br.Schedule)
 	}
 	if tlb := TrivialLowerBound(in); tlb > res.LowerBound {
 		res.LowerBound = tlb
@@ -360,6 +355,7 @@ func SUUForest(in *model.Instance, par Params) (*ForestResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	combined := sched.Concat(blocks...)
 	combined.Tail = &sched.TopoRoundRobin{M: in.M, Order: order}
 	res.Schedule = combined
 	res.CoreLength = coreLen

@@ -107,7 +107,8 @@ func (d *DAG) TopoOrder() ([]int, error) {
 	for v := 0; v < d.n; v++ {
 		indeg[v] = len(d.preds[v])
 	}
-	// Min-heap behaviour via sorted frontier keeps orders deterministic.
+	// The frontier is a min-heap of ready vertices, so the order is
+	// deterministic. An ascending slice is already a heap.
 	frontier := make([]int, 0, d.n)
 	for v := 0; v < d.n; v++ {
 		if indeg[v] == 0 {
@@ -116,14 +117,17 @@ func (d *DAG) TopoOrder() ([]int, error) {
 	}
 	order := make([]int, 0, d.n)
 	for len(frontier) > 0 {
-		sort.Ints(frontier)
 		u := frontier[0]
-		frontier = frontier[1:]
+		last := len(frontier) - 1
+		frontier[0] = frontier[last]
+		frontier = frontier[:last]
+		heapDown(frontier)
 		order = append(order, u)
 		for _, v := range d.succs[u] {
 			indeg[v]--
 			if indeg[v] == 0 {
 				frontier = append(frontier, v)
+				heapUp(frontier)
 			}
 		}
 	}
@@ -131,6 +135,36 @@ func (d *DAG) TopoOrder() ([]int, error) {
 		return nil, errors.New("dag: graph contains a cycle")
 	}
 	return order, nil
+}
+
+// heapUp restores the min-heap h after an append.
+func heapUp(h []int) {
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+// heapDown restores the min-heap h after its root was replaced.
+func heapDown(h []int) {
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // IsAcyclic reports whether the graph has no directed cycle.

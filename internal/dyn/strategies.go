@@ -1,7 +1,6 @@
 package dyn
 
 import (
-	"slices"
 	"sync"
 
 	"suu/internal/core"
@@ -48,7 +47,14 @@ func (s *StaticStrategy) parallelizable() bool { return sim.Parallelizable(s.pol
 // prefix gets a walker that reports its runs of identical steps.
 func (s *StaticStrategy) NewWalker() Walker {
 	if o, ok := s.pol.(*sched.Oblivious); ok && o.Len() > 0 {
-		s.once.Do(func() { s.runEnds = runEnds(o.Steps) })
+		s.once.Do(func() {
+			s.runEnds = make([]int32, o.Len())
+			for t := 0; t < o.Len(); {
+				for end := o.RunEnd(t); t < end; t++ {
+					s.runEnds[t] = int32(end)
+				}
+			}
+		})
 		return &obliviousWalker{o: o, ends: s.runEnds}
 	}
 	return &staticWalker{pol: s.pol}
@@ -94,19 +100,6 @@ func (w *obliviousWalker) runEnd(t int) int {
 	default:
 		return t - t%l + int(w.ends[t%l])
 	}
-}
-
-// runEnds builds obliviousWalker's run table over a prefix.
-func runEnds(steps []sched.Assignment) []int32 {
-	ends := make([]int32, len(steps))
-	end := len(steps)
-	for s := len(steps) - 1; s >= 0; s-- {
-		if s+1 < len(steps) && !slices.Equal(steps[s], steps[s+1]) {
-			end = s + 1
-		}
-		ends[s] = int32(end)
-	}
-	return ends
 }
 
 // AdaptiveStrategy reruns the MSM greedy every step on the currently

@@ -54,6 +54,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"suu/internal/model"
 	"suu/internal/sched"
@@ -246,8 +247,12 @@ type viSolver struct {
 
 // viWorker is the per-goroutine scratch. All fields are reused across
 // states; nothing escapes to other workers, so per-state results are
-// independent of the pool size.
+// independent of the pool size. Every worker is built on one goroutine,
+// and each writes its fields and small slices at every DFS leaf, so the
+// struct and its slices are padded to cache lines of their own (see
+// padded): packed side by side, two workers ran slower than one.
 type viWorker struct {
+	_  [cacheLine]byte
 	vs *viSolver
 
 	el     []int     // eligible jobs of the current state, slot order
@@ -275,6 +280,19 @@ type viWorker struct {
 
 	assignments, pruned, transitions int64
 	closedForm                       int
+	_                                [cacheLine]byte
+}
+
+// cacheLine is the false-sharing unit padded around each worker's
+// scratch.
+const cacheLine = 64
+
+// padded returns n zeroed elements with a cache line of unused
+// elements on each side, so no other allocation shares a line with
+// them.
+func padded[T any](n int) []T {
+	pad := cacheLine / int(unsafe.Sizeof(*new(T)))
+	return make([]T, n+2*pad)[pad : pad+n : pad+n]
 }
 
 func newVIWorker(vs *viSolver) *viWorker {
@@ -282,25 +300,25 @@ func newVIWorker(vs *viSolver) *viWorker {
 	m := vs.in.M
 	w := &viWorker{
 		vs:     vs,
-		el:     make([]int, 0, k),
-		fail:   make([]float64, k),
-		cnt:    make([]int32, k),
-		digits: make([]int32, m),
-		bestD:  make([]int32, m),
-		trial:  make([]int32, 0, min(m, k)+1),
-		pre:    make([]float64, min(m, k)+2),
+		el:     padded[int](k)[:0],
+		fail:   padded[float64](k),
+		cnt:    padded[int32](k),
+		digits: padded[int32](m),
+		bestD:  padded[int32](m),
+		trial:  padded[int32](min(m, k) + 1)[:0],
+		pre:    padded[float64](min(m, k) + 2),
 		best:   math.Inf(1),
 	}
 	if k <= svFlatMaxK && k > 0 {
-		w.sv = make([]float64, 1<<uint(k))
-		w.svStamp = make([]int32, 1<<uint(k))
+		w.sv = padded[float64](1 << uint(k))
+		w.svStamp = padded[int32](1 << uint(k))
 	} else {
 		w.svMap = make(map[uint32]float64)
 	}
 	t := min(m, k)
 	if t > 0 {
-		w.list = make([]uint32, 1<<uint(t))
-		w.pv = make([]float64, 1<<uint(t))
+		w.list = padded[uint32](1 << uint(t))
+		w.pv = padded[float64](1 << uint(t))
 	}
 	return w
 }

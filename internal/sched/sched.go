@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"suu/internal/model"
@@ -133,16 +134,50 @@ func (o *Oblivious) Validate(n int) error {
 	return nil
 }
 
-// Concat returns a new schedule running o's prefix then p's prefix;
-// the tail is taken from p.
-func Concat(o, p *Oblivious) *Oblivious {
-	if o.M != p.M {
-		panic("sched: concat of schedules with different machine counts")
+// RunEnd returns the end of the prefix run starting at step t, for
+// 0 <= t < Len: the first step after t whose assignment differs from
+// step t's, or Len.
+// A run is a maximal block of consecutive prefix steps with equal
+// assignments; Replicate makes runs of at least sigma steps, and the
+// packed constructions often repeat a step as well.
+func (o *Oblivious) RunEnd(t int) int {
+	a := o.Steps[t]
+	for t++; t < len(o.Steps) && sameAssignment(a, o.Steps[t]); t++ {
 	}
-	steps := make([]Assignment, 0, len(o.Steps)+len(p.Steps))
-	steps = append(steps, o.Steps...)
-	steps = append(steps, p.Steps...)
-	return &Oblivious{M: o.M, Steps: steps, Tail: p.Tail}
+	return t
+}
+
+// sameAssignment reports whether a and b assign the same jobs. A
+// shared backing array settles it without reading the machines:
+// Replicate reuses one assignment across its sigma copies.
+func sameAssignment(a, b Assignment) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	return slices.Equal(a, b)
+}
+
+// Concat returns a new schedule running the parts' prefixes in order,
+// each copied once into a prefix of their total length; the tail is
+// taken from the last part. It needs at least one part, and every part
+// must have the same machine count.
+func Concat(parts ...*Oblivious) *Oblivious {
+	total := 0
+	for _, p := range parts {
+		if p.M != parts[0].M {
+			panic("sched: concat of schedules with different machine counts")
+		}
+		total += len(p.Steps)
+	}
+	steps := make([]Assignment, 0, total)
+	for _, p := range parts {
+		steps = append(steps, p.Steps...)
+	}
+	last := parts[len(parts)-1]
+	return &Oblivious{M: last.M, Steps: steps, Tail: last.Tail}
 }
 
 // Replicate repeats every prefix step sigma times (the schedule

@@ -73,6 +73,67 @@ func TestConcatAndReplicate(t *testing.T) {
 	if r.Len() != 3 || r.At(2)[0] != 0 {
 		t.Error("replicate wrong")
 	}
+	// Several parts in one call: prefixes in order, the last part's tail.
+	d := Concat(a, r, b)
+	if d.Len() != 5 || d.At(0)[0] != 0 || d.At(3)[0] != 0 || d.At(4)[0] != 1 || d.Tail != b.Tail {
+		t.Error("three-part concat wrong")
+	}
+}
+
+// runsOf lists a prefix's runs as [start, end) pairs by walking
+// RunEnd from step 0.
+func runsOf(o *Oblivious) [][2]int {
+	var runs [][2]int
+	for t := 0; t < o.Len(); {
+		end := o.RunEnd(t)
+		runs = append(runs, [2]int{t, end})
+		t = end
+	}
+	return runs
+}
+
+func TestRunEnd(t *testing.T) {
+	shared := Assignment{0, 1, 2}
+	cases := []struct {
+		name  string
+		steps []Assignment
+		want  [][2]int
+	}{
+		{"shared arrays", []Assignment{shared, shared, shared, {1, 1, 1}, shared},
+			[][2]int{{0, 3}, {3, 4}, {4, 5}}},
+		{"equal contents in distinct arrays", []Assignment{{0, 1, 2}, {0, 1, 2}, shared, {0, 1, Idle}},
+			[][2]int{{0, 3}, {3, 4}}},
+		{"difference on the last machine only", []Assignment{{0, 1, 2}, {0, 1, 3}, {0, 1, 3}},
+			[][2]int{{0, 1}, {1, 3}}},
+		// One backing array, two lengths.
+		{"different lengths", []Assignment{shared[:2], shared[:2], shared, {0, 1}},
+			[][2]int{{0, 2}, {2, 3}, {3, 4}}},
+		{"one step", []Assignment{shared}, [][2]int{{0, 1}}},
+		{"empty prefix", nil, nil},
+	}
+	for _, c := range cases {
+		o := &Oblivious{M: 3, Steps: c.steps}
+		got := runsOf(o)
+		if len(got) != len(c.want) {
+			t.Errorf("%s: runs %v, want %v", c.name, got, c.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Errorf("%s: runs %v, want %v", c.name, got, c.want)
+				break
+			}
+		}
+		// A run may start anywhere inside another: it ends where the
+		// enclosing run does.
+		for _, r := range got {
+			for s := r[0]; s < r[1]; s++ {
+				if end := o.RunEnd(s); end != r[1] {
+					t.Errorf("%s: RunEnd(%d) = %d, want %d", c.name, s, end, r[1])
+				}
+			}
+		}
+	}
 }
 
 func TestRegimenLookupAndFallback(t *testing.T) {

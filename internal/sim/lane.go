@@ -181,20 +181,25 @@ type laneOblivRunner struct {
 	seed int64
 	// comp[j*LaneWidth+l] is lane l's completion step of job j, -1
 	// while unfinished. done[j] is the lane mask that completed j
-	// within the prefix. winMask[k] is the cumulative mask of lanes
-	// that completed the job at or before its occurrence k (valid up
-	// to wlast[job], the last occurrence its walk visited) — per-lane
+	// within the prefix.
+	comp []int32
+	done []uint64
+	// wins holds the current group's win masks in walk order: job j's
+	// walk visited its occurrences offs[j], offs[j]+1, ..., and
+	// wins[wlo[j]+i] is the cumulative mask of lanes that completed j
+	// at or before occurrence offs[j]+i; j's segment ends at whi[j], and
+	// a job whose walk was skipped has an empty one. These are per-lane
 	// completion steps in wordwise form, which is what lets successor
-	// eligibility stay mask arithmetic plus a binary search.
-	comp    []int32
-	done    []uint64
-	winMask []uint64
-	wlast   []int32
-	elig    [LaneWidth]int32 // scratch: per-lane eligibility step of the current job
-	mcmp    [LaneWidth]int32 // per-lane max completion step
-	mk      [LaneWidth]int32
-	tr      Stream
-	tail    Stream
+	// eligibility stay mask arithmetic plus a binary search. The buffer
+	// is reset per group, so it grows only to the most occurrences one
+	// group visits, not to the compiled table.
+	wins     []uint64
+	wlo, whi []int32
+	elig     [LaneWidth]int32 // scratch: per-lane eligibility step of the current job
+	mcmp     [LaneWidth]int32 // per-lane max completion step
+	mk       [LaneWidth]int32
+	tr       Stream
+	tail     Stream
 	// tailR is a scratch scalar runner: lanes that outlive the prefix
 	// continue one at a time on the generic step engine, reusing the
 	// scalar engine's continueTail seeding.
@@ -206,12 +211,12 @@ type laneOblivRunner struct {
 
 func newLaneOblivRunner(c *compiledOblivious, seed int64) *laneOblivRunner {
 	return &laneOblivRunner{
-		c:       c,
-		seed:    seed,
-		comp:    make([]int32, c.in.N*LaneWidth),
-		done:    make([]uint64, c.in.N),
-		winMask: make([]uint64, len(c.steps)),
-		wlast:   make([]int32, c.in.N),
+		c:    c,
+		seed: seed,
+		comp: make([]int32, c.in.N*LaneWidth),
+		done: make([]uint64, c.in.N),
+		wlo:  make([]int32, c.in.N),
+		whi:  make([]int32, c.in.N),
 	}
 }
 
@@ -243,6 +248,7 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 	if r.massB != nil {
 		clear(r.massB[:cnt*in.N])
 	}
+	r.wins = r.wins[:0]
 	for _, j32 := range c.topo {
 		j := int(j32)
 		comp := r.comp[j*LaneWidth : (j+1)*LaneWidth]
@@ -254,7 +260,7 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 			eligAll &= r.done[pr]
 		}
 		lo, hi := int(c.offs[j]), int(c.offs[j+1])
-		r.wlast[j] = int32(lo) - 1
+		r.wlo[j] = int32(len(r.wins))
 		var doneJ uint64
 		if eligAll != 0 && lo < hi {
 			firstT, lastT := c.steps[lo], c.steps[hi-1]
@@ -286,8 +292,7 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 					r.elig[l] = e
 				}
 			}
-			k := lo
-			for ; k < hi && active|pend != 0; k++ {
+			for k := lo; k < hi && active|pend != 0; k++ {
 				t := c.steps[k]
 				if int(t) >= cap {
 					break
@@ -321,10 +326,10 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 						}
 					}
 				}
-				r.winMask[k] = doneJ
+				r.wins = append(r.wins, doneJ)
 			}
-			r.wlast[j] = int32(k) - 1
 		}
+		r.whi[j] = int32(len(r.wins))
 		r.done[j] = doneJ
 		unfin |= laneMask &^ doneJ
 	}
@@ -353,29 +358,27 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 }
 
 // winsBefore returns the mask of lanes that completed job pr strictly
-// before step x, by binary search over pr's (sorted) occurrence steps
-// into the cumulative win masks. Occurrences past wlast[pr] were never
-// visited and hold no wins, so the search space is clamped there; the
-// cumulative mask at the clamp already equals pr's full done mask.
+// before step x, by binary search over the (sorted) steps of the
+// occurrences pr's walk visited into its segment of win masks.
+// Occurrences past the segment were never visited and hold no wins;
+// the cumulative mask at the segment's end already equals pr's full
+// done mask.
 func (r *laneOblivRunner) winsBefore(pr int, x int32) uint64 {
-	c := r.c
-	i, j := int(c.offs[pr]), int(c.offs[pr+1])
-	lo := i
-	if w := int(r.wlast[pr]) + 1; j > w {
-		j = w
-	}
+	lo := int(r.c.offs[pr])
+	steps := r.c.steps[lo : lo+int(r.whi[pr]-r.wlo[pr])]
+	i, j := 0, len(steps)
 	for i < j {
 		m := int(uint(i+j) >> 1)
-		if c.steps[m] < x {
+		if steps[m] < x {
 			i = m + 1
 		} else {
 			j = m
 		}
 	}
-	if i == lo {
+	if i == 0 {
 		return 0
 	}
-	return r.winMask[i-1]
+	return r.wins[int(r.wlo[pr])+i-1]
 }
 
 // continueTailLane hands lane l to the scalar continuation on the

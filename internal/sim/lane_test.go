@@ -9,6 +9,8 @@ import (
 	"suu/internal/core"
 	"suu/internal/model"
 	"suu/internal/sched"
+	"suu/internal/solve"
+	"suu/internal/workload"
 )
 
 // TestLaneBernoulliOracleBit pins laneBernoulli's core property: a
@@ -251,7 +253,9 @@ func TestLaneDeterministicAcrossConcurrency(t *testing.T) {
 }
 
 // TestLaneGroupAllocationFree proves a lane group walk allocates
-// nothing once the worker exists (prefix-resident groups).
+// nothing once the worker exists (prefix-resident groups), and that
+// the worker's win-mask buffer holds one group at a time: after one
+// pass over many groups, a second pass over them allocates nothing.
 func TestLaneGroupAllocationFree(t *testing.T) {
 	in, o := chainsFixture()
 	c := compileOblivious(in, o)
@@ -268,6 +272,88 @@ func TestLaneGroupAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("oblivious lane group: %v allocs/run, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(1, func() {
+		for g := int64(0); g < 256; g++ {
+			w.runGroup(g, LaneWidth, 100000)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("256 oblivious lane groups: %v allocs on the second pass, want 0", allocs)
+	}
+}
+
+// TestLaneWinSegments pins the per-group win-mask segments: after every
+// group, each job's segment ends at the lanes that completed it, also
+// for a job whose walk was skipped after an earlier group walked it.
+// Job 0 of a chain completes within the prefix in about half of the
+// one-lane groups, so jobs 1 and 2 alternate between walked and
+// skipped.
+func TestLaneWinSegments(t *testing.T) {
+	in := model.New(3, 1)
+	in.P[0] = []float64{0.15, 0.5, 0.5}
+	in.Prec.MustEdge(0, 1)
+	in.Prec.MustEdge(1, 2)
+	var steps []sched.Assignment
+	for j := 0; j < 3; j++ {
+		a := sched.Assignment{j}
+		for k := 0; k < 4; k++ {
+			steps = append(steps, a)
+		}
+	}
+	c := compileOblivious(in, &sched.Oblivious{M: 1, Steps: steps})
+	w := newLaneOblivRunner(c, 3)
+	var walked, skipped bool
+	for g := int64(0); g < 64; g++ {
+		cnt := LaneWidth
+		if g%2 == 1 {
+			cnt = 1
+		}
+		w.runGroup(g, cnt, len(steps))
+		if cnt == 1 {
+			if w.done[0] != 0 {
+				walked = true
+			} else {
+				skipped = true
+			}
+		}
+		for j := 0; j < in.N; j++ {
+			if got := w.winsBefore(j, int32(len(steps))); got != w.done[j] {
+				t.Fatalf("group %d job %d: segment ends at %#x, want done mask %#x", g, j, got, w.done[j])
+			}
+		}
+	}
+	if !walked || !skipped {
+		t.Fatalf("fixture did not alternate: walked %v skipped %v", walked, skipped)
+	}
+}
+
+// TestLaneEstimateAllocation pins the lane walk's per-call scratch to
+// what the walk visits: a prepared independent 64x16 engine, estimated
+// at 2048 repetitions on 2 workers, allocates per call less than an
+// eighth of the engine's own size. A per-occurrence scratch word would
+// cost each worker about 0.4x SizeBytes.
+func TestLaneEstimateAllocation(t *testing.T) {
+	in := workload.Independent(workload.Config{Jobs: 64, Machines: 16, Seed: 3})
+	_, res, err := solve.Auto(in, core.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Prepare(in, res.Policy)
+	const reps, calls = 2048, 8
+	if _, _, eng := p.EstimateParallelInfo(reps, 1<<20, 1, 2); eng.Engine != EngineLane {
+		t.Fatalf("engine %+v, want %s", eng, EngineLane)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		p.EstimateParallelInfo(reps, 1<<20, int64(i), 2)
+	}
+	runtime.ReadMemStats(&after)
+	perCall := int64(after.TotalAlloc-before.TotalAlloc) / calls
+	t.Logf("lane estimate: %d B per call, engine %d B", perCall, p.SizeBytes())
+	if perCall*8 >= p.SizeBytes() {
+		t.Errorf("lane estimate allocates %d B per call, want < SizeBytes/8 = %d B", perCall, p.SizeBytes()/8)
 	}
 }
 

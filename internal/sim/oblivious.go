@@ -37,9 +37,13 @@ type compiledOblivious struct {
 	mass  []float64
 }
 
-// compileOblivious builds the per-job occurrence lists. Cost is
-// O(prefix × m), paid once per Estimate call and shared read-only by
-// every worker.
+// compileOblivious builds the per-job occurrence lists. It reads each
+// run of equal prefix steps (sched.Oblivious.RunEnd) once and fills the
+// run's occurrences from it, so the cost is O(runs × m + occurrences),
+// paid once per Prepare and shared read-only by every worker. The
+// tables are those of a per-step pass: a run's fail products and masses
+// are the same multiplications and additions, over the same machines
+// in the same order, as each of its steps would make.
 func compileOblivious(in *model.Instance, o *sched.Oblivious) *compiledOblivious {
 	n := in.N
 	order, err := in.Prec.TopoOrder()
@@ -51,22 +55,25 @@ func compileOblivious(in *model.Instance, o *sched.Oblivious) *compiledOblivious
 	for k, j := range order {
 		c.topo[k] = int32(j)
 	}
-	// First pass: count each job's distinct assigned steps.
+	// First pass: find the runs and count each job's occurrences, one
+	// per step of every run that assigns it.
+	var ends []int32
 	counts := make([]int32, n)
-	last := make([]int32, n)
+	last := make([]int32, n) // run start that last counted the job
 	for j := range last {
 		last[j] = -1
 	}
-	for t, a := range o.Steps {
-		for _, j := range a {
-			if j == sched.Idle || j < 0 || j >= n {
+	for t := 0; t < len(o.Steps); {
+		end := o.RunEnd(t)
+		ends = append(ends, int32(end))
+		for _, j := range o.Steps[t] {
+			if j == sched.Idle || j < 0 || j >= n || last[j] == int32(t) {
 				continue
 			}
-			if last[j] != int32(t) {
-				last[j] = int32(t)
-				counts[j]++
-			}
+			last[j] = int32(t)
+			counts[j] += int32(end - t)
 		}
+		t = end
 	}
 	c.offs = make([]int32, n+1)
 	for j := 0; j < n; j++ {
@@ -76,36 +83,47 @@ func compileOblivious(in *model.Instance, o *sched.Oblivious) *compiledOblivious
 	c.steps = make([]int32, total)
 	c.succ = make([]float64, total)
 	c.mass = make([]float64, total)
-	// Second pass: fill, accumulating the fail product per occurrence.
+	// Second pass: per run, accumulate each assigned job's fail product
+	// and mass over the machines, then fill one occurrence per step.
 	next := make([]int32, n)
 	copy(next, c.offs[:n])
 	for j := range last {
 		last[j] = -1
 	}
+	fail := make([]float64, n)
+	mass := make([]float64, n)
+	jobs := make([]int, 0, in.M)
 	p := in.Flat()
-	for t, a := range o.Steps {
-		for i, j := range a {
+	t := 0
+	for _, end := range ends {
+		jobs = jobs[:0]
+		for i, j := range o.Steps[t] {
 			if j == sched.Idle || j < 0 || j >= n {
 				continue
 			}
 			pv := p[i*n+j]
 			if last[j] != int32(t) {
 				last[j] = int32(t)
-				k := next[j]
-				next[j]++
-				c.steps[k] = int32(t)
-				c.succ[k] = 1 - pv // fail product so far
-				c.mass[k] = pv
+				jobs = append(jobs, j)
+				fail[j] = 1 - pv
+				mass[j] = pv
 			} else {
-				k := next[j] - 1
-				c.succ[k] *= 1 - pv
-				c.mass[k] += pv
+				fail[j] *= 1 - pv
+				mass[j] += pv
 			}
 		}
-	}
-	// Convert fail products to success probabilities.
-	for k := range c.succ {
-		c.succ[k] = 1 - c.succ[k]
+		for _, j := range jobs {
+			succ := 1 - fail[j]
+			k := next[j]
+			for s := t; s < int(end); s++ {
+				c.steps[k] = int32(s)
+				c.succ[k] = succ
+				c.mass[k] = mass[j]
+				k++
+			}
+			next[j] = k
+		}
+		t = int(end)
 	}
 	return c
 }
