@@ -16,14 +16,17 @@
 // core.Params.WarmBasis).
 //
 // Estimation runs on internal/sim's chunk runner (sim.RunChunks):
-// repetition r draws its completion stream from (seed, r) and its
-// regime stream from (SeedFor(seed, "regime"), r), chunks merge in
-// index order, and rolling re-solves are cached per (surviving jobs,
-// up machines) key with key-derived construction seeds — so every
-// summary is bit-identical at any worker count and under any shard
-// tiling. A scenario with no events delegates to the static engines
-// (compiled and lane paths included) and is therefore bit-identical
-// to the static pipeline by construction.
+// workers claim one repetition at a time, so even a 32-repetition
+// estimate fans out; repetition r draws its completion stream from
+// (seed, r) and its regime stream from (SeedFor(seed, "regime"), r);
+// makespans fold into chunks in repetition order and chunks merge in
+// index order; and rolling re-solves are cached per (surviving jobs,
+// up machines) key, in one cache all of a strategy's walkers share,
+// with key-derived construction seeds — so every summary is
+// bit-identical at any worker count and under any shard tiling. A
+// scenario with no events delegates to the static engines (compiled
+// and lane paths included) and is therefore bit-identical to the
+// static pipeline by construction.
 //
 // The walk executes every step, except where Static replays a
 // *sched.Oblivious: its prefix comes in runs of identical steps

@@ -31,6 +31,13 @@ type Strategy interface {
 	parallelizable() bool
 }
 
+// walkUnit is how many repetitions a worker claims at a time. One
+// trajectory costs far more than the atomic add that claims it, and at
+// the tens of repetitions a scenario estimate runs, single repetitions
+// balance the workers best: 32 repetitions in units of 8 would leave 2
+// workers 4 units to split.
+const walkUnit = 1
+
 // regimeLabel derives the regime stream's seed domain from the
 // simulation seed; completion draws and regime transitions never
 // share a stream.
@@ -44,14 +51,14 @@ func Estimate(sc *Scenario, strat Strategy, reps, maxSteps int, seed int64) (sta
 }
 
 // EstimateInfo runs reps trajectories of strat on sc across workers
-// goroutines (<= 0 selects GOMAXPROCS) and returns the makespan
-// summary, the number of trajectories that hit the step cap, and the
-// engine record. Repetition r draws completions from stream (seed, r)
-// and regime transitions from (SeedFor(seed, "regime"), r), and
-// repetitions run through sim's chunk runner (sim.RunChunks), whose
-// index-order merge makes the summary bit-identical at any worker
-// count. Scenarios with no events delegate to the static engines via
-// Strategy.StaticPolicy.
+// goroutines (<= 0 selects GOMAXPROCS; at most one per repetition)
+// and returns the makespan summary, the number of trajectories that
+// hit the step cap, and the engine record. Repetition r draws
+// completions from stream (seed, r) and regime transitions from
+// (SeedFor(seed, "regime"), r), and repetitions run through sim's
+// chunk runner (sim.RunChunks), whose repetition-order fold makes the
+// summary bit-identical at any worker count. Scenarios with no events
+// delegate to the static engines via Strategy.StaticPolicy.
 func EstimateInfo(sc *Scenario, strat Strategy, reps, maxSteps int, seed int64, workers int) (stats.Summary, int, sim.EngineUsed, error) {
 	if reps <= 0 {
 		return stats.Summary{}, 0, sim.EngineUsed{}, errors.New("dyn: reps must be positive")
@@ -75,16 +82,16 @@ func EstimateInfo(sc *Scenario, strat Strategy, reps, maxSteps int, seed int64, 
 	// workers read it concurrently.
 	sc.In.Flat()
 	regSeed := sim.SeedFor(seed, regimeLabel)
-	sum, incomplete, workers := sim.RunChunks(reps, workers, func() sim.ChunkFunc {
+	sum, incomplete, workers := sim.RunChunks(reps, workers, walkUnit, func() sim.ChunkFunc {
 		ws := newWalkState(sc.In, tl)
 		w := strat.NewWalker()
 		var rng, reg sim.Stream
-		return func(lo, hi int, acc *stats.Accumulator) (inc int) {
+		return func(lo, hi int, makespans []float64) (inc int) {
 			for r := lo; r < hi; r++ {
 				rng.Reseed(seed, int64(r))
 				reg.Reseed(regSeed, int64(r))
 				makespan, completed := ws.run(w, maxSteps, &rng, &reg)
-				acc.Add(float64(makespan))
+				makespans[r-lo] = float64(makespan)
 				if !completed {
 					inc++
 				}

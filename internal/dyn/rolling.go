@@ -2,6 +2,7 @@ package dyn
 
 import (
 	"fmt"
+	"sync"
 
 	"suu/internal/core"
 	"suu/internal/lp"
@@ -24,14 +25,14 @@ import (
 // fixed (the initial full solve's exported LP basis, adopted by the
 // core only when row-compatible). A cached plan is therefore a pure
 // function of its key, so trajectories are bit-identical however
-// repetitions are distributed over workers.
+// repetitions are distributed over workers — which is also why every
+// walker may share one cache, whichever walker builds a plan first.
 type RollingStrategy struct {
 	sc     *Scenario
 	tl     *timeline
 	solver string
 	par    core.Params
 
-	initKey string
 	initial *plan
 	// warm is the initial solve's exported optimal basis
 	// (solve.Result.LPBasis, non-nil only for direct sparse LP
@@ -40,6 +41,11 @@ type RollingStrategy struct {
 	// the sub-LP's row count matches and synthesizes a crash basis
 	// otherwise.
 	warm *lp.Basis
+
+	// plans is the plan cache every walker shares, keyed by packKey and
+	// pre-seeded with the initial plan; each entry is built once.
+	mu    sync.Mutex
+	plans map[string]*planEntry
 }
 
 // NewRolling builds the rolling strategy for sc. solverID names a
@@ -81,7 +87,9 @@ func NewRolling(sc *Scenario, solverID string, par core.Params) (*RollingStrateg
 		return nil, err
 	}
 	s.initial, s.warm = pl, basis
-	s.initKey = packKey(keep, up)
+	e := &planEntry{}
+	e.once.Do(func() { e.pl = pl })
+	s.plans = map[string]*planEntry{packKey(keep, up): e}
 	return s, nil
 }
 
@@ -100,8 +108,7 @@ func (s *RollingStrategy) StaticPolicy() (sched.Policy, bool) {
 
 // parallelizable defers to the registry flag of the configured solver
 // (auto dispatches to oblivious constructions, all parallelizable).
-// Walkers own their plan caches; only the initial plan's policy is
-// shared.
+// Walkers share the cached plans' policies.
 func (s *RollingStrategy) parallelizable() bool {
 	if s.solver == "" {
 		return true
@@ -110,20 +117,25 @@ func (s *RollingStrategy) parallelizable() bool {
 	return ok && sv.Parallelizable
 }
 
-// NewWalker implements Strategy. Each walker owns a plan cache
-// pre-seeded with the shared initial plan; identical keys reached by
-// different walkers rebuild identical plans (key-pure seeds), so the
-// duplication costs time, never determinism.
+// NewWalker implements Strategy. Walkers share the strategy's plan
+// cache and keep their own projection scratch.
 func (s *RollingStrategy) NewWalker() Walker {
 	n, m := s.sc.In.N, s.sc.In.M
 	return &rollingWalker{
 		s:       s,
-		cache:   map[string]*plan{s.initKey: s.initial},
 		keep:    make([]bool, n),
 		subUnf:  make([]bool, n),
 		subElig: make([]bool, n),
 		out:     make(sched.Assignment, m),
 	}
+}
+
+// planEntry is one key's slot in the shared plan cache: the first
+// walker to reach the key builds pl inside once, and every other
+// walker waits for it.
+type planEntry struct {
+	once sync.Once
+	pl   *plan
 }
 
 // plan is one cached sub-solve: the built policy in sub-instance
@@ -146,7 +158,6 @@ type plan struct {
 
 type rollingWalker struct {
 	s        *RollingStrategy
-	cache    map[string]*plan
 	cur      *plan
 	curStart int
 	keep     []bool
@@ -207,22 +218,32 @@ func (w *rollingWalker) Assign(st *State) sched.Assignment {
 }
 
 // replan computes the surviving sub-instance key for the current
-// state and installs its plan, building and caching it on a miss.
+// state and installs its plan.
 func (w *rollingWalker) replan(st *State) {
 	w.s.computeKeep(st.Arrived, st.Unfinished, st.Up, w.keep)
-	key := packKey(w.keep, st.Up)
-	pl, ok := w.cache[key]
+	w.cur = w.s.plan(w.keep, st.Up)
+	w.curStart = st.Step
+}
+
+// plan returns the cached plan of (keep, up), building it on the first
+// request for its key.
+func (s *RollingStrategy) plan(keep, up []bool) *plan {
+	key := packKey(keep, up)
+	s.mu.Lock()
+	e, ok := s.plans[key]
 	if !ok {
-		seed := keySeed(w.s.par.Seed, w.keep, st.Up)
-		var err error
-		pl, _, err = w.s.buildPlan(w.keep, st.Up, seed, w.s.warm)
+		e = &planEntry{}
+		s.plans[key] = e
+	}
+	s.mu.Unlock()
+	e.once.Do(func() {
+		pl, _, err := s.buildPlan(keep, up, keySeed(s.par.Seed, keep, up), s.warm)
 		if err != nil {
 			pl = &plan{fallback: true}
 		}
-		w.cache[key] = pl
-	}
-	w.cur = pl
-	w.curStart = st.Step
+		e.pl = pl
+	})
+	return e.pl
 }
 
 // computeKeep marks the surviving jobs in topological order: arrived,

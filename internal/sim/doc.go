@@ -27,15 +27,21 @@
 // (Prepared.estimator), and EstimateInfo reports which engine ran.
 //
 // Estimators derive repetition r's RNG stream from (seed, r) with a
-// SplitMix64 reseed (see rng.go) and aggregate makespans into
-// fixed-size chunks of streaming stats.Accumulator values that merge
-// in chunk order (RunChunks, which internal/dyn's scenario walks use
-// too). Chunk boundaries depend only on the repetition count, so
+// SplitMix64 reseed (see rng.go) and run on one runner (RunChunks,
+// which internal/dyn's scenario walks use too). The unit of work is
+// not the unit of accumulation: workers claim small units of
+// repetitions (8, or one lane group on the lane walk) and record each
+// makespan by repetition in a window of 16 chunks; once a window is
+// done, each 256-repetition chunk is folded into a streaming
+// stats.Accumulator in repetition order and the chunks merge in chunk
+// order. Chunk boundaries depend only on the repetition count, so
 // Estimate and EstimateParallel return bit-identical summaries at
-// every concurrency, while memory stays O(reps/chunk) instead of
-// O(reps). The quantile and mass estimators read the same repetitions
-// in order, so MakespanQuantiles' sample is exactly the one Estimate
-// summarizes.
+// every concurrency, even a call of 32 repetitions fans out, and
+// memory stays one window (32 KiB) however many repetitions run. The
+// quantile estimators fold the same windows in repetition order, so
+// MakespanQuantiles' sample is exactly the one Estimate summarizes at
+// any concurrency; the mass estimator reads the same repetitions in
+// order.
 //
 // Long-lived callers (the serve daemon) use Prepared: Prepare compiles
 // an oblivious schedule's prefix occurrence lists once, and

@@ -20,12 +20,15 @@ func Parallelizable(pol sched.Policy) bool {
 	return !observes
 }
 
-// EstimateParallel is Estimate fanned out over workers. Each
-// repetition derives its RNG stream from (seed, rep) exactly as the
-// sequential version does, and per-chunk aggregates merge in a fixed
-// order, so the returned summary is bit-identical to Estimate's
-// regardless of scheduling — parallelism changes only wall-clock
-// time.
+// EstimateParallel is Estimate fanned out over workers. Workers claim
+// units of 8 repetitions (one LaneWidth group on the lane walk), so
+// any call of more than one unit fans out, to
+// min(concurrency, ⌈reps/unit⌉) workers. Each repetition derives its
+// RNG stream from (seed, rep) exactly as the sequential version does,
+// and its makespan is folded into its 256-repetition chunk in
+// repetition order, chunks merging in a fixed order, so the returned
+// summary is bit-identical to Estimate's regardless of scheduling —
+// parallelism changes only wall-clock time.
 //
 // The policy is shared across workers, which requires
 // Parallelizable(pol); when it is false (the policy observes

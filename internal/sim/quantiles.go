@@ -20,9 +20,21 @@ func MakespanQuantiles(in *model.Instance, pol sched.Policy, reps, maxSteps int,
 	return makespanQuantiles(in, pol, reps, maxSteps, seed, qs, lanesAuto)
 }
 
+// MakespanQuantilesParallel is MakespanQuantiles with the repetitions
+// walked across concurrency workers (<= 0 selects GOMAXPROCS; observer
+// policies run on one, as in EstimateParallel). The sample and the
+// quantiles are bit-identical at every concurrency.
+func MakespanQuantilesParallel(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, qs []float64, concurrency int) ([]float64, []float64) {
+	return sampleQuantiles(in, pol, reps, maxSteps, seed, qs, effectiveWorkers(pol, concurrency), lanesAuto)
+}
+
 func makespanQuantiles(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, qs []float64, lanes laneMode) ([]float64, []float64) {
+	return sampleQuantiles(in, pol, reps, maxSteps, seed, qs, 1, lanes)
+}
+
+func sampleQuantiles(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, qs []float64, workers int, lanes laneMode) ([]float64, []float64) {
 	xs := make([]float64, 0, reps)
-	eachMakespan(in, pol, reps, maxSteps, seed, lanes, func(x float64) { xs = append(xs, x) })
+	eachWindow(in, pol, reps, maxSteps, seed, workers, lanes, func(w []float64) { xs = append(xs, w...) })
 	out := make([]float64, len(qs))
 	for k, q := range qs {
 		out[k] = stats.Quantile(xs, q)
@@ -30,27 +42,33 @@ func makespanQuantiles(in *model.Instance, pol sched.Policy, reps, maxSteps int,
 	return out, xs
 }
 
-// MakespanP2Quantiles estimates the requested quantiles in O(1)
-// memory with streaming P² estimators (stats.P2Quantile) instead of
-// materializing the sample. P² is order-sensitive and does not merge,
-// so the repetitions run sequentially, in repetition order, on the
-// engine Estimate selects — under the lane engine each 64-rep group
-// drains in lane order, the exact order the scalar remap oracle
-// produces them one at a time — so the estimate depends only on
-// (policy, reps, maxSteps, seed), never on how samples were packed
-// into words.
+// MakespanP2Quantiles estimates the requested quantiles with
+// streaming P² estimators (stats.P2Quantile) instead of materializing
+// the sample, so memory stays one window of makespans. P² is
+// order-sensitive and does not merge, so the estimators read the
+// makespans in repetition order, on the engine Estimate selects —
+// under the lane engine each 64-rep group drains in lane order, the
+// exact order the scalar remap oracle produces them one at a time — so
+// the estimate depends only on (policy, reps, maxSteps, seed), never
+// on how samples were packed into words or spread over workers.
 func MakespanP2Quantiles(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, qs []float64) []float64 {
 	return makespanP2Quantiles(in, pol, reps, maxSteps, seed, qs, lanesAuto)
 }
 
 func makespanP2Quantiles(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, qs []float64, lanes laneMode) []float64 {
+	return p2Quantiles(in, pol, reps, maxSteps, seed, qs, 1, lanes)
+}
+
+func p2Quantiles(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, qs []float64, workers int, lanes laneMode) []float64 {
 	ps := make([]*stats.P2Quantile, len(qs))
 	for k, q := range qs {
 		ps[k] = stats.NewP2Quantile(q)
 	}
-	eachMakespan(in, pol, reps, maxSteps, seed, lanes, func(x float64) {
-		for _, p := range ps {
-			p.Add(x)
+	eachWindow(in, pol, reps, maxSteps, seed, workers, lanes, func(w []float64) {
+		for _, x := range w {
+			for _, p := range ps {
+				p.Add(x)
+			}
 		}
 	})
 	out := make([]float64, len(qs))
@@ -60,12 +78,12 @@ func makespanP2Quantiles(in *model.Instance, pol sched.Policy, reps, maxSteps in
 	return out
 }
 
-// eachMakespan feeds the makespans of reps sequential repetitions to
-// f in repetition order.
-func eachMakespan(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, lanes laneMode, f func(float64)) {
+// eachWindow walks reps repetitions across workers on the engine
+// Estimate selects under lanes and hands fold their makespans window
+// by window, in repetition order.
+func eachWindow(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, workers int, lanes laneMode, fold func(makespans []float64)) {
 	if reps <= 0 {
 		panic("sim: reps must be positive")
 	}
-	it := newEstimator(in, pol, reps, lanes).newIter(seed, false)
-	it.run(0, reps, maxSteps, func(makespan int, _ bool, _ []float64) { f(float64(makespan)) })
+	newEstimator(in, pol, reps, lanes).walk(reps, maxSteps, seed, workers, fold)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"suu/internal/model"
@@ -105,5 +106,29 @@ func TestMakespanQuantilesMatchEstimate(t *testing.T) {
 	}
 	if math.Abs(mean-sum.Mean) > 1e-9*sum.Mean {
 		t.Errorf("sample mean %v, Estimate mean %v", mean, sum.Mean)
+	}
+}
+
+// TestMakespanQuantilesWorkerInvariant fans the quantile walks out:
+// at 4 workers the sample, its quantiles and the P² estimates must be
+// bit-identical to 1 worker, on the scalar walk and the lane walk,
+// with a partial final unit and more than one window.
+func TestMakespanQuantilesWorkerInvariant(t *testing.T) {
+	in, o := chainsFixture()
+	const cap, seed = 100000, 71
+	qs := []float64{0.1, 0.5, 0.9, 0.99}
+	for _, reps := range []int{101, 1000, 4200} {
+		wantQ, wantXs := MakespanQuantilesParallel(in, o, reps, cap, seed, qs, 1)
+		gotQ, gotXs := MakespanQuantilesParallel(in, o, reps, cap, seed, qs, 4)
+		if !slices.Equal(gotXs, wantXs) || !slices.Equal(gotQ, wantQ) {
+			t.Errorf("reps %d: the 4-worker sample or quantiles %v differ from 1 worker's %v", reps, gotQ, wantQ)
+		}
+		if _, seq := MakespanQuantiles(in, o, reps, cap, seed, qs); !slices.Equal(seq, wantXs) {
+			t.Errorf("reps %d: MakespanQuantilesParallel's sample differs from MakespanQuantiles'", reps)
+		}
+		want := p2Quantiles(in, o, reps, cap, seed, qs, 1, lanesAuto)
+		if got := p2Quantiles(in, o, reps, cap, seed, qs, 4, lanesAuto); !slices.Equal(got, want) {
+			t.Errorf("reps %d: P² at 4 workers %v, at 1 worker %v", reps, got, want)
+		}
 	}
 }

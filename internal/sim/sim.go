@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"suu/internal/model"
 	"suu/internal/sched"
@@ -143,9 +144,10 @@ func newEstimator(in *model.Instance, pol sched.Policy, reps int, lanes laneMode
 }
 
 // estimateChunk is the number of repetitions aggregated into one
-// streaming accumulator. Chunks are the unit of work distribution and
-// of deterministic merging; the value trades scheduling granularity
-// against the O(reps/estimateChunk) slice of accumulators.
+// streaming accumulator, in repetition order; chunk accumulators merge
+// in chunk order. Chunk boundaries depend only on the repetition
+// count, which is what makes every summary bit-identical at every
+// worker count.
 const estimateChunk = 256
 
 // Chunk boundaries must stay lane-group aligned so a 64-rep lane
@@ -153,93 +155,160 @@ const estimateChunk = 256
 // partial group ends mid-width). Compile-time assert.
 var _ [estimateChunk % LaneWidth]struct{} = [0]struct{}{}
 
-// ChunkFunc runs repetitions [lo, hi) on one worker's engine, adds
-// each makespan to acc in repetition order, and returns how many of
-// them hit the step cap.
-type ChunkFunc func(lo, hi int, acc *stats.Accumulator) (incomplete int)
+// windowChunks is how many chunks of makespans RunChunks holds at
+// once: 4,096 repetitions, 32 KiB, so a call of up to 4,096
+// repetitions runs as one window.
+const windowChunks = 16
 
-// RunChunks is the estimators' chunk runner. It splits reps
-// repetitions into fixed chunks, hands chunk indices to workers
-// goroutines (each builds its engine once with newWorker, on its own
-// goroutine), and merges the per-chunk accumulators in index order.
-// Repetition r lands in chunk r/estimateChunk whichever worker ran it,
-// so the summary is bit-identical at every worker count provided a
-// ChunkFunc's output depends only on its repetition range. It returns
-// the summary, the summed incomplete count, and the effective worker
-// count (workers clamped to [1, chunks]).
-func RunChunks(reps, workers int, newWorker func() ChunkFunc) (stats.Summary, int, int) {
-	nchunks := (reps + estimateChunk - 1) / estimateChunk
-	accs := make([]stats.Accumulator, nchunks)
-	incs := make([]int, nchunks)
-	runChunk := func(run ChunkFunc, c int) {
-		lo := c * estimateChunk
-		incs[c] = run(lo, min(lo+estimateChunk, reps), &accs[c])
-	}
-	workers = max(min(workers, nchunks), 1)
-	if workers == 1 {
-		run := newWorker()
-		for c := 0; c < nchunks; c++ {
-			runChunk(run, c)
-		}
-	} else {
-		next := make(chan int)
-		done := make(chan struct{})
-		for g := 0; g < workers; g++ {
-			go func() {
-				defer func() { done <- struct{}{} }()
-				run := newWorker()
-				for c := range next {
-					runChunk(run, c)
-				}
-			}()
-		}
-		for c := 0; c < nchunks; c++ {
-			next <- c
-		}
-		close(next)
-		for g := 0; g < workers; g++ {
-			<-done
-		}
-	}
-	var total stats.Accumulator
-	incomplete := 0
-	for c := range accs {
-		total.Merge(accs[c])
-		incomplete += incs[c]
-	}
-	return total.Summary(), incomplete, workers
+// scalarUnit is the work unit of the walks that run one repetition at
+// a time: eight makespans fill one 64-byte line of the window, so two
+// workers rarely write the same line. The lane walk's unit is one lane
+// group, LaneWidth.
+const scalarUnit = 8
+
+// ChunkFunc runs repetitions [lo, hi) on one worker's engine, writes
+// repetition r's makespan to makespans[r-lo], and returns how many of
+// them hit the step cap.
+type ChunkFunc func(lo, hi int, makespans []float64) (incomplete int)
+
+// RunChunks is the estimators' runner. Workers goroutines (each builds
+// its engine once with newWorker, on its own goroutine; one worker
+// runs on the calling goroutine) claim units of unit repetitions —
+// unit must divide the 256-repetition chunk — and record each makespan
+// by repetition. Every chunk is then summed in repetition order and
+// the chunk sums merge in chunk order, so the summary is bit-identical
+// at every worker count and unit provided a ChunkFunc's output depends
+// only on its repetition range. It returns the summary, the summed
+// incomplete count, and the effective worker count, workers clamped to
+// [1, ⌈reps/unit⌉].
+func RunChunks(reps, workers, unit int, newWorker func() ChunkFunc) (stats.Summary, int, int) {
+	var m chunkMerge
+	incomplete, workers := runWindows(reps, workers, unit, newWorker, m.fold)
+	return m.total.Summary(), incomplete, workers
 }
 
-// run executes the chunked estimation on the selected engine.
-// Repetition r draws from stream (seed, r) — or, under the lane
-// engine, from the group-g lane streams of the remap documented in
-// lane.go — so the result is bit-identical for every worker count.
-func (e *estimator) run(reps, maxSteps int, seed int64, workers int) (stats.Summary, int, EngineUsed) {
+// chunkMerge is the estimators' fold: each chunk of a window is summed
+// into its own accumulator in repetition order, and chunk accumulators
+// merge into total in chunk order. Windows start on chunk boundaries.
+type chunkMerge struct{ total stats.Accumulator }
+
+func (m *chunkMerge) fold(makespans []float64) {
+	for lo := 0; lo < len(makespans); lo += estimateChunk {
+		var acc stats.Accumulator
+		for _, x := range makespans[lo:min(lo+estimateChunk, len(makespans))] {
+			acc.Add(x)
+		}
+		m.total.Merge(acc)
+	}
+}
+
+// runWindows runs reps repetitions as RunChunks does, one window of
+// windowChunks chunks at a time: workers claim the window's units
+// through an atomic counter, and once every unit is done fold receives
+// the window's makespans in repetition order. The buffer is reused
+// across windows, so memory stays one window whatever reps is. It
+// returns the summed incomplete count and the effective worker count.
+func runWindows(reps, workers, unit int, newWorker func() ChunkFunc, fold func(makespans []float64)) (int, int) {
+	if unit <= 0 || estimateChunk%unit != 0 {
+		panic("sim: the work unit must divide the chunk size")
+	}
+	workers = max(min(workers, (reps+unit-1)/unit), 1)
+	buf := make([]float64, min(reps, windowChunks*estimateChunk))
+	// lo and hi bound the current window. The calling goroutine writes
+	// them, and resets next, only while no worker is inside work.
+	var lo, hi int
+	var next, incomplete atomic.Int64
+	work := func(run ChunkFunc) {
+		inc := 0
+		for {
+			u := lo + int(next.Add(1)-1)*unit
+			if u >= hi {
+				break
+			}
+			end := min(u+unit, hi)
+			inc += run(u, end, buf[u-lo:end-lo])
+		}
+		incomplete.Add(int64(inc))
+	}
+	// Each window hands the other workers one token apiece and waits
+	// for as many done signals, so both channels hold at most one
+	// window's workers-1 sends.
+	start := make(chan struct{}, workers-1)
+	done := make(chan struct{}, workers-1)
+	var exited sync.WaitGroup
+	for g := 1; g < workers; g++ {
+		exited.Add(1)
+		go func() {
+			defer exited.Done()
+			run := newWorker()
+			for range start {
+				work(run)
+				done <- struct{}{}
+			}
+		}()
+	}
+	run := newWorker()
+	for lo = 0; lo < reps; lo = hi {
+		hi = min(lo+len(buf), reps)
+		next.Store(0)
+		for g := 1; g < workers; g++ {
+			start <- struct{}{}
+		}
+		work(run)
+		for g := 1; g < workers; g++ {
+			<-done
+		}
+		fold(buf[:hi-lo])
+	}
+	close(start)
+	exited.Wait()
+	return int(incomplete.Load()), workers
+}
+
+// walk runs reps repetitions on the selected engine across workers and
+// hands fold each window's makespans in repetition order. Repetition r
+// draws from stream (seed, r) — or, under the lane engine, from the
+// group-g lane streams of the remap documented in lane.go — so what
+// fold sees is bit-identical for every worker count.
+func (e *estimator) walk(reps, maxSteps int, seed int64, workers int, fold func(makespans []float64)) (int, EngineUsed) {
 	var mu sync.Mutex
 	var memos []*adaptRunner
-	sum, incomplete, workers := RunChunks(reps, workers, func() ChunkFunc {
+	unit := scalarUnit
+	if e.lane {
+		unit = LaneWidth
+	}
+	incomplete, workers := runWindows(reps, workers, unit, func() ChunkFunc {
 		it := e.newIter(seed, false)
 		if a, ok := it.scalar.(*adaptRunner); ok {
 			mu.Lock()
 			memos = append(memos, a)
 			mu.Unlock()
 		}
-		return func(lo, hi int, acc *stats.Accumulator) (inc int) {
+		return func(lo, hi int, makespans []float64) (inc int) {
+			k := 0
 			it.run(lo, hi, maxSteps, func(makespan int, completed bool, _ []float64) {
-				acc.Add(float64(makespan))
+				makespans[k] = float64(makespan)
+				k++
 				if !completed {
 					inc++
 				}
 			})
 			return inc
 		}
-	})
+	}, fold)
 	eng := e.engine
 	eng.Workers = workers
 	if memos != nil {
 		eng.States = memoizedStates(memos, e.budget)
 	}
-	return sum, incomplete, eng
+	return incomplete, eng
+}
+
+// run executes the chunked estimation on the selected engine.
+func (e *estimator) run(reps, maxSteps int, seed int64, workers int) (stats.Summary, int, EngineUsed) {
+	var m chunkMerge
+	incomplete, eng := e.walk(reps, maxSteps, seed, workers, m.fold)
+	return m.total.Summary(), incomplete, eng
 }
 
 // repIter runs one worker's repetitions in repetition order on the

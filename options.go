@@ -94,8 +94,12 @@ func WithMaxSteps(steps int) Option {
 }
 
 // WithWorkers sets the Monte Carlo fan-out: 1 (the default) runs
-// sequentially, 0 uses every CPU, n > 1 uses n goroutines. Results
-// are bit-identical at any worker count; policies that must observe
+// sequentially, 0 uses every CPU, n > 1 uses n goroutines at any
+// repetition count, capped at one per work unit: workers claim 8
+// repetitions at a time, one on a Scenario's dynamic walk, and one
+// 64-repetition group on the bit-parallel engine. It applies to
+// EstimateMakespan, MakespanQuantiles and the Scenario estimates. Results are
+// bit-identical at any worker count; policies that must observe
 // outcomes sequentially silently run with one worker (the Estimate's
 // Engine.Workers reports the effective value).
 func WithWorkers(n int) Option {

@@ -69,7 +69,9 @@ type EngineInfo struct {
 	// for the scalar ones.
 	Lanes int
 	// Workers is the effective goroutine fan-out after the
-	// parallelizability check.
+	// parallelizability check: the requested workers, at most one per
+	// work unit of 8 repetitions (1 on the dynamic walk, 64 on the
+	// bit-parallel engine).
 	Workers int
 	// States is the number of states the compiled adaptive engine
 	// memoized: the distinct unfinished sets the repetitions visited,
@@ -177,7 +179,8 @@ func NewBaseline(x *Instance, b Baseline, seed int64) (*Schedule, error) {
 // MakespanQuantiles estimates quantiles of the makespan distribution
 // (e.g. 0.5, 0.9, 0.95) from reps simulated executions — the deadline
 // the schedule can promise with the given confidence, not just its
-// mean.
+// mean. WithWorkers fans the repetitions out without changing a bit
+// of the result.
 func (s *Schedule) MakespanQuantiles(x *Instance, reps int, qs []float64, opts ...Option) ([]float64, error) {
 	if err := x.Validate(); err != nil {
 		return nil, err
@@ -186,6 +189,6 @@ func (s *Schedule) MakespanQuantiles(x *Instance, reps int, qs []float64, opts .
 		return nil, err
 	}
 	o := buildOptions(opts)
-	quants, _ := sim.MakespanQuantiles(x.inner, s.policy, reps, o.maxSteps, o.simSeed, qs)
+	quants, _ := sim.MakespanQuantilesParallel(x.inner, s.policy, reps, o.maxSteps, o.simSeed, qs, o.workers)
 	return quants, nil
 }
