@@ -113,7 +113,7 @@ func main() {
 			if st := res.Exact; st != nil {
 				fmt.Printf("exact search: %d closed states over %d layers (max eligible antichain %d, %d workers)\n",
 					st.States, st.Layers, st.MaxEligible, st.Workers)
-				fmt.Printf("  %d assignments enumerated, %d pruned by incumbent, %d transition entries, %d closed-form states\n",
+				fmt.Printf("  %d leaves valued, %d search children cut by the gain bound, %d transition entries, %d closed-form states\n",
 					st.Assignments, st.Pruned, st.Transitions, st.ClosedForm)
 			} else {
 				fmt.Println("(stats ignored: adaptive schedule has no oblivious prefix and no search counters)")

@@ -13,8 +13,14 @@
 //
 // Two solvers implement that recurrence. OptimalRegimen runs the
 // layered parallel value iteration of valueiter.go (down-set state
-// generation, trialed-subset transition sums, incumbent pruning,
-// terminal closed forms) and reaches n≈20 on structured instances.
+// generation, trialed-subset transition sums, terminal closed forms)
+// and reaches n≈20 on structured instances. It searches each state's
+// assignments by branch and bound on Dinkelbach's gain: with incumbent
+// value x, an assignment beats x iff Σ_{T≠∅} P(T)·(x − E[S\T]) > 1, and
+// each machine's share of that sum is bounded from the successor
+// values, so only assignments that can win are valued. Its values and
+// regimens are bit-identical to valuing all k^m assignments of every
+// state, greedy first, then in lexicographic order.
 // OptimalRegimenExhaustive is the original small-instance DP — a 2^n
 // closed-state scan with full 2^eligible subset sums — retained as the
 // parity oracle the fuzz tests compare the value iteration against.

@@ -151,10 +151,10 @@ func ExactRegimen(in *model.Instance, r *sched.Regimen) (float64, error) {
 	state := &sched.State{Unfinished: unfinished}
 	pos := make([]int32, in.N) // job → eligible slot of the current state
 	fail := make([]float64, sp.maxK)
-	slotBit := make([]uint64, sp.maxK)
+	slotJob := make([]int, sp.maxK)
 	trial := make([]int32, 0, in.M)
-	list := make([]uint64, 1) // removed-job masks of the subset DP
-	pv := make([]float64, 1)  // probabilities parallel to list
+	succ := make([]int32, 1) // successor state of each subset in the DP
+	pv := make([]float64, 1) // probabilities parallel to succ
 	for si := 1; si < ns; si++ {
 		s := sp.masks[si]
 		elm := sp.elig[si]
@@ -162,7 +162,7 @@ func ExactRegimen(in *model.Instance, r *sched.Regimen) (float64, error) {
 		for e := elm; e != 0; e &= e - 1 {
 			j := bits.TrailingZeros64(e)
 			pos[j] = int32(k)
-			slotBit[k] = e & -e
+			slotJob[k] = j
 			fail[k] = 1
 			k++
 		}
@@ -201,20 +201,20 @@ func ExactRegimen(in *model.Instance, r *sched.Regimen) (float64, error) {
 				t++
 			}
 		}
-		if need := int64(1) << uint(t); int64(cap(list)) < need {
-			list = make([]uint64, need)
+		if need := 1 << uint(t); len(succ) < need {
+			succ = make([]int32, need)
 			pv = make([]float64, need)
 		}
+		// Subset DP over the trialed slots; a subset's successor state
+		// is reached from its parent's by one more single removal.
 		size := 1
-		list = list[:cap(list)]
-		pv = pv[:cap(pv)]
-		list[0], pv[0] = 0, 1
+		succ[0], pv[0] = int32(si), 1
 		for i := 0; i < t; i++ {
 			f := fail[trial[i]]
 			q := 1 - f
-			jb := slotBit[trial[i]]
+			j := slotJob[trial[i]]
 			for x := 0; x < size; x++ {
-				list[size+x] = list[x] | jb
+				succ[size+x] = sp.without(succ[x], j)
 				pv[size+x] = pv[x] * q
 				pv[x] *= f
 			}
@@ -223,7 +223,7 @@ func ExactRegimen(in *model.Instance, r *sched.Regimen) (float64, error) {
 		sum := 0.0
 		for x := 1; x < size; x++ {
 			if p := pv[x]; p != 0 {
-				sum += p * value[sp.idx[s&^list[x]]]
+				sum += p * value[succ[x]]
 			}
 		}
 		value[si] = (1 + sum) / (1 - pNone)

@@ -21,12 +21,15 @@
 //     of all removable eligible subsets of size ≤ m are materialized
 //     once into a flat table indexed by slot mask (the adaptState
 //     representation of internal/sim/adaptive.go, with values in place
-//     of state ids). Note that for closed states the eligible set is
-//     exactly the set of minimal elements and determines the state
-//     (S is the union of the successor closures of its minimal
-//     elements), so a per-(eligible-set, assignment) memo is per-state
-//     sharing; the genuinely cross-state reuse is this flat-table
-//     shape plus the per-leaf subset-probability DP below.
+//     of state ids). The table is filled by chaining single removals
+//     through the lattice's successor array (stateSpace.without), so no
+//     state is looked up by mask once the lattice is built. Note that
+//     for closed states the eligible set is exactly the set of minimal
+//     elements and determines the state (S is the union of the
+//     successor closures of its minimal elements), so a
+//     per-(eligible-set, assignment) memo is per-state sharing; the
+//     genuinely cross-state reuse is this flat-table shape plus the
+//     per-leaf subset-probability DP below.
 //   - Assignment search over *trialed* subsets: an assignment of m
 //     machines trials at most min(m,k) of the k eligible jobs, so the
 //     transition sum needs 2^t terms, not 2^k — the dominant win over
@@ -34,13 +37,26 @@
 //     DFS over machines maintains per-slot failure products
 //     incrementally (multiply on entry, restore on exit — no
 //     divisions, so p=1 rows are exact).
-//   - Dominance/incumbent pruning: each leaf first computes a lower
-//     bound from the exact no-completion and single-completion terms
-//     plus the value of the all-trialed successor as a floor for the
-//     remaining mass (values are monotone under job completion). A
-//     greedy incumbent (each machine on its best eligible job) is
-//     evaluated before the enumeration so the bound prunes from the
-//     first leaf.
+//   - Gain-bound branch and bound: with incumbent value x, an
+//     assignment strictly beats x iff its gain
+//     G(x) = Σ_{U≠∅} P(U)·(x − E[S∖U]) exceeds 1 (Dinkelbach's
+//     parametric form of the ratio (1+Σ)/(1−P(∅))). Putting machine i
+//     on slot d raises G by p_{i,d}·E_U[Δ_d(U)], where
+//     Δ_d(U) = Ẽ(U) − Ẽ(U∪{d}) with Ẽ(∅) = x and Ẽ(U) = E[S∖U]
+//     otherwise; that is at most p_{i,d}·Δ⁽ⁱ⁾_d, the maximum of
+//     Δ_d(U) over |U| ≤ i, read once per state from the successor table
+//     at the greedy warm start's value (x only falls, so the bound
+//     stays valid). The DFS keeps each node's completed-set
+//     distribution, so its gain is exact at the current incumbent, and
+//     cuts a child when that gain plus the child's bound plus the best
+//     the remaining machines could add is ≤ 1 − 1e-9. Only leaves that
+//     can win reach evalLeaf, whose subset DP values them. The visiting
+//     order is the exhaustive one (greedy first, then lexicographic,
+//     strict <), and a cut leaf's value exceeds the incumbent by more
+//     than rounding, so values and regimens are bit-identical to
+//     valuing every leaf. If the greedy assignment (which minimizes
+//     P(∅)) cannot make progress or has infinite value, no assignment
+//     does better, and the state takes +Inf without a search.
 //   - Terminal-layer closed forms: states with ≤2 unfinished jobs are
 //     solved by the closed-form expected-makespan expressions instead
 //     of the DFS machinery.
@@ -51,7 +67,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -108,8 +124,8 @@ type Stats struct {
 	Layers      int   // nonempty popcount layers processed
 	MaxEligible int   // widest eligible antichain
 	Workers     int   // layer-pool size used
-	Assignments int64 // assignments enumerated across all states
-	Pruned      int64 // assignments rejected by the incumbent bound
+	Assignments int64 // leaves the search valued with the subset DP, beyond each greedy warm start
+	Pruned      int64 // search-tree children the gain bound cut, at any depth
 	Transitions int64 // successor-table entries materialized
 	ClosedForm  int   // states solved by the ≤2-unfinished closed forms
 }
@@ -117,12 +133,23 @@ type Stats struct {
 // stateSpace is the enumerated closed-state lattice, sorted by
 // (popcount, mask) so contiguous ranges form the popcount layers.
 type stateSpace struct {
-	n        int
-	masks    []uint64 // masks[0] == 0, masks[len-1] == full
-	elig     []uint64 // eligible (minimal-element) mask per state
-	idx      map[uint64]int32
+	n     int
+	masks []uint64 // masks[0] == 0, masks[len-1] == full
+	elig  []uint64 // eligible (minimal-element) mask per state
+	// succ[succOff[t]+r] is the index of state t with its r-th eligible
+	// job (in increasing job order) finished; see without.
+	succ     []int32
+	succOff  []int32
 	layerOff []int32 // layer c states are masks[layerOff[c]:layerOff[c+1]]
 	maxK     int     // max popcount of elig
+}
+
+// without returns the index of state t with job j finished; j must be
+// eligible in t. A job eligible in t stays eligible after another
+// eligible job finishes, so chaining without removes any subset of
+// t's eligible jobs.
+func (sp *stateSpace) without(t int32, j int) int32 {
+	return sp.succ[sp.succOff[t]+int32(bits.OnesCount64(sp.elig[t]&(1<<uint(j)-1)))]
 }
 
 // eligMask returns the eligible jobs of s: unfinished jobs whose
@@ -167,60 +194,66 @@ func enumerateClosed(in *model.Instance, m int) (*stateSpace, error) {
 	}
 	full := uint64(1)<<uint(n) - 1
 	idx := make(map[uint64]int32, 1024)
-	masks := make([]uint64, 1, 1024)
-	masks[0] = full
+	found := make([]uint64, 1, 1024)
+	found[0] = full
 	idx[full] = 0
 	if full != 0 {
-		if _, ok := idx[0]; !ok {
-			// The empty state is reachable for any DAG; seed it so even
-			// degenerate (cyclic) precedence keeps the terminal state.
-			idx[0] = 1
-			masks = append(masks, 0)
-		}
+		// The empty state is reachable for any DAG; seed it so even
+		// degenerate (cyclic) precedence keeps the terminal state.
+		idx[0] = 1
+		found = append(found, 0)
 	}
-	for head := 0; head < len(masks); head++ {
-		s := masks[head]
+	for head := 0; head < len(found); head++ {
+		s := found[head]
 		for e := eligMask(s, pred); e != 0; e &= e - 1 {
 			s2 := s &^ (e & -e)
 			if _, ok := idx[s2]; !ok {
-				if len(masks) >= MaxStates {
-					return nil, &TooLargeError{N: n, M: m, States: len(masks) + 1, Limit: "states"}
+				if len(found) >= MaxStates {
+					return nil, &TooLargeError{N: n, M: m, States: len(found) + 1, Limit: "states"}
 				}
-				idx[s2] = int32(len(masks))
-				masks = append(masks, s2)
+				idx[s2] = int32(len(found))
+				found = append(found, s2)
 			}
 		}
 	}
-	sort.Slice(masks, func(a, b int) bool {
-		pa, pb := bits.OnesCount64(masks[a]), bits.OnesCount64(masks[b])
-		if pa != pb {
-			return pa < pb
-		}
-		return masks[a] < masks[b]
-	})
+	// Sort by (popcount, mask): bucket the states by popcount, then
+	// sort each layer.
+	ns := len(found)
 	sp := &stateSpace{
 		n:        n,
-		masks:    masks,
-		elig:     make([]uint64, len(masks)),
-		idx:      idx,
+		masks:    make([]uint64, ns),
+		elig:     make([]uint64, ns),
+		succOff:  make([]int32, ns+1),
 		layerOff: make([]int32, n+2),
 	}
-	for i, s := range masks {
+	for _, s := range found {
+		sp.layerOff[bits.OnesCount64(s)+1]++
+	}
+	for c := 1; c <= n+1; c++ {
+		sp.layerOff[c] += sp.layerOff[c-1]
+	}
+	next := slices.Clone(sp.layerOff)
+	for _, s := range found {
+		c := bits.OnesCount64(s)
+		sp.masks[next[c]] = s
+		next[c]++
+	}
+	for c := 0; c <= n; c++ {
+		slices.Sort(sp.masks[sp.layerOff[c]:sp.layerOff[c+1]])
+	}
+	for i, s := range sp.masks {
 		idx[s] = int32(i)
 		el := eligMask(s, pred)
 		sp.elig[i] = el
-		if k := bits.OnesCount64(el); k > sp.maxK {
-			sp.maxK = k
-		}
+		k := bits.OnesCount64(el)
+		sp.maxK = max(sp.maxK, k)
+		sp.succOff[i+1] = sp.succOff[i] + int32(k)
 	}
-	c := 0
-	for i, s := range masks {
-		for pc := bits.OnesCount64(s); c < pc; c++ {
-			sp.layerOff[c+1] = int32(i)
+	sp.succ = make([]int32, 0, sp.succOff[ns])
+	for i, s := range sp.masks {
+		for e := sp.elig[i]; e != 0; e &= e - 1 {
+			sp.succ = append(sp.succ, idx[s&^(e&-e)])
 		}
-	}
-	for ; c <= n; c++ {
-		sp.layerOff[c+1] = int32(len(masks))
 	}
 	return sp, nil
 }
@@ -245,10 +278,16 @@ type viSolver struct {
 	assigns []sched.Assignment
 }
 
+// gainCut is the gain at or below which the search cuts a child. A cut
+// leaf's value exceeds the incumbent by at least 1e-9/(1−P(∅)), far
+// above the rounding of evalLeaf's arithmetic, so no leaf that could
+// win or tie is ever cut.
+const gainCut = 1 - 1e-9
+
 // viWorker is the per-goroutine scratch. All fields are reused across
 // states; nothing escapes to other workers, so per-state results are
 // independent of the pool size. Every worker is built on one goroutine,
-// and each writes its fields and small slices at every DFS leaf, so the
+// and each writes its fields and small slices at every DFS node, so the
 // struct and its slices are padded to cache lines of their own (see
 // padded): packed side by side, two workers ran slower than one.
 type viWorker struct {
@@ -258,21 +297,29 @@ type viWorker struct {
 	el     []int     // eligible jobs of the current state, slot order
 	fail   []float64 // per-slot failure product along the DFS path
 	cnt    []int32   // machines currently assigned to the slot
+	pos    []int32   // the slot's index in trial while cnt > 0
 	digits []int32   // machine → slot on the DFS path
 	bestD  []int32   // digits of the incumbent assignment
 	trial  []int32   // trialed slots in first-touch order (a stack)
-	tmask  uint32    // bitmask over slots of trial
-	pre    []float64 // prefix failure products over trial
 
 	list []uint32  // subset-probability DP: slot masks in build order
 	pv   []float64 // probabilities parallel to list
 
-	sv      []float64 // successor values by slot mask (flat, stamped)
-	svStamp []int32
-	svEpoch int32
-	svMap   map[uint32]float64 // fallback when k > svFlatMaxK
+	// Gain-bound search. A node's completed-slot set U is indexed by a
+	// mask over positions in trial: umask[u] is its slot mask, and
+	// dist[i][u] its probability at depth i (machines 0..i-1 placed).
+	// notDone[i] = 1 − P(∅) and gone[i] = Σ_{U≠∅} P(U)·E[S∖U] at depth
+	// i, so the node's gain at incumbent x is x·notDone[i] − gone[i].
+	umask   []uint32
+	dist    [][]float64
+	notDone []float64
+	gone    []float64
+	delta   []float64 // delta[c*k+d]: Δ⁽ᶜ⁾_d, the gain bound of slot d when |U| ≤ c
+	rest    []float64 // rest[i]: Σ_{i'≥i} max_d p_{i',d}·Δ⁽ⁱ'⁾_d
 
-	s     uint64 // current state
+	sv    []float64          // successor values by slot mask (flat)
+	svMap map[uint32]float64 // fallback when k > svFlatMaxK
+
 	k, m  int
 	tmax  int // min(m, k): max trialed slots
 	best  float64
@@ -298,27 +345,33 @@ func padded[T any](n int) []T {
 func newVIWorker(vs *viSolver) *viWorker {
 	k := vs.sp.maxK
 	m := vs.in.M
+	t := min(m, k)
 	w := &viWorker{
-		vs:     vs,
-		el:     padded[int](k)[:0],
-		fail:   padded[float64](k),
-		cnt:    padded[int32](k),
-		digits: padded[int32](m),
-		bestD:  padded[int32](m),
-		trial:  padded[int32](min(m, k) + 1)[:0],
-		pre:    padded[float64](min(m, k) + 2),
-		best:   math.Inf(1),
+		vs:      vs,
+		el:      padded[int](k)[:0],
+		fail:    padded[float64](k),
+		cnt:     padded[int32](k),
+		pos:     padded[int32](k),
+		digits:  padded[int32](m),
+		bestD:   padded[int32](m),
+		trial:   padded[int32](t + 1)[:0],
+		list:    padded[uint32](1 << uint(t)),
+		pv:      padded[float64](1 << uint(t)),
+		umask:   padded[uint32](1 << uint(t)),
+		dist:    make([][]float64, m),
+		notDone: padded[float64](m),
+		gone:    padded[float64](m),
+		delta:   padded[float64](m * k),
+		rest:    padded[float64](m + 1),
+		best:    math.Inf(1),
+	}
+	for i := range w.dist {
+		w.dist[i] = padded[float64](1 << uint(min(i, k)))
 	}
 	if k <= svFlatMaxK && k > 0 {
 		w.sv = padded[float64](1 << uint(k))
-		w.svStamp = padded[int32](1 << uint(k))
 	} else {
 		w.svMap = make(map[uint32]float64)
-	}
-	t := min(m, k)
-	if t > 0 {
-		w.list = padded[uint32](1 << uint(t))
-		w.pv = padded[float64](1 << uint(t))
 	}
 	return w
 }
@@ -326,7 +379,6 @@ func newVIWorker(vs *viSolver) *viWorker {
 func (w *viWorker) setSV(mask uint32, v float64) {
 	if w.sv != nil {
 		w.sv[mask] = v
-		w.svStamp[mask] = w.svEpoch
 		return
 	}
 	w.svMap[mask] = v
@@ -341,69 +393,38 @@ func (w *viWorker) getSV(mask uint32) float64 {
 
 // fillSucc materializes the successor-value table: for every nonempty
 // subset of ≤ tmax eligible slots, the value of the state with those
-// jobs completed. This is the flat transition table the DFS leaves
-// index in O(1).
-func (w *viWorker) fillSucc() {
-	if w.sv != nil {
-		w.svEpoch++
-	} else {
+// jobs completed. This is the flat transition table the search
+// indexes in O(1).
+func (w *viWorker) fillSucc(si int32) {
+	if w.sv == nil {
 		clear(w.svMap)
 	}
-	w.fillSuccRec(0, 0, 0, 0)
+	w.fillSuccRec(0, 0, si, 0)
 }
 
-func (w *viWorker) fillSuccRec(start int, mask uint32, rem uint64, depth int) {
+func (w *viWorker) fillSuccRec(start int, mask uint32, t int32, depth int) {
 	if mask != 0 {
-		sp := w.vs.sp
-		w.setSV(mask, w.vs.value[sp.idx[w.s&^rem]])
+		w.setSV(mask, w.vs.value[t])
 		w.transitions++
 	}
 	if depth == w.tmax {
 		return
 	}
 	for d := start; d < w.k; d++ {
-		w.fillSuccRec(d+1, mask|1<<uint(d), rem|1<<uint(w.el[d]), depth+1)
+		w.fillSuccRec(d+1, mask|1<<uint(d), w.vs.sp.without(t, w.el[d]), depth+1)
 	}
 }
 
-// evalLeaf scores the current assignment (fail/cnt/trial reflect it).
-// It first computes a lower bound from the exact empty and singleton
-// completion terms, flooring the remaining mass with the all-trialed
-// successor value (values are monotone under completions), and only
-// runs the full 2^t subset DP when the bound beats the incumbent.
-// bound=false (the greedy warm start) skips the pruning test.
-func (w *viWorker) evalLeaf(bound bool) {
-	w.assignments++
-	t := len(w.trial)
-	w.pre[0] = 1
-	for i, d := range w.trial {
-		w.pre[i+1] = w.pre[i] * w.fail[d]
+// evalLeaf values the current assignment (fail/trial reflect it) with
+// the full 2^t subset DP and keeps it if it strictly beats the
+// incumbent.
+func (w *viWorker) evalLeaf() {
+	pNone := 1.0
+	for _, d := range w.trial {
+		pNone *= w.fail[d]
 	}
-	pNone := w.pre[t]
 	if pNone >= 1-1e-15 {
 		return // no progress possible; value +Inf cannot beat any incumbent
-	}
-	denom := 1 - pNone
-	if bound {
-		suf := 1.0
-		sing := 0.0
-		lbSum := 0.0
-		for i := t - 1; i >= 0; i-- {
-			d := w.trial[i]
-			pd := (1 - w.fail[d]) * w.pre[i] * suf
-			suf *= w.fail[d]
-			if pd != 0 {
-				sing += pd
-				lbSum += pd * w.getSV(1<<uint(d))
-			}
-		}
-		if rest := denom - sing; rest > 1e-18 {
-			lbSum += rest * w.getSV(w.tmask)
-		}
-		if (1+lbSum)/denom >= w.best {
-			w.pruned++
-			return
-		}
 	}
 	// Full transition sum via the subset-probability DP over trialed
 	// slots: after processing slot d, list/pv hold every subset of the
@@ -426,76 +447,194 @@ func (w *viWorker) evalLeaf(bound bool) {
 			sum += p * w.getSV(w.list[i])
 		}
 	}
-	if v := (1 + sum) / denom; v < w.best {
+	if v := (1 + sum) / (1 - pNone); v < w.best {
 		w.best = v
 		w.haveB = true
 		copy(w.bestD, w.digits)
 	}
 }
 
-// dfs enumerates assignments machine by machine, maintaining per-slot
-// failure products and the trialed-slot stack incrementally.
+// place puts machine i, whose success probability there is p, on slot
+// d, and returns the slot's previous failure product for unplace.
+func (w *viWorker) place(i, d int, p float64) float64 {
+	saved := w.fail[d]
+	w.fail[d] = saved * (1 - p)
+	if w.cnt[d]++; w.cnt[d] == 1 {
+		w.pos[d] = int32(len(w.trial))
+		w.trial = append(w.trial, int32(d))
+	}
+	w.digits[i] = int32(d)
+	return saved
+}
+
+// unplace undoes the latest place on slot d.
+func (w *viWorker) unplace(d int, saved float64) {
+	if w.cnt[d]--; w.cnt[d] == 0 {
+		w.trial = w.trial[:len(w.trial)-1]
+	}
+	w.fail[d] = saved
+}
+
+// bounds fills delta and rest from the successor table at the current
+// incumbent. delta[c*k+d] is first the maximum of Δ_d(U) over U ∌ d
+// with |U| = c, then a running maximum over c that also counts the
+// Δ_d(U) = 0 of every U ∋ d (possible once c ≥ 1).
+func (w *viWorker) bounds() {
+	k, m := w.k, w.m
+	delta := w.delta[:m*k]
+	for i := range delta {
+		delta[i] = math.Inf(-1)
+	}
+	w.boundsRec(0, 0, 0)
+	for c := 1; c < m; c++ {
+		for d := 0; d < k; d++ {
+			delta[c*k+d] = max(delta[c*k+d], delta[(c-1)*k+d], 0)
+		}
+	}
+	w.rest[m] = 0
+	for i := m - 1; i >= 0; i-- {
+		row := w.vs.in.P[i]
+		top := math.Inf(-1)
+		for d := 0; d < k; d++ {
+			top = max(top, row[w.el[d]]*delta[i*k+d])
+		}
+		w.rest[i] = w.rest[i+1] + top
+	}
+}
+
+// boundsRec visits every slot set u of size c < min(m, k) once.
+func (w *viWorker) boundsRec(start int, u uint32, c int) {
+	eu := w.best
+	if u != 0 {
+		eu = w.getSV(u)
+	}
+	row := w.delta[c*w.k : (c+1)*w.k]
+	for d := 0; d < w.k; d++ {
+		if bit := uint32(1) << uint(d); u&bit == 0 {
+			row[d] = max(row[d], eu-w.getSV(u|bit))
+		}
+	}
+	if c+1 == w.m || c+1 == w.k {
+		return
+	}
+	for d := start; d < w.k; d++ {
+		w.boundsRec(d+1, u|1<<uint(d), c+1)
+	}
+}
+
+// marginal returns E_U[Δ_d(U)] over the completed-set distribution cur
+// of a node with size = 2^len(trial) entries, at the current incumbent.
+func (w *viWorker) marginal(d int, cur []float64, size int) float64 {
+	bit := uint32(1) << uint(d)
+	skip := 0 // U ∋ d contribute Δ_d(U) = 0
+	if w.cnt[d] > 0 {
+		skip = 1 << uint(w.pos[d])
+	}
+	sum := cur[0] * (w.best - w.getSV(bit))
+	for u := 1; u < size; u++ {
+		if u&skip == 0 && cur[u] != 0 {
+			sum += cur[u] * (w.getSV(w.umask[u]) - w.getSV(w.umask[u]|bit))
+		}
+	}
+	return sum
+}
+
+// descend builds depth i+1's distribution, notDone and gone from depth
+// i's for machine i on slot d with success probability p. It runs
+// before place, so cnt/pos/trial still describe depth i.
+func (w *viWorker) descend(i, d int, p float64) {
+	cur, next := w.dist[i], w.dist[i+1]
+	size := 1 << uint(len(w.trial))
+	if w.cnt[d] == 0 {
+		bit := uint32(1) << uint(d)
+		for u := 0; u < size; u++ {
+			next[u] = cur[u] * (1 - p)
+			next[size+u] = cur[u] * p
+			w.umask[size+u] = w.umask[u] | bit
+		}
+		size <<= 1
+	} else {
+		b := 1 << uint(w.pos[d])
+		for u := 0; u < size; u++ {
+			if u&b == 0 {
+				next[u] = cur[u] * (1 - p)
+				next[u|b] = cur[u|b] + cur[u]*p
+			}
+		}
+	}
+	gone := 0.0
+	for u := 1; u < size; u++ {
+		if next[u] != 0 {
+			gone += next[u] * w.getSV(w.umask[u])
+		}
+	}
+	w.notDone[i+1] = 1 - next[0]
+	w.gone[i+1] = gone
+}
+
+// dfs searches machine i's slots in increasing order, cutting each
+// child whose gain cannot exceed 1: first by the node's exact gain
+// plus the slot's bound, then (at the last machine, and for inner
+// nodes once their distribution is built) by the child's exact gain,
+// each plus the most the later machines could add.
 func (w *viWorker) dfs(i int) {
-	if i == w.m {
-		w.evalLeaf(true)
-		return
-	}
+	k := w.k
 	row := w.vs.in.P[i]
-	for d := 0; d < w.k; d++ {
-		saved := w.fail[d]
-		w.fail[d] = saved * (1 - row[w.el[d]])
-		if w.cnt[d]++; w.cnt[d] == 1 {
-			w.tmask |= 1 << uint(d)
-			w.trial = append(w.trial, int32(d))
+	t := len(w.trial)
+	bound := w.delta[t*k : (t+1)*k]
+	rest := w.rest[i+1]
+	cur := w.dist[i]
+	last := i == w.m-1
+	g := w.best*w.notDone[i] - w.gone[i]
+	var pruned, valued int64
+	for d, j := range w.el {
+		p := row[j]
+		if g+p*bound[d]+rest <= gainCut {
+			pruned++
+			continue
 		}
-		w.digits[i] = int32(d)
-		w.dfs(i + 1)
-		if w.cnt[d]--; w.cnt[d] == 0 {
-			w.tmask &^= 1 << uint(d)
-			w.trial = w.trial[:len(w.trial)-1]
+		if last {
+			if g+p*w.marginal(d, cur, 1<<uint(t)) <= gainCut {
+				pruned++
+				continue
+			}
+			valued++
+			saved := w.place(i, d, p)
+			w.evalLeaf()
+			w.unplace(d, saved)
+		} else {
+			w.descend(i, d, p)
+			if w.best*w.notDone[i+1]-w.gone[i+1]+rest <= gainCut {
+				pruned++
+				continue
+			}
+			saved := w.place(i, d, p)
+			w.dfs(i + 1)
+			w.unplace(d, saved)
 		}
-		w.fail[d] = saved
+		g = w.best*w.notDone[i] - w.gone[i]
 	}
+	w.pruned += pruned
+	w.assignments += valued
 }
 
-// applyDigits evaluates one explicit assignment (the greedy warm
-// start) through the same leaf scoring as the DFS.
-func (w *viWorker) applyDigits(digits []int32) {
-	for i, d := range digits {
-		w.fail[d] *= 1 - w.vs.in.P[i][w.el[d]]
-		if w.cnt[d]++; w.cnt[d] == 1 {
-			w.tmask |= 1 << uint(d)
-			w.trial = append(w.trial, d)
-		}
-		w.digits[i] = d
-	}
-	w.evalLeaf(false)
-	for _, d := range digits {
-		if w.cnt[d]--; w.cnt[d] == 0 {
-			w.tmask &^= 1 << uint(d)
-			w.trial = w.trial[:len(w.trial)-1]
-		}
-	}
-	for d := 0; d < w.k; d++ {
-		w.fail[d] = 1
-	}
-}
-
-// solveState computes the optimal value and assignment of one state.
-func (w *viWorker) solveState(si int32) {
+// begin prepares state si for an assignment search: it fills the
+// successor table and values the greedy warm start (each machine on
+// its best eligible job, lowest slot on ties), which becomes the first
+// incumbent. States the closed forms answer, and states with nothing
+// eligible, are finished here and report false.
+func (w *viWorker) begin(si int32) bool {
 	vs := w.vs
-	s := vs.sp.masks[si]
-	if bits.OnesCount64(s) <= 2 {
+	if bits.OnesCount64(vs.sp.masks[si]) <= 2 {
 		w.solveTerminal(si)
-		return
+		return false
 	}
 	elm := vs.sp.elig[si]
 	if elm == 0 {
 		// No eligible job (cyclic precedence): permanently stuck.
 		vs.value[si] = math.Inf(1)
-		return
+		return false
 	}
-	w.s = s
 	w.el = w.el[:0]
 	for e := elm; e != 0; e &= e - 1 {
 		w.el = append(w.el, bits.TrailingZeros64(e))
@@ -503,19 +642,12 @@ func (w *viWorker) solveState(si int32) {
 	w.k = len(w.el)
 	w.m = vs.in.M
 	w.tmax = min(w.m, w.k)
-	for d := 0; d < w.k; d++ {
-		w.fail[d] = 1
-		w.cnt[d] = 0
-	}
-	w.trial = w.trial[:0]
-	w.tmask = 0
+	w.clearSlots()
 	w.best = math.Inf(1)
 	w.haveB = false
 
-	w.fillSucc()
+	w.fillSucc(si)
 
-	// Greedy warm start: machine i on its best eligible job. Gives the
-	// incumbent bound teeth from the very first DFS leaf.
 	for i := 0; i < w.m; i++ {
 		row := vs.in.P[i]
 		bd := 0
@@ -524,21 +656,50 @@ func (w *viWorker) solveState(si int32) {
 				bd = d
 			}
 		}
-		w.digits[i] = int32(bd)
+		w.place(i, bd, row[w.el[bd]])
 	}
-	copy(w.bestD, w.digits)
-	w.applyDigits(w.digits[:w.m])
+	w.evalLeaf()
+	w.clearSlots()
+	return true
+}
 
-	w.dfs(0)
+// clearSlots leaves every slot of the current state untrialed.
+func (w *viWorker) clearSlots() {
+	for d := 0; d < w.k; d++ {
+		w.fail[d] = 1
+		w.cnt[d] = 0
+	}
+	w.trial = w.trial[:0]
+}
 
-	vs.value[si] = w.best
+// finish stores the incumbent as state si's value and assignment.
+func (w *viWorker) finish(si int32) {
+	w.vs.value[si] = w.best
 	if w.haveB {
 		a := make(sched.Assignment, w.m)
 		for i := 0; i < w.m; i++ {
 			a[i] = w.el[w.bestD[i]]
 		}
-		vs.assigns[si] = a
+		w.vs.assigns[si] = a
 	}
+}
+
+// solveState computes the optimal value and assignment of one state.
+// The greedy warm start minimizes P(∅), so if it makes no progress (or
+// leads only to infinite values) neither does any other assignment,
+// and the state keeps +Inf without a search.
+func (w *viWorker) solveState(si int32) {
+	if !w.begin(si) {
+		return
+	}
+	if !math.IsInf(w.best, 1) {
+		w.bounds()
+		w.dist[0][0] = 1
+		w.notDone[0], w.gone[0] = 0, 0
+		w.umask[0] = 0
+		w.dfs(0)
+	}
+	w.finish(si)
 }
 
 // solveTerminal applies the ≤2-unfinished closed forms: a single
@@ -577,7 +738,6 @@ func (w *viWorker) solveTerminal(si int32) {
 			// Chain: only the head is eligible; gang it, then the
 			// remaining single job.
 			head := bits.TrailingZeros64(elm)
-			rest := s &^ (1 << uint(head))
 			fail := 1.0
 			for i := 0; i < m; i++ {
 				fail *= 1 - in.P[i][head]
@@ -587,7 +747,7 @@ func (w *viWorker) solveTerminal(si int32) {
 				return
 			}
 			q := 1 - fail
-			vs.value[si] = (1 + q*vs.value[vs.sp.idx[rest]]) / q
+			vs.value[si] = (1 + q*vs.value[vs.sp.without(si, head)]) / q
 			as := make(sched.Assignment, m)
 			for i := range as {
 				as[i] = head
@@ -597,8 +757,8 @@ func (w *viWorker) solveTerminal(si int32) {
 		}
 		// Antichain pair: enumerate the 2^m splits of machines onto
 		// {a, b}; bit i of msk sends machine i to b.
-		va := vs.value[vs.sp.idx[s&^(1<<uint(b))]] // b done, a remains
-		vb := vs.value[vs.sp.idx[s&^(1<<uint(a))]] // a done, b remains
+		va := vs.value[vs.sp.without(si, b)] // b done, a remains
+		vb := vs.value[vs.sp.without(si, a)] // a done, b remains
 		best := math.Inf(1)
 		bestMsk := -1
 		for msk := 0; msk < 1<<uint(m); msk++ {
@@ -647,15 +807,26 @@ func (w *viWorker) solveTerminal(si int32) {
 // iteration with the given worker count (0 = GOMAXPROCS). Results are
 // bit-identical at any worker count.
 func OptimalRegimenParallel(in *model.Instance, workers int) (*sched.Regimen, float64, *Stats, error) {
+	vs, st, err := solveLattice(in, workers)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	reg, v := vs.regimen()
+	return reg, v, st, nil
+}
+
+// solveLattice enumerates in's closed states and solves them layer by
+// layer on a pool of workers.
+func solveLattice(in *model.Instance, workers int) (*viSolver, *Stats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	sp, err := enumerateClosed(in, in.M)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
 	if need := powCap(sp.maxK, in.M, MaxAssignmentsPerState); need > MaxAssignmentsPerState {
-		return nil, 0, nil, &TooLargeError{
+		return nil, nil, &TooLargeError{
 			N: in.N, M: in.M, States: len(sp.masks),
 			Eligible: sp.maxK, Need: need, Limit: "assignments",
 		}
@@ -667,12 +838,7 @@ func OptimalRegimenParallel(in *model.Instance, workers int) (*sched.Regimen, fl
 		value:   make([]float64, ns),
 		assigns: make([]sched.Assignment, ns),
 	}
-	if workers > ns {
-		workers = ns
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, ns))
 	ws := make([]*viWorker, workers)
 	for i := range ws {
 		ws[i] = newVIWorker(vs)
@@ -714,9 +880,16 @@ func OptimalRegimenParallel(in *model.Instance, workers int) (*sched.Regimen, fl
 		st.Transitions += w.transitions
 		st.ClosedForm += w.closedForm
 	}
-	reg := sched.NewRegimen(in.N, in.M)
-	for i := 1; i < ns; i++ {
+	return vs, st, nil
+}
+
+// regimen returns the solved assignments as a regimen, and the value
+// of the all-unfinished state.
+func (vs *viSolver) regimen() (*sched.Regimen, float64) {
+	sp := vs.sp
+	reg := sched.NewRegimen(vs.in.N, vs.in.M)
+	for i := 1; i < len(sp.masks); i++ {
 		reg.F[sp.masks[i]] = vs.assigns[i]
 	}
-	return reg, vs.value[ns-1], st, nil
+	return reg, vs.value[len(sp.masks)-1]
 }

@@ -1,14 +1,19 @@
 package opt
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"suu/internal/model"
 	"suu/internal/sched"
+	"suu/internal/sim"
+	"suu/internal/workload"
 )
 
 // randInstance draws a random DAG instance the exhaustive oracle
@@ -250,5 +255,172 @@ func TestExactRegimenWideAntichain(t *testing.T) {
 	want := 17 / 0.75
 	if math.Abs(v-want) > 1e-9 {
 		t.Errorf("sequential gang value %v, want %v", v, want)
+	}
+}
+
+// exhaust values every leaf below machine i with evalLeaf, in the
+// search's lexicographic order: the reference the gain-bound search is
+// pinned to.
+func (w *viWorker) exhaust(i int) {
+	if i == w.m {
+		w.evalLeaf()
+		return
+	}
+	row := w.vs.in.P[i]
+	for d := 0; d < w.k; d++ {
+		saved := w.place(i, d, row[w.el[d]])
+		w.exhaust(i + 1)
+		w.unplace(d, saved)
+	}
+}
+
+// fullEnumeration values every one of a state's k^m assignments after
+// the greedy warm start (strict <, so the earliest of tied optima wins).
+func fullEnumeration(w *viWorker, si int32) {
+	if w.begin(si) {
+		w.exhaust(0)
+		w.finish(si)
+	}
+}
+
+// solveInOrder solves in's states in lattice order on one worker with
+// solve. mapTable puts the worker's successor table in the map that
+// states wider than svFlatMaxK use.
+func solveInOrder(t *testing.T, in *model.Instance, mapTable bool, solve func(*viWorker, int32)) *viSolver {
+	t.Helper()
+	sp, err := enumerateClosed(in, in.M)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := &viSolver{
+		in:      in,
+		sp:      sp,
+		value:   make([]float64, len(sp.masks)),
+		assigns: make([]sched.Assignment, len(sp.masks)),
+	}
+	w := newVIWorker(vs)
+	if mapTable {
+		w.sv, w.svMap = nil, make(map[uint32]float64)
+	}
+	for si := int32(1); si < int32(len(sp.masks)); si++ {
+		solve(w, si)
+	}
+	return vs
+}
+
+// randomDAG adds each forward edge u→v with probability density.
+func randomDAG(in *model.Instance, rng *rand.Rand, density float64) {
+	for u := 0; u < in.N; u++ {
+		for v := u + 1; v < in.N; v++ {
+			if rng.Float64() < density {
+				in.Prec.MustEdge(u, v)
+			}
+		}
+	}
+}
+
+// TestGainBoundMatchesFullEnumeration pins the gain-bound search bit
+// for bit to valuing every assignment: every state's value and
+// assignment, at 1, 2 and 4 workers and on the map-backed successor
+// table, on the parity fuzz's instances, on instances built for exact
+// ties (p rows of 0, 0.5 and 1, and all-equal p), and on the serving
+// and benchmark shapes.
+func TestGainBoundMatchesFullEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	type named struct {
+		name string
+		in   *model.Instance
+	}
+	var cases []named
+	for trial := 0; trial < 60; trial++ {
+		cases = append(cases, named{fmt.Sprintf("fuzz-%d", trial), randInstance(rng)})
+	}
+	for trial := 0; trial < 60; trial++ {
+		in := model.New(2+rng.Intn(6), 1+rng.Intn(5))
+		for i := range in.P {
+			for j := range in.P[i] {
+				in.P[i][j] = []float64{0, 0.5, 1}[rng.Intn(3)]
+			}
+		}
+		randomDAG(in, rng, 0.3)
+		cases = append(cases, named{fmt.Sprintf("ties-%d", trial), in})
+	}
+	for trial := 0; trial < 20; trial++ {
+		in := model.New(3+rng.Intn(6), 1+rng.Intn(4))
+		p := []float64{0.5, 1, 0.3, rng.Float64()}[trial%4]
+		for i := range in.P {
+			for j := range in.P[i] {
+				in.P[i][j] = p
+			}
+		}
+		randomDAG(in, rng, 0.2)
+		cases = append(cases, named{fmt.Sprintf("equal-%d", trial), in})
+	}
+	exact := sim.SeedFor(1, "bench-exact")
+	for seed := int64(0); seed < 3; seed++ {
+		cases = append(cases, named{fmt.Sprintf("serve-10x3-%d", seed),
+			workload.Independent(workload.Config{Jobs: 10, Machines: 3, Seed: 800_000 + seed})})
+	}
+	cases = append(cases,
+		named{"independent-12x4", workload.Independent(workload.Config{Jobs: 12, Machines: 4, Seed: exact})},
+		named{"chains-20x4", workload.Chains(workload.Config{Jobs: 20, Machines: 4, Seed: exact}, 5)},
+		named{"outforest-17x4", workload.OutTree(workload.Config{Jobs: 17, Machines: 4, Seed: exact})},
+	)
+	for _, c := range cases {
+		ref := solveInOrder(t, c.in, false, fullEnumeration)
+		runs := map[string]*viSolver{"map table": solveInOrder(t, c.in, true, (*viWorker).solveState)}
+		for _, workers := range []int{1, 2, 4} {
+			vs, _, err := solveLattice(c.in, workers)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			runs[fmt.Sprintf("workers=%d", workers)] = vs
+		}
+		for run, vs := range runs {
+			for si, want := range ref.value {
+				if got := vs.value[si]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %s state %b: value %v, full enumeration %v",
+						c.name, run, ref.sp.masks[si], got, want)
+				}
+				if got, want := vs.assigns[si], ref.assigns[si]; !slices.Equal(got, want) {
+					t.Fatalf("%s %s state %b: assignment %v, full enumeration %v",
+						c.name, run, ref.sp.masks[si], got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestGainBoundLeafCount pins how much the gain bound cuts on the exact
+// gate's instances: the leaves valued (greedy warm starts included)
+// stay within 5% of Σ_S k_S^m on independent 10×3 and 1% on 12×4, the
+// sum over the states the search solves (those with >2 unfinished).
+func TestGainBoundLeafCount(t *testing.T) {
+	seed := sim.SeedFor(1, "bench-exact")
+	for _, c := range []struct {
+		jobs, machines int
+		share          float64
+	}{{10, 3, 0.05}, {12, 4, 0.01}} {
+		in := workload.Independent(workload.Config{Jobs: c.jobs, Machines: c.machines, Seed: seed})
+		_, _, st, err := OptimalRegimenParallel(in, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := enumerateClosed(in, in.M)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var leaves int64
+		for si, s := range sp.masks {
+			if bits.OnesCount64(s) > 2 {
+				leaves += powCap(bits.OnesCount64(sp.elig[si]), in.M, math.MaxInt64)
+			}
+		}
+		t.Logf("independent %dx%d: %d of %d leaves valued (%.2f%%), %d children cut",
+			c.jobs, c.machines, st.Assignments, leaves, 100*float64(st.Assignments)/float64(leaves), st.Pruned)
+		if float64(st.Assignments) > c.share*float64(leaves) {
+			t.Errorf("independent %dx%d: %d of %d leaves valued, want ≤ %.0f%%",
+				c.jobs, c.machines, st.Assignments, leaves, 100*c.share)
+		}
 	}
 }

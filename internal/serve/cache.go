@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"sync"
+	"time"
 )
 
 // entryOverhead is the fixed per-entry bookkeeping charge (list
@@ -36,8 +37,29 @@ type Cache struct {
 	ll       *list.List // front = most recently used
 	entries  map[string]*list.Element
 	inflight map[string]*call
+	hold     *buildHold // nil in production; see holdBuild
 
 	hits, misses, coalesced, evictions uint64
+}
+
+// buildHold holds back the build of one key until a number of callers
+// have coalesced onto it, or a deadline passes.
+type buildHold struct {
+	key       string
+	followers int
+	joined    int           // followers so far, guarded by Cache.mu
+	ready     chan struct{} // closed when the last follower joins
+	deadline  time.Duration
+}
+
+// holdBuild makes the next build of key wait, before it starts, until
+// followers callers have coalesced onto it or deadline passes. It lets
+// the load harness assemble a thundering herd in full however fast the
+// build is; nothing in production sets it.
+func (c *Cache) holdBuild(key string, followers int, deadline time.Duration) {
+	c.mu.Lock()
+	c.hold = &buildHold{key: key, followers: followers, ready: make(chan struct{}), deadline: deadline}
+	c.mu.Unlock()
 }
 
 type entry struct {
@@ -52,6 +74,7 @@ type call struct {
 	val  any
 	size int64
 	err  error
+	hold *buildHold // the hold this build waits on, if any
 }
 
 // NewCache returns an empty cache bounded by maxBytes.
@@ -80,15 +103,31 @@ func (c *Cache) Do(key string, build func() (any, int64, error)) (val any, hit, 
 	}
 	if cl, ok := c.inflight[key]; ok {
 		c.coalesced++
+		if h := cl.hold; h != nil {
+			if h.joined++; h.joined == h.followers {
+				close(h.ready)
+			}
+		}
 		c.mu.Unlock()
 		<-cl.done
 		return cl.val, false, true, cl.err
 	}
 	cl := &call{done: make(chan struct{})}
+	if h := c.hold; h != nil && h.key == key {
+		cl.hold, c.hold = h, nil
+	}
 	c.inflight[key] = cl
 	c.misses++
 	c.mu.Unlock()
 
+	if h := cl.hold; h != nil {
+		timer := time.NewTimer(h.deadline)
+		select {
+		case <-h.ready:
+		case <-timer.C:
+		}
+		timer.Stop()
+	}
 	cl.val, cl.size, cl.err = build()
 	close(cl.done)
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"suu/internal/model"
 	"suu/internal/workload"
@@ -385,5 +386,42 @@ func TestServeErrors(t *testing.T) {
 	bad := map[string]any{"jobs": 2, "machines": 1, "p": [][]float64{{0.5}}}
 	if code, _ := post(t, ts.URL+"/v1/solve", map[string]any{"instance": bad}); code != http.StatusBadRequest {
 		t.Errorf("malformed instance: %d", code)
+	}
+}
+
+// TestCacheHoldBuild checks the load harness's herd hold: the held
+// build starts only once every follower has coalesced onto it, and a
+// hold whose followers never all arrive gives up at its deadline.
+func TestCacheHoldBuild(t *testing.T) {
+	c := NewCache(1 << 20)
+	const n = 16
+	c.holdBuild("k", n-1, time.Minute)
+	var joined uint64
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Do("k", func() (any, int64, error) {
+				joined = c.Stats().Coalesced // safe: single-flight means one writer
+				return "value", 8, nil
+			})
+		}()
+	}
+	wg.Wait()
+	if joined != n-1 {
+		t.Errorf("held build started with %d followers joined, want %d", joined, n-1)
+	}
+
+	c.holdBuild("lonely", 3, 10*time.Millisecond)
+	start := time.Now()
+	if v, _, _, err := c.Do("lonely", func() (any, int64, error) { return "value", 8, nil }); err != nil || v != "value" {
+		t.Fatalf("held build returned %v, %v", v, err)
+	}
+	if el := time.Since(start); el < 10*time.Millisecond {
+		t.Errorf("hold released after %v, before its deadline", el)
+	}
+	if v, hit, _, _ := c.Do("k", nil); !hit || v != "value" {
+		t.Errorf("held build's value was not cached: %v hit=%v", v, hit)
 	}
 }
