@@ -18,7 +18,7 @@
 // Estimation runs on internal/sim's chunk runner (sim.RunChunks):
 // workers claim one repetition at a time, so even a 32-repetition
 // estimate fans out; repetition r draws its completion stream from
-// (seed, r) and its regime stream from (SeedFor(seed, "regime"), r);
+// (seed, r) and its regime sojourns from (SeedFor(seed, "regime"), r);
 // makespans fold into chunks in repetition order and chunks merge in
 // index order; and rolling re-solves are cached per (surviving jobs,
 // up machines) key, in one cache all of a strategy's walkers share,
@@ -28,11 +28,22 @@
 // and lane paths included) and is therefore bit-identical to the
 // static pipeline by construction.
 //
+// A regime does not draw per step. Each regime machine draws how many
+// transitions it stays in its state, a geometric sojourn (one uniform
+// and one logarithm), and flips when that transition comes: every
+// machine starts good, the transition before step 0 may flip it, and
+// flips due at one transition apply in machine order.
+//
 // The walk executes every step, except where Static replays a
 // *sched.Oblivious: its prefix comes in runs of identical steps
 // (Replicate makes runs of σ), so after a step that trials no job the
 // walk jumps to the end of the run, stopping early at the next event
-// or the step cap, and draws only the skipped steps' regime
-// transitions. A skipped step would have drawn nothing else, so the
-// jump moves no draw.
+// or the step cap. A skipped step would have drawn no completion
+// uniform, and the flips inside the jump are applied in the order a
+// step-by-step walk applies them, so the jump moves no draw.
+//
+// ExactMakespan is the oracle: it propagates probability mass over
+// (unfinished set, regime vector) one step at a time and returns the
+// exact expected capped makespan of a static or adaptive strategy on
+// scenarios of about ten jobs and three regime machines.
 package dyn

@@ -39,8 +39,8 @@ type Strategy interface {
 const walkUnit = 1
 
 // regimeLabel derives the regime stream's seed domain from the
-// simulation seed; completion draws and regime transitions never
-// share a stream.
+// simulation seed; completion draws and regime sojourns never share a
+// stream.
 const regimeLabel = "regime"
 
 // Estimate runs reps trajectories of strat on sc sequentially. See
@@ -54,7 +54,7 @@ func Estimate(sc *Scenario, strat Strategy, reps, maxSteps int, seed int64) (sta
 // goroutines (<= 0 selects GOMAXPROCS; at most one per repetition)
 // and returns the makespan summary, the number of trajectories that
 // hit the step cap, and the engine record. Repetition r draws
-// completions from stream (seed, r) and regime transitions from
+// completions from stream (seed, r) and regime sojourns from
 // (SeedFor(seed, "regime"), r), and repetitions run through sim's
 // chunk runner (sim.RunChunks), whose repetition-order fold makes the
 // summary bit-identical at any worker count. Scenarios with no events

@@ -1,0 +1,216 @@
+package dyn
+
+import (
+	"errors"
+	"fmt"
+
+	"suu/internal/sched"
+)
+
+// maxExactBits caps ExactMakespan's state space at 2^20: 2^n
+// unfinished sets times 2^k regime vectors, for the k machines that
+// carry a regime, so n + k ≤ 20.
+const maxExactBits = 20
+
+// exactTol is the truncation error ExactMakespan accepts short of the
+// step cap.
+const exactTol = 1e-12
+
+// ExactMakespan returns E[min(T, maxSteps)] for strat's walk on sc,
+// where T is the makespan, and a bound on the error of stopping short
+// of maxSteps. It is the oracle the Monte Carlo walks are pinned to.
+//
+// It pushes probability mass forward one step at a time over states
+// (unfinished set, regime vector of the regime machines) and sums
+// P(T > t) over t < maxSteps. Arrivals and outages are functions of
+// the step, so they add no state. Each step follows the walk: the
+// regime transition comes first (step 0 included), then the strategy
+// assigns from the visible state, and every up machine assigned an
+// eligible job trials it. A job trialed by several machines completes
+// with probability 1 − Π(1 − p), where p is scaled by the severity of
+// each machine that is bad. Propagation stops at maxSteps, or earlier
+// once the unfinished mass u after step s bounds the missing terms,
+// u·(maxSteps − 1 − s) ≤ 1e-12; that product is the returned bound.
+//
+// The strategy's assignment must be a pure function of the step and
+// the visible state. That holds for AdaptiveStrategy, and for
+// StaticStrategy over any deterministic policy: oblivious schedules,
+// regimens, the adaptive policies. Outcome observers, RollingStrategy
+// (its plan is hidden state) and more than 2^20 states are errors. The
+// cost is O(steps × live states × 2^k × 2^(jobs trialed)), meant for
+// n ≤ 10 jobs and at most 3 regime machines.
+func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, truncErr float64, err error) {
+	switch s := strat.(type) {
+	case *AdaptiveStrategy:
+	case *StaticStrategy:
+		if !s.parallelizable() {
+			return 0, 0, errors.New("dyn: ExactMakespan cannot evaluate an outcome-observing policy")
+		}
+	default:
+		return 0, 0, fmt.Errorf("dyn: ExactMakespan evaluates static and adaptive strategies, not %q", strat.Name())
+	}
+	if maxSteps <= 0 {
+		return 0, 0, fmt.Errorf("dyn: maxSteps must be positive, got %d", maxSteps)
+	}
+	tl, err := sc.compile()
+	if err != nil {
+		return 0, 0, err
+	}
+	in := sc.In
+	n, m, k := in.N, in.M, len(tl.regs)
+	if n+k > maxExactBits {
+		return 0, 0, fmt.Errorf("dyn: ExactMakespan needs 2^%d states, above the cap of 2^%d", n+k, maxExactBits)
+	}
+	nk := 1 << k
+
+	// preds[j] is the set of j's predecessors; slot[i] is machine i's
+	// bit in a regime vector, or -1.
+	preds := make([]uint32, n)
+	for j := range preds {
+		for _, p := range in.Prec.Preds(j) {
+			preds[j] |= 1 << p
+		}
+	}
+	slot := make([]int, m)
+	for i := range slot {
+		slot[i] = -1
+	}
+	for r, rm := range tl.regs {
+		slot[rm.machine] = r
+	}
+
+	// cur and next hold the mass of (unfinished set s, regime vector v)
+	// at index s·2^k + v; live lists the sets that carry mass.
+	cur := make([]float64, nk<<n)
+	next := make([]float64, nk<<n)
+	listed := make([]bool, 1<<n)
+	full := uint32(1)<<n - 1
+	cur[int(full)*nk] = 1
+	live, nextLive := []uint32{full}, []uint32(nil)
+
+	w := strat.NewWalker()
+	w.Reset()
+	st := State{
+		Unfinished: make([]bool, n),
+		Eligible:   make([]bool, n),
+		Arrived:    make([]bool, n),
+		Up:         make([]bool, m),
+	}
+	type trial struct{ machine, job int }
+	var trials []trial
+	var jobs []int             // trialed jobs, in order of first trial
+	fail := make([]float64, n) // per trialed job, for one regime vector
+	succ := make([]uint32, 1)  // subset DP: successor set of each outcome
+	prob := make([]float64, 1) // and its probability
+	mean = 1                   // P(T > 0)
+	evt := 0
+
+	for t := 0; t+1 < maxSteps; t++ {
+		epoch := t == 0
+		for evt < len(tl.events) && tl.events[evt] == t {
+			epoch = true
+			evt++
+		}
+		if epoch {
+			for j := range st.Arrived {
+				st.Arrived[j] = tl.arrive[j] <= t
+			}
+			for i := range st.Up {
+				st.Up[i] = !tl.downAt(i, t)
+			}
+		}
+		st.Step, st.Epoch = t, epoch
+
+		for _, s := range live {
+			row := cur[int(s)*nk : int(s+1)*nk]
+			for r, rm := range tl.regs {
+				gb, bg := tl.reg[rm.machine].GoodToBad, tl.reg[rm.machine].BadToGood
+				for v := 0; v < nk; v++ {
+					if v>>r&1 == 0 {
+						good, bad := row[v], row[v|1<<r]
+						row[v] = good*(1-gb) + bad*bg
+						row[v|1<<r] = good*gb + bad*(1-bg)
+					}
+				}
+			}
+
+			for j := 0; j < n; j++ {
+				st.Unfinished[j] = s>>j&1 == 1
+				st.Eligible[j] = st.Unfinished[j] && st.Arrived[j] && preds[j]&s == 0
+			}
+			a := w.Assign(&st)
+			trials, jobs = trials[:0], jobs[:0]
+			for i := 0; i < m; i++ {
+				j := a[i]
+				if !st.Up[i] || j == sched.Idle || j < 0 || j >= n || !st.Eligible[j] {
+					continue
+				}
+				trials = append(trials, trial{i, j})
+				seen := false
+				for _, x := range jobs {
+					seen = seen || x == j
+				}
+				if !seen {
+					jobs = append(jobs, j)
+				}
+			}
+			if need := 1 << len(jobs); len(succ) < need {
+				succ, prob = make([]uint32, need), make([]float64, need)
+			}
+
+			for v, mass := range row {
+				if mass == 0 {
+					continue
+				}
+				for _, j := range jobs {
+					fail[j] = 1
+				}
+				for _, tr := range trials {
+					p := in.P[tr.machine][tr.job]
+					if r := slot[tr.machine]; r >= 0 && v>>r&1 == 1 {
+						p *= tl.reg[tr.machine].Severity
+					}
+					fail[tr.job] *= 1 - p
+				}
+				size := 1
+				succ[0], prob[0] = s, mass
+				for _, j := range jobs {
+					f := fail[j]
+					for x := 0; x < size; x++ {
+						succ[size+x] = succ[x] &^ (1 << j)
+						prob[size+x] = prob[x] * (1 - f)
+						prob[x] *= f
+					}
+					size <<= 1
+				}
+				for x := 0; x < size; x++ {
+					to := succ[x]
+					if to == 0 || prob[x] == 0 {
+						continue
+					}
+					if !listed[to] {
+						listed[to] = true
+						nextLive = append(nextLive, to)
+					}
+					next[int(to)*nk+v] += prob[x]
+				}
+			}
+			clear(row)
+		}
+
+		unfinished := 0.0
+		for _, s := range nextLive {
+			listed[s] = false
+			for _, x := range next[int(s)*nk : int(s+1)*nk] {
+				unfinished += x
+			}
+		}
+		cur, next = next, cur
+		live, nextLive = nextLive, live[:0]
+		mean += unfinished // P(T > t+1)
+		if bound := unfinished * float64(maxSteps-2-t); bound <= exactTol {
+			return mean, bound, nil
+		}
+	}
+	return mean, 0, nil
+}

@@ -1,0 +1,273 @@
+package dyn
+
+import (
+	"math"
+	"testing"
+
+	"suu/internal/core"
+	"suu/internal/model"
+	"suu/internal/opt"
+	"suu/internal/sched"
+	"suu/internal/sim"
+	"suu/internal/solve"
+	"suu/internal/stats"
+	"suu/internal/workload"
+)
+
+// pinReps is the repetition count of every Monte Carlo pin against
+// ExactMakespan.
+const pinReps = 20_000
+
+// exact is ExactMakespan that fails the test on an error or on a
+// truncation bound that could matter at the pins' 4-SE scale.
+func exact(t *testing.T, sc *Scenario, strat Strategy, maxSteps int) float64 {
+	t.Helper()
+	v, bound, err := ExactMakespan(sc, strat, maxSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound > 1e-9 {
+		t.Fatalf("%s: truncation bound %g", strat.Name(), bound)
+	}
+	return v
+}
+
+// within4SE fails unless the estimate's mean lies within 4 standard
+// errors of want.
+func within4SE(t *testing.T, what string, sum stats.Summary, want float64) {
+	t.Helper()
+	se := sum.StdDev / math.Sqrt(float64(sum.N))
+	if d := math.Abs(sum.Mean - want); d > 4*se {
+		t.Errorf("%s: Monte Carlo mean %.4f, exact %.4f: off by %.1f SE (SE %.4f, %d reps)", what, sum.Mean, want, d/se, se, sum.N)
+	} else {
+		t.Logf("%s: Monte Carlo mean %.4f, exact %.4f (%.2f SE)", what, sum.Mean, want, d/se)
+	}
+}
+
+// deployed is the oblivious schedule solve.Auto builds for in, with
+// every step replicated factor·⌈log₂ n⌉ times (16 is the paper's).
+func deployed(t *testing.T, in *model.Instance, factor int) *sched.Oblivious {
+	t.Helper()
+	par := core.DefaultParams()
+	par.ReplicationFactor = factor
+	_, res, err := solve.Auto(in, par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, ok := res.Policy.(*sched.Oblivious)
+	if !ok {
+		t.Fatalf("solver built %T, want *sched.Oblivious", res.Policy)
+	}
+	return o
+}
+
+// One job on one bursty machine: with V_g and V_b the expected
+// remaining steps before a step's transition from the good and the bad
+// state,
+//
+//	V_g = 1 + (1−a)(1−p)·V_g + a(1−sp)·V_b
+//	V_b = 1 + b(1−p)·V_g + (1−b)(1−sp)·V_b,
+//
+// and E[T] = V_g, since every machine starts good.
+func TestExactMakespanClosedForm(t *testing.T) {
+	for _, c := range []struct{ p, a, b, s float64 }{
+		{0.5, 0.1, 0.3, 0.2},
+		{0.3, 0.7, 0.6, 0.1},  // GoodToBad + BadToGood > 1
+		{0.8, 0.2, 0.05, 0},   // total failure while bad
+		{0.4, 1, 1, 0.5},      // flips at every transition
+		{0.25, 0.05, 0, 0.6},  // bad is absorbing
+		{0.6, 0, 0.5, 0.1},    // never leaves good
+		{1, 0.3, 0.2, 0.3},    // certain while good
+		{0.05, 0.02, 0.9, 1},  // severity 1: the regime is invisible
+		{0.35, 0.15, 0.85, 0}, // the quick T15 moderate burst's rates
+	} {
+		in := model.New(1, 1)
+		in.P[0][0] = c.p
+		sc := New(in).AddRegime(Regime{Machine: 0, GoodToBad: c.a, BadToGood: c.b, Severity: c.s})
+		a11, a12 := 1-(1-c.a)*(1-c.p), -c.a*(1-c.s*c.p)
+		a21, a22 := -c.b*(1-c.p), 1-(1-c.b)*(1-c.s*c.p)
+		want := (a22 - a12) / (a11*a22 - a12*a21)
+		for _, strat := range []Strategy{NewAdaptive(sc), NewStatic(sc, &sched.Oblivious{M: 1, Steps: []sched.Assignment{{0}}})} {
+			got := exact(t, sc, strat, 1<<40)
+			if math.Abs(got-want) > 1e-9*want {
+				t.Errorf("%+v %s: ExactMakespan %.12f, closed form %.12f", c, strat.Name(), got, want)
+			}
+		}
+	}
+}
+
+// On an event-free scenario the walk is the static model, so a
+// stationary regimen's forward value must equal opt.ExactRegimen's
+// backward one, and the masked greedy's must equal the regimen that
+// freezes SUU-I-ALG.
+func TestExactMakespanMatchesExactRegimen(t *testing.T) {
+	instances := map[string]*model.Instance{
+		"independent 6x2": workload.Independent(workload.Config{Jobs: 6, Machines: 2, Seed: 1}),
+		"chains 7x3":      workload.Chains(workload.Config{Jobs: 7, Machines: 3, Seed: 2}, 2),
+		"forest 7x2":      workload.MixedForest(workload.Config{Jobs: 7, Machines: 2, Seed: 3}, 2),
+		"low p 5x2":       workload.Independent(workload.Config{Jobs: 5, Machines: 2, Seed: 4, Lo: 0.02, Hi: 0.2}),
+	}
+	for name, in := range instances {
+		sc := New(in)
+		optimal, _, err := opt.OptimalRegimen(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		greedy, err := opt.GreedyRegimen(in, func(unf, elig []bool) sched.Assignment {
+			return (&core.AdaptivePolicy{In: in}).Assign(&sched.State{Unfinished: unf, Eligible: elig})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			what  string
+			reg   *sched.Regimen
+			strat Strategy
+		}{
+			{"optimal regimen", optimal, NewStatic(sc, optimal)},
+			{"greedy regimen", greedy, NewStatic(sc, greedy)},
+			{"masked greedy", greedy, NewAdaptive(sc)},
+		} {
+			want, err := opt.ExactRegimen(in, c.reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := exact(t, sc, c.strat, 1<<40); math.Abs(got-want) > 1e-9 {
+				t.Errorf("%s, %s: ExactMakespan %.12f, ExactRegimen %.12f", name, c.what, got, want)
+			}
+		}
+	}
+}
+
+func TestExactMakespanRejects(t *testing.T) {
+	in, pol := fixture()
+	sc := dynamicScenario(in)
+	roll, err := NewRolling(sc, "", core.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ExactMakespan(sc, roll, 100); err == nil {
+		t.Error("rolling strategy accepted")
+	}
+	if _, _, err := ExactMakespan(sc, NewStatic(sc, observer{pol}), 100); err == nil {
+		t.Error("outcome observer accepted")
+	}
+	if _, _, err := ExactMakespan(sc, NewAdaptive(sc), 0); err == nil {
+		t.Error("maxSteps 0 accepted")
+	}
+	big := workload.Independent(workload.Config{Jobs: 18, Machines: 3, Seed: 1})
+	bigSc := New(big).Burst(-1, 0.2, 0.9, 0.5)
+	if _, _, err := ExactMakespan(bigSc, NewAdaptive(bigSc), 100); err == nil {
+		t.Errorf("2^21 states accepted")
+	}
+	if _, _, err := ExactMakespan(New(in).ArriveAt(99, 1), NewAdaptive(sc), 100); err == nil {
+		t.Error("invalid scenario accepted")
+	}
+}
+
+// observer is a policy that watches outcomes, which makes its
+// assignments depend on history.
+type observer struct{ sched.Policy }
+
+func (observer) Observe(sched.Assignment, []bool) {}
+
+// exactCase is a tiny dynamic scenario with the oblivious schedule it
+// deploys.
+type exactCase struct {
+	name     string
+	sc       *Scenario
+	pol      *sched.Oblivious
+	maxSteps int
+}
+
+func exactCases(t *testing.T) []exactCase {
+	t.Helper()
+	indep := workload.Independent(workload.Config{Jobs: 4, Machines: 2, Seed: 11})
+	chains := workload.Chains(workload.Config{Jobs: 5, Machines: 2, Seed: 12}, 2)
+	forest := workload.MixedForest(workload.Config{Jobs: 6, Machines: 3, Seed: 13}, 2)
+	indepPol, chainsPol, forestPol := deployed(t, indep, 16), deployed(t, chains, 16), deployed(t, forest, 16)
+	// The forest schedule's first run ends at runEnd; the outage takes
+	// machine 0 from two steps before it to three steps after.
+	runEnd := forestPol.RunEnd(0)
+	if runEnd < 3 || runEnd >= forestPol.Len() {
+		t.Fatalf("forest schedule's first run ends at %d of %d", runEnd, forestPol.Len())
+	}
+	I := sched.Idle
+	cycling := &sched.Oblivious{M: 2, Steps: (&sched.Oblivious{M: 2, Steps: []sched.Assignment{
+		{0, 1}, {I, I}, {2, 2}, {3, I},
+	}}).Replicate(3).Steps}
+	return []exactCase{
+		{"independent, regime on one machine", New(indep).Burst(1, 0.3, 0.8, 0.2), indepPol, 100_000},
+		{"chains, arrival", New(chains).ArriveAt(3, 6).Burst(0, 0.2, 0.9, 0.3), chainsPol, 100_000},
+		{"forest, outage across a run boundary", New(forest).Breakdown(0, runEnd-2, runEnd+3), forestPol, 100_000},
+		{"forest, regime on every machine", New(forest).ArriveAt(5, 4).Burst(-1, 0.15, 0.9, 0.35), forestPol, 100_000},
+		{"independent, fast flips", New(indep).AddRegime(Regime{Machine: 0, GoodToBad: 0.7, BadToGood: 0.6, Severity: 0.2}), indepPol, 100_000},
+		{"chains, absorbing bad state", New(chains).AddRegime(Regime{Machine: -1, GoodToBad: 0.05, BadToGood: 0, Severity: 0.4}), chainsPol, 100_000},
+		{"nil-tail cycling schedule", New(indep).ArriveAt(2, 5).Burst(-1, 0.3, 0.8, 0.1), cycling, 100_000},
+		{"step cap inside a run", New(indep).Breakdown(1, 0, 3).Burst(0, 0.4, 0.9, 0), cycling, 14},
+	}
+}
+
+// Both the oblivious walk (which jumps idle runs) and the masked
+// greedy's per-step walk must land within 4 standard errors of the
+// exact value on every tiny scenario.
+func TestEstimatesMatchExactMakespan(t *testing.T) {
+	for _, c := range exactCases(t) {
+		if c.sc.Static() {
+			t.Fatalf("%s: scenario is static and would not walk", c.name)
+		}
+		for _, strat := range []Strategy{NewStatic(c.sc, c.pol), NewAdaptive(c.sc)} {
+			want := exact(t, c.sc, strat, c.maxSteps)
+			sum, _, eng, err := EstimateInfo(c.sc, strat, pinReps, c.maxSteps, 5, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.Engine != sim.EngineDynamic {
+				t.Fatalf("%s: engine %q", c.name, eng.Engine)
+			}
+			within4SE(t, c.name+", "+strat.Name(), sum, want)
+		}
+	}
+}
+
+// Each static engine must land within 4 standard errors of the exact
+// value on event-free tiny instances, at repetition counts that select
+// it: the generic step walk (the schedule behind sched.PolicyFunc), the
+// compiled walk and its lane form for the deployed *sched.Oblivious,
+// and the compiled adaptive memo for the masked greedy. The schedules
+// replicate each step ⌈log₂ n⌉ times rather than 16 times as many, so
+// their makespans are tens of steps and luck, not the prefix, sets
+// most of them.
+func TestStaticEnginesMatchExactMakespan(t *testing.T) {
+	const maxSteps = 100_000
+	for name, in := range map[string]*model.Instance{
+		"independent 5x2": workload.Independent(workload.Config{Jobs: 5, Machines: 2, Seed: 21}),
+		"chains 6x3":      workload.Chains(workload.Config{Jobs: 6, Machines: 3, Seed: 22}, 2),
+		"forest 6x2":      workload.MixedForest(workload.Config{Jobs: 6, Machines: 2, Seed: 23}, 2),
+	} {
+		sc := New(in)
+		o := deployed(t, in, 1)
+		adaptive := &core.AdaptivePolicy{In: in}
+		obliviousValue := exact(t, sc, NewStatic(sc, o), maxSteps)
+		adaptiveValue := exact(t, sc, NewAdaptive(sc), maxSteps)
+		for _, c := range []struct {
+			engine string
+			pol    sched.Policy
+			reps   int
+			lanes  bool
+			want   float64
+		}{
+			{sim.EngineGeneric, sched.PolicyFunc(o.Assign), pinReps, true, obliviousValue},
+			{sim.EngineCompiled, o, sim.BitParallelAutoMinReps - 1, true, obliviousValue},
+			{sim.EngineCompiled, o, pinReps, false, obliviousValue},
+			{sim.EngineLane, o, pinReps, true, obliviousValue},
+			{sim.EngineCompiledAdaptive, adaptive, pinReps, true, adaptiveValue},
+		} {
+			sum, _, eng := sim.EstimateInfoLanes(in, c.pol, c.reps, maxSteps, 3, c.lanes)
+			if eng.Engine != c.engine {
+				t.Fatalf("%s: %d reps ran %q, want %q", name, c.reps, eng.Engine, c.engine)
+			}
+			within4SE(t, name+", "+c.engine, sum, c.want)
+		}
+	}
+}

@@ -2,9 +2,11 @@ package dyn
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"suu/internal/model"
+	"suu/internal/sim"
 )
 
 // Arrival releases a job: before step At the job is invisible to
@@ -165,16 +167,49 @@ type timeline struct {
 	downs  [][]Outage
 	// reg is indexed by machine; the walk reads Severity while the
 	// machine is bad. regs lists the machines that carry a regime, in
-	// machine order: the order of their per-step transition draws.
+	// machine order: the order in which flips due at one transition
+	// are applied.
 	reg  []Regime
 	regs []regimeMachine
 }
 
 // regimeMachine is one machine's regime chain, compiled for the
-// walk's transition loop.
+// walk's flip loop: stay[0] draws how long the machine stays good,
+// stay[1] how long it stays bad.
 type regimeMachine struct {
-	machine              int
-	goodToBad, badToGood float64
+	machine int
+	stay    [2]sojourn
+}
+
+// never is the flip index of a machine that stays in its state
+// forever; every transition index is below it.
+const never = math.MaxInt
+
+// sojourn draws how many transitions a two-state chain spends in one
+// state: the transitions up to and including the one that leaves it,
+// a Geometric(q) variable on {1, 2, …} for exit probability q. One
+// uniform and one logarithm replace the q-coin a per-step walk would
+// flip at every transition: P(G > g) = (1−q)^g.
+type sojourn struct {
+	q float64
+	// inv is 1/log1p(−q), so G = 1 + ⌊log(1−U)·inv⌋.
+	inv float64
+}
+
+func newSojourn(q float64) sojourn { return sojourn{q: q, inv: 1 / math.Log1p(-q)} }
+
+// draw returns the sojourn length; never, without a draw, when q is
+// 0. The product log(1−U)·inv is never negative, so truncation is the
+// floor; at q = 1, inv is −0 and every draw is 1.
+func (s sojourn) draw(reg *sim.Stream) int {
+	if s.q <= 0 {
+		return never
+	}
+	g := math.Log(1-reg.Float64()) * s.inv
+	if g >= 1<<62 {
+		return never
+	}
+	return 1 + int(g)
 }
 
 // compile validates the scenario and precomputes the timeline.
@@ -220,7 +255,7 @@ func (s *Scenario) compile() (*timeline, error) {
 	for i, on := range regOn {
 		if on {
 			r := tl.reg[i]
-			tl.regs = append(tl.regs, regimeMachine{machine: i, goodToBad: r.GoodToBad, badToGood: r.BadToGood})
+			tl.regs = append(tl.regs, regimeMachine{machine: i, stay: [2]sojourn{newSojourn(r.GoodToBad), newSojourn(r.BadToGood)}})
 		}
 	}
 	for t := range set {

@@ -49,11 +49,14 @@ type runWalker interface {
 // something draws exactly as the static generic engine does — one
 // uniform per touched job in machine-scan order — so a scenario whose
 // events never fire produces bit-identical completion draws to it.
-// Regime transitions draw from a separate stream, so adding a regime
-// never shifts the completion randomness. A step that trials nothing
-// draws no completion uniform, so when the walker reports runs the
-// walk jumps over the steps after it that would trial nothing too,
-// drawing only their regime transitions.
+// Regimes draw from a separate stream, so adding a regime never shifts
+// the completion randomness, and they draw per sojourn, not per step:
+// each regime machine holds the index of the transition that next
+// flips it, where transition t opens step t. A step that trials
+// nothing draws no completion uniform, so when the walker reports runs
+// the walk jumps over the steps after it that would trial nothing too;
+// the flips that fall inside the jump are applied in the order a
+// step-by-step walk applies them.
 type walkState struct {
 	in   *model.Instance
 	tl   *timeline
@@ -68,9 +71,14 @@ type walkState struct {
 	fail       []float64
 	seen       []bool
 	touched    []int
-	bad        []bool
 	remaining  int
 	evt        int
+
+	// bad is indexed by machine. flip[k] is the transition index of
+	// the next flip of tl.regs[k], and due the smallest of them.
+	bad  []bool
+	flip []int
+	due  int
 
 	st State
 }
@@ -91,6 +99,7 @@ func newWalkState(in *model.Instance, tl *timeline) *walkState {
 		seen:       make([]bool, in.N),
 		touched:    make([]int, 0, in.M),
 		bad:        make([]bool, in.M),
+		flip:       make([]int, len(tl.regs)),
 	}
 	ws.st = State{
 		Unfinished: ws.unfinished,
@@ -103,8 +112,10 @@ func newWalkState(in *model.Instance, tl *timeline) *walkState {
 
 // reset restores the step-0 state: all jobs unfinished, jobs with
 // release 0 arrived, machines up unless an outage starts at 0, all
-// regimes good.
-func (ws *walkState) reset() {
+// regimes good. Each regime machine draws its first good sojourn G
+// from reg, in machine order, and first flips at transition G−1, so
+// the transition before step 0 can flip it already.
+func (ws *walkState) reset(reg *sim.Stream) {
 	for j := 0; j < ws.n; j++ {
 		ws.unfinished[j] = true
 		ws.predsLeft[j] = ws.in.Prec.InDeg(j)
@@ -118,14 +129,23 @@ func (ws *walkState) reset() {
 	}
 	ws.remaining = ws.n
 	ws.evt = 0
+	ws.due = never
+	for k := range ws.tl.regs {
+		f := ws.tl.regs[k].stay[0].draw(reg)
+		if f != never {
+			f--
+		}
+		ws.flip[k] = f
+		ws.due = min(ws.due, f)
+	}
 }
 
 // run executes one trajectory of walker w for at most maxSteps steps.
-// rng feeds completion draws, reg the regime transitions. It returns
+// rng feeds completion draws, reg the regime sojourns. It returns
 // the makespan (1-based step index of the last completion, or
 // maxSteps at the cap) and whether every job finished.
 func (ws *walkState) run(w Walker, maxSteps int, rng, reg *sim.Stream) (int, bool) {
-	ws.reset()
+	ws.reset(reg)
 	w.Reset()
 	runs, _ := w.(runWalker)
 	n, m, p := ws.n, ws.m, ws.p
@@ -148,7 +168,7 @@ func (ws *walkState) run(w Walker, maxSteps int, rng, reg *sim.Stream) (int, boo
 				ws.up[i] = !ws.tl.downAt(i, t)
 			}
 		}
-		ws.advanceRegimes(reg, 1)
+		ws.advanceRegimes(reg, t+1)
 		ws.st.Step = t
 		ws.st.Epoch = epoch
 		a := w.Assign(&ws.st)
@@ -193,37 +213,54 @@ func (ws *walkState) run(w Walker, maxSteps int, rng, reg *sim.Stream) (int, boo
 		if len(ws.touched) == 0 && runs != nil {
 			// Until the run ends, no event fires and no job completes,
 			// so every step before next assigns what step t did to the
-			// same eligible jobs and up machines: it trials nothing and
-			// draws only its regime transitions.
+			// same eligible jobs and up machines: it trials nothing, and
+			// no draw inside the jump reads the regime. Applying the
+			// jump's flips here keeps the regime stream where a
+			// step-by-step walk leaves it when next is the step cap.
 			next := min(runs.runEnd(t), maxSteps)
 			if ws.evt < len(ws.tl.events) {
 				next = min(next, ws.tl.events[ws.evt])
 			}
-			ws.advanceRegimes(reg, next-t-1)
+			ws.advanceRegimes(reg, next)
 			t = next - 1
 		}
 	}
 	return maxSteps, ws.remaining == 0
 }
 
-// advanceRegimes draws the regime transitions of steps consecutive
-// steps: one draw per regime machine per step, in machine order — a
-// fixed draw schedule, so trajectories stay reproducible whatever the
-// policy does.
-func (ws *walkState) advanceRegimes(reg *sim.Stream, steps int) {
-	regs := ws.tl.regs
-	if len(regs) == 0 {
+// advanceRegimes applies every regime flip whose transition index is
+// below end, in index order and in machine order within an index,
+// drawing each flipped machine's next sojourn from its new state's
+// exit probability as it goes. The order makes one call up to end draw
+// exactly what one call per transition index draws, so a trajectory's
+// regime draws do not depend on how the walk batches its steps; a call
+// with no flip due returns at once.
+func (ws *walkState) advanceRegimes(reg *sim.Stream, end int) {
+	if ws.due >= end {
 		return
 	}
-	for ; steps > 0; steps-- {
-		for k := range regs {
-			r := &regs[k]
-			u := reg.Float64()
-			if ws.bad[r.machine] {
-				ws.bad[r.machine] = u >= r.badToGood
-			} else {
-				ws.bad[r.machine] = u < r.goodToBad
+	regs, flip := ws.tl.regs, ws.flip
+	for {
+		k, at := 0, flip[0]
+		for i := 1; i < len(flip); i++ {
+			if f := flip[i]; f < at {
+				k, at = i, f
 			}
+		}
+		if at >= end {
+			ws.due = at
+			return
+		}
+		r := &regs[k]
+		bad := !ws.bad[r.machine]
+		ws.bad[r.machine] = bad
+		s := 0
+		if bad {
+			s = 1
+		}
+		flip[k] = never
+		if g := r.stay[s].draw(reg); g < never-at {
+			flip[k] = at + g
 		}
 	}
 }

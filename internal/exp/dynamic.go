@@ -316,11 +316,11 @@ func DynamicBenchmarks(cfg Config) []DynamicBench {
 }
 
 // dynamicSkipTiming times the oblivious strategy of the T15 cell at p,
-// best of three at the cell's repetitions: first the deployed
-// schedule, whose walk jumps over runs of steps that trial nothing,
-// then the same schedule behind sched.PolicyFunc, which hides the
-// *sched.Oblivious and so forces the per-step walk. The two must agree
-// on every draw.
+// best of three at the cell's repetitions: the deployed schedule,
+// whose walk jumps over runs of steps that trial nothing, and the same
+// schedule behind sched.PolicyFunc, which hides the *sched.Oblivious
+// and so forces the per-step walk. The two alternate, so a slow spell
+// of the host falls on both. They must agree on every draw.
 func dynamicSkipTiming(cfg Config, p GridPoint) (skipMS, stepwiseMS float64, err error) {
 	in, seed, err := cellInstance(cfg, GridCell{Point: p})
 	if err != nil {
@@ -331,32 +331,26 @@ func dynamicSkipTiming(cfg Config, p GridPoint) (skipMS, stepwiseMS float64, err
 	if err != nil {
 		return 0, 0, err
 	}
-	bestOf3 := func(pol sched.Policy) (float64, stats.Summary, error) {
-		best := -1.0
-		var sum stats.Summary
-		for try := 0; try < 3; try++ {
-			start := time.Now()
-			s, _, _, err := dyn.EstimateInfo(sc, dyn.NewStatic(sc, pol), cfg.reps(), t15MaxSteps, sim.SeedFor(seed, "sim"), 1)
-			if err != nil {
-				return 0, s, err
-			}
-			if e := time.Since(start).Seconds() * 1000; best < 0 || e < best {
-				best = e
-			}
-			sum = s
+	timed := func(pol sched.Policy, best *float64) (stats.Summary, error) {
+		start := time.Now()
+		s, _, _, err := dyn.EstimateInfo(sc, dyn.NewStatic(sc, pol), cfg.reps(), t15MaxSteps, sim.SeedFor(seed, "sim"), 1)
+		if e := time.Since(start).Seconds() * 1000; *best == 0 || e < *best {
+			*best = e
 		}
-		return best, sum, nil
+		return s, err
 	}
-	skipMS, skipSum, err := bestOf3(res.Policy)
-	if err != nil {
-		return 0, 0, err
-	}
-	stepwiseMS, stepSum, err := bestOf3(sched.PolicyFunc(res.Policy.Assign))
-	if err != nil {
-		return 0, 0, err
-	}
-	if skipSum != stepSum {
-		return 0, 0, fmt.Errorf("exp: skipping walk %+v diverged from the per-step walk %+v", skipSum, stepSum)
+	for try := 0; try < 3; try++ {
+		skipSum, err := timed(res.Policy, &skipMS)
+		if err != nil {
+			return 0, 0, err
+		}
+		stepSum, err := timed(sched.PolicyFunc(res.Policy.Assign), &stepwiseMS)
+		if err != nil {
+			return 0, 0, err
+		}
+		if skipSum != stepSum {
+			return 0, 0, fmt.Errorf("exp: skipping walk %+v diverged from the per-step walk %+v", skipSum, stepSum)
+		}
 	}
 	return skipMS, stepwiseMS, nil
 }

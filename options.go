@@ -1,6 +1,10 @@
 package suu
 
-import "suu/internal/core"
+import (
+	"fmt"
+
+	"suu/internal/core"
+)
 
 // options is the single configuration vocabulary behind every public
 // entry point: solver construction (Solve, Adaptive, Learning,
@@ -29,6 +33,18 @@ func buildOptions(opts []Option) options {
 		f(&o)
 	}
 	return o
+}
+
+// checkEstimate reports the inputs every Monte Carlo entry point
+// rejects: a repetition count or a step cap that is not positive.
+func (o options) checkEstimate(reps int) error {
+	if reps <= 0 {
+		return fmt.Errorf("suu: reps must be positive, got %d", reps)
+	}
+	if o.maxSteps <= 0 {
+		return fmt.Errorf("suu: WithMaxSteps must be positive, got %d", o.maxSteps)
+	}
+	return nil
 }
 
 // buildParams resolves only the solver-facing parameters.
@@ -88,7 +104,8 @@ func WithOptimism(optimism float64) Option {
 	return func(o *options) { o.par.Optimism = optimism }
 }
 
-// WithMaxSteps caps each simulated execution (default 1,000,000).
+// WithMaxSteps caps each simulated execution (default 1,000,000); the
+// estimates reject a cap that is not positive.
 func WithMaxSteps(steps int) Option {
 	return func(o *options) { o.maxSteps = steps }
 }

@@ -73,6 +73,9 @@ func (sc *Scenario) Static() bool { return sc.inner.Static() }
 
 // estimate runs strat and converts the result.
 func (sc *Scenario) estimate(strat dyn.Strategy, reps int, o options) (Estimate, error) {
+	if err := o.checkEstimate(reps); err != nil {
+		return Estimate{}, err
+	}
 	sum, incomplete, eng, err := dyn.EstimateInfo(sc.inner, strat, reps, o.maxSteps, o.simSeed, o.workers)
 	if err != nil {
 		return Estimate{}, err

@@ -114,6 +114,9 @@ func (s *Schedule) EstimateMakespan(x *Instance, reps int, opts ...Option) (Esti
 		return Estimate{}, err
 	}
 	o := buildOptions(opts)
+	if err := o.checkEstimate(reps); err != nil {
+		return Estimate{}, err
+	}
 	sum, incomplete, eng := sim.EstimateParallelInfo(x.inner, s.policy, reps, o.maxSteps, o.simSeed, o.workers)
 	return newEstimate(sum, incomplete, eng), nil
 }
@@ -189,6 +192,9 @@ func (s *Schedule) MakespanQuantiles(x *Instance, reps int, qs []float64, opts .
 		return nil, err
 	}
 	o := buildOptions(opts)
+	if err := o.checkEstimate(reps); err != nil {
+		return nil, err
+	}
 	quants, _ := sim.MakespanQuantilesParallel(x.inner, s.policy, reps, o.maxSteps, o.simSeed, qs, o.workers)
 	return quants, nil
 }
