@@ -7,13 +7,18 @@
 // way two-regime mixture error models are (stationary bad fraction
 // and persistence).
 //
-// A Scenario is the static model.Instance plus that event timeline.
-// Strategies walk it: Static replays any fixed policy obliviously to
-// the dynamics, Adaptive reruns the masked MSM greedy on the eligible
-// jobs and up machines each step, and Rolling re-invokes a registry
-// solver on the surviving sub-instance at every event epoch (reusing
-// the initial solve's exported LP basis as the warm-start donor via
-// core.Params.WarmBasis).
+// A Scenario is the static model.Instance plus that event timeline,
+// which it compiles into a sim.Timeline. Strategies walk it: Static
+// replays any fixed policy obliviously to the dynamics, Adaptive reruns
+// the masked MSM greedy on the eligible jobs and up machines each step,
+// and Rolling re-invokes a registry solver on the surviving
+// sub-instance at every event epoch (reusing the initial solve's
+// exported LP basis as the warm-start donor via core.Params.WarmBasis).
+// Each strategy hands every worker a plain sched.Policy, and the walk
+// is sim's generic step engine following the timeline
+// (sim.NewTimelineRunner): the policy reads arrivals, up machines and
+// epochs from its sched.State, and an outcome-observing policy observes
+// every step, as it does on the static engine.
 //
 // Estimation runs on internal/sim's chunk runner (sim.RunChunks):
 // workers claim one repetition at a time, so even a 32-repetition
@@ -35,15 +40,18 @@
 // flips due at one transition apply in machine order.
 //
 // The walk executes every step, except where Static replays a
-// *sched.Oblivious: its prefix comes in runs of identical steps
-// (Replicate makes runs of σ), so after a step that trials no job the
-// walk jumps to the end of the run, stopping early at the next event
-// or the step cap. A skipped step would have drawn no completion
+// *sched.Oblivious: it plays the schedule through its sim.RunTable,
+// built once per strategy, since the prefix comes in runs of identical
+// steps (Replicate makes runs of σ). After a step that trials no job
+// the engine jumps to the end of the run, stopping early at the next
+// event or the step cap. A skipped step would have drawn no completion
 // uniform, and the flips inside the jump are applied in the order a
 // step-by-step walk applies them, so the jump moves no draw.
 //
 // ExactMakespan is the oracle: it propagates probability mass over
 // (unfinished set, regime vector) one step at a time and returns the
 // exact expected capped makespan of a static or adaptive strategy on
-// scenarios of about ten jobs and three regime machines.
+// scenarios of about ten jobs and three regime machines. It is also
+// the exact evaluator of fixed oblivious schedules on the static
+// problem (the event-free scenario New(in)).
 package dyn

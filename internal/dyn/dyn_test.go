@@ -69,34 +69,70 @@ func TestBurstRegimeStationary(t *testing.T) {
 
 // opaquePolicy hides the concrete policy type so sim's estimator
 // cannot compile it — pinning the comparison to the generic step
-// engine, the one whose draw schedule the dynamic walk mirrors.
+// engine, the one the dynamic walk runs with the scenario's timeline.
 type opaquePolicy struct{ pol sched.Policy }
 
 func (o opaquePolicy) Assign(st *sched.State) sched.Assignment { return o.pol.Assign(st) }
 
 // A scenario whose only event lies beyond the horizon must force the
 // dynamic walk (it is not Static) yet reproduce the generic engine's
-// completion draws bit for bit.
+// completion draws bit for bit. An outcome-observing policy must learn
+// from the walk exactly what it learns from the generic engine.
 func TestNoOpEventParity(t *testing.T) {
 	in, rawPol := fixture()
-	pol := opaquePolicy{pol: rawPol}
 	sc := New(in).Breakdown(0, 1_000_000, 1_000_001)
 	if sc.Static() {
 		t.Fatal("scenario with an outage reported Static")
 	}
-	want, wantInc, wantEng := sim.EstimateInfo(in, pol, 500, 100000, 42)
-	if wantEng.Engine != sim.EngineGeneric {
-		t.Fatalf("oracle engine %q, want generic", wantEng.Engine)
+	for _, c := range []struct {
+		name string
+		pol  func() sched.Policy
+		// check compares the policy the walk played with the one the
+		// generic engine played.
+		check func(t *testing.T, walked, engine sched.Policy)
+	}{
+		{"oblivious schedule", func() sched.Policy { return opaquePolicy{pol: rawPol} }, nil},
+		{"learner", func() sched.Policy { return core.NewLearningPolicy(in, 0.5) }, samePosteriors},
+	} {
+		pol := c.pol()
+		want, wantInc, wantEng := sim.EstimateInfo(in, pol, 500, 100000, 42)
+		if wantEng.Engine != sim.EngineGeneric {
+			t.Fatalf("%s: oracle engine %q, want generic", c.name, wantEng.Engine)
+		}
+		walked := c.pol()
+		got, gotInc, eng, err := EstimateInfo(sc, NewStatic(sc, walked), 500, 100000, 42, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.Engine != sim.EngineDynamic {
+			t.Fatalf("%s: engine %q, want %q", c.name, eng.Engine, sim.EngineDynamic)
+		}
+		if got != want || gotInc != wantInc {
+			t.Fatalf("%s: dynamic walk diverged from static engine: %+v/%d vs %+v/%d", c.name, got, gotInc, want, wantInc)
+		}
+		if c.check != nil {
+			c.check(t, walked, pol)
+		}
 	}
-	got, gotInc, eng, err := EstimateInfo(sc, NewStatic(sc, pol), 500, 100000, 42, 1)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// samePosteriors fails unless two learners hold bit-identical
+// posteriors, and at least one trial was observed.
+func samePosteriors(t *testing.T, walked, engine sched.Policy) {
+	t.Helper()
+	a, b := walked.(*core.LearningPolicy), engine.(*core.LearningPolicy)
+	trials := 0.0
+	for i := 0; i < a.In.M; i++ {
+		for j := 0; j < a.In.N; j++ {
+			if a.Estimate(i, j) != b.Estimate(i, j) || a.Attempts(i, j) != b.Attempts(i, j) {
+				t.Fatalf("learner (%d,%d): walk posterior %v after %v trials, engine %v after %v",
+					i, j, a.Estimate(i, j), a.Attempts(i, j), b.Estimate(i, j), b.Attempts(i, j))
+			}
+			trials += a.Attempts(i, j)
+		}
 	}
-	if eng.Engine != sim.EngineDynamic {
-		t.Fatalf("engine %q, want %q", eng.Engine, sim.EngineDynamic)
-	}
-	if got != want || gotInc != wantInc {
-		t.Fatalf("dynamic walk diverged from static engine: %+v/%d vs %+v/%d", got, gotInc, want, wantInc)
+	if trials == 0 {
+		t.Fatal("learner observed no trial")
 	}
 }
 

@@ -9,15 +9,16 @@ import (
 	"suu/internal/stats"
 )
 
-// Strategy produces per-worker walkers for one scenario. Strategies
-// are bound to their scenario at construction (NewStatic, NewAdaptive,
-// NewRolling); the estimator gives every worker its own walker, so a
-// walker never needs internal locking.
+// Strategy produces per-worker walkers for one scenario: the policies
+// sim's step engine plays along each trajectory. Strategies are bound
+// to their scenario at construction (NewStatic, NewAdaptive,
+// NewRolling); the estimator asks for one walker per worker, so a
+// walker that keeps state never needs internal locking.
 type Strategy interface {
 	// Name labels the strategy in tables and BENCH records.
 	Name() string
-	// NewWalker returns a fresh walker for one worker goroutine.
-	NewWalker() Walker
+	// NewWalker returns a walker for one worker goroutine.
+	NewWalker() sched.Policy
 	// StaticPolicy returns a static policy that reproduces the
 	// strategy on a scenario with no events, and whether one exists.
 	// The estimator delegates event-free scenarios through it to the
@@ -42,13 +43,6 @@ const walkUnit = 1
 // simulation seed; completion draws and regime sojourns never share a
 // stream.
 const regimeLabel = "regime"
-
-// Estimate runs reps trajectories of strat on sc sequentially. See
-// EstimateInfo for the full form.
-func Estimate(sc *Scenario, strat Strategy, reps, maxSteps int, seed int64) (stats.Summary, int, error) {
-	sum, inc, _, err := EstimateInfo(sc, strat, reps, maxSteps, seed, 1)
-	return sum, inc, err
-}
 
 // EstimateInfo runs reps trajectories of strat on sc across workers
 // goroutines (<= 0 selects GOMAXPROCS; at most one per repetition)
@@ -83,14 +77,13 @@ func EstimateInfo(sc *Scenario, strat Strategy, reps, maxSteps int, seed int64, 
 	sc.In.Flat()
 	regSeed := sim.SeedFor(seed, regimeLabel)
 	sum, incomplete, workers := sim.RunChunks(reps, workers, walkUnit, func() sim.ChunkFunc {
-		ws := newWalkState(sc.In, tl)
-		w := strat.NewWalker()
+		run := sim.NewTimelineRunner(sc.In, strat.NewWalker(), tl)
 		var rng, reg sim.Stream
 		return func(lo, hi int, makespans []float64) (inc int) {
 			for r := lo; r < hi; r++ {
 				rng.Reseed(seed, int64(r))
 				reg.Reseed(regSeed, int64(r))
-				makespan, completed := ws.run(w, maxSteps, &rng, &reg)
+				makespan, completed := run.RunTimeline(maxSteps, &rng, &reg)
 				makespans[r-lo] = float64(makespan)
 				if !completed {
 					inc++

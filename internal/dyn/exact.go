@@ -57,7 +57,7 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, truncErr f
 		return 0, 0, err
 	}
 	in := sc.In
-	n, m, k := in.N, in.M, len(tl.regs)
+	n, m, k := in.N, in.M, len(tl.Regimes)
 	if n+k > maxExactBits {
 		return 0, 0, fmt.Errorf("dyn: ExactMakespan needs 2^%d states, above the cap of 2^%d", n+k, maxExactBits)
 	}
@@ -75,8 +75,8 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, truncErr f
 	for i := range slot {
 		slot[i] = -1
 	}
-	for r, rm := range tl.regs {
-		slot[rm.machine] = r
+	for r, rm := range tl.Regimes {
+		slot[rm.Machine] = r
 	}
 
 	// cur and next hold the mass of (unfinished set s, regime vector v)
@@ -89,8 +89,7 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, truncErr f
 	live, nextLive := []uint32{full}, []uint32(nil)
 
 	w := strat.NewWalker()
-	w.Reset()
-	st := State{
+	st := sched.State{
 		Unfinished: make([]bool, n),
 		Eligible:   make([]bool, n),
 		Arrived:    make([]bool, n),
@@ -107,24 +106,24 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, truncErr f
 
 	for t := 0; t+1 < maxSteps; t++ {
 		epoch := t == 0
-		for evt < len(tl.events) && tl.events[evt] == t {
+		for evt < len(tl.Events) && tl.Events[evt] == t {
 			epoch = true
 			evt++
 		}
 		if epoch {
 			for j := range st.Arrived {
-				st.Arrived[j] = tl.arrive[j] <= t
+				st.Arrived[j] = tl.Arrive[j] <= t
 			}
 			for i := range st.Up {
-				st.Up[i] = !tl.downAt(i, t)
+				st.Up[i] = !tl.Down(i, t)
 			}
 		}
 		st.Step, st.Epoch = t, epoch
 
 		for _, s := range live {
 			row := cur[int(s)*nk : int(s+1)*nk]
-			for r, rm := range tl.regs {
-				gb, bg := tl.reg[rm.machine].GoodToBad, tl.reg[rm.machine].BadToGood
+			for r, rm := range tl.Regimes {
+				gb, bg := rm.GoodToBad, rm.BadToGood
 				for v := 0; v < nk; v++ {
 					if v>>r&1 == 0 {
 						good, bad := row[v], row[v|1<<r]
@@ -168,7 +167,7 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, truncErr f
 				for _, tr := range trials {
 					p := in.P[tr.machine][tr.job]
 					if r := slot[tr.machine]; r >= 0 && v>>r&1 == 1 {
-						p *= tl.reg[tr.machine].Severity
+						p *= tl.Regimes[r].Severity
 					}
 					fail[tr.job] *= 1 - p
 				}

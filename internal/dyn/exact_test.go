@@ -68,7 +68,11 @@ func deployed(t *testing.T, in *model.Instance, factor int) *sched.Oblivious {
 //	V_g = 1 + (1−a)(1−p)·V_g + a(1−sp)·V_b
 //	V_b = 1 + b(1−p)·V_g + (1−b)(1−sp)·V_b,
 //
-// and E[T] = V_g, since every machine starts good.
+// and E[T] = V_g, since every machine starts good. Without a regime,
+// one job at p = 0.5 takes 1/p = 2 steps on average when trialed every
+// step, and 2·2 − 1 = 3 when a cycled prefix trials it every other
+// step; under a cap of one step the capped makespan is 1, under two
+// steps 1 + 0.5.
 func TestExactMakespanClosedForm(t *testing.T) {
 	for _, c := range []struct{ p, a, b, s float64 }{
 		{0.5, 0.1, 0.3, 0.2},
@@ -92,6 +96,24 @@ func TestExactMakespanClosedForm(t *testing.T) {
 			if math.Abs(got-want) > 1e-9*want {
 				t.Errorf("%+v %s: ExactMakespan %.12f, closed form %.12f", c, strat.Name(), got, want)
 			}
+		}
+	}
+	in := model.New(1, 1)
+	in.P[0][0] = 0.5
+	sc := New(in)
+	for _, c := range []struct {
+		steps    []sched.Assignment
+		maxSteps int
+		want     float64
+	}{
+		{[]sched.Assignment{{0}}, 1 << 40, 2},
+		{[]sched.Assignment{{0}, {sched.Idle}}, 1 << 40, 3},
+		{[]sched.Assignment{{0}}, 1, 1},
+		{[]sched.Assignment{{0}}, 2, 1.5},
+	} {
+		got := exact(t, sc, NewStatic(sc, &sched.Oblivious{M: 1, Steps: c.steps}), c.maxSteps)
+		if math.Abs(got-c.want) > 1e-9*c.want {
+			t.Errorf("prefix %v, cap %d: ExactMakespan %.12f, want %v", c.steps, c.maxSteps, got, c.want)
 		}
 	}
 }

@@ -29,7 +29,7 @@ import (
 // walker may share one cache, whichever walker builds a plan first.
 type RollingStrategy struct {
 	sc     *Scenario
-	tl     *timeline
+	topo   []int
 	solver string
 	par    core.Params
 
@@ -68,18 +68,19 @@ func NewRolling(sc *Scenario, solverID string, par core.Params) (*RollingStrateg
 	if err != nil {
 		return nil, err
 	}
-	s := &RollingStrategy{sc: sc, tl: tl, solver: solverID, par: par}
+	topo, _ := sc.In.Prec.TopoOrder() // compile checked the dag
+	s := &RollingStrategy{sc: sc, topo: topo, solver: solverID, par: par}
 	n, m := sc.In.N, sc.In.M
 	keep := make([]bool, n)
 	up := make([]bool, m)
 	arrived := make([]bool, n)
 	unfinished := make([]bool, n)
 	for j := 0; j < n; j++ {
-		arrived[j] = tl.arrive[j] == 0
+		arrived[j] = tl.Arrive[j] == 0
 		unfinished[j] = true
 	}
 	for i := 0; i < m; i++ {
-		up[i] = !tl.downAt(i, 0)
+		up[i] = !tl.Down(i, 0)
 	}
 	s.computeKeep(arrived, unfinished, up, keep)
 	pl, basis, err := s.buildPlan(keep, up, par.Seed, nil)
@@ -119,7 +120,7 @@ func (s *RollingStrategy) parallelizable() bool {
 
 // NewWalker implements Strategy. Walkers share the strategy's plan
 // cache and keep their own projection scratch.
-func (s *RollingStrategy) NewWalker() Walker {
+func (s *RollingStrategy) NewWalker() sched.Policy {
 	n, m := s.sc.In.N, s.sc.In.M
 	return &rollingWalker{
 		s:       s,
@@ -169,13 +170,10 @@ type rollingWalker struct {
 	msm *msmWalker
 }
 
-func (w *rollingWalker) Reset() {
-	w.cur = nil
-	w.curStart = 0
-}
-
-func (w *rollingWalker) Assign(st *State) sched.Assignment {
-	if st.Epoch || w.cur == nil {
+// Assign implements sched.Policy. Step 0 is always an epoch, so every
+// trajectory replans before its first step.
+func (w *rollingWalker) Assign(st *sched.State) sched.Assignment {
+	if st.Epoch {
 		w.replan(st)
 	}
 	pl := w.cur
@@ -219,7 +217,7 @@ func (w *rollingWalker) Assign(st *State) sched.Assignment {
 
 // replan computes the surviving sub-instance key for the current
 // state and installs its plan.
-func (w *rollingWalker) replan(st *State) {
+func (w *rollingWalker) replan(st *sched.State) {
 	w.s.computeKeep(st.Arrived, st.Unfinished, st.Up, w.keep)
 	w.cur = w.s.plan(w.keep, st.Up)
 	w.curStart = st.Step
@@ -253,7 +251,7 @@ func (s *RollingStrategy) plan(keep, up []bool) *plan {
 // dangling precedence edge).
 func (s *RollingStrategy) computeKeep(arrived, unfinished, up, keep []bool) {
 	in := s.sc.In
-	for _, j := range s.tl.topo {
+	for _, j := range s.topo {
 		k := arrived[j] && unfinished[j]
 		if k {
 			capable := false

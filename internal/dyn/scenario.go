@@ -2,8 +2,6 @@ package dyn
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"suu/internal/model"
 	"suu/internal/sim"
@@ -19,26 +17,12 @@ type Arrival struct {
 // Outage takes a machine down for the half-open step interval
 // [From, To): assignments to it during the interval are ignored (the
 // machine idles), and the rolling strategy plans around it.
-type Outage struct {
-	Machine, From, To int
-}
+type Outage = sim.Outage
 
 // Regime is a hidden two-state (good/bad) Markov chain on one
-// machine. Each step the machine transitions (good→bad with
-// probability GoodToBad, bad→good with BadToGood) and, while bad,
-// every p_ij on the machine is scaled by Severity. The state is
-// hidden: policies see the static probabilities, only the completion
-// draws feel the modulation.
-type Regime struct {
-	// Machine the regime rides on; -1 applies it to every machine.
-	Machine int
-	// GoodToBad and BadToGood are the per-step transition
-	// probabilities.
-	GoodToBad, BadToGood float64
-	// Severity multiplies p_ij while the machine is bad (0 = total
-	// failure burst, 1 = no effect).
-	Severity float64
-}
+// machine, which scales every p_ij on it while it is bad; see
+// sim.Regime.
+type Regime = sim.Regime
 
 // BurstRegime converts the mixture parameterization of two-regime
 // error models — stationary bad fraction p0 and persistence alpha
@@ -155,124 +139,13 @@ func (s *Scenario) Static() bool {
 	return len(s.outages) == 0 && len(s.regimes) == 0
 }
 
-// timeline is the compiled form of a scenario's events, shared
-// read-only by every walker of an estimation call.
-type timeline struct {
-	arrive []int
-	// events lists the step times > 0 at which the availability
-	// picture changes (arrivals land, outage boundaries pass), sorted
-	// and deduplicated. Step-0 state is handled by reset.
-	events []int
-	topo   []int
-	downs  [][]Outage
-	// reg is indexed by machine; the walk reads Severity while the
-	// machine is bad. regs lists the machines that carry a regime, in
-	// machine order: the order in which flips due at one transition
-	// are applied.
-	reg  []Regime
-	regs []regimeMachine
-}
-
-// regimeMachine is one machine's regime chain, compiled for the
-// walk's flip loop: stay[0] draws how long the machine stays good,
-// stay[1] how long it stays bad.
-type regimeMachine struct {
-	machine int
-	stay    [2]sojourn
-}
-
-// never is the flip index of a machine that stays in its state
-// forever; every transition index is below it.
-const never = math.MaxInt
-
-// sojourn draws how many transitions a two-state chain spends in one
-// state: the transitions up to and including the one that leaves it,
-// a Geometric(q) variable on {1, 2, …} for exit probability q. One
-// uniform and one logarithm replace the q-coin a per-step walk would
-// flip at every transition: P(G > g) = (1−q)^g.
-type sojourn struct {
-	q float64
-	// inv is 1/log1p(−q), so G = 1 + ⌊log(1−U)·inv⌋.
-	inv float64
-}
-
-func newSojourn(q float64) sojourn { return sojourn{q: q, inv: 1 / math.Log1p(-q)} }
-
-// draw returns the sojourn length; never, without a draw, when q is
-// 0. The product log(1−U)·inv is never negative, so truncation is the
-// floor; at q = 1, inv is −0 and every draw is 1.
-func (s sojourn) draw(reg *sim.Stream) int {
-	if s.q <= 0 {
-		return never
-	}
-	g := math.Log(1-reg.Float64()) * s.inv
-	if g >= 1<<62 {
-		return never
-	}
-	return 1 + int(g)
-}
-
-// compile validates the scenario and precomputes the timeline.
-func (s *Scenario) compile() (*timeline, error) {
+// compile validates the scenario and compiles its timeline.
+func (s *Scenario) compile() (*sim.Timeline, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	topo, err := s.In.Prec.TopoOrder()
-	if err != nil {
+	if _, err := s.In.Prec.TopoOrder(); err != nil {
 		return nil, err
 	}
-	tl := &timeline{
-		arrive: s.arrive,
-		topo:   topo,
-		downs:  make([][]Outage, s.In.M),
-		reg:    make([]Regime, s.In.M),
-	}
-	regOn := make([]bool, s.In.M)
-	set := map[int]bool{}
-	for _, at := range s.arrive {
-		if at > 0 {
-			set[at] = true
-		}
-	}
-	for _, o := range s.outages {
-		tl.downs[o.Machine] = append(tl.downs[o.Machine], o)
-		if o.From > 0 {
-			set[o.From] = true
-		}
-		set[o.To] = true
-	}
-	for _, r := range s.regimes {
-		if r.Machine < 0 {
-			for i := range tl.reg {
-				tl.reg[i] = r
-				regOn[i] = true
-			}
-		} else {
-			tl.reg[r.Machine] = r
-			regOn[r.Machine] = true
-		}
-	}
-	for i, on := range regOn {
-		if on {
-			r := tl.reg[i]
-			tl.regs = append(tl.regs, regimeMachine{machine: i, stay: [2]sojourn{newSojourn(r.GoodToBad), newSojourn(r.BadToGood)}})
-		}
-	}
-	for t := range set {
-		tl.events = append(tl.events, t)
-	}
-	sort.Ints(tl.events)
-	return tl, nil
-}
-
-// downAt reports whether machine i is inside an outage at step t.
-// Machines carry at most a handful of intervals, so a linear scan at
-// event epochs beats materializing per-step availability.
-func (tl *timeline) downAt(i, t int) bool {
-	for _, o := range tl.downs[i] {
-		if o.From <= t && t < o.To {
-			return true
-		}
-	}
-	return false
+	return sim.NewTimeline(s.In.M, s.arrive, s.outages, s.regimes), nil
 }

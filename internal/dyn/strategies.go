@@ -10,20 +10,22 @@ import (
 )
 
 // StaticStrategy replays a fixed policy obliviously to the dynamics:
-// the policy sees the standard sched.State (unfinished/eligible/step)
-// and nothing about outages or arrivals; assignments to down machines
-// are simply wasted. It is the degrading baseline every dynamic table
-// compares against — and the evaluator for "how would my deployed
-// schedule have fared under this scenario".
+// the policy sees the arrived jobs only through Eligible, and
+// assignments to down machines are simply wasted (the policies written
+// for the static problem never read State.Up). It is the degrading
+// baseline every dynamic table compares against — and the evaluator
+// for "how would my deployed schedule have fared under this scenario".
+// An outcome-observing policy observes the walk, as it observes the
+// static engine.
 type StaticStrategy struct {
 	sc  *Scenario
 	pol sched.Policy
 
-	// runEnds is the run table of an oblivious policy's prefix, built
-	// on the first NewWalker call; sim.RunChunks calls NewWalker on
+	// runs is the run table of an oblivious policy's prefix, built on
+	// the first NewWalker call; sim.RunChunks calls NewWalker on
 	// concurrent workers.
-	once    sync.Once
-	runEnds []int32
+	once sync.Once
+	runs *sim.RunTable
 }
 
 // NewStatic wraps pol for walks over sc.
@@ -38,68 +40,20 @@ func (s *StaticStrategy) Name() string { return "static" }
 // event-free equivalent.
 func (s *StaticStrategy) StaticPolicy() (sched.Policy, bool) { return s.pol, true }
 
-// parallelizable defers to the engine's check: walkers share the
+// parallelizable defers to the engine's check: every worker walks the
 // wrapped policy, so an outcome-observing policy pins the fan-out to
 // one worker exactly as the static estimators do.
 func (s *StaticStrategy) parallelizable() bool { return sim.Parallelizable(s.pol) }
 
-// NewWalker implements Strategy. An oblivious policy with a non-empty
-// prefix gets a walker that reports its runs of identical steps.
-func (s *StaticStrategy) NewWalker() Walker {
+// NewWalker implements Strategy. Every worker shares the wrapped
+// policy, except that an oblivious policy with a non-empty prefix is
+// replayed through its run table, which the step engine jumps on.
+func (s *StaticStrategy) NewWalker() sched.Policy {
 	if o, ok := s.pol.(*sched.Oblivious); ok && o.Len() > 0 {
-		s.once.Do(func() {
-			s.runEnds = make([]int32, o.Len())
-			for t := 0; t < o.Len(); {
-				for end := o.RunEnd(t); t < end; t++ {
-					s.runEnds[t] = int32(end)
-				}
-			}
-		})
-		return &obliviousWalker{o: o, ends: s.runEnds}
+		s.once.Do(func() { s.runs = sim.NewRunTable(o) })
+		return s.runs
 	}
-	return &staticWalker{pol: s.pol}
-}
-
-type staticWalker struct {
-	pol sched.Policy
-	st  sched.State
-}
-
-func (w *staticWalker) Reset() {}
-
-func (w *staticWalker) Assign(st *State) sched.Assignment {
-	w.st.Unfinished = st.Unfinished
-	w.st.Eligible = st.Eligible
-	w.st.Step = st.Step
-	return w.pol.Assign(&w.st)
-}
-
-// obliviousWalker is the static walker of an oblivious schedule.
-// Oblivious.At is pure, so the walk may skip its Assign calls.
-type obliviousWalker struct {
-	o *sched.Oblivious
-	// ends[s] is the first prefix step after s whose assignment
-	// differs in content from step s's, or the prefix length.
-	ends []int32
-}
-
-func (w *obliviousWalker) Reset() {}
-
-func (w *obliviousWalker) Assign(st *State) sched.Assignment { return w.o.At(st.Step) }
-
-// runEnd implements runWalker. A nil tail cycles the prefix, so the
-// table wraps; a tail such as TopoRoundRobin may change job every
-// step.
-func (w *obliviousWalker) runEnd(t int) int {
-	l := len(w.ends)
-	switch {
-	case t < l:
-		return int(w.ends[t])
-	case w.o.Tail != nil:
-		return t + 1
-	default:
-		return t - t%l + int(w.ends[t%l])
-	}
+	return s.pol
 }
 
 // AdaptiveStrategy reruns the MSM greedy every step on the currently
@@ -127,7 +81,7 @@ func (s *AdaptiveStrategy) StaticPolicy() (sched.Policy, bool) {
 func (s *AdaptiveStrategy) parallelizable() bool { return true }
 
 // NewWalker implements Strategy.
-func (s *AdaptiveStrategy) NewWalker() Walker { return newMSMWalker(s.sc.In) }
+func (s *AdaptiveStrategy) NewWalker() sched.Policy { return newMSMWalker(s.sc.In) }
 
 // msmWalker runs the masked MSM greedy over its own pair order, sorted
 // once per walker, into its own assignment and mass buffers, so a step
@@ -146,8 +100,6 @@ func newMSMWalker(in *model.Instance) *msmWalker {
 	}
 }
 
-func (w *msmWalker) Reset() {}
-
-func (w *msmWalker) Assign(st *State) sched.Assignment {
+func (w *msmWalker) Assign(st *sched.State) sched.Assignment {
 	return w.order.MSMInto(w.out, w.mass, st.Eligible, st.Up)
 }

@@ -99,11 +99,11 @@ func TestSkipMatchesStepwise(t *testing.T) {
 		skip := NewStatic(c.sc, c.pol)
 		step := NewStatic(c.sc, opaquePolicy{pol: c.pol})
 		sw, pw := skip.NewWalker(), step.NewWalker()
-		runs, ok := sw.(runWalker)
+		runs, ok := sw.(*sim.RunTable)
 		if !ok {
 			t.Fatalf("%s: the oblivious walker reports no runs", c.name)
 		}
-		if _, ok := pw.(runWalker); ok {
+		if _, ok := pw.(*sim.RunTable); ok {
 			t.Fatalf("%s: an opaque policy reports runs", c.name)
 		}
 
@@ -112,7 +112,7 @@ func TestSkipMatchesStepwise(t *testing.T) {
 		// cycle; past a tailed prefix every step is its own run.
 		l := c.pol.Len()
 		for t0 := 0; t0 < 3*l; t0++ {
-			end := runs.runEnd(t0)
+			end := runs.End(t0)
 			if end <= t0 {
 				t.Fatalf("%s: runEnd(%d) = %d", c.name, t0, end)
 			}
@@ -134,7 +134,7 @@ func TestSkipMatchesStepwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := newWalkState(c.sc.In, tl)
+		skipRun, stepRun := sim.NewTimelineRunner(c.sc.In, sw, tl), sim.NewTimelineRunner(c.sc.In, pw, tl)
 		regSeed := sim.SeedFor(9, regimeLabel)
 		capped := 0
 		for r := int64(0); r < reps; r++ {
@@ -143,8 +143,8 @@ func TestSkipMatchesStepwise(t *testing.T) {
 			reg.Reseed(regSeed, r)
 			rngStep.Reseed(9, r)
 			regStep.Reseed(regSeed, r)
-			got, gotDone := ws.run(sw, c.maxSteps, &rng, &reg)
-			want, wantDone := ws.run(pw, c.maxSteps, &rngStep, &regStep)
+			got, gotDone := skipRun.RunTimeline(c.maxSteps, &rng, &reg)
+			want, wantDone := stepRun.RunTimeline(c.maxSteps, &rngStep, &regStep)
 			if got != want || gotDone != wantDone || rng != rngStep || reg != regStep {
 				t.Fatalf("%s: rep %d: skipping walk %d/%v, per-step walk %d/%v, streams equal %v/%v",
 					c.name, r, got, gotDone, want, wantDone, rng == rngStep, reg == regStep)

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"suu/internal/core"
+	"suu/internal/dyn"
 	"suu/internal/opt"
 	"suu/internal/sched"
 	"suu/internal/sim"
@@ -9,6 +10,11 @@ import (
 	"suu/internal/stats"
 	"suu/internal/workload"
 )
+
+// exactCap is the step cap of T11's oblivious evaluations: each value
+// is E[min(T, exactCap)], which dyn.ExactMakespan stops short of once
+// the rest is below 1e-12.
+const exactCap = 100_000
 
 // T11 measures the exact price of obliviousness on small instances:
 // expected makespans computed by full state-distribution propagation
@@ -54,8 +60,9 @@ func T11(cfg Config) *Table {
 		if err != nil {
 			return cell{}
 		}
-		combE, res1, err := opt.ExactOblivious(in, comb.Policy.(*sched.Oblivious), 100000, 1e-10)
-		if err != nil || res1 > 1e-6 {
+		sc := dyn.New(in)
+		combE, _, err := dyn.ExactMakespan(sc, dyn.NewStatic(sc, comb.Policy), exactCap)
+		if err != nil {
 			return cell{}
 		}
 		par := paramsWithSeed(sim.SeedFor(seed, "build"))
@@ -65,8 +72,8 @@ func T11(cfg Config) *Table {
 		if err != nil {
 			return cell{}
 		}
-		lpE, res2, err := opt.ExactOblivious(in, lpres.Policy.(*sched.Oblivious), 100000, 1e-10)
-		if err != nil || res2 > 1e-6 {
+		lpE, _, err := dyn.ExactMakespan(sc, dyn.NewStatic(sc, lpres.Policy), exactCap)
+		if err != nil {
 			return cell{}
 		}
 		return cell{opt: topt, ada: ada, comb: combE, lp: lpE, ok: true}

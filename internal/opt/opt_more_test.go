@@ -150,23 +150,3 @@ func TestOptimalGangsOnLastJob(t *testing.T) {
 		}
 	}
 }
-
-func TestExactObliviousCyclePrefixEqualsTailFormula(t *testing.T) {
-	// Cycled 2-step prefix on one job with p1=0.5, p2=0 (idle): the job
-	// only progresses on even steps → E = 2·E[geometric(1/2)] - 1 = 3.
-	in := model.New(1, 1)
-	in.P[0][0] = 0.5
-	o := &sched.Oblivious{M: 1, Steps: []sched.Assignment{{0}, {sched.Idle}}}
-	v, residual, err := ExactOblivious(in, o, 2000, 1e-13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if residual > 1e-9 {
-		t.Fatal("residual too large")
-	}
-	// Completion can only happen at steps 1,3,5,... with prob 1/2 each
-	// attempt: E = Σ k·(1/2)^k over odd steps = 2·2-1 = 3.
-	if math.Abs(v-3) > 1e-6 {
-		t.Errorf("E=%v, want 3", v)
-	}
-}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -83,6 +84,8 @@ func (o *Oblivious) UnmarshalJSON(data []byte) error {
 	o.Tail = nil
 	if len(raw.TailOrder) > 0 {
 		o.Tail = &TopoRoundRobin{M: raw.Machines, Order: raw.TailOrder}
+	} else if len(o.Steps) == 0 {
+		return errors.New("sched: empty schedule with no tail order")
 	}
 	return nil
 }

@@ -65,6 +65,7 @@ func TestObliviousJSONRejectsBad(t *testing.T) {
 	for name, raw := range map[string]string{
 		"machines":  `{"machines":0,"steps":[]}`,
 		"row-width": `{"machines":2,"steps":[[0]]}`,
+		"empty":     `{"machines":2,"steps":[]}`,
 		"not-json":  `{`,
 	} {
 		o := &Oblivious{}

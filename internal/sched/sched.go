@@ -34,16 +34,31 @@ func NewIdle(m int) Assignment {
 type State struct {
 	// Unfinished[j] reports whether job j has not yet completed.
 	Unfinished []bool
-	// Eligible[j] reports whether j is unfinished and all its
-	// predecessors have completed.
+	// Eligible[j] reports whether j has arrived, is unfinished, and
+	// all its predecessors have completed.
 	Eligible []bool
 	// Step is the 0-based index of the step about to execute.
 	Step int
+
+	// The fields below carry a dynamic scenario's availability (see
+	// internal/dyn). They are nil or false on the static problem, where
+	// every job is present from the start and every machine is up; the
+	// hidden regime is never visible.
+
+	// Arrived[j] reports whether job j's release step has passed.
+	Arrived []bool
+	// Up[i] reports whether machine i is outside every outage.
+	Up []bool
+	// Epoch marks steps at which the availability changed (arrivals
+	// landed, an outage boundary passed). Step 0 of a dynamic walk
+	// always is one.
+	Epoch bool
 }
 
 // Policy produces one step's assignment from the current state. It is
 // the general notion of schedule from Definition 2.1: adaptive
-// policies read Unfinished/Eligible, oblivious ones only Step.
+// policies read Unfinished/Eligible (and, under dynamics, Up and
+// Epoch), oblivious ones only Step.
 type Policy interface {
 	Assign(st *State) Assignment
 }

@@ -10,9 +10,11 @@
 // (runState) advances one step at a time, asking the policy for an
 // assignment and drawing one uniform per (eligible, assigned) job per
 // step; all per-run buffers live in a reusable runState, so the step
-// loop is allocation-free. When the policy is a *sched.Oblivious, the
-// estimators compile its prefix once into per-job occurrence lists
-// and replay repetitions event-wise (see oblivious.go), falling back
+// loop is allocation-free. It is the only loop that draws completion
+// trials step by step, and the reference every other engine is pinned
+// to. When the policy is a *sched.Oblivious, the estimators compile
+// its prefix once into per-job occurrence lists and replay
+// repetitions event-wise (see oblivious.go), falling back
 // to the step engine for any repetition that outlives the prefix;
 // calls of BitParallelAutoMinReps repetitions or more run that walk
 // 64 repetitions per machine word (see lane.go), under a pinned
@@ -25,6 +27,16 @@
 // rather than falling back. Engine choice is a pure function of
 // (instance, policy, repetition count), made in one place
 // (Prepared.estimator), and EstimateInfo reports which engine ran.
+//
+// The step engine also runs dynamic scenarios. Given a Timeline
+// (NewTimelineRunner; internal/dyn compiles the timelines and supplies
+// the policies), jobs arrive, machines go down, and hidden regimes
+// scale p_ij while a machine is bad, drawing geometric sojourns from a
+// second stream so a regime never shifts the completion draws; the
+// policy sees arrivals, up machines and epochs in its sched.State.
+// When the policy is a RunTable, the loop jumps from a step that
+// trials no job to the end of its run of identical steps, stopping
+// early at the next event or the step cap; the jump moves no draw.
 //
 // Estimators derive repetition r's RNG stream from (seed, r) with a
 // SplitMix64 reseed (see rng.go) and run on one runner (RunChunks,

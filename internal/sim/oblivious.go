@@ -284,7 +284,7 @@ func (r *oblivRunner) continueTail(unfinished, maxSteps int, rng Rand) (int, boo
 		rs.eligible[j] = unf && left == 0
 	}
 	rs.remaining = unfinished
-	makespan, completed := rs.runFrom(c.o, c.prefixLen, maxSteps, rng)
+	makespan, completed := rs.runFrom(c.o, c.prefixLen, maxSteps, rng, nil)
 	copy(r.mass, rs.mass)
 	return makespan, completed
 }

@@ -59,12 +59,12 @@ const (
 	// which lost to its scalar walk and was removed. No engine reports
 	// it; the name stays for per-engine tallies that still list it.
 	EngineLaneAdaptive = "compiled-adaptive-lane"
-	// EngineDynamic is the dynamic-scenario step walk (internal/dyn):
-	// arrivals, outages and regime modulation change the instance
-	// mid-run, which the compiled engines' immutable tables cannot
-	// express — they refuse, and the scenario estimator runs this
-	// generic-style walk instead. Scenarios without events delegate
-	// back to the static engines and report those names.
+	// EngineDynamic is the generic step engine following a scenario's
+	// timeline (NewTimelineRunner, driven by internal/dyn): arrivals,
+	// outages and regime modulation change the instance mid-run, which
+	// the compiled engines' immutable tables cannot express. Scenarios
+	// without events delegate back to the static engines and report
+	// those names.
 	EngineDynamic = "dynamic-step"
 )
 
@@ -74,8 +74,8 @@ const (
 // just in wall-clock time.
 type EngineUsed struct {
 	// Engine is EngineCompiled (event-wise oblivious), its bit-parallel
-	// lane form EngineLane, the EngineCompiledAdaptive memo walk, or
-	// EngineGeneric.
+	// lane form EngineLane, the EngineCompiledAdaptive memo walk,
+	// EngineGeneric, or EngineDynamic for a scenario walk with events.
 	Engine string
 	// Lanes is the lockstep width of the bit-parallel engine (64), or
 	// 0 for the scalar engines.
