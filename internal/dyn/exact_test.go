@@ -68,11 +68,7 @@ func deployed(t *testing.T, in *model.Instance, factor int) *sched.Oblivious {
 //	V_g = 1 + (1−a)(1−p)·V_g + a(1−sp)·V_b
 //	V_b = 1 + b(1−p)·V_g + (1−b)(1−sp)·V_b,
 //
-// and E[T] = V_g, since every machine starts good. Without a regime,
-// one job at p = 0.5 takes 1/p = 2 steps on average when trialed every
-// step, and 2·2 − 1 = 3 when a cycled prefix trials it every other
-// step; under a cap of one step the capped makespan is 1, under two
-// steps 1 + 0.5.
+// and E[T] = V_g, since every machine starts good.
 func TestExactMakespanClosedForm(t *testing.T) {
 	for _, c := range []struct{ p, a, b, s float64 }{
 		{0.5, 0.1, 0.3, 0.2},
@@ -98,22 +94,43 @@ func TestExactMakespanClosedForm(t *testing.T) {
 			}
 		}
 	}
+}
+
+// exactSingleJob is ExactMakespan of the oblivious schedule that cycles
+// steps on one job at p = 0.5, with no events, capped at maxSteps.
+func exactSingleJob(t *testing.T, steps []sched.Assignment, maxSteps int) float64 {
+	t.Helper()
 	in := model.New(1, 1)
 	in.P[0][0] = 0.5
 	sc := New(in)
+	return exact(t, sc, NewStatic(sc, &sched.Oblivious{M: 1, Steps: steps}), maxSteps)
+}
+
+// One job at p = 0.5 trialed every step takes 1/p = 2 steps on average.
+func TestExactMakespanSingleJobGeometric(t *testing.T) {
+	if got := exactSingleJob(t, []sched.Assignment{{0}}, 1<<40); math.Abs(got-2) > 1e-9 {
+		t.Errorf("E = %.12f, want 2", got)
+	}
+}
+
+// A cycled prefix {job, idle} trials the job on odd steps only, so
+// E = 2·E[geometric(1/2)] − 1 = 3.
+func TestExactMakespanCyclePrefixEqualsTailFormula(t *testing.T) {
+	if got := exactSingleJob(t, []sched.Assignment{{0}, {sched.Idle}}, 1<<40); math.Abs(got-3) > 1e-9 {
+		t.Errorf("E = %.12f, want 3", got)
+	}
+}
+
+// Under a cap of one step the capped makespan is 1 (half the runs
+// finish at step 1, the other half are cut there); under two steps it
+// is 1 + 0.5.
+func TestExactMakespanHorizonResidual(t *testing.T) {
 	for _, c := range []struct {
-		steps    []sched.Assignment
 		maxSteps int
 		want     float64
-	}{
-		{[]sched.Assignment{{0}}, 1 << 40, 2},
-		{[]sched.Assignment{{0}, {sched.Idle}}, 1 << 40, 3},
-		{[]sched.Assignment{{0}}, 1, 1},
-		{[]sched.Assignment{{0}}, 2, 1.5},
-	} {
-		got := exact(t, sc, NewStatic(sc, &sched.Oblivious{M: 1, Steps: c.steps}), c.maxSteps)
-		if math.Abs(got-c.want) > 1e-9*c.want {
-			t.Errorf("prefix %v, cap %d: ExactMakespan %.12f, want %v", c.steps, c.maxSteps, got, c.want)
+	}{{1, 1}, {2, 1.5}} {
+		if got := exactSingleJob(t, []sched.Assignment{{0}}, c.maxSteps); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("cap %d: E[min(T, cap)] = %.12f, want %v", c.maxSteps, got, c.want)
 		}
 	}
 }
