@@ -2,8 +2,9 @@
 // suu-serve daemon: it submits an instance, solves it twice (the
 // repeat should come back from the result cache), requests a
 // CI-driven makespan estimate, and fetches the schedule as a Gantt
-// chart — the full round-trip a scheduling client performs, using
-// only the wire contract (no suu imports).
+// chart, as JSON and as a prefix analysis — the full round-trip a
+// scheduling client performs, using only the wire contract (no suu
+// imports).
 //
 // Start the daemon, then run the client:
 //
@@ -12,7 +13,9 @@
 //
 // The CI serve-smoke job runs exactly this binary with -expect-cached,
 // which makes a non-cached repeat solve (or any failed request) a
-// non-zero exit.
+// non-zero exit. Every run also exits non-zero unless the schedule's
+// JSON carries one entry per prefix step and its analysis counts the
+// same prefix length.
 package main
 
 import (
@@ -155,15 +158,44 @@ func main() {
 	fmt.Printf("estimate:  E[makespan] ≈ %.3f ± %.3f (n=%d, %s engine, converged=%v in %d rounds)\n",
 		est.Mean, est.HalfWidth95, est.Reps, est.Engine, est.Converged, est.Rounds)
 
-	// 4. Fetch the schedule itself as a Gantt chart.
-	resp, err := client.Get(base + "/v1/schedules/" + sol.ScheduleID + "?format=gantt&steps=6")
-	if err != nil {
-		log.Fatal(err)
+	// 4. Fetch the schedule itself: as a Gantt chart, as JSON (the
+	// prefix expanded to one assignment per step, plus the round-robin
+	// tail's job order) and as a prefix analysis.
+	get := func(format string) []byte {
+		path := "/v1/schedules/" + sol.ScheduleID + "?format=" + format
+		resp, err := client.Get(base + path)
+		if err != nil {
+			log.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			log.Fatalf("GET %s: HTTP %d (%v): %s", path, resp.StatusCode, err, raw)
+		}
+		return raw
 	}
-	defer resp.Body.Close()
-	gantt, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		log.Fatalf("GET schedule: HTTP %d (%v)", resp.StatusCode, err)
+	fmt.Printf("schedule (first steps):\n%s", get("gantt&steps=6"))
+	var schedule struct {
+		Machines  int     `json:"machines"`
+		Steps     [][]int `json:"steps"`
+		TailOrder []int   `json:"tail_order"`
 	}
-	fmt.Printf("schedule (first steps):\n%s", gantt)
+	if err := json.Unmarshal(get("json"), &schedule); err != nil {
+		log.Fatalf("schedule JSON: %v", err)
+	}
+	if len(schedule.Steps) != sol.PrefixLen || schedule.Machines != machines {
+		log.Fatalf("schedule JSON has %d steps on %d machines, want prefix_len %d on %d",
+			len(schedule.Steps), schedule.Machines, sol.PrefixLen, machines)
+	}
+	var analysis struct {
+		Steps int
+	}
+	if err := json.Unmarshal(get("analyze"), &analysis); err != nil {
+		log.Fatalf("schedule analysis: %v", err)
+	}
+	if analysis.Steps != sol.PrefixLen {
+		log.Fatalf("schedule analysis counts %d steps, want prefix_len %d", analysis.Steps, sol.PrefixLen)
+	}
+	fmt.Printf("schedule:  %d prefix steps on %d machines, tail over %d jobs\n",
+		len(schedule.Steps), schedule.Machines, len(schedule.TailOrder))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"suu/internal/model"
 	"suu/internal/sched"
@@ -39,6 +40,17 @@ type LearningPolicy struct {
 	alpha [][]float64
 	beta  [][]float64
 	step  int
+
+	// Scratch reused on every step, so neither Assign nor Observe
+	// allocates: the ranked pairs of the eligible jobs, the assignment
+	// Assign returns, MSM-ALG's mass buffer, and per job the machines
+	// the played assignment gives it (capacity M each), listed in jobs
+	// in order of first appearance.
+	order PairOrder
+	out   sched.Assignment
+	mass  []float64
+	byJob [][]int
+	jobs  []int
 }
 
 var _ sched.Policy = (*LearningPolicy)(nil)
@@ -46,7 +58,19 @@ var _ sched.OutcomeObserver = (*LearningPolicy)(nil)
 
 // NewLearningPolicy returns a learner with a uniform Beta(1,1) prior.
 func NewLearningPolicy(in *model.Instance, optimism float64) *LearningPolicy {
-	lp := &LearningPolicy{In: in, Optimism: optimism}
+	lp := &LearningPolicy{
+		In:       in,
+		Optimism: optimism,
+		order:    PairOrder{m: in.M, n: in.N, pairs: make([]pairPJ, 0, in.M*in.N)},
+		out:      make(sched.Assignment, in.M),
+		mass:     make([]float64, in.N),
+		byJob:    make([][]int, in.N),
+		jobs:     make([]int, 0, in.N),
+	}
+	machines := make([]int, in.N*in.M)
+	for j := range lp.byJob {
+		lp.byJob[j] = machines[j*in.M : j*in.M : (j+1)*in.M]
+	}
 	lp.alpha = make([][]float64, in.M)
 	lp.beta = make([][]float64, in.M)
 	for i := range lp.alpha {
@@ -70,12 +94,17 @@ func (lp *LearningPolicy) Attempts(i, j int) float64 {
 }
 
 // Assign implements sched.Policy: greedy MSM-ALG over the current
-// (optimistic) estimates.
+// (optimistic) estimates of the eligible jobs' pairs, ranked in place
+// in the learner's own buffer. The returned assignment is reused by
+// the next call.
 func (lp *LearningPolicy) Assign(st *sched.State) sched.Assignment {
 	lp.step++
-	est := model.New(lp.In.N, lp.In.M)
+	pairs := lp.order.pairs[:0]
 	for i := 0; i < lp.In.M; i++ {
 		for j := 0; j < lp.In.N; j++ {
+			if !st.Eligible[j] {
+				continue
+			}
 			v := lp.Estimate(i, j)
 			if lp.Optimism > 0 {
 				v += lp.Optimism * math.Sqrt(math.Log(float64(lp.step)+1)/(lp.Attempts(i, j)+1))
@@ -83,10 +112,14 @@ func (lp *LearningPolicy) Assign(st *sched.State) sched.Assignment {
 			if v > 1 {
 				v = 1
 			}
-			est.P[i][j] = v
+			if v > 0 {
+				pairs = append(pairs, pairPJ{i, j, v})
+			}
 		}
 	}
-	return MSMAlg(est, st.Eligible)
+	slices.SortFunc(pairs, comparePairs)
+	lp.order.pairs = pairs
+	return lp.order.MSMInto(lp.out, lp.mass, st.Eligible, nil)
 }
 
 // FrozenLearningPolicy is a stationary snapshot of a learner: MSM-ALG
@@ -129,15 +162,21 @@ func (lp *LearningPolicy) Frozen() *FrozenLearningPolicy {
 }
 
 // Observe implements sched.OutcomeObserver: exact failure updates,
-// soft-credit success updates.
+// soft-credit success updates. Each job's update reads and writes only
+// its own column of the posteriors, so the order of jobs is immaterial.
 func (lp *LearningPolicy) Observe(played sched.Assignment, completed []bool) {
-	byJob := make(map[int][]int)
+	lp.jobs = lp.jobs[:0]
 	for i, j := range played {
 		if j != sched.Idle && j >= 0 && j < lp.In.N {
-			byJob[j] = append(byJob[j], i)
+			if len(lp.byJob[j]) == 0 {
+				lp.jobs = append(lp.jobs, j)
+			}
+			lp.byJob[j] = append(lp.byJob[j], i)
 		}
 	}
-	for j, machines := range byJob {
+	for _, j := range lp.jobs {
+		machines := lp.byJob[j]
+		lp.byJob[j] = machines[:0]
 		if !completed[j] {
 			for _, i := range machines {
 				lp.beta[i][j]++

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"suu/internal/model"
@@ -112,5 +113,77 @@ func TestLearningPolicyFailureUpdatesExact(t *testing.T) {
 	lp2.Observe(sched.Assignment{0, sched.Idle}, []bool{true})
 	if math.Abs(lp2.Estimate(0, 0)-2.0/3) > 1e-12 {
 		t.Errorf("single-machine success: estimate %v, want 2/3", lp2.Estimate(0, 0))
+	}
+}
+
+// TestLearningPolicyAllocationFree pins the learner's step cost: once
+// a first run has warmed the runner, a run of the generic step engine
+// allocates nothing, the learner's Assign and Observe included.
+func TestLearningPolicyAllocationFree(t *testing.T) {
+	in := randomInstance(12, 4, rand.New(rand.NewSource(31)))
+	lp := NewLearningPolicy(in, 0.5)
+	r := sim.NewRunner(in, lp)
+	var rng sim.Stream
+	rep := int64(0)
+	run := func() {
+		rng.Reseed(7, rep)
+		rep++
+		if _, done := r.Run(100_000, &rng); !done {
+			t.Fatal("learner did not complete")
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Errorf("%v allocations per run, want 0", allocs)
+	}
+}
+
+// checkedLearner plays a learner and checks every assignment against
+// MSM-ALG over a fresh matrix of the learner's (optimistic) estimates,
+// which is what the learner ranks in place.
+type checkedLearner struct {
+	t  *testing.T
+	lp *LearningPolicy
+}
+
+func (c checkedLearner) Assign(st *sched.State) sched.Assignment {
+	lp := c.lp
+	est := model.New(lp.In.N, lp.In.M)
+	for i := 0; i < lp.In.M; i++ {
+		for j := 0; j < lp.In.N; j++ {
+			v := lp.Estimate(i, j)
+			if lp.Optimism > 0 {
+				v += lp.Optimism * math.Sqrt(math.Log(float64(lp.step+1)+1)/(lp.Attempts(i, j)+1))
+			}
+			est.P[i][j] = math.Min(v, 1)
+		}
+	}
+	want := MSMAlg(est, st.Eligible)
+	got := lp.Assign(st)
+	if !slices.Equal(got, want) {
+		c.t.Fatalf("step %d: learner assigned %v, MSM-ALG over its estimates %v", lp.step, got, want)
+	}
+	return got
+}
+
+func (c checkedLearner) Observe(played sched.Assignment, completed []bool) {
+	c.lp.Observe(played, completed)
+}
+
+// TestLearningPolicyMatchesMSMAlg: the in-place ranking assigns what
+// MSM-ALG assigns over the same estimates, step after step of
+// training, with and without the optimism bonus.
+func TestLearningPolicyMatchesMSMAlg(t *testing.T) {
+	for _, optimism := range []float64{0, 0.5} {
+		in := randomInstance(8, 3, rand.New(rand.NewSource(41)))
+		in.Prec.MustEdge(0, 3)
+		in.Prec.MustEdge(1, 3)
+		pol := checkedLearner{t: t, lp: NewLearningPolicy(in, optimism)}
+		rng := rand.New(rand.NewSource(43))
+		for episode := 0; episode < 40; episode++ {
+			if !sim.Run(in, pol, 100_000, rng).Completed {
+				t.Fatal("learner did not complete")
+			}
+		}
 	}
 }

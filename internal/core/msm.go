@@ -45,16 +45,21 @@ func newPairOrder(in *model.Instance, active []bool) *PairOrder {
 			}
 		}
 	}
-	slices.SortFunc(o.pairs, func(a, b pairPJ) int {
-		if c := cmp.Compare(b.p, a.p); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.i, b.i); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.j, b.j)
-	})
+	slices.SortFunc(o.pairs, comparePairs)
 	return o
+}
+
+// comparePairs is MSM-ALG's processing order: probability descending,
+// then machine, then job. No two pairs compare equal, so every sort
+// yields the same order.
+func comparePairs(a, b pairPJ) int {
+	if c := cmp.Compare(b.p, a.p); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.i, b.i); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.j, b.j)
 }
 
 // MSM is MSM-ALG over the order: the jobs marked active, the machines

@@ -197,7 +197,7 @@ func TestScheduleFromCountsRoundTrip(t *testing.T) {
 	for i := range got {
 		got[i] = make([]int, in.N)
 	}
-	for _, a := range o.Steps {
+	for _, a := range o.Steps() {
 		for i, j := range a {
 			if j != sched.Idle {
 				got[i][j]++

@@ -85,7 +85,7 @@ func ScheduleFromCounts(in *model.Instance, x [][]int, t int) *sched.Oblivious {
 			}
 		}
 	}
-	return &sched.Oblivious{M: in.M, Steps: steps}
+	return sched.NewOblivious(in.M, steps, nil)
 }
 
 // MassOfCounts returns the per-job (uncapped) mass of a count matrix.

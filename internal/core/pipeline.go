@@ -80,7 +80,7 @@ func PackSequential(in *model.Instance, x [][]int) *sched.Oblivious {
 			}
 		}
 	}
-	return &sched.Oblivious{M: in.M, Steps: steps}
+	return sched.NewOblivious(in.M, steps, nil)
 }
 
 // splitMixSource is a SplitMix64-backed rand.Source64: statistically

@@ -32,7 +32,7 @@ func TestSUUIObliviousEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Every job must have accumulated at least the peel threshold.
-		mass := sched.MassPerJob(in, res.Schedule.Steps)
+		mass := sched.MassPerJob(in, res.Schedule)
 		for j, v := range mass {
 			if v < 1.0/96-1e-9 {
 				t.Errorf("trial %d: job %d core mass %v < 1/96", trial, j, v)
@@ -82,7 +82,7 @@ func TestSUUChainsEndToEnd(t *testing.T) {
 		}
 		// Precedence windows on the final prefix (replication preserves
 		// window order).
-		if err := sched.CheckMassWindows(in, res.Schedule.Steps, 0.5); err != nil {
+		if err := sched.CheckMassWindows(in, res.Schedule, 0.5); err != nil {
 			t.Errorf("trial %d: %v", trial, err)
 		}
 		if res.Congestion > res.MaxLoad+1 {
@@ -189,7 +189,7 @@ func TestSUUForestOnAllClasses(t *testing.T) {
 			if res.MassAchieved < 0.5-1e-9 {
 				t.Errorf("mass %v < 0.5", res.MassAchieved)
 			}
-			if err := sched.CheckMassWindows(in, res.Schedule.Steps, 0.5); err != nil {
+			if err := sched.CheckMassWindows(in, res.Schedule, 0.5); err != nil {
 				t.Error(err)
 			}
 			mean := simulateCompletes(t, in, res.Schedule, 25)
@@ -271,7 +271,7 @@ func TestPackSequentialShape(t *testing.T) {
 	if err := o.Validate(3); err != nil {
 		t.Fatal(err)
 	}
-	mass := sched.MassPerJob(in, o.Steps)
+	mass := sched.MassPerJob(in, o)
 	if mass[0] != 1.0 || mass[1] != 0.5 || mass[2] != 2.0 {
 		t.Errorf("mass=%v", mass)
 	}

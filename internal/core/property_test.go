@@ -45,7 +45,7 @@ func TestForestPipelinePropertyRandomDags(t *testing.T) {
 		if res.MassAchieved < 0.5-1e-9 {
 			return false
 		}
-		if sched.CheckMassWindows(in, res.Schedule.Steps, 0.5) != nil {
+		if sched.CheckMassWindows(in, res.Schedule, 0.5) != nil {
 			return false
 		}
 		// The schedule must complete in simulation.
@@ -207,7 +207,7 @@ func TestChainsPrefixNoDoubleBooking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tt, a := range res.Schedule.Steps {
+	for tt, a := range res.Schedule.Steps() {
 		if len(a) != in.M {
 			t.Fatalf("step %d wrong arity", tt)
 		}

@@ -58,13 +58,12 @@ func SUUIOblivious(in *model.Instance, par Params) (*OblResult, error) {
 			remaining[j] = true
 		}
 		left := in.N
-		var prefix []sched.Assignment
+		var parts []*sched.Oblivious
 		rounds := 0
 		for left > 0 && rounds < maxRounds {
 			x := order.ext(remaining, t)
 			mass := MassOfCounts(in, x)
-			o := ScheduleFromCounts(in, x, t)
-			prefix = append(prefix, o.Steps...)
+			parts = append(parts, ScheduleFromCounts(in, x, t))
 			for j := 0; j < in.N; j++ {
 				if remaining[j] && mass[j] >= par.PeelThreshold-1e-12 {
 					remaining[j] = false
@@ -74,10 +73,10 @@ func SUUIOblivious(in *model.Instance, par Params) (*OblResult, error) {
 			rounds++
 		}
 		if left == 0 {
-			obl := &sched.Oblivious{M: in.M, Steps: prefix} // nil tail: cycles the prefix (Σ_o^∞)
+			obl := sched.Concat(parts...) // nil tail: cycles the prefix (Σ_o^∞)
 			return &OblResult{
 				Schedule:     obl,
-				CoreLength:   len(prefix),
+				CoreLength:   obl.Len(),
 				MassAchieved: par.PeelThreshold,
 				TGuess:       t,
 				Rounds:       rounds,

@@ -173,28 +173,6 @@ func (d *DAG) IsAcyclic() bool {
 	return err == nil
 }
 
-// Roots returns the vertices with in-degree zero, in index order.
-func (d *DAG) Roots() []int {
-	var rs []int
-	for v := 0; v < d.n; v++ {
-		if len(d.preds[v]) == 0 {
-			rs = append(rs, v)
-		}
-	}
-	return rs
-}
-
-// Leaves returns the vertices with out-degree zero, in index order.
-func (d *DAG) Leaves() []int {
-	var ls []int
-	for v := 0; v < d.n; v++ {
-		if len(d.succs[v]) == 0 {
-			ls = append(ls, v)
-		}
-	}
-	return ls
-}
-
 // Depth returns the number of vertices on a longest directed path
 // (so an edgeless graph has depth 1). Requires acyclicity.
 func (d *DAG) Depth() int {

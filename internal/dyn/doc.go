@@ -40,11 +40,10 @@
 // flips due at one transition apply in machine order.
 //
 // The walk executes every step, except where Static replays a
-// *sched.Oblivious: it plays the schedule through its sim.RunTable,
-// built once per strategy, since the prefix comes in runs of identical
-// steps (Replicate makes runs of σ). After a step that trials no job
-// the engine jumps to the end of the run, stopping early at the next
-// event or the step cap. A skipped step would have drawn no completion
+// *sched.Oblivious: the schedule stores its prefix as runs of
+// identical steps (Replicate makes runs of σ), and after a step that
+// trials no job the engine jumps to the end of the run, stopping early
+// at the next event or the step cap. A skipped step would have drawn no completion
 // uniform, and the flips inside the jump are applied in the order a
 // step-by-step walk applies them, so the jump moves no draw.
 //

@@ -21,11 +21,7 @@ func fixture() (*model.Instance, sched.Policy) {
 	in.Prec.MustEdge(0, 2)
 	in.Prec.MustEdge(1, 3)
 	in.Prec.MustEdge(2, 4)
-	pol := &sched.Oblivious{
-		M:     3,
-		Steps: []sched.Assignment{{0, 1, 5}, {0, 1, 5}},
-		Tail:  &sched.TopoRoundRobin{M: 3, Order: []int{0, 1, 2, 3, 4, 5}},
-	}
+	pol := sched.NewOblivious(3, []sched.Assignment{{0, 1, 5}, {0, 1, 5}}, &sched.TopoRoundRobin{M: 3, Order: []int{0, 1, 2, 3, 4, 5}})
 	return in, pol
 }
 

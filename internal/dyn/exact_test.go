@@ -87,7 +87,7 @@ func TestExactMakespanClosedForm(t *testing.T) {
 		a11, a12 := 1-(1-c.a)*(1-c.p), -c.a*(1-c.s*c.p)
 		a21, a22 := -c.b*(1-c.p), 1-(1-c.b)*(1-c.s*c.p)
 		want := (a22 - a12) / (a11*a22 - a12*a21)
-		for _, strat := range []Strategy{NewAdaptive(sc), NewStatic(sc, &sched.Oblivious{M: 1, Steps: []sched.Assignment{{0}}})} {
+		for _, strat := range []Strategy{NewAdaptive(sc), NewStatic(sc, sched.NewOblivious(1, []sched.Assignment{{0}}, nil))} {
 			got := exact(t, sc, strat, 1<<40)
 			if math.Abs(got-want) > 1e-9*want {
 				t.Errorf("%+v %s: ExactMakespan %.12f, closed form %.12f", c, strat.Name(), got, want)
@@ -103,7 +103,7 @@ func exactSingleJob(t *testing.T, steps []sched.Assignment, maxSteps int) float6
 	in := model.New(1, 1)
 	in.P[0][0] = 0.5
 	sc := New(in)
-	return exact(t, sc, NewStatic(sc, &sched.Oblivious{M: 1, Steps: steps}), maxSteps)
+	return exact(t, sc, NewStatic(sc, sched.NewOblivious(1, steps, nil)), maxSteps)
 }
 
 // One job at p = 0.5 trialed every step takes 1/p = 2 steps on average.
@@ -232,9 +232,9 @@ func exactCases(t *testing.T) []exactCase {
 		t.Fatalf("forest schedule's first run ends at %d of %d", runEnd, forestPol.Len())
 	}
 	I := sched.Idle
-	cycling := &sched.Oblivious{M: 2, Steps: (&sched.Oblivious{M: 2, Steps: []sched.Assignment{
+	cycling := sched.NewOblivious(2, []sched.Assignment{
 		{0, 1}, {I, I}, {2, 2}, {3, I},
-	}}).Replicate(3).Steps}
+	}, nil).Replicate(3)
 	return []exactCase{
 		{"independent, regime on one machine", New(indep).Burst(1, 0.3, 0.8, 0.2), indepPol, 100_000},
 		{"chains, arrival", New(chains).ArriveAt(3, 6).Burst(0, 0.2, 0.9, 0.3), chainsPol, 100_000},

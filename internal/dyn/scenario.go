@@ -7,13 +7,6 @@ import (
 	"suu/internal/sim"
 )
 
-// Arrival releases a job: before step At the job is invisible to
-// policies (not eligible, not counted as a predecessor obstacle it
-// could clear). At 0 the job is present from the start.
-type Arrival struct {
-	Job, At int
-}
-
 // Outage takes a machine down for the half-open step interval
 // [From, To): assignments to it during the interval are ignored (the
 // machine idles), and the rolling strategy plans around it.

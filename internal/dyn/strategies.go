@@ -1,8 +1,6 @@
 package dyn
 
 import (
-	"sync"
-
 	"suu/internal/core"
 	"suu/internal/model"
 	"suu/internal/sched"
@@ -20,12 +18,6 @@ import (
 type StaticStrategy struct {
 	sc  *Scenario
 	pol sched.Policy
-
-	// runs is the run table of an oblivious policy's prefix, built on
-	// the first NewWalker call; sim.RunChunks calls NewWalker on
-	// concurrent workers.
-	once sync.Once
-	runs *sim.RunTable
 }
 
 // NewStatic wraps pol for walks over sc.
@@ -46,15 +38,9 @@ func (s *StaticStrategy) StaticPolicy() (sched.Policy, bool) { return s.pol, tru
 func (s *StaticStrategy) parallelizable() bool { return sim.Parallelizable(s.pol) }
 
 // NewWalker implements Strategy. Every worker shares the wrapped
-// policy, except that an oblivious policy with a non-empty prefix is
-// replayed through its run table, which the step engine jumps on.
-func (s *StaticStrategy) NewWalker() sched.Policy {
-	if o, ok := s.pol.(*sched.Oblivious); ok && o.Len() > 0 {
-		s.once.Do(func() { s.runs = sim.NewRunTable(o) })
-		return s.runs
-	}
-	return s.pol
-}
+// policy; on an oblivious one the step engine jumps over the runs
+// that trial nothing.
+func (s *StaticStrategy) NewWalker() sched.Policy { return s.pol }
 
 // AdaptiveStrategy reruns the MSM greedy every step on the currently
 // eligible jobs and up machines (core.MSMAlgMasked's greedy, scanned

@@ -23,31 +23,31 @@ type skipCase struct {
 
 // skipPrefix is a prefix over fixture()'s six jobs: runs of eight
 // identical steps, one of them all idle, two of them using machine 0
-// only. omit replaces job 5 with Idle.
-func skipPrefix(omit bool) []sched.Assignment {
+// only, followed by tail. omit replaces job 5 with Idle.
+func skipPrefix(omit bool, tail sched.Tail) *sched.Oblivious {
 	x := 5
 	if omit {
 		x = sched.Idle
 	}
 	I := sched.Idle
-	base := &sched.Oblivious{M: 3, Steps: []sched.Assignment{
+	base := sched.NewOblivious(3, []sched.Assignment{
 		{0, 1, x},
 		{x, I, I},
 		{2, 3, I},
 		{I, I, I},
 		{4, I, I},
 		{3, 4, 2},
-	}}
-	return base.Replicate(8).Steps
+	}, tail)
+	return base.Replicate(8)
 }
 
 func skipCases(t *testing.T) []skipCase {
 	t.Helper()
 	in, _ := fixture()
 	topo := func() *sched.Oblivious {
-		return &sched.Oblivious{M: 3, Steps: skipPrefix(false), Tail: &sched.TopoRoundRobin{M: 3, Order: []int{0, 1, 5, 2, 3, 4}}}
+		return skipPrefix(false, &sched.TopoRoundRobin{M: 3, Order: []int{0, 1, 5, 2, 3, 4}})
 	}
-	cycling := &sched.Oblivious{M: 3, Steps: skipPrefix(true)}
+	cycling := skipPrefix(true, nil)
 	solved := func(name string, in *model.Instance, sc *Scenario) skipCase {
 		_, res, err := solve.Auto(in, core.DefaultParams())
 		if err != nil {
@@ -99,11 +99,11 @@ func TestSkipMatchesStepwise(t *testing.T) {
 		skip := NewStatic(c.sc, c.pol)
 		step := NewStatic(c.sc, opaquePolicy{pol: c.pol})
 		sw, pw := skip.NewWalker(), step.NewWalker()
-		runs, ok := sw.(*sim.RunTable)
+		runs, ok := sw.(*sched.Oblivious)
 		if !ok {
 			t.Fatalf("%s: the oblivious walker reports no runs", c.name)
 		}
-		if _, ok := pw.(*sim.RunTable); ok {
+		if _, ok := pw.(*sched.Oblivious); ok {
 			t.Fatalf("%s: an opaque policy reports runs", c.name)
 		}
 
@@ -112,7 +112,7 @@ func TestSkipMatchesStepwise(t *testing.T) {
 		// cycle; past a tailed prefix every step is its own run.
 		l := c.pol.Len()
 		for t0 := 0; t0 < 3*l; t0++ {
-			end := runs.End(t0)
+			end := runs.RunEnd(t0)
 			if end <= t0 {
 				t.Fatalf("%s: runEnd(%d) = %d", c.name, t0, end)
 			}
@@ -157,8 +157,7 @@ func TestSkipMatchesStepwise(t *testing.T) {
 			t.Fatalf("%s: no repetition reached the cap", c.name)
 		}
 
-		// A fresh strategy per call: its workers build the run table
-		// concurrently on first use.
+		// A fresh strategy per call: its workers share the schedule.
 		for _, workers := range []int{1, 2, 5} {
 			want, wantInc, _, err := EstimateInfo(c.sc, step, reps, c.maxSteps, 9, workers)
 			if err != nil {

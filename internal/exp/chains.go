@@ -148,5 +148,5 @@ func T7(cfg Config) *Table {
 // windowCheck is used by tests: the chains pipeline's final prefix
 // must respect AccuMass-C condition (ii).
 func windowCheck(in *model.Instance, steps []sched.Assignment) error {
-	return sched.CheckMassWindows(in, steps, 0.5)
+	return sched.CheckMassWindows(in, sched.NewOblivious(in.M, steps, nil), 0.5)
 }

@@ -79,7 +79,7 @@ func TestSmallRepFanOutSmoke(t *testing.T) {
 		wg.Wait()
 		return time.Since(start).Seconds()
 	}
-	estimate(2) // warm the static strategy's run table
+	estimate(2) // warm up before timing
 	const rounds = 41
 	var ratios, controls []float64
 	for round := 0; round < rounds; round++ {

@@ -87,9 +87,6 @@ func (in *Instance) At(i, j int) float64 { return in.P[i][j] }
 // SetAt sets P[i][j] = p.
 func (in *Instance) SetAt(i, j int, p float64) { in.P[i][j] = p }
 
-// Row returns machine i's probability row (a view; do not resize).
-func (in *Instance) Row(i int) []float64 { return in.P[i] }
-
 // Clone returns a deep copy of the instance.
 func (in *Instance) Clone() *Instance {
 	out := New(in.N, in.M)

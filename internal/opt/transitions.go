@@ -57,6 +57,3 @@ func ClosedStates(in *model.Instance) ([]uint64, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
 }
-
-// Eligible exposes the eligible job list of a state.
-func Eligible(in *model.Instance, s uint64) []int { return eligibleOf(in, s) }

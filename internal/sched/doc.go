@@ -7,6 +7,9 @@
 //     unfinished set (Definition 2.2);
 //   - Oblivious — a time-indexed schedule independent of the unfinished
 //     set (Definition 2.3), as a finite prefix plus an infinite tail;
+//     the prefix is stored as runs of equal steps, so replication and
+//     concatenation cost O(runs), and a step iterator reads it step by
+//     step without expanding it;
 //   - Pseudo — a pseudo-schedule (Definition 4.1): per-chain schedules
 //     whose union may assign a machine to several jobs per step;
 //   - transformations: random delays, flattening, replication,

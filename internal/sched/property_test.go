@@ -9,7 +9,7 @@ import (
 )
 
 func randomObl(rng *rand.Rand, n, m, steps int) *Oblivious {
-	o := &Oblivious{M: m}
+	var prefix []Assignment
 	for t := 0; t < steps; t++ {
 		a := NewIdle(m)
 		for i := range a {
@@ -17,9 +17,9 @@ func randomObl(rng *rand.Rand, n, m, steps int) *Oblivious {
 				a[i] = rng.Intn(n)
 			}
 		}
-		o.Steps = append(o.Steps, a)
+		prefix = append(prefix, a)
 	}
-	return o
+	return NewOblivious(m, prefix, nil)
 }
 
 // Property: replication multiplies per-job mass by σ exactly.
@@ -35,8 +35,8 @@ func TestReplicateMassLinear(t *testing.T) {
 		}
 		o := randomObl(rng, n, m, 1+rng.Intn(8))
 		sigma := 1 + int(sRaw)%5
-		base := MassPerJob(in, o.Steps)
-		repl := MassPerJob(in, o.Replicate(sigma).Steps)
+		base := MassPerJob(in, o)
+		repl := MassPerJob(in, o.Replicate(sigma))
 		for j := range base {
 			if diff := repl[j] - float64(sigma)*base[j]; diff > 1e-9 || diff < -1e-9 {
 				return false
@@ -67,9 +67,9 @@ func TestConcatProperties(t *testing.T) {
 		if c.Len() != a.Len()+b.Len() {
 			return false
 		}
-		ma := MassPerJob(in, a.Steps)
-		mb := MassPerJob(in, b.Steps)
-		mc := MassPerJob(in, c.Steps)
+		ma := MassPerJob(in, a)
+		mb := MassPerJob(in, b)
+		mc := MassPerJob(in, c)
 		for j := range mc {
 			if diff := mc[j] - ma[j] - mb[j]; diff > 1e-9 || diff < -1e-9 {
 				return false
@@ -84,7 +84,7 @@ func TestConcatProperties(t *testing.T) {
 		}
 		for t := 0; t < b.Len(); t++ {
 			for i := 0; i < m; i++ {
-				if c.At(a.Len() + t)[i] != b.Steps[t][i] {
+				if c.At(a.Len() + t)[i] != b.At(t)[i] {
 					return false
 				}
 			}
@@ -139,7 +139,7 @@ func TestDelayFlattenInvariants(t *testing.T) {
 			return false
 		}
 		flat := d.Flatten()
-		m3 := MassPerJob(in, flat.Steps)
+		m3 := MassPerJob(in, flat)
 		for j := range m1 {
 			if diff := m1[j] - m3[j]; diff > 1e-9 || diff < -1e-9 {
 				return false

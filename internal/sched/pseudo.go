@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // ChainTrack is the schedule of a single precedence chain inside a
@@ -272,7 +273,7 @@ func (p *Pseudo) Flatten() *Oblivious {
 			steps = append(steps, a)
 		}
 	}
-	return &Oblivious{M: p.M, Steps: steps}
+	return NewOblivious(p.M, steps, nil)
 }
 
 // Compact returns the oblivious prefix with all-idle steps removed.
@@ -280,24 +281,21 @@ func (p *Pseudo) Flatten() *Oblivious {
 // assignment, hence all precedence windows and per-job masses, and can
 // only shorten the schedule. Pipelines apply it after flattening
 // (delayed tracks produce idle slots where every chain is waiting).
+// It drops idle runs, so its cost is O(runs).
 func (o *Oblivious) Compact() *Oblivious {
 	out := &Oblivious{M: o.M, Tail: o.Tail}
-	for _, a := range o.Steps {
-		idle := true
-		for _, j := range a {
-			if j != Idle {
-				idle = false
-				break
-			}
+	start := 0
+	for k, a := range o.runs {
+		if slices.ContainsFunc(a, func(j int) bool { return j != Idle }) {
+			out.push(a, o.ends[k]-start)
 		}
-		if !idle {
-			out.Steps = append(out.Steps, a)
-		}
+		start = o.ends[k]
 	}
-	if len(out.Steps) == 0 && len(o.Steps) > 0 {
+	if len(out.runs) == 0 && len(o.runs) > 0 {
 		// Keep one step so cycling prefixes stay well defined.
-		out.Steps = append(out.Steps, o.Steps[0])
+		out.push(o.runs[0], 1)
 	}
+	out.reindex()
 	return out
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestGantt(t *testing.T) {
-	o := &Oblivious{M: 2, Steps: []Assignment{{0, Idle}, {1, 0}, {Idle, Idle}}}
+	o := NewOblivious(2, []Assignment{{0, Idle}, {1, 0}, {Idle, Idle}}, nil)
 	g := o.Gantt(0)
 	if !strings.Contains(g, "m0") || !strings.Contains(g, "m1") {
 		t.Fatalf("missing machine rows:\n%s", g)
@@ -27,11 +27,7 @@ func TestGantt(t *testing.T) {
 }
 
 func TestObliviousJSONRoundTrip(t *testing.T) {
-	o := &Oblivious{
-		M:     2,
-		Steps: []Assignment{{0, 1}, {Idle, 0}},
-		Tail:  &TopoRoundRobin{M: 2, Order: []int{1, 0}},
-	}
+	o := NewOblivious(2, []Assignment{{0, 1}, {Idle, 0}}, &TopoRoundRobin{M: 2, Order: []int{1, 0}})
 	data, err := json.Marshal(o)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +39,7 @@ func TestObliviousJSONRoundTrip(t *testing.T) {
 	if back.M != 2 || back.Len() != 2 {
 		t.Fatalf("shape lost: %+v", back)
 	}
-	if back.Steps[1][0] != Idle || back.Steps[0][1] != 1 {
+	if back.At(1)[0] != Idle || back.At(0)[1] != 1 {
 		t.Error("assignments lost")
 	}
 	rr, ok := back.Tail.(*TopoRoundRobin)

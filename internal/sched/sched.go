@@ -2,6 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"iter"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -106,109 +108,235 @@ type Tail interface {
 // followed by an optional infinite tail. A nil Tail repeats the prefix
 // forever (the Σ_o^∞ construction of Theorem 3.6); an empty prefix
 // with nil tail is invalid for execution.
+//
+// The prefix is kept as runs. A run is a maximal block of consecutive
+// steps with equal assignments, stored once with the step it ends
+// at. Replicate makes runs of at least σ steps, and the packed
+// constructions often repeat a step as well, so replication,
+// concatenation and compaction cost O(runs), not O(steps). Build a
+// schedule with NewOblivious; the zero value has an empty prefix. A
+// schedule shares its assignments with the code that built it and
+// with the schedules derived from it, so they must not be modified.
 type Oblivious struct {
-	M     int
-	Steps []Assignment
-	Tail  Tail
+	M    int
+	Tail Tail
+
+	// runs[k] is played on steps [ends[k-1], ends[k]), where ends[-1]
+	// is 0. Adjacent runs differ in content and every run has a step.
+	runs []Assignment
+	ends []int
+	// index narrows At's search over ends to one bucket of 1<<shift
+	// steps, the mean run length rounded down to a power of two:
+	// index[b] is the run that plays the first step of bucket b, and
+	// the last entry is the last run. A bucket holds about one run end,
+	// so At searches a run or two, not all of them: the step engine
+	// calls it on every step it walks.
+	index []int32
+	shift uint
+}
+
+// NewOblivious returns the schedule on m machines that plays steps as
+// its prefix and then tail. Consecutive steps with equal contents
+// merge into one run, which keeps the first of them.
+func NewOblivious(m int, steps []Assignment, tail Tail) *Oblivious {
+	o := &Oblivious{M: m, Tail: tail}
+	for _, a := range steps {
+		o.push(a, 1)
+	}
+	o.reindex()
+	return o
+}
+
+// push appends count steps of a to the prefix, extending the last run
+// when a has its contents.
+func (o *Oblivious) push(a Assignment, count int) {
+	end := o.Len() + count
+	if k := len(o.runs) - 1; k >= 0 && slices.Equal(o.runs[k], a) {
+		o.ends[k] = end
+		return
+	}
+	o.runs = append(o.runs, a)
+	o.ends = append(o.ends, end)
 }
 
 // Len returns the prefix length.
-func (o *Oblivious) Len() int { return len(o.Steps) }
+func (o *Oblivious) Len() int {
+	if len(o.ends) == 0 {
+		return 0
+	}
+	return o.ends[len(o.ends)-1]
+}
+
+// reindex builds index once the runs are final. There are fewer than
+// two buckets per run, so it costs O(runs).
+func (o *Oblivious) reindex() {
+	r := len(o.runs)
+	if r == 0 {
+		o.index = nil
+		return
+	}
+	l := o.Len()
+	o.shift = uint(bits.Len(uint(l/r)) - 1)
+	buckets := (l-1)>>o.shift + 1
+	o.index = make([]int32, buckets+1)
+	k := 0
+	for b := range buckets {
+		for o.ends[k] <= b<<o.shift {
+			k++
+		}
+		o.index[b] = int32(k)
+	}
+	o.index[buckets] = int32(r - 1)
+}
+
+// run returns the index of the run that plays prefix step t: the
+// first run that ends after t, found by binary search between the
+// runs index gives for t's bucket and for the next one.
+func (o *Oblivious) run(t int) int {
+	b := t >> o.shift
+	lo, hi := int(o.index[b]), int(o.index[b+1])
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if o.ends[mid] <= t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
 
 // At returns the assignment of step t (0-based), consulting the tail
 // or cycling the prefix beyond the prefix length.
 func (o *Oblivious) At(t int) Assignment {
-	if t < len(o.Steps) {
-		return o.Steps[t]
+	if l := o.Len(); t >= l {
+		if o.Tail != nil {
+			return o.Tail.TailAssign(t - l)
+		}
+		if l == 0 {
+			panic("sched: empty oblivious schedule with no tail")
+		}
+		t %= l
 	}
-	if o.Tail != nil {
-		return o.Tail.TailAssign(t - len(o.Steps))
-	}
-	if len(o.Steps) == 0 {
-		panic("sched: empty oblivious schedule with no tail")
-	}
-	return o.Steps[t%len(o.Steps)]
+	return o.runs[o.run(t)]
 }
 
 // Assign implements Policy; oblivious schedules ignore the job state.
 func (o *Oblivious) Assign(st *State) Assignment { return o.At(st.Step) }
 
+// RunEnd returns the first step after t whose assignment may differ
+// from step t's. Inside the prefix that is the end of t's run: the
+// first later step with different contents, or Len. A tail may change
+// its assignment every step, so past a tailed prefix it is t+1; a
+// cycled prefix wraps, so its runs repeat with it.
+func (o *Oblivious) RunEnd(t int) int {
+	l := o.Len()
+	switch {
+	case t < l:
+		return o.ends[o.run(t)]
+	case o.Tail != nil:
+		return t + 1
+	case l == 0:
+		panic("sched: empty oblivious schedule with no tail")
+	default:
+		return t - t%l + o.ends[o.run(t%l)]
+	}
+}
+
+// Runs returns the prefix as its runs: runs[k] is played on steps
+// [ends[k-1], ends[k]), where ends[-1] is 0, and adjacent runs differ
+// in content. Both slices belong to the schedule and must not be
+// modified.
+func (o *Oblivious) Runs() (runs []Assignment, ends []int) { return o.runs, o.ends }
+
+// Steps iterates over the prefix one step at a time, yielding each
+// step's index and assignment. It allocates nothing; the assignments
+// are the schedule's own.
+func (o *Oblivious) Steps() iter.Seq2[int, Assignment] {
+	return func(yield func(int, Assignment) bool) {
+		t := 0
+		for k, a := range o.runs {
+			for ; t < o.ends[k]; t++ {
+				if !yield(t, a) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // Validate checks structural feasibility: every step assigns each of
-// the M machines to a job in [0,n) or Idle.
+// the M machines to a job in [0,n) or Idle, and a round-robin tail
+// spans the M machines and cycles over jobs in [0,n). It reads each
+// run once.
 func (o *Oblivious) Validate(n int) error {
-	for t, a := range o.Steps {
+	start := 0
+	for k, a := range o.runs {
 		if len(a) != o.M {
-			return fmt.Errorf("sched: step %d has %d machines, want %d", t, len(a), o.M)
+			return fmt.Errorf("sched: step %d has %d machines, want %d", start, len(a), o.M)
 		}
 		for i, j := range a {
 			if j != Idle && (j < 0 || j >= n) {
-				return fmt.Errorf("sched: step %d machine %d assigned to invalid job %d", t, i, j)
+				return fmt.Errorf("sched: step %d machine %d assigned to invalid job %d", start, i, j)
+			}
+		}
+		start = o.ends[k]
+	}
+	if rr, ok := o.Tail.(*TopoRoundRobin); ok {
+		if rr.M != o.M {
+			return fmt.Errorf("sched: tail has %d machines, want %d", rr.M, o.M)
+		}
+		for k, j := range rr.Order {
+			if j < 0 || j >= n {
+				return fmt.Errorf("sched: tail position %d names invalid job %d", k, j)
 			}
 		}
 	}
 	return nil
 }
 
-// RunEnd returns the end of the prefix run starting at step t, for
-// 0 <= t < Len: the first step after t whose assignment differs from
-// step t's, or Len.
-// A run is a maximal block of consecutive prefix steps with equal
-// assignments; Replicate makes runs of at least sigma steps, and the
-// packed constructions often repeat a step as well.
-func (o *Oblivious) RunEnd(t int) int {
-	a := o.Steps[t]
-	for t++; t < len(o.Steps) && sameAssignment(a, o.Steps[t]); t++ {
-	}
-	return t
-}
-
-// sameAssignment reports whether a and b assign the same jobs. A
-// shared backing array settles it without reading the machines:
-// Replicate reuses one assignment across its sigma copies.
-func sameAssignment(a, b Assignment) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 || &a[0] == &b[0] {
-		return true
-	}
-	return slices.Equal(a, b)
-}
-
-// Concat returns a new schedule running the parts' prefixes in order,
-// each copied once into a prefix of their total length; the tail is
-// taken from the last part. It needs at least one part, and every part
-// must have the same machine count.
+// Concat returns a new schedule running the parts' prefixes in order;
+// the tail is taken from the last part. It copies runs, not steps, and
+// merges the runs that meet at a boundary with equal contents. It
+// needs at least one part, and every part must have the same machine
+// count.
 func Concat(parts ...*Oblivious) *Oblivious {
-	total := 0
+	runs := 0
 	for _, p := range parts {
 		if p.M != parts[0].M {
 			panic("sched: concat of schedules with different machine counts")
 		}
-		total += len(p.Steps)
-	}
-	steps := make([]Assignment, 0, total)
-	for _, p := range parts {
-		steps = append(steps, p.Steps...)
+		runs += len(p.runs)
 	}
 	last := parts[len(parts)-1]
-	return &Oblivious{M: last.M, Steps: steps, Tail: last.Tail}
+	out := &Oblivious{M: last.M, Tail: last.Tail, runs: make([]Assignment, 0, runs), ends: make([]int, 0, runs)}
+	for _, p := range parts {
+		start := 0
+		for k, a := range p.runs {
+			out.push(a, p.ends[k]-start)
+			start = p.ends[k]
+		}
+	}
+	out.reindex()
+	return out
 }
 
 // Replicate repeats every prefix step sigma times (the schedule
 // replication step of Section 4.1): step τ of the result equals step
-// ⌊τ/sigma⌋ of the input prefix. The tail is preserved.
+// ⌊τ/sigma⌋ of the input prefix. It multiplies run lengths, sharing
+// the runs' assignments with o, so its cost does not depend on sigma.
+// The tail is preserved.
 func (o *Oblivious) Replicate(sigma int) *Oblivious {
 	if sigma < 1 {
 		panic("sched: replication factor must be >= 1")
 	}
-	steps := make([]Assignment, 0, len(o.Steps)*sigma)
-	for _, a := range o.Steps {
-		for k := 0; k < sigma; k++ {
-			steps = append(steps, a)
-		}
+	ends := make([]int, len(o.ends))
+	for k, e := range o.ends {
+		ends[k] = e * sigma
 	}
-	return &Oblivious{M: o.M, Steps: steps, Tail: o.Tail}
+	out := &Oblivious{M: o.M, Tail: o.Tail, runs: o.runs, ends: ends}
+	out.reindex()
+	return out
 }
 
 // TopoRoundRobin is the Σ_o,3 tail: at tail step k every machine is
@@ -296,9 +424,9 @@ func (r *Regimen) Memoizable() {}
 // accumulated over the prefix of the oblivious schedule: Σ_t p[i][j]
 // over assignments f_t(i) = j. This is the quantity the constructions
 // of Sections 3 and 4 certify lower bounds on.
-func MassPerJob(in *model.Instance, steps []Assignment) []float64 {
+func MassPerJob(in *model.Instance, o *Oblivious) []float64 {
 	mass := make([]float64, in.N)
-	for _, a := range steps {
+	for _, a := range o.Steps() {
 		for i, j := range a {
 			if j != Idle {
 				mass[j] += in.P[i][j]
@@ -308,12 +436,12 @@ func MassPerJob(in *model.Instance, steps []Assignment) []float64 {
 	return mass
 }
 
-// MassBySteps returns the running per-job mass after each step:
+// MassBySteps returns the running per-job mass after each prefix step:
 // out[t][j] is j's mass accumulated in steps 0..t.
-func MassBySteps(in *model.Instance, steps []Assignment) [][]float64 {
-	out := make([][]float64, len(steps))
+func MassBySteps(in *model.Instance, o *Oblivious) [][]float64 {
+	out := make([][]float64, o.Len())
 	cur := make([]float64, in.N)
-	for t, a := range steps {
+	for t, a := range o.Steps() {
 		for i, j := range a {
 			if j != Idle {
 				cur[j] += in.P[i][j]
@@ -330,7 +458,7 @@ func MassBySteps(in *model.Instance, steps []Assignment) [][]float64 {
 // oblivious prefix: whenever j1 ≺ j2 (direct precedence edge), no
 // machine may be assigned to j2 at a step before j1 has accumulated
 // mass >= target. Returns the first violation found.
-func CheckMassWindows(in *model.Instance, steps []Assignment, target float64) error {
+func CheckMassWindows(in *model.Instance, o *Oblivious, target float64) error {
 	running := make([]float64, in.N)
 	reachedAt := make([]int, in.N)
 	for j := range reachedAt {
@@ -340,7 +468,7 @@ func CheckMassWindows(in *model.Instance, steps []Assignment, target float64) er
 	for j := range firstAssigned {
 		firstAssigned[j] = -1
 	}
-	for t, a := range steps {
+	for t, a := range o.Steps() {
 		for i, j := range a {
 			if j == Idle {
 				continue

@@ -30,7 +30,7 @@ func TestAssignmentHelpers(t *testing.T) {
 }
 
 func TestObliviousAtPrefixTailCycle(t *testing.T) {
-	o := &Oblivious{M: 1, Steps: []Assignment{{0}, {1}}}
+	o := NewOblivious(1, []Assignment{{0}, {1}}, nil)
 	if o.At(0)[0] != 0 || o.At(1)[0] != 1 {
 		t.Error("prefix lookup wrong")
 	}
@@ -45,23 +45,23 @@ func TestObliviousAtPrefixTailCycle(t *testing.T) {
 }
 
 func TestObliviousValidate(t *testing.T) {
-	o := &Oblivious{M: 2, Steps: []Assignment{{0, Idle}}}
+	o := NewOblivious(2, []Assignment{{0, Idle}}, nil)
 	if err := o.Validate(1); err != nil {
 		t.Fatal(err)
 	}
-	bad := &Oblivious{M: 2, Steps: []Assignment{{0, 5}}}
+	bad := NewOblivious(2, []Assignment{{0, 5}}, nil)
 	if bad.Validate(1) == nil {
 		t.Error("invalid job accepted")
 	}
-	short := &Oblivious{M: 2, Steps: []Assignment{{0}}}
+	short := NewOblivious(2, []Assignment{{0}}, nil)
 	if short.Validate(1) == nil {
 		t.Error("short assignment accepted")
 	}
 }
 
 func TestConcatAndReplicate(t *testing.T) {
-	a := &Oblivious{M: 1, Steps: []Assignment{{0}}}
-	b := &Oblivious{M: 1, Steps: []Assignment{{1}}, Tail: &TopoRoundRobin{M: 1, Order: []int{0}}}
+	a := NewOblivious(1, []Assignment{{0}}, nil)
+	b := NewOblivious(1, []Assignment{{1}}, &TopoRoundRobin{M: 1, Order: []int{0}})
 	c := Concat(a, b)
 	if c.Len() != 2 || c.At(0)[0] != 0 || c.At(1)[0] != 1 {
 		t.Error("concat wrong")
@@ -112,7 +112,7 @@ func TestRunEnd(t *testing.T) {
 		{"empty prefix", nil, nil},
 	}
 	for _, c := range cases {
-		o := &Oblivious{M: 3, Steps: c.steps}
+		o := NewOblivious(3, c.steps, nil)
 		got := runsOf(o)
 		if len(got) != len(c.want) {
 			t.Errorf("%s: runs %v, want %v", c.name, got, c.want)
@@ -151,7 +151,7 @@ func TestRegimenLookupAndFallback(t *testing.T) {
 
 func TestMassPerJob(t *testing.T) {
 	in := twoJobInstance()
-	steps := []Assignment{{0, 1}, {0, Idle}}
+	steps := NewOblivious(2, []Assignment{{0, 1}, {0, Idle}}, nil)
 	mass := MassPerJob(in, steps)
 	if mass[0] != 1.0 || mass[1] != 0.4 {
 		t.Errorf("mass=%v, want [1.0 0.4]", mass)
@@ -166,18 +166,18 @@ func TestCheckMassWindows(t *testing.T) {
 	in := twoJobInstance()
 	in.Prec.MustEdge(0, 1)
 	// Job 1 touched at step 0 while job 0 has no mass: violation.
-	bad := []Assignment{{Idle, 1}, {0, Idle}}
+	bad := NewOblivious(2, []Assignment{{Idle, 1}, {0, Idle}}, nil)
 	if CheckMassWindows(in, bad, 0.5) == nil {
 		t.Error("window violation not caught")
 	}
 	// Job 0 reaches 0.5 at step 0 (machine 0: p=0.5); job 1 from step 1.
-	good := []Assignment{{0, Idle}, {Idle, 1}, {Idle, 1}}
+	good := NewOblivious(2, []Assignment{{0, Idle}, {Idle, 1}, {Idle, 1}}, nil)
 	if err := CheckMassWindows(in, good, 0.5); err != nil {
 		t.Errorf("valid windows rejected: %v", err)
 	}
 	// Same-step assignment (pred reaches target at t, succ starts at t)
 	// violates the strict "before" requirement.
-	sameStep := []Assignment{{0, 1}, {Idle, 1}}
+	sameStep := NewOblivious(2, []Assignment{{0, 1}, {Idle, 1}}, nil)
 	if CheckMassWindows(in, sameStep, 0.5) == nil {
 		t.Error("same-step start not caught")
 	}
@@ -255,7 +255,7 @@ func TestFlattenProducesFeasibleSchedule(t *testing.T) {
 	}
 	// Per-machine-step single job by construction; total assignments preserved.
 	count := 0
-	for _, a := range o.Steps {
+	for _, a := range o.Steps() {
 		for _, j := range a {
 			if j != Idle {
 				count++
@@ -279,7 +279,7 @@ func TestFlattenPreservesMass(t *testing.T) {
 		{Steps: []Assignment{{2, 2}, {Idle, 0}}},
 	}}
 	want := MassPerJobPseudo(p, in.P, 3)
-	got := MassPerJob(in, p.Flatten().Steps)
+	got := MassPerJob(in, p.Flatten())
 	for j := range want {
 		if diff := want[j] - got[j]; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("job %d mass %v != %v", j, got[j], want[j])
@@ -292,8 +292,8 @@ func TestFlattenIdleStepPreserved(t *testing.T) {
 		{Steps: []Assignment{{Idle}, {0}}},
 	}}
 	o := p.Flatten()
-	if o.Len() != 2 || o.Steps[0][0] != Idle || o.Steps[1][0] != 0 {
-		t.Errorf("idle step not preserved: %v", o.Steps)
+	if o.Len() != 2 || o.At(0)[0] != Idle || o.At(1)[0] != 0 {
+		t.Errorf("idle step not preserved:\n%s", o.Gantt(0))
 	}
 }
 

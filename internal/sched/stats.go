@@ -25,7 +25,7 @@ type PrefixStats struct {
 // in.
 func AnalyzePrefix(in *model.Instance, o *Oblivious) PrefixStats {
 	st := PrefixStats{
-		Steps:       len(o.Steps),
+		Steps:       o.Len(),
 		Utilization: make([]float64, o.M),
 		FirstStep:   make([]int, in.N),
 		LastStep:    make([]int, in.N),
@@ -35,7 +35,7 @@ func AnalyzePrefix(in *model.Instance, o *Oblivious) PrefixStats {
 		st.FirstStep[j] = -1
 		st.LastStep[j] = -1
 	}
-	for t, a := range o.Steps {
+	for t, a := range o.Steps() {
 		for i, j := range a {
 			if j == Idle {
 				continue

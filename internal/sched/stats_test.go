@@ -12,12 +12,12 @@ func TestAnalyzePrefix(t *testing.T) {
 	in := model.New(2, 2)
 	in.P[0][0], in.P[0][1] = 0.5, 0.2
 	in.P[1][0], in.P[1][1] = 0.1, 0.4
-	o := &Oblivious{M: 2, Steps: []Assignment{
+	o := NewOblivious(2, []Assignment{
 		{0, Idle},
 		{0, 1},
 		{Idle, Idle},
 		{Idle, 1},
-	}}
+	}, nil)
 	st := AnalyzePrefix(in, o)
 	if st.Steps != 4 {
 		t.Fatalf("steps=%d", st.Steps)

@@ -358,9 +358,12 @@ func basisSizeBytes(b *lp.Basis) int64 {
 	return int64(len(b.Basic)+len(b.AtUpper))*8 + 64
 }
 
-// solveEntrySizeBytes estimates a solve entry's resident size: the
-// instance, the schedule prefix (the dominant term for oblivious
-// schedules), and a fixed charge for the result metadata.
+// solveEntrySizeBytes is the charge a solve entry makes against the
+// result cache's byte budget: the instance, the schedule prefix at 8
+// bytes per machine and step (the dominant term for oblivious
+// schedules), and a fixed charge for the result metadata. It is a
+// charge, not a resident size: the schedule keeps its prefix as runs,
+// which take far less than the expanded steps charged here.
 func solveEntrySizeBytes(in *model.Instance, res *solve.Result) int64 {
 	n := instanceSizeBytes(in) + 512
 	if obl, ok := res.Policy.(*sched.Oblivious); ok {

@@ -21,7 +21,7 @@ func compileStepwise(in *model.Instance, o *sched.Oblivious) (offs, steps []int3
 	fail := make([][]float64, n)
 	ms := make([][]float64, n)
 	p := in.Flat()
-	for t, a := range o.Steps {
+	for t, a := range o.Steps() {
 		for i, j := range a {
 			if j == sched.Idle || j < 0 || j >= n {
 				continue
@@ -67,23 +67,23 @@ func TestCompileMatchesStepwise(t *testing.T) {
 	a, b := sched.Assignment{0, 1, 1}, sched.Assignment{1, 1, sched.Idle}
 	cases := []tc{
 		// Replicate shares each assignment across its copies.
-		{"replicated", small, (&sched.Oblivious{M: 3, Steps: []sched.Assignment{
-			{0, 3, sched.Idle}, {1, 4, 4}, {2, 5, 0}}}).Replicate(5)},
+		{"replicated", small, (sched.NewOblivious(3, []sched.Assignment{
+			{0, 3, sched.Idle}, {1, 4, 4}, {2, 5, 0}}, nil)).Replicate(5)},
 		// PackSequential-style runs: equal contents, distinct arrays.
-		{"content-equal", small, &sched.Oblivious{M: 3, Steps: []sched.Assignment{
-			{0, 3, 3}, {0, 3, 3}, {0, 3, 3}, {1, 3, 4}, {1, 3, 4}}}},
-		{"idle steps", small, &sched.Oblivious{M: 3, Steps: []sched.Assignment{
-			sched.NewIdle(3), sched.NewIdle(3), {0, sched.Idle, sched.Idle}, sched.NewIdle(3)}}},
-		{"one job on several machines", small, &sched.Oblivious{M: 3, Steps: []sched.Assignment{
-			{0, 0, 0}, {0, 0, 0}, {3, 0, 3}}}},
+		{"content-equal", small, sched.NewOblivious(3, []sched.Assignment{
+			{0, 3, 3}, {0, 3, 3}, {0, 3, 3}, {1, 3, 4}, {1, 3, 4}}, nil)},
+		{"idle steps", small, sched.NewOblivious(3, []sched.Assignment{
+			sched.NewIdle(3), sched.NewIdle(3), {0, sched.Idle, sched.Idle}, sched.NewIdle(3)}, nil)},
+		{"one job on several machines", small, sched.NewOblivious(3, []sched.Assignment{
+			{0, 0, 0}, {0, 0, 0}, {3, 0, 3}}, nil)},
 		// Both runs assign job 1, so its occurrences continue across the
 		// run boundary.
-		{"adjacent runs share a job", small, &sched.Oblivious{M: 3, Steps: []sched.Assignment{
-			a, a, a, b, b, a}}},
-		{"out-of-range jobs", small, &sched.Oblivious{M: 3, Steps: []sched.Assignment{
-			{0, 6, -2}, {0, 6, -2}, {99, 1, 1}, {1, -7, 1}}}},
-		{"nil tail", small, &sched.Oblivious{M: 3, Steps: []sched.Assignment{
-			{2, 2, 5}, {2, 2, 5}, {5, 5, 5}}}},
+		{"adjacent runs share a job", small, sched.NewOblivious(3, []sched.Assignment{
+			a, a, a, b, b, a}, nil)},
+		{"out-of-range jobs", small, sched.NewOblivious(3, []sched.Assignment{
+			{0, 6, -2}, {0, 6, -2}, {99, 1, 1}, {1, -7, 1}}, nil)},
+		{"nil tail", small, sched.NewOblivious(3, []sched.Assignment{
+			{2, 2, 5}, {2, 2, 5}, {5, 5, 5}}, nil)},
 	}
 	shapes := []struct {
 		name string

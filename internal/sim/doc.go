@@ -34,9 +34,10 @@
 // scale p_ij while a machine is bad, drawing geometric sojourns from a
 // second stream so a regime never shifts the completion draws; the
 // policy sees arrivals, up machines and epochs in its sched.State.
-// When the policy is a RunTable, the loop jumps from a step that
-// trials no job to the end of its run of identical steps, stopping
-// early at the next event or the step cap; the jump moves no draw.
+// When the policy is a *sched.Oblivious with a prefix, the loop jumps
+// from a step that trials no job to the end of its run of identical
+// steps, which the schedule stores, stopping early at the next event or
+// the step cap; the jump moves no draw.
 //
 // Estimators derive repetition r's RNG stream from (seed, r) with a
 // SplitMix64 reseed (see rng.go) and run on one runner (RunChunks,

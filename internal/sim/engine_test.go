@@ -29,11 +29,7 @@ func chainsFixture() (*model.Instance, *sched.Oblivious) {
 			steps = append(steps, a)
 		}
 	}
-	return in, &sched.Oblivious{
-		M:     in.M,
-		Steps: steps,
-		Tail:  &sched.TopoRoundRobin{M: in.M, Order: order},
-	}
+	return in, sched.NewOblivious(in.M, steps, &sched.TopoRoundRobin{M: in.M, Order: order})
 }
 
 // TestCompiledMatchesStepEngine pins the compiled oblivious engine to
@@ -72,7 +68,7 @@ func TestCompiledMatchesStepEngine(t *testing.T) {
 // still completes and matches the generic engine.
 func TestCompiledTailContinuation(t *testing.T) {
 	in, o := chainsFixture()
-	short := &sched.Oblivious{M: o.M, Steps: o.Steps[:2], Tail: o.Tail}
+	short := sched.NewOblivious(o.M, []sched.Assignment{o.At(0), o.At(1)}, o.Tail)
 	generic := sched.PolicyFunc(func(st *sched.State) sched.Assignment { return short.At(st.Step) })
 
 	const reps, cap = 2000, 100000
@@ -203,7 +199,7 @@ func TestEstimateStreamingMemory(t *testing.T) {
 	}
 	in := model.New(1, 1)
 	in.SetAt(0, 0, 0.9)
-	pol := &sched.Oblivious{M: 1, Steps: []sched.Assignment{{0}}}
+	pol := sched.NewOblivious(1, []sched.Assignment{{0}}, nil)
 	sum, inc := Estimate(in, pol, 100_000, 1000, 3)
 	if inc != 0 || sum.N != 100_000 {
 		t.Fatalf("sum=%+v inc=%d", sum, inc)

@@ -112,7 +112,7 @@ func summaryOf(t *testing.T, in *model.Instance, pol sched.Policy, reps, cap int
 // oracle (whose tail runs through the scalar walk's continueTail).
 func TestLaneTailContinuation(t *testing.T) {
 	in, o := chainsFixture()
-	short := &sched.Oblivious{M: o.M, Steps: o.Steps[:2], Tail: o.Tail}
+	short := sched.NewOblivious(o.M, []sched.Assignment{o.At(0), o.At(1)}, o.Tail)
 	const reps, cap, seed = 500, 100000, 41
 	var engL, engO EngineUsed
 	sL := summaryOf(t, in, short, reps, cap, seed, 1, lanesOn, &engL)
@@ -181,7 +181,7 @@ func TestLaneParityFuzz(t *testing.T) {
 			}
 			steps[s] = a
 		}
-		pol := &sched.Oblivious{M: m, Steps: steps, Tail: &sched.TopoRoundRobin{M: m, Order: order}}
+		pol := sched.NewOblivious(m, steps, &sched.TopoRoundRobin{M: m, Order: order})
 
 		var engL, engO EngineUsed
 		sL := summaryOf(t, in, pol, reps, cap, seed, workers, lanesOn, &engL)
@@ -301,7 +301,7 @@ func TestLaneWinSegments(t *testing.T) {
 			steps = append(steps, a)
 		}
 	}
-	c := compileOblivious(in, &sched.Oblivious{M: 1, Steps: steps})
+	c := compileOblivious(in, sched.NewOblivious(1, steps, nil))
 	w := newLaneOblivRunner(c, 3)
 	var walked, skipped bool
 	for g := int64(0); g < 64; g++ {

@@ -38,7 +38,7 @@ type compiledOblivious struct {
 }
 
 // compileOblivious builds the per-job occurrence lists. It reads each
-// run of equal prefix steps (sched.Oblivious.RunEnd) once and fills the
+// run the schedule stores (sched.Oblivious.Runs) once and fills the
 // run's occurrences from it, so the cost is O(runs × m + occurrences),
 // paid once per Prepare and shared read-only by every worker. The
 // tables are those of a per-step pass: a run's fail products and masses
@@ -50,30 +50,29 @@ func compileOblivious(in *model.Instance, o *sched.Oblivious) *compiledOblivious
 	if err != nil {
 		return nil // cyclic: let the generic engine spin on it
 	}
-	c := &compiledOblivious{in: in, o: o, prefixLen: len(o.Steps)}
+	c := &compiledOblivious{in: in, o: o, prefixLen: o.Len()}
 	c.topo = make([]int32, n)
 	for k, j := range order {
 		c.topo[k] = int32(j)
 	}
-	// First pass: find the runs and count each job's occurrences, one
-	// per step of every run that assigns it.
-	var ends []int32
+	// First pass: count each job's occurrences, one per step of every
+	// run that assigns it.
+	runs, ends := o.Runs()
 	counts := make([]int32, n)
-	last := make([]int32, n) // run start that last counted the job
+	last := make([]int32, n) // run that last counted the job
 	for j := range last {
 		last[j] = -1
 	}
-	for t := 0; t < len(o.Steps); {
-		end := o.RunEnd(t)
-		ends = append(ends, int32(end))
-		for _, j := range o.Steps[t] {
-			if j == sched.Idle || j < 0 || j >= n || last[j] == int32(t) {
+	t := 0
+	for k, a := range runs {
+		for _, j := range a {
+			if j == sched.Idle || j < 0 || j >= n || last[j] == int32(k) {
 				continue
 			}
-			last[j] = int32(t)
-			counts[j] += int32(end - t)
+			last[j] = int32(k)
+			counts[j] += int32(ends[k] - t)
 		}
-		t = end
+		t = ends[k]
 	}
 	c.offs = make([]int32, n+1)
 	for j := 0; j < n; j++ {
@@ -94,16 +93,16 @@ func compileOblivious(in *model.Instance, o *sched.Oblivious) *compiledOblivious
 	mass := make([]float64, n)
 	jobs := make([]int, 0, in.M)
 	p := in.Flat()
-	t := 0
-	for _, end := range ends {
+	t = 0
+	for k, a := range runs {
 		jobs = jobs[:0]
-		for i, j := range o.Steps[t] {
+		for i, j := range a {
 			if j == sched.Idle || j < 0 || j >= n {
 				continue
 			}
 			pv := p[i*n+j]
-			if last[j] != int32(t) {
-				last[j] = int32(t)
+			if last[j] != int32(k) {
+				last[j] = int32(k)
 				jobs = append(jobs, j)
 				fail[j] = 1 - pv
 				mass[j] = pv
@@ -114,16 +113,16 @@ func compileOblivious(in *model.Instance, o *sched.Oblivious) *compiledOblivious
 		}
 		for _, j := range jobs {
 			succ := 1 - fail[j]
-			k := next[j]
-			for s := t; s < int(end); s++ {
-				c.steps[k] = int32(s)
-				c.succ[k] = succ
-				c.mass[k] = mass[j]
-				k++
+			x := next[j]
+			for s := t; s < ends[k]; s++ {
+				c.steps[x] = int32(s)
+				c.succ[x] = succ
+				c.mass[x] = mass[j]
+				x++
 			}
-			next[j] = k
+			next[j] = x
 		}
-		t = int(end)
+		t = ends[k]
 	}
 	return c
 }

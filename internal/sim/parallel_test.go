@@ -15,11 +15,7 @@ func parallelFixture() (*model.Instance, sched.Policy) {
 		}
 	}
 	in.Prec.MustEdge(0, 1)
-	o := &sched.Oblivious{
-		M:     3,
-		Steps: []sched.Assignment{{0, 2, 3}, {0, 4, 4}},
-		Tail:  &sched.TopoRoundRobin{M: 3, Order: []int{0, 1, 2, 3, 4}},
-	}
+	o := sched.NewOblivious(3, []sched.Assignment{{0, 2, 3}, {0, 4, 4}}, &sched.TopoRoundRobin{M: 3, Order: []int{0, 1, 2, 3, 4}})
 	return in, o
 }
 

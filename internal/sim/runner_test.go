@@ -156,7 +156,7 @@ func TestEstimateMatchesSequentialWalk(t *testing.T) {
 func TestEstimateMemoryIsOneWindow(t *testing.T) {
 	in := model.New(1, 1)
 	in.SetAt(0, 0, 0.9)
-	pol := &sched.Oblivious{M: 1, Steps: []sched.Assignment{{0}}}
+	pol := sched.NewOblivious(1, []sched.Assignment{{0}}, nil)
 	const reps = 1 << 17
 	Estimate(in, pol, reps, 1000, 3)
 	var before, after runtime.MemStats

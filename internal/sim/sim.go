@@ -122,7 +122,7 @@ type estimator struct {
 // engine use the EngineUsed value returned by EstimateInfo.
 func UsesCompiledEngine(in *model.Instance, pol sched.Policy) bool {
 	o, ok := pol.(*sched.Oblivious)
-	if !ok || len(o.Steps) == 0 || !Parallelizable(pol) {
+	if !ok || o.Len() == 0 || !Parallelizable(pol) {
 		return false
 	}
 	_, err := in.Prec.TopoOrder()

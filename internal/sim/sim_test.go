@@ -114,11 +114,7 @@ func TestObliviousScheduleExecution(t *testing.T) {
 	}
 	in.Prec.MustEdge(0, 1)
 	in.Prec.MustEdge(1, 2)
-	o := &sched.Oblivious{
-		M:     2,
-		Steps: []sched.Assignment{{0, 0}},
-		Tail:  &sched.TopoRoundRobin{M: 2, Order: []int{0, 1, 2}},
-	}
+	o := sched.NewOblivious(2, []sched.Assignment{{0, 0}}, &sched.TopoRoundRobin{M: 2, Order: []int{0, 1, 2}})
 	sum, incomplete := Estimate(in, o, 300, 100000, 3)
 	if incomplete != 0 {
 		t.Fatalf("%d incomplete", incomplete)

@@ -45,9 +45,9 @@ type runState struct {
 	due     int
 	evt     int
 
-	// runs is the policy when it is a run table: the walk jumps over the
-	// steps of a run that would trial nothing.
-	runs *RunTable
+	// obl is the policy when it is an oblivious schedule with a prefix:
+	// the walk jumps over the steps of a run that would trial nothing.
+	obl *sched.Oblivious
 }
 
 func newRunState(in *model.Instance, pol sched.Policy, tl *Timeline) *runState {
@@ -78,7 +78,9 @@ func newRunState(in *model.Instance, pol sched.Policy, tl *Timeline) *runState {
 		rs.flip = make([]int, len(tl.Regimes))
 		rs.st.Arrived, rs.st.Up = rs.arrived, rs.up
 	}
-	rs.runs, _ = pol.(*RunTable)
+	if o, ok := pol.(*sched.Oblivious); ok && o.Len() > 0 {
+		rs.obl = o
+	}
 	return rs
 }
 
@@ -174,7 +176,7 @@ func (rs *runState) runFrom(pol sched.Policy, t0, maxSteps int, rng Rand, reg *S
 		if rs.remaining == 0 {
 			return t + 1, true
 		}
-		if len(rs.touched) == 0 && rs.runs != nil {
+		if len(rs.touched) == 0 && rs.obl != nil {
 			t = rs.jump(t, maxSteps, reg) - 1
 		}
 	}

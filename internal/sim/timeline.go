@@ -3,8 +3,6 @@ package sim
 import (
 	"math"
 	"sort"
-
-	"suu/internal/sched"
 )
 
 // Outage takes a machine down for the half-open step interval
@@ -146,48 +144,6 @@ func (s sojourn) draw(reg *Stream) int {
 	return 1 + int(g)
 }
 
-// RunTable is an oblivious schedule with the end of each run of
-// identical prefix steps precomputed. Build it once and share it: as a
-// policy it plays the schedule, and Assign is pure. The step engine
-// knows it by its type: after a step that trials no job, every step
-// before the run ends trials nothing either, until a job completes or
-// an event fires, so the engine jumps to the run's end.
-type RunTable struct {
-	o *sched.Oblivious
-	// ends[s] is the first prefix step after s whose assignment differs
-	// in content from step s's, or the prefix length.
-	ends []int32
-}
-
-// NewRunTable builds o's run table; o must have a non-empty prefix.
-func NewRunTable(o *sched.Oblivious) *RunTable {
-	rt := &RunTable{o: o, ends: make([]int32, o.Len())}
-	for t := 0; t < o.Len(); {
-		for end := o.RunEnd(t); t < end; t++ {
-			rt.ends[t] = int32(end)
-		}
-	}
-	return rt
-}
-
-// Assign implements sched.Policy.
-func (rt *RunTable) Assign(st *sched.State) sched.Assignment { return rt.o.At(st.Step) }
-
-// End returns the first step after t whose assignment may differ from
-// step t's. A nil tail cycles the prefix, so the table wraps; a tail
-// such as TopoRoundRobin may change job every step.
-func (rt *RunTable) End(t int) int {
-	l := len(rt.ends)
-	switch {
-	case t < l:
-		return int(rt.ends[t])
-	case rt.o.Tail != nil:
-		return t + 1
-	default:
-		return t - t%l + int(rt.ends[t%l])
-	}
-}
-
 // resetTimeline restores a timeline walk's step-0 state on top of
 // reset's: jobs with release 0 arrived, machines up unless an outage
 // starts at 0, all regimes good. Each regime machine draws its first
@@ -244,14 +200,15 @@ func (rs *runState) advance(t int, reg *Stream) bool {
 }
 
 // jump returns the step a walk resumes at after step t trialed no job
-// under a run table: the end of t's run, or the next event or the step
-// cap if sooner. Until then no event fires and no job completes, so
-// every step assigns what step t did to the same eligible jobs and up
+// under an oblivious schedule: the end of t's run, which the schedule
+// stores (sched.Oblivious.RunEnd), or the next event or the step cap
+// if sooner. Until then no event fires and no job completes, so every
+// step assigns what step t did to the same eligible jobs and up
 // machines: it trials nothing, and no draw inside the jump reads the
 // regime. Applying the jump's flips here keeps the regime stream where
 // a step-by-step walk leaves it when the jump ends at the step cap.
 func (rs *runState) jump(t, maxSteps int, reg *Stream) int {
-	next := min(rs.runs.End(t), maxSteps)
+	next := min(rs.obl.RunEnd(t), maxSteps)
 	if tl := rs.tl; tl != nil {
 		if rs.evt < len(tl.Events) {
 			next = min(next, tl.Events[rs.evt])

@@ -200,18 +200,6 @@ func IDs() []string {
 	return out
 }
 
-// For returns the solvers applicable to class c, in registration
-// order.
-func For(c dag.Class) []Solver {
-	var out []Solver
-	for _, s := range ordered {
-		if s.AppliesTo(c) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Strongest returns the best-ranked oblivious solver applicable to
 // class c — the construction suu.Solve dispatches to. The forest
 // solver applies to every class, so Strongest always succeeds on a

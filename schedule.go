@@ -134,16 +134,24 @@ func (s *Schedule) RunOnce(x *Instance, seed int64, maxSteps int) (int, bool) {
 
 // checkShape reports an error when x is not shaped like the instance
 // the schedule was built for: the engines index the schedule's
-// assignments by x's machines and jobs.
+// assignments by x's machines and jobs. An oblivious schedule must
+// also name only x's jobs, in its prefix and in its tail order; a
+// loaded payload records no job count, so this is where one naming a
+// job x lacks is refused. The check reads each prefix run once.
 func (s *Schedule) checkShape(x *Instance) error {
-	if (s.machines == 0 || s.machines == x.inner.M) && (s.jobs == 0 || s.jobs == x.inner.N) {
-		return nil
+	if (s.machines != 0 && s.machines != x.inner.M) || (s.jobs != 0 && s.jobs != x.inner.N) {
+		built := fmt.Sprintf("%d jobs × %d machines", s.jobs, s.machines)
+		if s.jobs == 0 {
+			built = fmt.Sprintf("%d machines", s.machines)
+		}
+		return fmt.Errorf("suu: schedule built for %s, instance has %d jobs × %d machines", built, x.inner.N, x.inner.M)
 	}
-	built := fmt.Sprintf("%d jobs × %d machines", s.jobs, s.machines)
-	if s.jobs == 0 {
-		built = fmt.Sprintf("%d machines", s.machines)
+	if o, ok := s.policy.(*sched.Oblivious); ok {
+		if err := o.Validate(x.inner.N); err != nil {
+			return fmt.Errorf("suu: schedule does not fit the %d-job instance: %w", x.inner.N, err)
+		}
 	}
-	return fmt.Errorf("suu: schedule built for %s, instance has %d jobs × %d machines", built, x.inner.N, x.inner.M)
+	return nil
 }
 
 // Baseline names a reference policy for comparisons.

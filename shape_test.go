@@ -66,3 +66,32 @@ func TestScheduleShapeMismatch(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadedScheduleNamesUnknownJob: a loaded payload records no job
+// count, so a prefix step or a tail order naming a job the instance
+// lacks must be refused at estimate time, not run to the step cap.
+func TestLoadedScheduleNamesUnknownJob(t *testing.T) {
+	x := gridInstance(1, 1)
+	for name, payload := range map[string]string{
+		"prefix": `{"kind":"x","schedule":{"machines":1,"steps":[[7]]}}`,
+		"tail":   `{"kind":"x","schedule":{"machines":1,"steps":[],"tail_order":[5]}}`,
+	} {
+		s, err := LoadSchedule([]byte(payload))
+		if err != nil {
+			t.Fatalf("%s: LoadSchedule: %v", name, err)
+		}
+		opts := []Option{WithSeed(3), WithMaxSteps(1000)}
+		if est, err := s.EstimateMakespan(x, 20, opts...); err == nil {
+			t.Errorf("%s: EstimateMakespan = %v, want an error", name, est)
+		}
+		if q, err := s.MakespanQuantiles(x, 20, []float64{0.5}, opts...); err == nil {
+			t.Errorf("%s: MakespanQuantiles = %v, want an error", name, q)
+		}
+		if est, err := NewScenario(x).EstimateMakespan(s, 20, opts...); err == nil {
+			t.Errorf("%s: Scenario.EstimateMakespan = %v, want an error", name, est)
+		}
+		if est, err := NewScenario(x).ArriveAt(0, 2).EstimateMakespan(s, 20, opts...); err == nil {
+			t.Errorf("%s: Scenario.EstimateMakespan with an arrival = %v, want an error", name, est)
+		}
+	}
+}
