@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"suu/internal/lp"
 	"suu/internal/model"
@@ -102,8 +103,18 @@ func (o lpOptions) solve(prob *lp.Problem, crash *lp.Basis) (*lp.Solution, error
 }
 
 // buildVars enumerates the x variables: one per (machine, job) pair
-// with positive success probability and the job in scope.
-func buildVars(in *model.Instance, jobs []int) (pairs []pairPJ) {
+// with positive success probability and the job in scope, job-major
+// in scope order.
+func buildVars(in *model.Instance, jobs []int) []pairPJ {
+	nv := 0
+	for _, j := range jobs {
+		for i := 0; i < in.M; i++ {
+			if in.P[i][j] > 0 {
+				nv++
+			}
+		}
+	}
+	pairs := make([]pairPJ, 0, nv)
 	for _, j := range jobs {
 		for i := 0; i < in.M; i++ {
 			if in.P[i][j] > 0 {
@@ -164,36 +175,17 @@ func solveLP1(in *model.Instance, chains [][]int, target float64, opts lpOptions
 	for jj, j := range jobs {
 		posOf[j] = jj
 	}
-	massTerms := make([][]lp.Term, len(jobs))
-	loadTerms := make([][]lp.Term, in.M)
-	for v, pr := range pairs {
-		jj := posOf[pr.j]
-		massTerms[jj] = append(massTerms[jj], lp.Term{Var: v, Coef: pr.p})
-		loadTerms[pr.i] = append(loadTerms[pr.i], lp.Term{Var: v, Coef: 1})
-	}
-	for jj, j := range jobs {
-		if len(massTerms[jj]) == 0 {
-			return nil, fmt.Errorf("core: job %d has no capable machine", j)
-		}
-	}
 	// Row layout (the crash basis depends on it): mass rows first (row
 	// index == job position in scope), then load and chain rows, then
 	// whatever window rows the working set carries, in insertion order.
-	build := func(windows []int) *lp.Problem {
+	build := func(windows []int) (*lp.Problem, error) {
 		prob := lp.NewProblem(tVar + 1)
 		prob.SetObjectiveCoef(tVar, 1)
 		for jj := range jobs {
 			prob.SetBounds(dBase+jj, 1, math.Inf(1))
 		}
-		for jj := range jobs {
-			prob.AddConstraint(massTerms[jj], lp.GE, target)
-		}
-		for i := 0; i < in.M; i++ {
-			if len(loadTerms[i]) == 0 {
-				continue
-			}
-			terms := append(append([]lp.Term(nil), loadTerms[i]...), lp.Term{Var: tVar, Coef: -1})
-			prob.AddConstraint(terms, lp.LE, 0)
+		if err := addMassLoadRows(prob, in, jobs, pairs, target, tVar); err != nil {
+			return nil, err
 		}
 		for _, c := range chains {
 			terms := make([]lp.Term, 0, len(c)+1)
@@ -207,7 +199,7 @@ func solveLP1(in *model.Instance, chains [][]int, target float64, opts lpOptions
 			pr := pairs[v]
 			prob.AddConstraint([]lp.Term{{Var: v, Coef: 1}, {Var: dBase + posOf[pr.j], Coef: -1}}, lp.LE, 0)
 		}
-		return prob
+		return prob, nil
 	}
 
 	var sol *lp.Solution
@@ -217,13 +209,21 @@ func solveLP1(in *model.Instance, chains [][]int, target float64, opts lpOptions
 		for v := range all {
 			all[v] = v
 		}
-		s, err := build(all).DenseSolve()
+		prob, err := build(all)
+		if err != nil {
+			return nil, err
+		}
+		s, err := prob.DenseSolve()
 		if err != nil {
 			return nil, fmt.Errorf("core: LP1 solve: %w", err)
 		}
 		sol = s
 	} else {
-		s, err := solveLP1Lazy(build, jobs, pairs, dBase, posOf, opts.warm)
+		prob, err := build(nil)
+		if err != nil {
+			return nil, err
+		}
+		s, err := solveLP1Lazy(prob, pairs, dBase, posOf, opts.warm)
 		if err != nil {
 			return nil, fmt.Errorf("core: LP1 solve: %w", err)
 		}
@@ -244,21 +244,20 @@ func solveLP1(in *model.Instance, chains [][]int, target float64, opts lpOptions
 }
 
 // solveLP1Lazy solves (LP1) with the window rows generated as lazy
-// cuts: the working LP starts with only the mass/load/chain core, and
-// every separation round appends the violated x_ij ≤ d_j rows
+// cuts: the working LP prob starts with only the mass/load/chain core,
+// and every separation round appends the violated x_ij ≤ d_j rows
 // in-place (the solver keeps its basis; the new rows' logicals enter
 // phase 1 infeasible by exactly the violation). The result is optimal
 // for the full (LP1): the working LP is a relaxation, and its
 // optimum satisfies every dropped row.
-func solveLP1Lazy(build func([]int) *lp.Problem, jobs []int, pairs []pairPJ, dBase int, posOf []int, warm *LPWarm) (*lp.Solution, error) {
+func solveLP1Lazy(prob *lp.Problem, pairs []pairPJ, dBase int, posOf []int, warm *LPWarm) (*lp.Solution, error) {
 	const windowTol = 1e-8
 	inWindows := make([]bool, len(pairs))
 	dVar := make([]int32, len(pairs))
 	for v, pr := range pairs {
 		dVar[v] = int32(dBase + posOf[pr.j])
 	}
-	prob := build(nil)
-	return prob.SolveLazy(crashBasis(prob, jobs, pairs, warm), func(x []float64) []lp.Cut {
+	return prob.SolveLazy(crashBasis(prob, pairs, warm), func(x []float64) []lp.Cut {
 		// Add every violated window, and — only in rounds that already
 		// found violations — the near-binding ones (x within 25% of the
 		// window), which almost always bind after the violated rows
@@ -298,32 +297,27 @@ func solveLP1Lazy(build func([]int) *lp.Problem, jobs []int, pairs []pairPJ, dBa
 // mass-row entries), and it typically saves most of the phase-1
 // pivots that a cold start spends making the mass rows feasible one
 // by one.
-func crashBasis(prob *lp.Problem, jobs []int, pairs []pairPJ, warm *LPWarm) *lp.Basis {
-	bestVar := make([]int, len(jobs))
-	bestScore := make([]float64, len(jobs))
-	for jj := range jobs {
-		bestVar[jj] = -1
-	}
-	// pairs are emitted job-major (buildVars iterates the scope in
-	// order), so the running position tracks the job without a lookup.
-	jj := -1
-	lastJob := -1
-	for v, pr := range pairs {
-		if pr.j != lastJob {
-			jj++
-			lastJob = pr.j
-		}
-		if s := warm.score(pr.i, pr.p); bestVar[jj] < 0 || s > bestScore[jj] {
-			bestVar[jj], bestScore[jj] = v, s
-		}
-	}
+func crashBasis(prob *lp.Problem, pairs []pairPJ, warm *LPWarm) *lp.Basis {
 	basic := make([]int, prob.NumConstraints())
 	for r := range basic {
 		basic[r] = prob.LogicalVar(r)
 	}
-	for jj := range jobs {
-		if bestVar[jj] >= 0 {
-			basic[jj] = bestVar[jj]
+	// pairs are emitted job-major (buildVars iterates the scope in
+	// order), so the running position tracks the job — and its mass
+	// row — without a lookup. Every job in scope has a pair (the
+	// builders reject one without), so each mass row gets its best
+	// machine.
+	jj := -1
+	lastJob := -1
+	best := 0.0
+	for v, pr := range pairs {
+		s := warm.score(pr.i, pr.p)
+		if pr.j != lastJob {
+			jj++
+			lastJob = pr.j
+			basic[jj], best = v, s
+		} else if s > best {
+			basic[jj], best = v, s
 		}
 	}
 	return &lp.Basis{Basic: basic}
@@ -355,28 +349,10 @@ func solveLP2(in *model.Instance, jobs []int, target float64, opts lpOptions) (*
 	tVar := nv
 	prob := lp.NewProblem(tVar + 1)
 	prob.SetObjectiveCoef(tVar, 1)
-	massTerms := make(map[int][]lp.Term)
-	loadTerms := make([][]lp.Term, in.M)
-	for v, pr := range pairs {
-		massTerms[pr.j] = append(massTerms[pr.j], lp.Term{Var: v, Coef: pr.p})
-		loadTerms[pr.i] = append(loadTerms[pr.i], lp.Term{Var: v, Coef: 1})
+	if err := addMassLoadRows(prob, in, jobs, pairs, target, tVar); err != nil {
+		return nil, err
 	}
-	// Mass rows first — the shared row layout crashBasis relies on.
-	for _, j := range jobs {
-		terms := massTerms[j]
-		if len(terms) == 0 {
-			return nil, fmt.Errorf("core: job %d has no capable machine", j)
-		}
-		prob.AddConstraint(terms, lp.GE, target)
-	}
-	for i := 0; i < in.M; i++ {
-		if len(loadTerms[i]) == 0 {
-			continue
-		}
-		terms := append(append([]lp.Term(nil), loadTerms[i]...), lp.Term{Var: tVar, Coef: -1})
-		prob.AddConstraint(terms, lp.LE, 0)
-	}
-	sol, err := opts.solve(prob, crashBasis(prob, jobs, pairs, opts.warm))
+	sol, err := opts.solve(prob, crashBasis(prob, pairs, opts.warm))
 	if err != nil {
 		return nil, fmt.Errorf("core: LP2 solve: %w", err)
 	}
@@ -386,6 +362,51 @@ func solveLP2(in *model.Instance, jobs []int, target float64, opts lpOptions) (*
 		opts.warm.note(in, fs)
 	}
 	return fs, nil
+}
+
+// addMassLoadRows adds the rows (LP1) and (LP2) share, in the row
+// layout crashBasis relies on: a mass row Σ_i p_ij·x_ij ≥ target per
+// job in scope order, then a load row Σ_j x_ij − t ≤ 0 per machine
+// that runs a job in scope. It fails on a job no machine can run.
+func addMassLoadRows(prob *lp.Problem, in *model.Instance, jobs []int, pairs []pairPJ, target float64, tVar int) error {
+	// AddConstraint copies each row, so one array of nv+m terms serves
+	// them all: first as scratch for each job's mass row (buildVars
+	// emits the pairs job-major, so a job's pairs are one run of them),
+	// then for the load rows, machine i's pairs in pair order closed by
+	// −t from loadAt[i] on.
+	nv := len(pairs)
+	terms := make([]lp.Term, nv+in.M)
+	v := 0
+	for _, j := range jobs {
+		row := terms[:0]
+		for ; v < nv && pairs[v].j == j; v++ {
+			row = append(row, lp.Term{Var: v, Coef: pairs[v].p})
+		}
+		if len(row) == 0 {
+			return fmt.Errorf("core: job %d has no capable machine", j)
+		}
+		prob.AddConstraint(row, lp.GE, target)
+	}
+	loadAt := make([]int, in.M+1)
+	for _, pr := range pairs {
+		loadAt[pr.i+1]++
+	}
+	for i := 0; i < in.M; i++ {
+		loadAt[i+1] += loadAt[i] + 1
+	}
+	next := slices.Clone(loadAt[:in.M])
+	for v, pr := range pairs {
+		terms[next[pr.i]] = lp.Term{Var: v, Coef: 1}
+		next[pr.i]++
+	}
+	for i := 0; i < in.M; i++ {
+		if next[i] == loadAt[i] {
+			continue // no job in scope runs on machine i
+		}
+		terms[next[i]] = lp.Term{Var: tVar, Coef: -1}
+		prob.AddConstraint(terms[loadAt[i]:next[i]+1], lp.LE, 0)
+	}
+	return nil
 }
 
 func extractSolution(in *model.Instance, jobs []int, pairs []pairPJ, sol *lp.Solution, dVarOf []int, tVar int) *FracSolution {

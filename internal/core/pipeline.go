@@ -56,6 +56,10 @@ func BuildPseudo(in *model.Instance, chains [][]int, x [][]int) *sched.Pseudo {
 // assigned job-steps back to back (Theorem 4.5 needs no delays because
 // there are no windows to respect). The prefix length is the maximum
 // machine load.
+//
+// The prefix changes only where some machine's block ends, so the
+// sweep below visits those boundaries and builds one assignment per
+// segment between them, shared by the segment's steps.
 func PackSequential(in *model.Instance, x [][]int) *sched.Oblivious {
 	length := 0
 	for i := range x {
@@ -68,16 +72,25 @@ func PackSequential(in *model.Instance, x [][]int) *sched.Oblivious {
 		}
 	}
 	steps := make([]sched.Assignment, length)
-	for s := range steps {
-		steps[s] = sched.NewIdle(in.M)
-	}
-	for i := range x {
-		pos := 0
-		for j, c := range x[i] {
-			for k := 0; k < c; k++ {
-				steps[pos][i] = j
-				pos++
+	// Machine i plays job k[i]-1 until step end[i]: its blocks follow
+	// one another in job order, and it idles once k[i] passes its last.
+	k := make([]int, len(x))
+	end := make([]int, len(x))
+	for t := 0; t < length; {
+		seg := sched.NewIdle(in.M)
+		next := length
+		for i, row := range x {
+			for end[i] <= t && k[i] < len(row) {
+				end[i] += row[k[i]]
+				k[i]++
 			}
+			if end[i] > t {
+				seg[i] = k[i] - 1
+				next = min(next, end[i])
+			}
+		}
+		for ; t < next; t++ {
+			steps[t] = seg
 		}
 	}
 	return sched.NewOblivious(in.M, steps, nil)

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"strings"
 
 	"suu/internal/maxflow"
@@ -133,13 +133,21 @@ func RoundLP(in *model.Instance, fs *FracSolution, target float64) (*IntSolution
 		return finishRound(in, out, target)
 	}
 
+	// A flow job's chosen bucket is machines[lo:hi]: every flow shares
+	// one machine list.
 	type flowJob struct {
 		j      int
-		edges  []int // machine ids of the chosen bucket
+		lo, hi int
 		sum    float64
 		demand int64
 	}
-	var flows []flowJob
+	flows := make([]flowJob, 0, q)
+	var machines []int
+	// sums[b] accumulates one job's sub-unit x_ij over bucket b. Every
+	// bucketed p_ij is at least pmin = 1/(8m), so b ≤ ⌊log₂ 8m⌋.
+	pmin := 1 / (8 * float64(in.M))
+	var bucketSums [64]float64
+	sums := bucketSums[:bits.Len(uint(8*in.M))]
 
 	for _, j := range fs.Jobs {
 		heavyMass := 0.0
@@ -158,53 +166,28 @@ func RoundLP(in *model.Instance, fs *FracSolution, target float64) (*IntSolution
 			continue
 		}
 		// Bucket the sub-unit entries with p_ij ≥ 1/(8m).
-		pmin := 1 / (8 * float64(in.M))
-		type bucket struct {
-			machines []int
-			sumX     float64
-			minP     float64
-		}
-		buckets := map[int]*bucket{}
+		clear(sums)
 		for i := 0; i < in.M; i++ {
-			x := fs.X[i][j]
-			p := in.P[i][j]
-			if x <= 1e-12 || x >= 1 || p < pmin {
-				continue
+			if b := subUnitBucket(fs.X[i][j], in.P[i][j], pmin); b >= 0 {
+				sums[b] += fs.X[i][j]
 			}
-			b := int(math.Floor(-math.Log2(p)))
-			if b < 0 {
-				b = 0
-			}
-			bk := buckets[b]
-			if bk == nil {
-				bk = &bucket{minP: math.Exp2(-float64(b + 1))}
-				buckets[b] = bk
-			}
-			bk.machines = append(bk.machines, i)
-			bk.sumX += x
 		}
 		// Scan buckets in index order: lower-bound ties are exact more
-		// often than they look (halving minP against a doubled sumX is
-		// exact in float64), and map-order iteration would let the tie
-		// winner — and with it the rounded schedule — vary run to run.
-		keys := make([]int, 0, len(buckets))
-		for b := range buckets {
-			keys = append(keys, b)
-		}
-		sort.Ints(keys)
+		// often than they look (halving the bucket's least p against a
+		// doubled sum is exact in float64), so the order decides which
+		// bucket wins a tie, and with it the rounded schedule.
 		bestLB := 0.0
-		var best *bucket
-		for _, b := range keys {
-			bk := buckets[b]
-			if bk.sumX < 1.0/32 {
-				continue // light bucket, discarded as in the proof
+		best := -1
+		for b, sumX := range sums {
+			if sumX < 1.0/32 {
+				continue // light (or empty) bucket, discarded as in the proof
 			}
-			if lb := bk.sumX * bk.minP; lb > bestLB {
+			if lb := sumX * math.Exp2(-float64(b+1)); lb > bestLB {
 				bestLB = lb
-				best = bk
+				best = b
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			// Defensive fallback (outside the proof's constants): round
 			// everything positive up; mass ≥ target is immediate.
 			for i := 0; i < in.M; i++ {
@@ -215,7 +198,13 @@ func RoundLP(in *model.Instance, fs *FracSolution, target float64) (*IntSolution
 			out.RoundedUp++
 			continue
 		}
-		flows = append(flows, flowJob{j: j, edges: best.machines, sum: best.sumX})
+		lo := len(machines)
+		for i := 0; i < in.M; i++ {
+			if subUnitBucket(fs.X[i][j], in.P[i][j], pmin) == best {
+				machines = append(machines, i)
+			}
+		}
+		flows = append(flows, flowJob{j: j, lo: lo, hi: len(machines), sum: sums[best]})
 	}
 
 	if len(flows) == 0 {
@@ -241,9 +230,18 @@ func RoundLP(in *model.Instance, fs *FracSolution, target float64) (*IntSolution
 	jobNode := func(k int) int { return 1 + k }
 	machNode := func(i int) int { return 1 + F + i }
 	machineCap := int64(math.Ceil(2 * Sf * fs.T))
-	dump := &FlowDump{MachineCap: machineCap}
-	var demandEdges []int
-	var arcIDs []int
+	E := len(machines)
+	dump := &FlowDump{
+		JobNodes:    make([]int, 0, F),
+		Demands:     make([]int64, 0, F),
+		EdgeJob:     make([]int, 0, E),
+		EdgeMachine: make([]int, 0, E),
+		EdgeCap:     make([]int64, 0, E),
+		EdgeFlow:    make([]int64, 0, E),
+		MachineCap:  machineCap,
+	}
+	demandEdges := make([]int, 0, F)
+	arcIDs := make([]int, 0, E)
 	for k := range flows {
 		f := &flows[k]
 		f.demand = int64(math.Floor(Sf * f.sum))
@@ -254,7 +252,7 @@ func RoundLP(in *model.Instance, fs *FracSolution, target float64) (*IntSolution
 		dump.JobNodes = append(dump.JobNodes, f.j)
 		dump.Demands = append(dump.Demands, f.demand)
 		dump.TotalDemand += f.demand
-		for _, i := range f.edges {
+		for _, i := range machines[f.lo:f.hi] {
 			cap := int64(math.Ceil(Sf * fs.D[f.j]))
 			if cap < 1 {
 				cap = 1
@@ -297,6 +295,16 @@ func RoundLP(in *model.Instance, fs *FracSolution, target float64) (*IntSolution
 		}
 	}
 	return finishRound(in, out, target)
+}
+
+// subUnitBucket returns the bucket b = ⌊−log₂ p⌋ of a sub-unit entry
+// (1e-12 < x < 1 with p ≥ pmin), so p ∈ (2^{-(b+1)}, 2^{-b}], or -1 for
+// an entry outside every bucket.
+func subUnitBucket(x, p, pmin float64) int {
+	if x <= 1e-12 || x >= 1 || p < pmin {
+		return -1
+	}
+	return max(int(math.Floor(-math.Log2(p))), 0)
 }
 
 // finishRound computes the lift λ restoring mass ≥ target for every

@@ -196,11 +196,11 @@ func (w *rollingWalker) Assign(st *sched.State) sched.Assignment {
 		w.subUnf[k] = st.Unfinished[gj]
 		w.subElig[k] = st.Eligible[gj]
 	}
-	w.subState = sched.State{
-		Unfinished: w.subUnf[:len(pl.jGlobal)],
-		Eligible:   w.subElig[:len(pl.jGlobal)],
-		Step:       st.Step - w.curStart,
-	}
+	// Set the fields in place: assigning a State literal would copy the
+	// whole struct every step.
+	w.subState.Unfinished = w.subUnf[:len(pl.jGlobal)]
+	w.subState.Eligible = w.subElig[:len(pl.jGlobal)]
+	w.subState.Step = st.Step - w.curStart
 	sub := pl.pol.Assign(&w.subState)
 	for i, si := range pl.mToSub {
 		if si < 0 {

@@ -26,4 +26,13 @@
 // Both use Dantzig pricing with an automatic switch to Bland's rule
 // when the objective stalls, which guarantees termination. The
 // package is deliberately stdlib-only.
+//
+// The revised simplex keeps its work arrays in workspaces pooled per
+// solve: each solve takes one from a sync.Pool, reslices and clears
+// it for its problem, and returns it once the solution is copied
+// out, so concurrent solves never share one and a run of small solves
+// allocates little beyond its solutions. Nothing returned aliases a
+// workspace — Solution.X and Solution.Basis are fresh — and the x a
+// SolveLazy separation callback receives is valid only during the
+// call.
 package lp

@@ -199,18 +199,25 @@ type Cut struct {
 
 // SolveLazy runs the revised simplex with row generation: whenever
 // the working problem is solved to optimality, separate (may be nil)
-// is called with the current optimal x and returns violated rows to
-// append. The new rows join the problem (p is mutated), their
-// logicals join the basis — infeasible by exactly the violation, so
-// phase 1 resumes from the prior optimum instead of restarting — and
-// the solve continues until separation returns nothing. Because the
-// working problem is always a relaxation of the fully cut problem,
-// the final solution is optimal for it. The separation callback must
-// eventually stop returning cuts (e.g. never repeat a row); each
-// round's cuts are appended in one batch under a single
-// refactorization.
+// is called with the current optimal x (the solver's own array, valid
+// only during the call) and returns violated rows to append. The new
+// rows join the problem (p is mutated), their logicals join the basis
+// — infeasible by exactly the violation, so phase 1 resumes from the
+// prior optimum instead of restarting — and the solve continues until
+// separation returns nothing. Because the working problem is always a
+// relaxation of the fully cut problem, the final solution is optimal
+// for it. The separation callback must eventually stop returning cuts
+// (e.g. never repeat a row); each round's cuts are appended in one
+// batch under a single refactorization.
 func (p *Problem) SolveLazy(basis *Basis, separate func(x []float64) []Cut) (*Solution, error) {
-	rv := newRevised(p)
+	rv := revisedPool.Get().(*revised)
+	defer revisedPool.Put(rv)
+	return rv.solve(p, basis, separate)
+}
+
+// solve runs SolveLazy on the solver rv, which it loads with p first.
+func (rv *revised) solve(p *Problem, basis *Basis, separate func(x []float64) []Cut) (*Solution, error) {
+	rv.load(p)
 	if err := rv.start(basis); err != nil {
 		return nil, err
 	}
@@ -221,7 +228,8 @@ func (p *Problem) SolveLazy(basis *Basis, separate func(x []float64) []Cut) (*So
 		if separate == nil {
 			return rv.solution(p)
 		}
-		cuts := separate(rv.currentX())
+		rv.sepX = rv.currentX(resize(rv.sepX, rv.n))
+		cuts := separate(rv.sepX)
 		if len(cuts) == 0 {
 			return rv.solution(p)
 		}

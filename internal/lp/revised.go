@@ -3,7 +3,8 @@ package lp
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // This file implements the sparse revised simplex. The constraint
@@ -123,36 +124,80 @@ type revised struct {
 	y     []float64 // BTRANed pricing multipliers
 	cB    []float64 // basic cost vector of the active phase
 	gB    []float64 // infeasibility gradient (−1 below, +1 above, 0 inside)
+
+	// Scratch of single calls: buildColumns' counters (count, ptr,
+	// next), adoptBasis' seen flags, appendRows' basis positions,
+	// appendRow's merged terms, refactor's assigned rows, new basis and
+	// structural columns, and the x handed to a separation callback.
+	count, ptr, next []int32
+	seen             []bool
+	posRow           []int32
+	terms            []Term
+	assigned         []bool
+	newBasic         []int
+	structural       []int
+	sepX             []float64
 }
 
-func newRevised(p *Problem) *revised {
-	rv := &revised{
-		m:     len(p.cons),
-		n:     p.nvars,
-		total: p.nvars + len(p.cons),
+// revisedPool holds solvers between solves. A solve takes one, loads
+// its problem into the arrays the solver already owns (growing them
+// only when the problem is larger than any it solved before), and
+// returns it once the Solution is copied out; nothing returned to a
+// caller aliases a pooled array. A run of small solves — a rolling
+// re-plan's sub-LPs — so allocates little beyond its solutions.
+var revisedPool = sync.Pool{New: func() any { return new(revised) }}
+
+// resize returns s resliced to length n with every element zeroed,
+// reusing its backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// load resets the solver for p. Every field is reset: the struct is
+// rebuilt from scratch and keeps only the backing arrays of its
+// slices, each resliced and cleared, so what an earlier solve left
+// behind cannot reach this one.
+func (rv *revised) load(p *Problem) {
+	m, n := len(p.cons), p.nvars
+	total := n + m
+	*rv = revised{
+		m: m, n: n, total: total,
+		colPtr: rv.colPtr, rowIdx: rv.rowIdx, colVal: rv.colVal,
+		extIdx: resetLists(rv.extIdx, n),
+		extVal: resetLists(rv.extVal, n),
+		b:      resize(rv.b, m),
+		c:      append(rv.c[:0], p.c...),
+		lo:     resize(rv.lo, total),
+		up:     resize(rv.up, total),
+		fixed:  resize(rv.fixed, total),
+		status: resize(rv.status, total),
+		basic:  resize(rv.basic, m),
+		xB:     resize(rv.xB, m),
+		etas:   rv.etas[:0],
+		etaIdx: rv.etaIdx[:0],
+		etaVal: rv.etaVal[:0],
+		cand:   rv.cand[:0],
+		w:      resize(rv.w, m),
+		wNZ:    rv.wNZ[:0],
+		wMark:  resize(rv.wMark, m),
+		y:      resize(rv.y, m),
+		cB:     resize(rv.cB, m),
+		gB:     resize(rv.gB, m),
+
+		count: rv.count, ptr: rv.ptr, next: rv.next,
+		seen: rv.seen, posRow: rv.posRow, terms: rv.terms[:0],
+		assigned: rv.assigned, newBasic: rv.newBasic, structural: rv.structural[:0],
+		sepX: rv.sepX,
 	}
 	rv.buildColumns(p)
-	// One float arena for the m- and total-length vectors (sliced with
-	// full capacity caps, so a lazy-row append reallocates its slice
-	// instead of clobbering a neighbor).
-	fbuf := make([]float64, 6*rv.m+2*rv.total)
-	carve := func(n int) []float64 {
-		s := fbuf[:n:n]
-		fbuf = fbuf[n:]
-		return s
-	}
-	rv.b = carve(rv.m)
-	rv.xB = carve(rv.m)
-	rv.w = carve(rv.m)
-	rv.y = carve(rv.m)
-	rv.cB = carve(rv.m)
-	rv.gB = carve(rv.m)
-	rv.lo = carve(rv.total)
-	rv.up = carve(rv.total)
 	for k, con := range p.cons {
 		rv.b[k] = con.rhs
 	}
-	rv.c = append([]float64(nil), p.c...)
 	for j := 0; j < rv.n; j++ {
 		rv.lo[j], rv.up[j] = p.lower(j), p.upper(j)
 	}
@@ -167,17 +212,22 @@ func newRevised(p *Problem) *revised {
 			rv.lo[j], rv.up[j] = 0, 0
 		}
 	}
-	rv.fixed = make([]bool, rv.total)
 	for j := range rv.fixed {
 		rv.fixed[j] = rv.lo[j] == rv.up[j]
 	}
-	rv.extIdx = make([][]int32, rv.n)
-	rv.extVal = make([][]float64, rv.n)
-	rv.status = make([]vstat, rv.total)
-	rv.basic = make([]int, rv.m)
-	rv.wNZ = make([]int32, 0, rv.m)
-	rv.wMark = make([]bool, rv.m)
-	return rv
+}
+
+// resetLists reslices a per-column overflow table to n empty lists,
+// keeping every list's backing array.
+func resetLists[T any](lists [][]T, n int) [][]T {
+	if cap(lists) < n {
+		return make([][]T, n)
+	}
+	lists = lists[:n]
+	for j := range lists {
+		lists[j] = lists[j][:0]
+	}
+	return lists
 }
 
 // appendRows extends the solver state with a batch of constraint rows
@@ -189,7 +239,8 @@ func newRevised(p *Problem) *revised {
 // lands outside its bounds (a violated cut) is repaired by phase 1 on
 // the next iterations.
 func (rv *revised) appendRows(cons []constraint) {
-	posRow := make([]int32, rv.total)
+	rv.posRow = resize(rv.posRow, rv.total)
+	posRow := rv.posRow
 	for i := range posRow {
 		posRow[i] = -1
 	}
@@ -206,7 +257,7 @@ func (rv *revised) appendRow(con constraint, posRow []int32) {
 	rv.m++
 	rv.total++
 	// Merge duplicate variables within the row (rows are short here).
-	terms := make([]Term, 0, len(con.terms))
+	terms := rv.terms[:0]
 outer:
 	for _, tm := range con.terms {
 		for i := range terms {
@@ -217,6 +268,7 @@ outer:
 		}
 		terms = append(terms, tm)
 	}
+	rv.terms = terms
 	s := con.rhs // the new logical's value: rhs − a·x
 	start := int32(len(rv.etaIdx))
 	for _, tm := range terms {
@@ -267,19 +319,22 @@ outer:
 // that cancel to exact zero.
 func (rv *revised) buildColumns(p *Problem) {
 	n := p.nvars
-	count := make([]int32, n)
+	rv.count = resize(rv.count, n)
+	count := rv.count
 	for _, con := range p.cons {
 		for _, tm := range con.terms {
 			count[tm.Var]++
 		}
 	}
-	ptr := make([]int32, n+1)
+	rv.ptr = resize(rv.ptr, n+1)
+	ptr := rv.ptr
 	for j := 0; j < n; j++ {
 		ptr[j+1] = ptr[j] + count[j]
 	}
-	rowIdx := make([]int32, ptr[n])
-	colVal := make([]float64, ptr[n])
-	next := make([]int32, n)
+	rowIdx := resize(rv.rowIdx, int(ptr[n]))
+	colVal := resize(rv.colVal, int(ptr[n]))
+	rv.next = resize(rv.next, n)
+	next := rv.next
 	copy(next, ptr[:n])
 	for k, con := range p.cons {
 		for _, tm := range con.terms {
@@ -293,7 +348,7 @@ func (rv *revised) buildColumns(p *Problem) {
 			next[v]++
 		}
 	}
-	rv.colPtr = make([]int32, n+1)
+	rv.colPtr = resize(rv.colPtr, n+1)
 	at := int32(0)
 	for j := 0; j < n; j++ {
 		rv.colPtr[j] = at
@@ -504,7 +559,8 @@ func (rv *revised) adoptBasis(b *Basis) bool {
 	if len(b.Basic) != rv.m {
 		return false
 	}
-	seen := make([]bool, rv.total)
+	rv.seen = resize(rv.seen, rv.total)
+	seen := rv.seen
 	for _, j := range b.Basic {
 		if j < 0 || j >= rv.total || seen[j] {
 			return false
@@ -544,9 +600,10 @@ func (rv *revised) refactor() bool {
 	rv.etaIdx = rv.etaIdx[:0]
 	rv.etaVal = rv.etaVal[:0]
 	rv.pivots = 0
-	assigned := make([]bool, rv.m)
-	newBasic := make([]int, rv.m)
-	var structural []int
+	rv.assigned = resize(rv.assigned, rv.m)
+	rv.newBasic = resize(rv.newBasic, rv.m)
+	assigned, newBasic := rv.assigned, rv.newBasic
+	structural := rv.structural[:0]
 	for _, v := range rv.basic {
 		if v >= rv.n {
 			// Unit column through an empty eta file: assign its own row.
@@ -557,14 +614,15 @@ func (rv *revised) refactor() bool {
 			structural = append(structural, v)
 		}
 	}
-	sort.Slice(structural, func(a, b int) bool {
-		// Sort keys are cheap (colNnz is two array reads), so sorting by
-		// density directly beats materializing a weight array.
-		wa, wb := rv.colNnz(structural[a]), rv.colNnz(structural[b])
-		if wa != wb {
-			return wa < wb
+	rv.structural = structural
+	// Sort keys are cheap (colNnz is two array reads), so sorting by
+	// density directly beats materializing a weight array. The keys are
+	// unique (ties go to the lower index), so any sort gives one order.
+	slices.SortFunc(structural, func(a, b int) int {
+		if wa, wb := rv.colNnz(a), rv.colNnz(b); wa != wb {
+			return wa - wb
 		}
-		return structural[a] < structural[b]
+		return a - b
 	})
 	for _, v := range structural {
 		rv.loadW(v)
@@ -983,9 +1041,9 @@ func (rv *revised) run() error {
 	}
 }
 
-// currentX reads the structural solution off the current basis state.
-func (rv *revised) currentX() []float64 {
-	x := make([]float64, rv.n)
+// currentX reads the structural solution off the current basis state
+// into x, which has length n, and returns it.
+func (rv *revised) currentX(x []float64) []float64 {
 	for j := 0; j < rv.n; j++ {
 		if rv.status[j] != inBasis {
 			x[j] = rv.nbValue(j)
@@ -1011,15 +1069,26 @@ func (rv *revised) solution(p *Problem) (*Solution, error) {
 	if rv.pivots >= refactorEvery/2 && rv.refactor() {
 		rv.computeXB()
 	}
-	x := rv.currentX()
+	x := rv.currentX(make([]float64, rv.n))
 	obj := 0.0
 	for j := 0; j < rv.n; j++ {
 		obj += rv.c[j] * x[j]
 	}
+	// The returned slices are fresh copies: the solver's arrays go back
+	// to the pool.
 	basis := &Basis{Basic: append([]int(nil), rv.basic...)}
+	upper := 0
 	for j := 0; j < rv.total; j++ {
 		if rv.status[j] == atUpper {
-			basis.AtUpper = append(basis.AtUpper, j)
+			upper++
+		}
+	}
+	if upper > 0 {
+		basis.AtUpper = make([]int, 0, upper)
+		for j := 0; j < rv.total; j++ {
+			if rv.status[j] == atUpper {
+				basis.AtUpper = append(basis.AtUpper, j)
+			}
 		}
 	}
 	return &Solution{

@@ -4,11 +4,19 @@ import "fmt"
 
 // Graph is a flow network over vertices 0..n-1.
 type Graph struct {
-	n    int
-	head [][]int // adjacency: indices into edges
-	// edges are stored in pairs: edge e and its reverse e^1.
-	to  []int
-	cap []int64
+	n int
+	// edges are stored in pairs: edge e and its reverse e^1. Each
+	// vertex's edges form a list in insertion order, kept in two flat
+	// arrays rather than a slice per vertex: first[u] is u's first
+	// edge and last[u] its last (-1 when u has none), and edges[e].next
+	// follows e (-1 ends the list).
+	edges       []edge
+	first, last []int32
+}
+
+type edge struct {
+	to, next int32
+	cap      int64
 }
 
 // New returns an empty network with n vertices.
@@ -16,7 +24,11 @@ func New(n int) *Graph {
 	if n <= 0 {
 		panic("maxflow: network needs at least one vertex")
 	}
-	return &Graph{n: n, head: make([][]int, n)}
+	ends := make([]int32, 2*n)
+	for i := range ends {
+		ends[i] = -1
+	}
+	return &Graph{n: n, first: ends[:n:n], last: ends[n:]}
 }
 
 // N returns the vertex count.
@@ -31,17 +43,26 @@ func (g *Graph) AddEdge(u, v int, capacity int64) int {
 	if capacity < 0 {
 		panic("maxflow: negative capacity")
 	}
-	id := len(g.to)
-	g.to = append(g.to, v, u)
-	g.cap = append(g.cap, capacity, 0)
-	g.head[u] = append(g.head[u], id)
-	g.head[v] = append(g.head[v], id+1)
+	id := len(g.edges)
+	g.edges = append(g.edges, edge{to: int32(v), next: -1, cap: capacity}, edge{to: int32(u), next: -1})
+	g.link(u, id)
+	g.link(v, id+1)
 	return id
+}
+
+// link appends edge e to vertex u's list.
+func (g *Graph) link(u, e int) {
+	if l := g.last[u]; l < 0 {
+		g.first[u] = int32(e)
+	} else {
+		g.edges[l].next = int32(e)
+	}
+	g.last[u] = int32(e)
 }
 
 // Flow returns the flow currently routed along edge id (after MaxFlow).
 func (g *Graph) Flow(id int) int64 {
-	return g.cap[id^1]
+	return g.edges[id^1].cap
 }
 
 // MaxFlow computes the maximum s→t flow (Dinic's algorithm,
@@ -52,7 +73,7 @@ func (g *Graph) MaxFlow(s, t int) int64 {
 		panic("maxflow: source equals sink")
 	}
 	level := make([]int, g.n)
-	iter := make([]int, g.n)
+	iter := make([]int32, g.n) // each vertex's current edge, -1 when spent
 	queue := make([]int, 0, g.n)
 
 	bfs := func() bool {
@@ -64,10 +85,10 @@ func (g *Graph) MaxFlow(s, t int) int64 {
 		level[s] = 0
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
-			for _, e := range g.head[u] {
-				if g.cap[e] > 0 && level[g.to[e]] == -1 {
-					level[g.to[e]] = level[u] + 1
-					queue = append(queue, g.to[e])
+			for e := g.first[u]; e >= 0; e = g.edges[e].next {
+				if to := int(g.edges[e].to); g.edges[e].cap > 0 && level[to] == -1 {
+					level[to] = level[u] + 1
+					queue = append(queue, to)
 				}
 			}
 		}
@@ -79,20 +100,16 @@ func (g *Graph) MaxFlow(s, t int) int64 {
 		if u == t {
 			return f
 		}
-		for ; iter[u] < len(g.head[u]); iter[u]++ {
-			e := g.head[u][iter[u]]
-			v := g.to[e]
-			if g.cap[e] <= 0 || level[v] != level[u]+1 {
+		for ; iter[u] >= 0; iter[u] = g.edges[iter[u]].next {
+			e := &g.edges[iter[u]]
+			v := int(e.to)
+			if e.cap <= 0 || level[v] != level[u]+1 {
 				continue
 			}
-			d := f
-			if g.cap[e] < d {
-				d = g.cap[e]
-			}
-			got := dfs(v, d)
+			got := dfs(v, min(f, e.cap))
 			if got > 0 {
-				g.cap[e] -= got
-				g.cap[e^1] += got
+				e.cap -= got
+				g.edges[iter[u]^1].cap += got
 				return got
 			}
 		}
@@ -102,9 +119,7 @@ func (g *Graph) MaxFlow(s, t int) int64 {
 	const inf = int64(1) << 62
 	var flow int64
 	for bfs() {
-		for i := range iter {
-			iter[i] = 0
-		}
+		copy(iter, g.first)
 		for {
 			f := dfs(s, inf)
 			if f == 0 {
