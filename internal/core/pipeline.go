@@ -33,9 +33,14 @@ func BuildPseudo(in *model.Instance, chains [][]int, x [][]int) *sched.Pseudo {
 			winLen[k] = l
 			total += l
 		}
+		// The track's steps are rows of one backing array.
+		cells := make([]int, total*in.M)
+		for c := range cells {
+			cells[c] = sched.Idle
+		}
 		steps := make([]sched.Assignment, total)
 		for s := range steps {
-			steps[s] = sched.NewIdle(in.M)
+			steps[s] = cells[s*in.M : (s+1)*in.M : (s+1)*in.M]
 		}
 		offset := 0
 		for k, j := range chain {
@@ -59,7 +64,7 @@ func BuildPseudo(in *model.Instance, chains [][]int, x [][]int) *sched.Pseudo {
 //
 // The prefix changes only where some machine's block ends, so the
 // sweep below visits those boundaries and builds one assignment per
-// segment between them, shared by the segment's steps.
+// segment between them, played as one run for the segment's steps.
 func PackSequential(in *model.Instance, x [][]int) *sched.Oblivious {
 	length := 0
 	for i := range x {
@@ -71,7 +76,8 @@ func PackSequential(in *model.Instance, x [][]int) *sched.Oblivious {
 			length = l
 		}
 	}
-	steps := make([]sched.Assignment, length)
+	var segs []sched.Assignment
+	var counts []int
 	// Machine i plays job k[i]-1 until step end[i]: its blocks follow
 	// one another in job order, and it idles once k[i] passes its last.
 	k := make([]int, len(x))
@@ -89,11 +95,11 @@ func PackSequential(in *model.Instance, x [][]int) *sched.Oblivious {
 				next = min(next, end[i])
 			}
 		}
-		for ; t < next; t++ {
-			steps[t] = seg
-		}
+		segs = append(segs, seg)
+		counts = append(counts, next-t)
+		t = next
 	}
-	return sched.NewOblivious(in.M, steps, nil)
+	return sched.NewObliviousRuns(in.M, segs, counts, nil)
 }
 
 // splitMixSource is a SplitMix64-backed rand.Source64: statistically

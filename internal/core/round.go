@@ -225,12 +225,14 @@ func RoundLP(in *model.Instance, fs *FracSolution, target float64) (*IntSolution
 
 	// Build the network of Figure 3.
 	F := len(flows)
+	E := len(machines)
 	g := maxflow.New(2 + F + in.M)
+	// One edge per flow job, one per bucket arc, one per machine.
+	g.Reserve(F + E + in.M)
 	src, dst := 0, 1+F+in.M
 	jobNode := func(k int) int { return 1 + k }
 	machNode := func(i int) int { return 1 + F + i }
 	machineCap := int64(math.Ceil(2 * Sf * fs.T))
-	E := len(machines)
 	dump := &FlowDump{
 		JobNodes:    make([]int, 0, F),
 		Demands:     make([]int64, 0, F),

@@ -1,6 +1,9 @@
 package maxflow
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Graph is a flow network over vertices 0..n-1.
 type Graph struct {
@@ -33,6 +36,13 @@ func New(n int) *Graph {
 
 // N returns the vertex count.
 func (g *Graph) N() int { return g.n }
+
+// Reserve makes room for edges more AddEdge calls, so a caller that
+// knows its edge count grows the edge array once instead of doubling
+// it from empty. It changes no edge id and no flow.
+func (g *Graph) Reserve(edges int) {
+	g.edges = slices.Grow(g.edges, 2*edges)
+}
 
 // AddEdge inserts a directed edge u->v with the given capacity and
 // returns its edge id, usable with Flow after a MaxFlow run.

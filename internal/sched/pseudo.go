@@ -107,12 +107,16 @@ func (p *Pseudo) congestionWithDelays(delays []int) int {
 
 // WithDelays returns a new pseudo-schedule in which track k is shifted
 // to start delays[k] steps later (the random-delay technique of
-// Leighton–Maggs–Rao / Shmoys–Stein–Wein used in Section 4.1).
+// Leighton–Maggs–Rao / Shmoys–Stein–Wein used in Section 4.1). The
+// result shares its steps with p: each track plays p's own assignments
+// after delay steps that all share one idle assignment, so neither
+// may be modified.
 func (p *Pseudo) WithDelays(delays []int) *Pseudo {
 	if len(delays) != len(p.Tracks) {
 		panic("sched: delay vector length mismatch")
 	}
 	out := &Pseudo{M: p.M, Tracks: make([]ChainTrack, len(p.Tracks))}
+	idle := NewIdle(p.M)
 	for k, tr := range p.Tracks {
 		d := delays[k]
 		if d < 0 {
@@ -120,11 +124,9 @@ func (p *Pseudo) WithDelays(delays []int) *Pseudo {
 		}
 		steps := make([]Assignment, d+len(tr.Steps))
 		for t := 0; t < d; t++ {
-			steps[t] = NewIdle(p.M)
+			steps[t] = idle
 		}
-		for t, a := range tr.Steps {
-			steps[d+t] = a.Clone()
-		}
+		copy(steps[d:], tr.Steps)
 		out.Tracks[k] = ChainTrack{Steps: steps}
 	}
 	return out
@@ -235,9 +237,12 @@ func (p *Pseudo) BestDelays(maxDelay, tries int, rng *rand.Rand) ([]int, int) {
 // correctness because jobs sharing (machine, step) belong to different
 // tracks, which carry no mutual precedence constraints. The result's
 // length is Σ_t c_t <= MaxCongestion()·Len().
+//
+// Every all-idle step of the result shares one assignment.
 func (p *Pseudo) Flatten() *Oblivious {
 	length := p.Len()
 	var steps []Assignment
+	idle := NewIdle(p.M)
 	queue := make([][]int, p.M)
 	for t := 0; t < length; t++ {
 		for i := range queue {
@@ -260,7 +265,7 @@ func (p *Pseudo) Flatten() *Oblivious {
 		if cong == 0 {
 			// An entirely idle step is preserved to keep precedence
 			// windows aligned across tracks.
-			steps = append(steps, NewIdle(p.M))
+			steps = append(steps, idle)
 			continue
 		}
 		for k := 0; k < cong; k++ {

@@ -147,6 +147,29 @@ func NewOblivious(m int, steps []Assignment, tail Tail) *Oblivious {
 	return o
 }
 
+// NewObliviousRuns returns the schedule on m machines that plays
+// runs[k] for counts[k] steps, in order, as its prefix and then tail.
+// Neighbours with equal contents merge into one run, which keeps the
+// first of them, as NewOblivious merges steps; a run of no steps is
+// dropped. It panics when the slices differ in length or a count is
+// negative.
+func NewObliviousRuns(m int, runs []Assignment, counts []int, tail Tail) *Oblivious {
+	if len(runs) != len(counts) {
+		panic("sched: run and count slices differ in length")
+	}
+	o := &Oblivious{M: m, Tail: tail, runs: make([]Assignment, 0, len(runs)), ends: make([]int, 0, len(runs))}
+	for k, a := range runs {
+		switch c := counts[k]; {
+		case c < 0:
+			panic("sched: negative run length")
+		case c > 0:
+			o.push(a, c)
+		}
+	}
+	o.reindex()
+	return o
+}
+
 // push appends count steps of a to the prefix, extending the last run
 // when a has its contents.
 func (o *Oblivious) push(a Assignment, count int) {

@@ -238,7 +238,7 @@ func TestCompiledAdaptiveCertainJobParity(t *testing.T) {
 	}
 	// Mass of the certain job is exactly 2 (both machines' p summed
 	// once), not 4 — the duplicate-enrollment symptom.
-	newEstimator(in, pol, reps, lanesAuto).newIter(seed, false).run(0, 1, cap, func(_ int, _ bool, mass []float64) {
+	Prepare(in, pol).estimator(reps, lanesAuto).newIter(seed, false).run(0, 1, cap, func(_ int, _ bool, mass []float64) {
 		if got := mass[0]; math.Abs(got-2) > 1e-12 {
 			t.Errorf("certain job accumulated mass %v, want exactly 2", got)
 		}

@@ -108,7 +108,7 @@ func TestCompileMatchesStepwise(t *testing.T) {
 		cases = append(cases, tc{"auto " + s.name, s.in, o})
 	}
 	for _, c := range cases {
-		got := compileOblivious(c.in, c.o)
+		got := Prepare(c.in, c.o).compiled
 		if got == nil {
 			t.Fatalf("%s: compile failed", c.name)
 		}

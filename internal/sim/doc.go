@@ -63,4 +63,22 @@
 // the equivalence is pinned by TestPreparedBitIdenticalToColdPath. A
 // stationary policy's context holds no table: its memo is built per
 // call.
+//
+// # Pooled memory
+//
+// The constructions repeat each step σ times, so the compiled tables
+// are about σ times the size of the schedule's runs. A one-shot call
+// (the Estimate family, the quantile estimators, MassWithinHorizon)
+// compiles them into a workspace taken from a sync.Pool, reusing the
+// arrays an earlier call left there, and puts it back only once its
+// walk has joined every worker, with its instance and schedule
+// dropped. The lane workers' buffers and the makespan window come
+// from pools too, on the one-shot and the Prepared path alike, and go
+// back after the walk. Prepare never takes tables from a pool: a
+// cached engine's tables are its own, sized exactly, and SizeBytes
+// charges them. No result aliases pooled memory, and pooled memory
+// moves no draw: every entry a walk reads is written by the call
+// first (TestReusedWorkspaceMatchesFresh poisons the reused arrays).
+// A warm one-shot lane estimate so allocates under 1% of its engine's
+// size (TestWarmOneShotLaneEstimateAllocation).
 package sim

@@ -142,7 +142,7 @@ func TestRunnerStepLoopAllocationFree(t *testing.T) {
 // allocates nothing after compilation (runs stay inside the prefix).
 func TestCompiledRepAllocationFree(t *testing.T) {
 	in, o := chainsFixture()
-	c := compileOblivious(in, o)
+	c := Prepare(in, o).compiled
 	if c == nil {
 		t.Fatal("compile failed")
 	}

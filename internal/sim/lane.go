@@ -1,6 +1,9 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // The bit-parallel lane engine advances LaneWidth (64) independent
 // repetitions of the compiled oblivious walk in lockstep, one per bit
@@ -154,9 +157,13 @@ func laneBernoulli(tr *Stream, gseed, a, b int64, succ float64, need uint64) uin
 // MassWithinHorizon run on the lane engine. Per lane, masses accrue
 // in the same order as the scalar walk under the remap, so the lane
 // engine and the one-lane-at-a-time oracle stay bit-identical.
+//
+// release hands the worker's pooled buffers back once its walk is
+// over; the worker must not run again.
 type laneWorker interface {
 	runGroup(g int64, cnt, maxSteps int) (mk []int32, completed uint64)
 	massLanes() []float64
+	release()
 }
 
 // newLaneWorker builds the lane engine (or, in oracle mode, the
@@ -209,15 +216,32 @@ type laneOblivRunner struct {
 	massB []float64
 }
 
+// lanePool holds lane workers between walks, so a walk's workers
+// reuse the comp, done, wins, wlo and whi buffers of earlier walks.
+// runGroup writes every entry of them it reads, so they are not
+// cleared.
+var lanePool = sync.Pool{New: func() any { return new(laneOblivRunner) }}
+
 func newLaneOblivRunner(c *compiledOblivious, seed int64) *laneOblivRunner {
-	return &laneOblivRunner{
+	r := lanePool.Get().(*laneOblivRunner)
+	n := c.in.N
+	*r = laneOblivRunner{
 		c:    c,
 		seed: seed,
-		comp: make([]int32, c.in.N*LaneWidth),
-		done: make([]uint64, c.in.N),
-		wlo:  make([]int32, c.in.N),
-		whi:  make([]int32, c.in.N),
+		comp: reuse(r.comp, n*LaneWidth),
+		done: reuse(r.done, n),
+		wins: r.wins[:0],
+		wlo:  reuse(r.wlo, n),
+		whi:  reuse(r.whi, n),
 	}
+	return r
+}
+
+// release drops the tables, the tail runner and the mass columns, and
+// puts the worker back in lanePool.
+func (r *laneOblivRunner) release() {
+	r.c, r.tailR, r.massB = nil, nil, nil
+	lanePool.Put(r)
 }
 
 // laneNegOnes is the memmove template resetting a job's completion
@@ -447,6 +471,8 @@ func (o *laneOblivOracle) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 	}
 	return o.mk[:cnt], completed
 }
+
+func (o *laneOblivOracle) release() {}
 
 func (o *laneOblivOracle) massLanes() []float64 {
 	if o.massB == nil {

@@ -258,7 +258,7 @@ func TestLaneDeterministicAcrossConcurrency(t *testing.T) {
 // pass over many groups, a second pass over them allocates nothing.
 func TestLaneGroupAllocationFree(t *testing.T) {
 	in, o := chainsFixture()
-	c := compileOblivious(in, o)
+	c := Prepare(in, o).compiled
 	if c == nil {
 		t.Fatal("compile failed")
 	}
@@ -301,7 +301,7 @@ func TestLaneWinSegments(t *testing.T) {
 			steps = append(steps, a)
 		}
 	}
-	c := compileOblivious(in, sched.NewOblivious(1, steps, nil))
+	c := Prepare(in, sched.NewOblivious(1, steps, nil)).compiled
 	w := newLaneOblivRunner(c, 3)
 	var walked, skipped bool
 	for g := int64(0); g < 64; g++ {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"sync"
+
 	"suu/internal/model"
 	"suu/internal/sched"
 )
@@ -37,29 +39,57 @@ type compiledOblivious struct {
 	mass  []float64
 }
 
-// compileOblivious builds the per-job occurrence lists. It reads each
-// run the schedule stores (sched.Oblivious.Runs) once and fills the
-// run's occurrences from it, so the cost is O(runs × m + occurrences),
-// paid once per Prepare and shared read-only by every worker. The
-// tables are those of a per-step pass: a run's fail products and masses
-// are the same multiplications and additions, over the same machines
-// in the same order, as each of its steps would make.
-func compileOblivious(in *model.Instance, o *sched.Oblivious) *compiledOblivious {
+// workspace is the memory one compile fills: the tables of a
+// compiledOblivious (offs, steps, succ, mass and topo) and the
+// compile's n-sized scratch. compileOblivious keeps every backing
+// array that is large enough and allocates only what the instance or
+// the schedule outgrew, so a compile into a workspace from
+// workspacePool allocates nothing once the pool has seen the shape.
+type workspace struct {
+	c                  compiledOblivious
+	counts, last, next []int32
+	fail, mass         []float64
+	jobs               []int
+}
+
+// workspacePool holds workspaces between one-shot estimates. A call
+// takes one, compiles into it, and puts it back once its walk has
+// joined every worker; nothing the call returns aliases it. Prepare
+// never takes one, so a cached engine's tables are never pooled.
+var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
+
+// release drops the workspace's instance and schedule and puts it back
+// in workspacePool. Call it only once no walk reads its tables.
+func (ws *workspace) release() {
+	ws.c.in, ws.c.o = nil, nil
+	workspacePool.Put(ws)
+}
+
+// compileOblivious builds the per-job occurrence lists of o into ws,
+// walking jobs in order, a topological order of in. It reads each run
+// the schedule stores (sched.Oblivious.Runs) once and fills the run's
+// occurrences from it, so the cost is O(runs × m + occurrences), paid
+// once per Prepare or one-shot call and shared read-only by every
+// worker. The tables are those of a per-step pass: a run's fail
+// products and masses are the same multiplications and additions,
+// over the same machines in the same order, as each of its steps would
+// make. The returned engine lives in ws and is valid until ws compiles
+// again.
+func compileOblivious(ws *workspace, in *model.Instance, o *sched.Oblivious, order []int) *compiledOblivious {
 	n := in.N
-	order, err := in.Prec.TopoOrder()
-	if err != nil {
-		return nil // cyclic: let the generic engine spin on it
-	}
-	c := &compiledOblivious{in: in, o: o, prefixLen: o.Len()}
-	c.topo = make([]int32, n)
+	c := &ws.c
+	*c = compiledOblivious{in: in, o: o, prefixLen: o.Len(),
+		topo: reuse(c.topo, n), offs: reuse(c.offs, n+1),
+		steps: c.steps, succ: c.succ, mass: c.mass}
 	for k, j := range order {
 		c.topo[k] = int32(j)
 	}
 	// First pass: count each job's occurrences, one per step of every
 	// run that assigns it.
 	runs, ends := o.Runs()
-	counts := make([]int32, n)
-	last := make([]int32, n) // run that last counted the job
+	counts := reuse(ws.counts, n)
+	clear(counts)
+	last := reuse(ws.last, n) // run that last counted the job
 	for j := range last {
 		last[j] = -1
 	}
@@ -74,24 +104,26 @@ func compileOblivious(in *model.Instance, o *sched.Oblivious) *compiledOblivious
 		}
 		t = ends[k]
 	}
-	c.offs = make([]int32, n+1)
+	c.offs[0] = 0
 	for j := 0; j < n; j++ {
 		c.offs[j+1] = c.offs[j] + counts[j]
 	}
+	// The second pass writes every occurrence, so the tables are not
+	// cleared.
 	total := int(c.offs[n])
-	c.steps = make([]int32, total)
-	c.succ = make([]float64, total)
-	c.mass = make([]float64, total)
+	c.steps = reuse(c.steps, total)
+	c.succ = reuse(c.succ, total)
+	c.mass = reuse(c.mass, total)
 	// Second pass: per run, accumulate each assigned job's fail product
 	// and mass over the machines, then fill one occurrence per step.
-	next := make([]int32, n)
+	next := reuse(ws.next, n)
 	copy(next, c.offs[:n])
 	for j := range last {
 		last[j] = -1
 	}
-	fail := make([]float64, n)
-	mass := make([]float64, n)
-	jobs := make([]int, 0, in.M)
+	fail := reuse(ws.fail, n)
+	mass := reuse(ws.mass, n)
+	jobs := ws.jobs[:0]
 	p := in.Flat()
 	t = 0
 	for k, a := range runs {
@@ -124,7 +156,18 @@ func compileOblivious(in *model.Instance, o *sched.Oblivious) *compiledOblivious
 		}
 		t = ends[k]
 	}
+	ws.counts, ws.last, ws.next, ws.fail, ws.mass, ws.jobs = counts, last, next, fail, mass, jobs
 	return c
+}
+
+// reuse returns s resliced to length n, keeping its backing array when
+// it is large enough. Entries it keeps are not cleared: the caller
+// writes each one before reading it.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // oblivRunner is one worker's mutable state for the compiled engine.

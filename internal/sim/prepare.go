@@ -24,10 +24,13 @@ import (
 // workers out over one compiled engine.
 //
 // Results are bit-identical to the cold path: the one-shot estimators
-// are themselves a Prepare followed by the per-call selection
+// are themselves a prepare followed by the per-call selection
 // EstimateParallelInfo applies (see Prepared.estimator), so a cached
 // engine can change wall-clock only, never a digit. The parity is
-// pinned by TestPreparedBitIdenticalToColdPath.
+// pinned by TestPreparedBitIdenticalToColdPath. The one-shot prepare
+// compiles into a workspace from workspacePool and puts it back when
+// the call returns; Prepare never touches that pool, so a Prepared's
+// tables are its own and sized exactly.
 type Prepared struct {
 	in       *model.Instance
 	pol      sched.Policy
@@ -44,15 +47,27 @@ type Prepared struct {
 // calls run the generic step engine, which is still reusable — the
 // instance's flat backing and parallel-dispatch decisions are
 // resolved once.
-func Prepare(in *model.Instance, pol sched.Policy) *Prepared {
+func Prepare(in *model.Instance, pol sched.Policy) *Prepared { return prepare(in, pol, nil) }
+
+// prepare is Prepare compiling an oblivious schedule into ws. A nil ws
+// gives the context tables of its own, each of exactly the size it
+// needs.
+func prepare(in *model.Instance, pol sched.Policy, ws *workspace) *Prepared {
 	p := &Prepared{in: in, pol: pol}
 	// Resolve the flat backing once, on this goroutine: workers read it
 	// concurrently via newRunState, and Instance.Flat rebuilds lazily
 	// when the rows were replaced wholesale.
 	in.Flat()
 	start := time.Now()
-	if UsesCompiledEngine(in, pol) {
-		p.compiled = compileOblivious(in, pol.(*sched.Oblivious))
+	if o, order := compilable(in, pol); o != nil {
+		if ws != nil {
+			p.compiled = compileOblivious(ws, in, o, order)
+		} else {
+			// Copying the tables out of a fresh workspace lets the
+			// compile's scratch go.
+			c := *compileOblivious(new(workspace), in, o, order)
+			p.compiled = &c
+		}
 	} else if mpol, ok := memoizable(in, pol); ok {
 		p.memo = mpol
 	}

@@ -79,11 +79,13 @@ func p2Quantiles(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed 
 }
 
 // eachWindow walks reps repetitions across workers on the engine
-// Estimate selects under lanes and hands fold their makespans window
-// by window, in repetition order.
+// Estimate selects under lanes, on a pooled workspace, and hands fold
+// their makespans window by window, in repetition order.
 func eachWindow(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, workers int, lanes laneMode, fold func(makespans []float64)) {
 	if reps <= 0 {
 		panic("sim: reps must be positive")
 	}
-	newEstimator(in, pol, reps, lanes).walk(reps, maxSteps, seed, workers, fold)
+	ws := workspacePool.Get().(*workspace)
+	prepare(in, pol, ws).estimator(reps, lanes).walk(reps, maxSteps, seed, workers, fold)
+	ws.release()
 }

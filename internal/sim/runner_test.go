@@ -117,7 +117,7 @@ func TestEstimateMatchesSequentialWalk(t *testing.T) {
 	const cap, seed = 100000, 29
 	for _, c := range cases {
 		for _, reps := range c.reps {
-			e := newEstimator(c.in, c.pol, reps, lanesAuto)
+			e := Prepare(c.in, c.pol).estimator(reps, lanesAuto)
 			values := make([]float64, 0, reps)
 			wantInc := 0
 			e.newIter(seed, false).run(0, reps, cap, func(makespan int, completed bool, _ []float64) {

@@ -121,12 +121,23 @@ type estimator struct {
 // actually ran; for the full decision including the compiled adaptive
 // engine use the EngineUsed value returned by EstimateInfo.
 func UsesCompiledEngine(in *model.Instance, pol sched.Policy) bool {
+	o, _ := compilable(in, pol)
+	return o != nil
+}
+
+// compilable returns the schedule the compiled oblivious engine runs
+// for pol on in, with the topological order its compile walks, or nil
+// when UsesCompiledEngine is false.
+func compilable(in *model.Instance, pol sched.Policy) (*sched.Oblivious, []int) {
 	o, ok := pol.(*sched.Oblivious)
 	if !ok || o.Len() == 0 || !Parallelizable(pol) {
-		return false
+		return nil, nil
 	}
-	_, err := in.Prec.TopoOrder()
-	return err == nil
+	order, err := in.Prec.TopoOrder()
+	if err != nil {
+		return nil, nil
+	}
+	return o, order
 }
 
 // callBudget is the adaptive state budget of one call of reps
@@ -135,13 +146,6 @@ func UsesCompiledEngine(in *model.Instance, pol sched.Policy) bool {
 // generic engine, so a memo bigger than 64× the repetitions could
 // never amortize; states past the budget run from a scratch digest.
 func callBudget(reps int) int { return min(DefaultAdaptiveCompileBudget, 64*reps) }
-
-// newEstimator selects the engine for one one-shot call: it prepares
-// the pair, then applies the same per-call selection a cached
-// Prepared applies.
-func newEstimator(in *model.Instance, pol sched.Policy, reps int, lanes laneMode) *estimator {
-	return Prepare(in, pol).estimator(reps, lanes)
-}
 
 // estimateChunk is the number of repetitions aggregated into one
 // streaming accumulator, in repetition order; chunk accumulators merge
@@ -213,7 +217,8 @@ func runWindows(reps, workers, unit int, newWorker func() ChunkFunc, fold func(m
 		panic("sim: the work unit must divide the chunk size")
 	}
 	workers = max(min(workers, (reps+unit-1)/unit), 1)
-	buf := make([]float64, min(reps, windowChunks*estimateChunk))
+	bufp := windowPool.Get().(*[]float64)
+	buf := reuse(*bufp, min(reps, windowChunks*estimateChunk))
 	// lo and hi bound the current window. The calling goroutine writes
 	// them, and resets next, only while no worker is inside work.
 	var lo, hi int
@@ -262,28 +267,34 @@ func runWindows(reps, workers, unit int, newWorker func() ChunkFunc, fold func(m
 	}
 	close(start)
 	exited.Wait()
+	*bufp = buf
+	windowPool.Put(bufp)
 	return int(incomplete.Load()), workers
 }
+
+// windowPool holds runWindows' makespan windows between walks. Every
+// unit writes each makespan of its range, so a reused window is not
+// cleared.
+var windowPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // walk runs reps repetitions on the selected engine across workers and
 // hands fold each window's makespans in repetition order. Repetition r
 // draws from stream (seed, r) — or, under the lane engine, from the
 // group-g lane streams of the remap documented in lane.go — so what
-// fold sees is bit-identical for every worker count.
+// fold sees is bit-identical for every worker count. Once every worker
+// has joined, their pooled buffers go back.
 func (e *estimator) walk(reps, maxSteps int, seed int64, workers int, fold func(makespans []float64)) (int, EngineUsed) {
 	var mu sync.Mutex
-	var memos []*adaptRunner
+	var iters []*repIter
 	unit := scalarUnit
 	if e.lane {
 		unit = LaneWidth
 	}
 	incomplete, workers := runWindows(reps, workers, unit, func() ChunkFunc {
 		it := e.newIter(seed, false)
-		if a, ok := it.scalar.(*adaptRunner); ok {
-			mu.Lock()
-			memos = append(memos, a)
-			mu.Unlock()
-		}
+		mu.Lock()
+		iters = append(iters, it)
+		mu.Unlock()
 		return func(lo, hi int, makespans []float64) (inc int) {
 			k := 0
 			it.run(lo, hi, maxSteps, func(makespan int, completed bool, _ []float64) {
@@ -296,6 +307,13 @@ func (e *estimator) walk(reps, maxSteps int, seed int64, workers int, fold func(
 			return inc
 		}
 	}, fold)
+	var memos []*adaptRunner
+	for _, it := range iters {
+		if a, ok := it.scalar.(*adaptRunner); ok {
+			memos = append(memos, a)
+		}
+		it.release()
+	}
 	eng := e.engine
 	eng.Workers = workers
 	if memos != nil {
@@ -349,6 +367,14 @@ func (e *estimator) newIter(seed int64, trackMass bool) *repIter {
 	return it
 }
 
+// release puts the iterator's pooled buffers back. The iterator must
+// not run again.
+func (it *repIter) release() {
+	if it.lanes != nil {
+		it.lanes.release()
+	}
+}
+
 // run executes repetitions [lo, hi) — lo a multiple of LaneWidth on
 // the lane walk — and calls visit for each in repetition order with
 // its makespan, completion flag and per-job mass. The mass slice is a
@@ -377,13 +403,16 @@ func (it *repIter) run(lo, hi, maxSteps int, visit func(makespan int, completed 
 }
 
 // estimate is the one-shot estimator behind every exported form:
-// engine selection for (in, pol, reps) under the lane mode, then the
-// chunked run.
+// engine selection for (in, pol, reps) under the lane mode, on a
+// pooled workspace, then the chunked run.
 func estimate(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, workers int, lanes laneMode) (stats.Summary, int, EngineUsed) {
 	if reps <= 0 {
 		panic("sim: reps must be positive")
 	}
-	return newEstimator(in, pol, reps, lanes).run(reps, maxSteps, seed, workers)
+	ws := workspacePool.Get().(*workspace)
+	sum, inc, eng := prepare(in, pol, ws).estimator(reps, lanes).run(reps, maxSteps, seed, workers)
+	ws.release()
+	return sum, inc, eng
 }
 
 // Estimate runs reps independent executions (repetition r's RNG
@@ -434,7 +463,8 @@ func MassWithinHorizon(in *model.Instance, pol sched.Policy, horizon, reps int, 
 
 func massWithinHorizon(in *model.Instance, pol sched.Policy, horizon, reps int, threshold float64, seed int64, lanes laneMode) []float64 {
 	counts := make([]float64, in.N)
-	it := newEstimator(in, pol, reps, lanes).newIter(seed^massSeedSalt, true)
+	ws := workspacePool.Get().(*workspace)
+	it := prepare(in, pol, ws).estimator(reps, lanes).newIter(seed^massSeedSalt, true)
 	it.run(0, reps, horizon, func(_ int, _ bool, mass []float64) {
 		for j, m := range mass {
 			if m >= threshold-1e-12 {
@@ -442,6 +472,8 @@ func massWithinHorizon(in *model.Instance, pol sched.Policy, horizon, reps int, 
 			}
 		}
 	})
+	it.release()
+	ws.release()
 	for j := range counts {
 		counts[j] /= float64(reps)
 	}
