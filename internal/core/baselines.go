@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math/rand"
+	"math/bits"
 
 	"suu/internal/model"
 	"suu/internal/sched"
@@ -89,10 +89,13 @@ func (p *AllOnOnePolicy) Assign(st *sched.State) sched.Assignment {
 func (p *AllOnOnePolicy) Memoizable() {}
 
 // RandomPolicy assigns each machine to a uniformly random eligible
-// job; the fully uncoordinated baseline.
+// job; the fully uncoordinated baseline. Step t draws from a SplitMix64
+// stream keyed by (Seed, t), so the assignment is a pure function of
+// the seed, the step and the eligible set: repetitions may share the
+// policy across workers, and every call on it draws the same.
 type RandomPolicy struct {
-	In  *model.Instance
-	Rng *rand.Rand
+	In   *model.Instance
+	Seed int64
 }
 
 // Assign implements sched.Policy.
@@ -107,8 +110,14 @@ func (p *RandomPolicy) Assign(st *sched.State) sched.Assignment {
 	if len(elig) == 0 {
 		return a
 	}
+	// The step's stream is seeded by output Step+1 of the seed's
+	// stream, so steps draw from unrelated streams.
+	key := newSplitMixSource(p.Seed)
+	key.s += uint64(st.Step) * 0x9e3779b97f4a7c15
+	src := newSplitMixSource(int64(key.Uint64()))
 	for i := range a {
-		a[i] = elig[p.Rng.Intn(len(elig))]
+		pick, _ := bits.Mul64(src.Uint64(), uint64(len(elig)))
+		a[i] = elig[pick]
 	}
 	return a
 }

@@ -13,6 +13,11 @@
 //     the chains algorithm (Theorem 4.4), the LP-based independent-jobs
 //     algorithm (Theorem 4.5) and the tree/forest algorithms
 //     (Theorems 4.7 and 4.8);
+//   - one count packer behind every prefix built from step counts:
+//     SUU-I-OBL's MSM-E-ALG rounds (ScheduleFromCounts), the LP packing
+//     (PackSequential) and the chain windows of a pseudo-schedule
+//     (BuildPseudo) sweep the boundaries where a machine's work or
+//     window ends and emit one run per segment between them;
 //   - baseline policies used by the experiment harness.
 //
 // Construction entry points take a Params (seeds, LP knobs, mass

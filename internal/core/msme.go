@@ -67,25 +67,15 @@ func (o *PairOrder) ext(active []bool, t int) [][]int {
 // prefix of length t: machine i serves its jobs consecutively in job-
 // index order, exactly as the output specification of MSM-E-ALG
 // (f_τ(i) = j_k for Σ_{l<k} x_{i,j_l} < τ ≤ Σ_{l≤k} x_{i,j_l}).
-// Steps beyond a machine's total count are Idle.
+// Steps beyond a machine's total count are Idle. It is PackSequential
+// padded with idle steps to t, and panics when a machine's counts
+// exceed t.
 func ScheduleFromCounts(in *model.Instance, x [][]int, t int) *sched.Oblivious {
-	steps := make([]sched.Assignment, t)
-	for s := range steps {
-		steps[s] = sched.NewIdle(in.M)
+	o := pack(in.M, x, allJobs(in.N), false, t)
+	if o.Len() > t {
+		panic("core: counts exceed schedule length")
 	}
-	for i := 0; i < in.M; i++ {
-		pos := 0
-		for j := 0; j < in.N; j++ {
-			for k := 0; k < x[i][j]; k++ {
-				if pos >= t {
-					panic("core: counts exceed schedule length")
-				}
-				steps[pos][i] = j
-				pos++
-			}
-		}
-	}
-	return sched.NewOblivious(in.M, steps, nil)
+	return o
 }
 
 // MassOfCounts returns the per-job (uncapped) mass of a count matrix.

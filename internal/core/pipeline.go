@@ -19,39 +19,9 @@ import (
 // chains become separate tracks, so the union may congest machines —
 // that is repaired later by delays + flattening.
 func BuildPseudo(in *model.Instance, chains [][]int, x [][]int) *sched.Pseudo {
-	p := &sched.Pseudo{M: in.M}
-	for _, chain := range chains {
-		total := 0
-		winLen := make([]int, len(chain))
-		for k, j := range chain {
-			l := 0
-			for i := 0; i < in.M; i++ {
-				if x[i][j] > l {
-					l = x[i][j]
-				}
-			}
-			winLen[k] = l
-			total += l
-		}
-		// The track's steps are rows of one backing array.
-		cells := make([]int, total*in.M)
-		for c := range cells {
-			cells[c] = sched.Idle
-		}
-		steps := make([]sched.Assignment, total)
-		for s := range steps {
-			steps[s] = cells[s*in.M : (s+1)*in.M : (s+1)*in.M]
-		}
-		offset := 0
-		for k, j := range chain {
-			for i := 0; i < in.M; i++ {
-				for s := 0; s < x[i][j]; s++ {
-					steps[offset+s][i] = j
-				}
-			}
-			offset += winLen[k]
-		}
-		p.Tracks = append(p.Tracks, sched.ChainTrack{Steps: steps})
+	p := &sched.Pseudo{M: in.M, Tracks: make([]*sched.Oblivious, len(chains))}
+	for k, chain := range chains {
+		p.Tracks[k] = pack(in.M, x, chain, true, 0)
 	}
 	return p
 }
@@ -61,37 +31,70 @@ func BuildPseudo(in *model.Instance, chains [][]int, x [][]int) *sched.Pseudo {
 // assigned job-steps back to back (Theorem 4.5 needs no delays because
 // there are no windows to respect). The prefix length is the maximum
 // machine load.
-//
-// The prefix changes only where some machine's block ends, so the
-// sweep below visits those boundaries and builds one assignment per
-// segment between them, played as one run for the segment's steps.
 func PackSequential(in *model.Instance, x [][]int) *sched.Oblivious {
-	length := 0
-	for i := range x {
+	return pack(in.M, x, allJobs(in.N), false, 0)
+}
+
+// pack is the one count packer behind PackSequential,
+// ScheduleFromCounts and BuildPseudo. Machine i serves jobs[0],
+// jobs[1], ... in order, working x[i][j] steps on job j from the start
+// of j's slot. A slot ends with the machine's own steps on the job, so
+// that it packs its jobs back to back, or, when windowed, with j's
+// window, the largest count any machine has on j, so that every machine
+// starts a job together. The prefix ends with the last slot, padded
+// with idle steps to minLen.
+//
+// The prefix changes only where some machine's work or slot ends, so
+// the sweep visits those boundaries and builds one assignment per
+// segment between them, played as one run for the segment's steps;
+// once every machine is done, one idle segment pads to the length.
+func pack(m int, x [][]int, jobs []int, windowed bool, minLen int) *sched.Oblivious {
+	var win []int
+	if windowed {
+		win = make([]int, len(jobs))
+		for k, j := range jobs {
+			for i := range x {
+				win[k] = max(win[k], x[i][j])
+			}
+		}
+	}
+	length := minLen
+	for _, row := range x {
 		l := 0
-		for _, c := range x[i] {
-			l += c
+		for k, j := range jobs {
+			if windowed {
+				l += win[k]
+			} else {
+				l += row[j]
+			}
 		}
-		if l > length {
-			length = l
-		}
+		length = max(length, l)
 	}
 	var segs []sched.Assignment
 	var counts []int
-	// Machine i plays job k[i]-1 until step end[i]: its blocks follow
-	// one another in job order, and it idles once k[i] passes its last.
-	k := make([]int, len(x))
-	end := make([]int, len(x))
+	// Machine i plays jobs[k[i]-1] until step busy[i] and idles until
+	// its slot ends at step end[i]; it idles for good once k[i] passes
+	// its last job.
+	k := make([]int, m)
+	busy := make([]int, m)
+	end := make([]int, m)
 	for t := 0; t < length; {
-		seg := sched.NewIdle(in.M)
+		seg := sched.NewIdle(m)
 		next := length
 		for i, row := range x {
-			for end[i] <= t && k[i] < len(row) {
-				end[i] += row[k[i]]
+			for end[i] <= t && k[i] < len(jobs) {
+				c := row[jobs[k[i]]]
+				busy[i] = end[i] + c
+				if windowed {
+					c = win[k[i]]
+				}
+				end[i] += c
 				k[i]++
 			}
-			if end[i] > t {
-				seg[i] = k[i] - 1
+			if busy[i] > t {
+				seg[i] = jobs[k[i]-1]
+				next = min(next, busy[i])
+			} else if end[i] > t {
 				next = min(next, end[i])
 			}
 		}
@@ -99,7 +102,16 @@ func PackSequential(in *model.Instance, x [][]int) *sched.Oblivious {
 		counts = append(counts, next-t)
 		t = next
 	}
-	return sched.NewObliviousRuns(in.M, segs, counts, nil)
+	return sched.NewObliviousRuns(m, segs, counts, nil)
+}
+
+// allJobs returns the job indices 0..n-1 in order.
+func allJobs(n int) []int {
+	jobs := make([]int, n)
+	for j := range jobs {
+		jobs[j] = j
+	}
+	return jobs
 }
 
 // splitMixSource is a SplitMix64-backed rand.Source64: statistically
@@ -261,11 +273,7 @@ func SUUIndependentLP(in *model.Instance, par Params) (*ChainsResult, error) {
 	if in.Prec.E() != 0 {
 		return nil, errors.New("core: SUUIndependentLP requires independent jobs")
 	}
-	jobs := make([]int, in.N)
-	for j := range jobs {
-		jobs[j] = j
-	}
-	frac, err := solveLP2(in, jobs, par.MassTarget, lpOptions{dense: par.DenseLP, crash: par.WarmBasis})
+	frac, err := solveLP2(in, allJobs(in.N), par.MassTarget, lpOptions{dense: par.DenseLP, crash: par.WarmBasis})
 	if err != nil {
 		return nil, err
 	}

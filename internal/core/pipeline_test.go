@@ -209,7 +209,7 @@ func TestBaselinePoliciesComplete(t *testing.T) {
 		"greedy-maxp": &GreedyMaxPPolicy{In: in},
 		"round-robin": &RoundRobinPolicy{In: in},
 		"all-on-one":  &AllOnOnePolicy{In: in},
-		"random":      &RandomPolicy{In: in, Rng: rand.New(rand.NewSource(1))},
+		"random":      &RandomPolicy{In: in, Seed: 1},
 		"adaptive":    &AdaptivePolicy{In: in},
 	}
 	for name, pol := range pols {
@@ -235,17 +235,17 @@ func TestBuildPseudoWindows(t *testing.T) {
 	}
 	tr := p.Tracks[0]
 	// L0 = 2, L1 = 3 → track length 5; job 1 starts at step 2.
-	if len(tr.Steps) != 5 {
-		t.Fatalf("track length %d, want 5", len(tr.Steps))
+	if tr.Len() != 5 {
+		t.Fatalf("track length %d, want 5", tr.Len())
 	}
 	for s := 0; s < 2; s++ {
-		for i, j := range tr.Steps[s] {
+		for i, j := range tr.At(s) {
 			if j == 1 {
 				t.Errorf("job 1 scheduled at step %d machine %d inside job 0's window", s, i)
 			}
 		}
 	}
-	if tr.Steps[2][1] != 1 || tr.Steps[4][1] != 1 {
+	if tr.At(2)[1] != 1 || tr.At(4)[1] != 1 {
 		t.Error("job 1 window misplaced")
 	}
 	// Flatten of a single track must be congestion-free and identical in
@@ -274,5 +274,24 @@ func TestPackSequentialShape(t *testing.T) {
 	mass := sched.MassPerJob(in, o)
 	if mass[0] != 1.0 || mass[1] != 0.5 || mass[2] != 2.0 {
 		t.Errorf("mass=%v", mass)
+	}
+}
+
+// TestRandomPolicyDeterministicAcrossWorkers pins the random baseline's
+// draws to (seed, step, eligible set): one policy shared by 1, 2 and 4
+// estimation workers gives bit-identical summaries, and so does a
+// second call on it.
+func TestRandomPolicyDeterministicAcrossWorkers(t *testing.T) {
+	in := randomInstance(8, 3, rand.New(rand.NewSource(83)))
+	pol := &RandomPolicy{In: in, Seed: 3}
+	want, incomplete := sim.EstimateParallel(in, pol, 400, 100_000, 9, 1)
+	if incomplete != 0 {
+		t.Fatalf("%d of 400 runs incomplete", incomplete)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		got, _, eng := sim.EstimateParallelInfo(in, pol, 400, 100_000, 9, workers)
+		if got != want || eng.Workers != workers {
+			t.Errorf("%d workers (ran %d): summary %+v, 1 worker's first call %+v", workers, eng.Workers, got, want)
+		}
 	}
 }

@@ -35,7 +35,7 @@ func buildPseudoPerStep(in *model.Instance, chains [][]int, x [][]int) *sched.Ps
 			}
 			offset += winLen[k]
 		}
-		p.Tracks = append(p.Tracks, sched.ChainTrack{Steps: steps})
+		p.Tracks = append(p.Tracks, sched.NewOblivious(in.M, steps, nil))
 	}
 	return p
 }
@@ -43,16 +43,16 @@ func buildPseudoPerStep(in *model.Instance, chains [][]int, x [][]int) *sched.Ps
 // withDelaysCloned is WithDelays with a fresh idle assignment per delay
 // step and a clone of every track step.
 func withDelaysCloned(p *sched.Pseudo, delays []int) *sched.Pseudo {
-	out := &sched.Pseudo{M: p.M, Tracks: make([]sched.ChainTrack, len(p.Tracks))}
+	out := &sched.Pseudo{M: p.M, Tracks: make([]*sched.Oblivious, len(p.Tracks))}
 	for k, tr := range p.Tracks {
-		steps := make([]sched.Assignment, delays[k]+len(tr.Steps))
+		steps := make([]sched.Assignment, delays[k]+tr.Len())
 		for t := 0; t < delays[k]; t++ {
 			steps[t] = sched.NewIdle(p.M)
 		}
-		for t, a := range tr.Steps {
+		for t, a := range tr.Steps() {
 			steps[delays[k]+t] = a.Clone()
 		}
-		out.Tracks[k] = sched.ChainTrack{Steps: steps}
+		out.Tracks[k] = sched.NewOblivious(p.M, steps, nil)
 	}
 	return out
 }
@@ -67,10 +67,10 @@ func flattenPerStep(p *sched.Pseudo) *sched.Oblivious {
 		}
 		cong := 0
 		for _, tr := range p.Tracks {
-			if t >= len(tr.Steps) {
+			if t >= tr.Len() {
 				continue
 			}
-			for i, j := range tr.Steps[t] {
+			for i, j := range tr.At(t) {
 				if j != sched.Idle {
 					queue[i] = append(queue[i], j)
 					cong = max(cong, len(queue[i]))
@@ -98,7 +98,7 @@ func flattenPerStep(p *sched.Pseudo) *sched.Oblivious {
 func snapshot(p *sched.Pseudo) [][]sched.Assignment {
 	out := make([][]sched.Assignment, len(p.Tracks))
 	for k, tr := range p.Tracks {
-		for _, a := range tr.Steps {
+		for _, a := range tr.Steps() {
 			out[k] = append(out[k], a.Clone())
 		}
 	}

@@ -286,3 +286,51 @@ func TestPackSequentialMatchesPerStep(t *testing.T) {
 		}
 	}
 }
+
+// TestScheduleFromCountsIsPaddedPack pins ScheduleFromCounts step for
+// step to PackSequential followed by idle steps up to t, at the max
+// load and above it, and checks that it panics once a machine's counts
+// exceed t.
+func TestScheduleFromCountsIsPaddedPack(t *testing.T) {
+	rng := rand.New(rand.NewSource(3606))
+	for trial := 0; trial < 1000; trial++ {
+		m, n := 1+rng.Intn(6), 1+rng.Intn(8)
+		in := model.New(n, m)
+		x := make([][]int, m)
+		for i := range x {
+			x[i] = make([]int, n)
+			for j := range x[i] {
+				if rng.Intn(3) > 0 {
+					x[i][j] = rng.Intn(5)
+				}
+			}
+		}
+		packed := PackSequential(in, x)
+		for _, tt := range []int{packed.Len(), packed.Len() + 1 + rng.Intn(5)} {
+			got := ScheduleFromCounts(in, x, tt)
+			if got.Len() != tt {
+				t.Fatalf("trial %d, x=%v, t=%d: length %d", trial, x, tt, got.Len())
+			}
+			for s := 0; s < tt; s++ {
+				want := sched.NewIdle(m)
+				if s < packed.Len() {
+					want = packed.At(s)
+				}
+				if !slices.Equal(got.At(s), want) {
+					t.Fatalf("trial %d, x=%v, t=%d: step %d is %v, padded pack %v", trial, x, tt, s, got.At(s), want)
+				}
+			}
+		}
+		if packed.Len() == 0 {
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "core: counts exceed schedule length" {
+					t.Fatalf("trial %d, x=%v: t one below the max load %d recovered %v", trial, x, packed.Len(), r)
+				}
+			}()
+			ScheduleFromCounts(in, x, packed.Len()-1)
+		}()
+	}
+}

@@ -17,8 +17,9 @@ const maxExactBits = 20
 const exactTol = 1e-12
 
 // ExactMakespan returns E[min(T, maxSteps)] for strat's walk on sc,
-// where T is the makespan, and a bound on the error of stopping short
-// of maxSteps. It is the oracle the Monte Carlo walks are pinned to.
+// where T is the makespan, and a residual, described below, that tells
+// a capped value from E[T]. It is the oracle the Monte Carlo walks are
+// pinned to.
 //
 // It pushes probability mass forward one step at a time over states
 // (unfinished set, regime vector of the regime machines) and sums
@@ -28,9 +29,11 @@ const exactTol = 1e-12
 // assigns from the visible state, and every up machine assigned an
 // eligible job trials it. A job trialed by several machines completes
 // with probability 1 − Π(1 − p), where p is scaled by the severity of
-// each machine that is bad. Propagation stops at maxSteps, or earlier
-// once the unfinished mass u after step s bounds the missing terms,
-// u·(maxSteps − 1 − s) ≤ 1e-12; that product is the returned bound.
+// each machine that is bad. Propagation stops once the unfinished mass
+// u after step s bounds the missing terms, u·(maxSteps − 1 − s) ≤
+// 1e-12, and that product is the residual. Otherwise it reaches
+// maxSteps, and the residual is the mass still unfinished there,
+// P(T ≥ maxSteps), so a caller can tell E[min(T, maxSteps)] from E[T].
 //
 // The strategy's assignment must be a pure function of the step and
 // the visible state. That holds for AdaptiveStrategy, and for
@@ -39,7 +42,7 @@ const exactTol = 1e-12
 // (its plan is hidden state) and more than 2^20 states are errors. The
 // cost is O(steps × live states × 2^k × 2^(jobs trialed)), meant for
 // n ≤ 10 jobs and at most 3 regime machines.
-func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, truncErr float64, err error) {
+func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, residual float64, err error) {
 	switch s := strat.(type) {
 	case *AdaptiveStrategy:
 	case *StaticStrategy:
@@ -101,7 +104,8 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, truncErr f
 	fail := make([]float64, n) // per trialed job, for one regime vector
 	succ := make([]uint32, 1)  // subset DP: successor set of each outcome
 	prob := make([]float64, 1) // and its probability
-	mean = 1                   // P(T > 0)
+	unfinished := 1.0          // P(T > t)
+	mean = unfinished
 	evt := 0
 
 	for t := 0; t+1 < maxSteps; t++ {
@@ -197,7 +201,7 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, truncErr f
 			clear(row)
 		}
 
-		unfinished := 0.0
+		unfinished = 0
 		for _, s := range nextLive {
 			listed[s] = false
 			for _, x := range next[int(s)*nk : int(s+1)*nk] {
@@ -207,9 +211,9 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, truncErr f
 		cur, next = next, cur
 		live, nextLive = nextLive, live[:0]
 		mean += unfinished // P(T > t+1)
-		if bound := unfinished * float64(maxSteps-2-t); bound <= exactTol {
-			return mean, bound, nil
+		if left := maxSteps - 2 - t; left > 0 && unfinished*float64(left) <= exactTol {
+			return mean, unfinished * float64(left), nil
 		}
 	}
-	return mean, 0, nil
+	return mean, unfinished, nil
 }

@@ -19,15 +19,15 @@ import (
 const pinReps = 20_000
 
 // exact is ExactMakespan that fails the test on an error or on a
-// truncation bound that could matter at the pins' 4-SE scale.
+// residual that could matter at the pins' 4-SE scale.
 func exact(t *testing.T, sc *Scenario, strat Strategy, maxSteps int) float64 {
 	t.Helper()
-	v, bound, err := ExactMakespan(sc, strat, maxSteps)
+	v, residual, err := ExactMakespan(sc, strat, maxSteps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bound > 1e-9 {
-		t.Fatalf("%s: truncation bound %g", strat.Name(), bound)
+	if residual > 1e-9 {
+		t.Fatalf("%s: residual %g", strat.Name(), residual)
 	}
 	return v
 }
@@ -121,16 +121,30 @@ func TestExactMakespanCyclePrefixEqualsTailFormula(t *testing.T) {
 	}
 }
 
-// Under a cap of one step the capped makespan is 1 (half the runs
-// finish at step 1, the other half are cut there); under two steps it
-// is 1 + 0.5.
+// Under a cap the mean is E[min(T, cap)] and the residual is the mass
+// still unfinished there, P(T ≥ cap) = (1−p)^(cap−1), for one job
+// trialed every step at p. At p = 0.5 a cap of one step gives 1 with
+// everything unfinished (half the runs finish at step 1, the other
+// half are cut there), and two steps give 1.5 with 0.5 unfinished. At
+// p = 0.001 a cap of 100 gives (1 − 0.999^100)/0.001 ≈ 95.21, far
+// below E[T] = 1000, and the residual 0.999^99 ≈ 0.9057 says so.
 func TestExactMakespanHorizonResidual(t *testing.T) {
 	for _, c := range []struct {
+		p        float64
 		maxSteps int
-		want     float64
-	}{{1, 1}, {2, 1.5}} {
-		if got := exactSingleJob(t, []sched.Assignment{{0}}, c.maxSteps); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("cap %d: E[min(T, cap)] = %.12f, want %v", c.maxSteps, got, c.want)
+	}{{0.5, 1}, {0.5, 2}, {0.001, 100}} {
+		in := model.New(1, 1)
+		in.P[0][0] = c.p
+		sc := New(in)
+		got, residual, err := ExactMakespan(sc, NewStatic(sc, sched.NewOblivious(1, []sched.Assignment{{0}}, nil)), c.maxSteps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := (1 - math.Pow(1-c.p, float64(c.maxSteps))) / c.p
+		wantResidual := math.Pow(1-c.p, float64(c.maxSteps-1))
+		if math.Abs(got-want) > 1e-9 || math.Abs(residual-wantResidual) > 1e-12 {
+			t.Errorf("p %v, cap %d: E[min(T, cap)] = %.12f with residual %.12f, want %.12f and %.12f",
+				c.p, c.maxSteps, got, residual, want, wantResidual)
 		}
 	}
 }
@@ -256,7 +270,16 @@ func TestEstimatesMatchExactMakespan(t *testing.T) {
 			t.Fatalf("%s: scenario is static and would not walk", c.name)
 		}
 		for _, strat := range []Strategy{NewStatic(c.sc, c.pol), NewAdaptive(c.sc)} {
-			want := exact(t, c.sc, strat, c.maxSteps)
+			want, residual, err := ExactMakespan(c.sc, strat, c.maxSteps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The walk cuts a run at maxSteps as the propagation does, so
+			// both sides are E[min(T, maxSteps)]. Only the step-cap case
+			// leaves mass unfinished there, and its residual must say so.
+			if capped := c.maxSteps < 100_000; capped != (residual > 1e-9) {
+				t.Errorf("%s, %s: residual %g at cap %d", c.name, strat.Name(), residual, c.maxSteps)
+			}
 			sum, _, eng, err := EstimateInfo(c.sc, strat, pinReps, c.maxSteps, 5, 0)
 			if err != nil {
 				t.Fatal(err)

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 
 	"suu/internal/core"
-	"suu/internal/model"
-	"suu/internal/sched"
 	"suu/internal/sim"
 	"suu/internal/solve"
 	"suu/internal/stats"
@@ -143,10 +141,4 @@ func T7(cfg Config) *Table {
 	}
 	t.Notes = "The delayed congestion should track the shape column (up to constants) while the undelayed one grows with the chain count."
 	return t
-}
-
-// windowCheck is used by tests: the chains pipeline's final prefix
-// must respect AccuMass-C condition (ii).
-func windowCheck(in *model.Instance, steps []sched.Assignment) error {
-	return sched.CheckMassWindows(in, sched.NewOblivious(in.M, steps, nil), 0.5)
 }

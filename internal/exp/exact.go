@@ -13,8 +13,13 @@ import (
 
 // exactCap is the step cap of T11's oblivious evaluations: each value
 // is E[min(T, exactCap)], which dyn.ExactMakespan stops short of once
-// the rest is below 1e-12.
-const exactCap = 100_000
+// the rest is below 1e-12. A cell whose schedule leaves more than
+// exactResidual unfinished at the cap is dropped, since its value is
+// not E[T].
+const (
+	exactCap      = 100_000
+	exactResidual = 1e-6
+)
 
 // T11 measures the exact price of obliviousness on small instances:
 // expected makespans computed by full state-distribution propagation
@@ -61,8 +66,8 @@ func T11(cfg Config) *Table {
 			return cell{}
 		}
 		sc := dyn.New(in)
-		combE, _, err := dyn.ExactMakespan(sc, dyn.NewStatic(sc, comb.Policy), exactCap)
-		if err != nil {
+		combE, res1, err := dyn.ExactMakespan(sc, dyn.NewStatic(sc, comb.Policy), exactCap)
+		if err != nil || res1 > exactResidual {
 			return cell{}
 		}
 		par := paramsWithSeed(sim.SeedFor(seed, "build"))
@@ -72,8 +77,8 @@ func T11(cfg Config) *Table {
 		if err != nil {
 			return cell{}
 		}
-		lpE, _, err := dyn.ExactMakespan(sc, dyn.NewStatic(sc, lpres.Policy), exactCap)
-		if err != nil {
+		lpE, res2, err := dyn.ExactMakespan(sc, dyn.NewStatic(sc, lpres.Policy), exactCap)
+		if err != nil || res2 > exactResidual {
 			return cell{}
 		}
 		return cell{opt: topt, ada: ada, comb: combE, lp: lpE, ok: true}

@@ -83,12 +83,11 @@ func (t *Table) Markdown() string {
 
 // estimate returns the mean simulated makespan of pol on in. It runs
 // the repetitions sequentially: the grid harness already carries the
-// parallelism at cell granularity, each cell owns its policy (so
-// stateful policies like the random baseline and the learner are
-// race-free), and sim.Estimate is bit-identical to
-// sim.EstimateParallel by the engine's contract. Stationary policies
-// transparently run on the compiled adaptive engine; estimateInfo
-// additionally reports which engine ran.
+// parallelism at cell granularity, each cell owns its policy (so a
+// stateful policy like the learner is race-free), and sim.Estimate is
+// bit-identical to sim.EstimateParallel by the engine's contract.
+// Stationary policies transparently run on the compiled adaptive
+// engine; estimateInfo additionally reports which engine ran.
 func estimate(in *model.Instance, pol sched.Policy, reps int, seed int64) float64 {
 	mean, _ := estimateInfo(in, pol, reps, seed)
 	return mean

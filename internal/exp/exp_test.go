@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"suu/internal/model"
+	"suu/internal/sched"
 	"suu/internal/workload"
 )
 
@@ -77,6 +79,12 @@ func TestByIDUnknown(t *testing.T) {
 	if ByID("nope", quickCfg) != nil {
 		t.Error("unknown id returned a table")
 	}
+}
+
+// windowCheck checks that the chains pipeline's final prefix respects
+// AccuMass-C condition (ii).
+func windowCheck(in *model.Instance, steps []sched.Assignment) error {
+	return sched.CheckMassWindows(in, sched.NewOblivious(in.M, steps, nil), 0.5)
 }
 
 func TestWindowCheckHelper(t *testing.T) {

@@ -10,9 +10,12 @@
 //     the prefix is stored as runs of equal steps, so replication and
 //     concatenation cost O(runs), and a step iterator reads it step by
 //     step without expanding it;
-//   - Pseudo — a pseudo-schedule (Definition 4.1): per-chain schedules
-//     whose union may assign a machine to several jobs per step;
+//   - Pseudo — a pseudo-schedule (Definition 4.1): per-chain tracks,
+//     each an Oblivious prefix in run form, whose union may assign a
+//     machine to several jobs per step;
 //   - transformations: random delays, flattening, replication,
-//     concatenation (Section 4.1's conversion pipeline);
+//     concatenation (Section 4.1's conversion pipeline), all reading
+//     and writing runs: a delay is one idle run before a track, and
+//     flattening walks the segments between consecutive run ends;
 //   - mass accounting (Definition 2.4) and feasibility validation.
 package sched

@@ -111,7 +111,7 @@ func TestDelayFlattenInvariants(t *testing.T) {
 		p := &Pseudo{M: m}
 		tracks := 1 + rng.Intn(4)
 		for k := 0; k < tracks; k++ {
-			tr := ChainTrack{}
+			var steps []Assignment
 			for t := 0; t < 1+rng.Intn(5); t++ {
 				a := NewIdle(m)
 				for i := range a {
@@ -119,9 +119,9 @@ func TestDelayFlattenInvariants(t *testing.T) {
 						a[i] = rng.Intn(n)
 					}
 				}
-				tr.Steps = append(tr.Steps, a)
+				steps = append(steps, a)
 			}
-			p.Tracks = append(p.Tracks, tr)
+			p.Tracks = append(p.Tracks, NewOblivious(m, steps, nil))
 		}
 		delays := make([]int, tracks)
 		for k := range delays {
@@ -179,7 +179,7 @@ func TestBestDelaysNeverWorse(t *testing.T) {
 		m := 1 + rng.Intn(3)
 		p := &Pseudo{M: m}
 		for k := 0; k < 1+rng.Intn(5); k++ {
-			tr := ChainTrack{}
+			var steps []Assignment
 			for t := 0; t < 1+rng.Intn(4); t++ {
 				a := NewIdle(m)
 				for i := range a {
@@ -187,9 +187,9 @@ func TestBestDelaysNeverWorse(t *testing.T) {
 						a[i] = 0
 					}
 				}
-				tr.Steps = append(tr.Steps, a)
+				steps = append(steps, a)
 			}
-			p.Tracks = append(p.Tracks, tr)
+			p.Tracks = append(p.Tracks, NewOblivious(m, steps, nil))
 		}
 		zero := p.MaxCongestion()
 		_, cong := p.BestDelays(4, 16, rng)

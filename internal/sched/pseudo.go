@@ -6,28 +6,24 @@ import (
 	"slices"
 )
 
-// ChainTrack is the schedule of a single precedence chain inside a
-// pseudo-schedule: Steps[t][i] is the job of this chain that machine i
-// works on at step t, or Idle. Within a track a machine serves at most
-// one job per step; congestion arises only across tracks.
-type ChainTrack struct {
-	Steps []Assignment
-}
-
 // Pseudo is a pseudo-schedule (Definition 4.1): the union of its chain
-// tracks. The union may assign one machine to several jobs in a step,
-// which is what the random-delay + flattening conversion repairs.
+// tracks. Track k schedules one precedence chain as an oblivious prefix
+// on M machines (its tail is ignored), so within a track a machine
+// serves at most one job per step. The union may assign one machine to
+// several jobs in a step, which is what the random-delay + flattening
+// conversion repairs. The pseudo-schedules and schedules derived from
+// p share its tracks' runs, so they must not be modified.
 type Pseudo struct {
 	M      int
-	Tracks []ChainTrack
+	Tracks []*Oblivious
 }
 
 // Len returns the number of steps of the longest track.
 func (p *Pseudo) Len() int {
 	max := 0
 	for _, tr := range p.Tracks {
-		if len(tr.Steps) > max {
-			max = len(tr.Steps)
+		if tr.Len() > max {
+			max = tr.Len()
 		}
 	}
 	return max
@@ -38,12 +34,14 @@ func (p *Pseudo) Len() int {
 func (p *Pseudo) Load() []int {
 	load := make([]int, p.M)
 	for _, tr := range p.Tracks {
-		for _, a := range tr.Steps {
+		start := 0
+		for k, a := range tr.runs {
 			for i, j := range a {
 				if j != Idle {
-					load[i]++
+					load[i] += tr.ends[k] - start
 				}
 			}
+			start = tr.ends[k]
 		}
 	}
 	return load
@@ -63,71 +61,64 @@ func (p *Pseudo) MaxLoad() int {
 // MaxCongestion returns the largest number of jobs assigned to any
 // single machine in any single step.
 func (p *Pseudo) MaxCongestion() int {
-	return p.congestionWithDelays(nil)
+	max := 0
+	p.segments(func(_, _, cong int, _ [][]int) {
+		if cong > max {
+			max = cong
+		}
+	})
+	return max
 }
 
-// congestionWithDelays computes max congestion when track k starts
-// delays[k] steps late (nil = no delays).
-func (p *Pseudo) congestionWithDelays(delays []int) int {
-	length := p.Len()
-	for k := range p.Tracks {
-		d := 0
-		if delays != nil {
-			d = delays[k]
+// segments walks the steps [0, Len) as segments [t, end) in which no
+// track changes its assignment, keeping one run cursor per track. For
+// each it calls yield with the jobs each machine serves there across
+// the tracks, in track order, in queue[machine], and the segment's
+// congestion, the longest queue. queue is reused between calls.
+func (p *Pseudo) segments(yield func(t, end, cong int, queue [][]int)) {
+	cur := make([]int, len(p.Tracks))
+	queue := make([][]int, p.M)
+	for t, length := 0, p.Len(); t < length; {
+		for i := range queue {
+			queue[i] = queue[i][:0]
 		}
-		if l := len(p.Tracks[k].Steps) + d; l > length {
-			length = l
-		}
-	}
-	if length == 0 {
-		return 0
-	}
-	counts := make([]int, length*p.M)
-	max := 0
-	for k, tr := range p.Tracks {
-		d := 0
-		if delays != nil {
-			d = delays[k]
-		}
-		for t, a := range tr.Steps {
-			for i, j := range a {
-				if j == Idle {
-					continue
-				}
-				idx := (t+d)*p.M + i
-				counts[idx]++
-				if counts[idx] > max {
-					max = counts[idx]
+		end, cong := length, 0
+		for k, tr := range p.Tracks {
+			if t >= tr.Len() {
+				continue
+			}
+			for tr.ends[cur[k]] <= t {
+				cur[k]++
+			}
+			end = min(end, tr.ends[cur[k]])
+			for i, j := range tr.runs[cur[k]] {
+				if j != Idle {
+					queue[i] = append(queue[i], j)
+					cong = max(cong, len(queue[i]))
 				}
 			}
 		}
+		yield(t, end, cong, queue)
+		t = end
 	}
-	return max
 }
 
 // WithDelays returns a new pseudo-schedule in which track k is shifted
 // to start delays[k] steps later (the random-delay technique of
-// Leighton–Maggs–Rao / Shmoys–Stein–Wein used in Section 4.1). The
-// result shares its steps with p: each track plays p's own assignments
-// after delay steps that all share one idle assignment, so neither
-// may be modified.
+// Leighton–Maggs–Rao / Shmoys–Stein–Wein used in Section 4.1). Each
+// delayed track is one idle run followed by p's track, whose runs it
+// shares, so neither may be modified.
 func (p *Pseudo) WithDelays(delays []int) *Pseudo {
 	if len(delays) != len(p.Tracks) {
 		panic("sched: delay vector length mismatch")
 	}
-	out := &Pseudo{M: p.M, Tracks: make([]ChainTrack, len(p.Tracks))}
-	idle := NewIdle(p.M)
+	out := &Pseudo{M: p.M, Tracks: make([]*Oblivious, len(p.Tracks))}
+	idle := []Assignment{NewIdle(p.M)}
 	for k, tr := range p.Tracks {
-		d := delays[k]
-		if d < 0 {
+		if delays[k] < 0 {
 			panic("sched: negative delay")
 		}
-		steps := make([]Assignment, d+len(tr.Steps))
-		for t := 0; t < d; t++ {
-			steps[t] = idle
-		}
-		copy(steps[d:], tr.Steps)
-		out.Tracks[k] = ChainTrack{Steps: steps}
+		out.Tracks[k] = Concat(NewObliviousRuns(p.M, idle, delays[k:k+1], nil), tr)
 	}
 	return out
 }
@@ -155,7 +146,7 @@ func (p *Pseudo) BestDelays(maxDelay, tries int, rng *rand.Rand) ([]int, int) {
 		return s
 	}
 	best := make([]int, len(p.Tracks))
-	bestCong := p.congestionWithDelays(best) // zero-delay candidate
+	bestCong := p.MaxCongestion() // zero-delay candidate
 	bestSum := 0
 	cand := make([]int, len(p.Tracks))
 	// The search evaluates `tries` candidates over the same busy
@@ -170,10 +161,10 @@ func (p *Pseudo) BestDelays(maxDelay, tries int, rng *rand.Rand) ([]int, int) {
 	busy := make([][]int32, len(p.Tracks))
 	maxTrackLen := 0
 	for k, tr := range p.Tracks {
-		if len(tr.Steps) > maxTrackLen {
-			maxTrackLen = len(tr.Steps)
+		if tr.Len() > maxTrackLen {
+			maxTrackLen = tr.Len()
 		}
-		for t, a := range tr.Steps {
+		for t, a := range tr.Steps() {
 			for i, j := range a {
 				if j != Idle {
 					busy[k] = append(busy[k], int32(t*p.M+i))
@@ -238,47 +229,40 @@ func (p *Pseudo) BestDelays(maxDelay, tries int, rng *rand.Rand) ([]int, int) {
 // tracks, which carry no mutual precedence constraints. The result's
 // length is Σ_t c_t <= MaxCongestion()·Len().
 //
-// Every all-idle step of the result shares one assignment.
+// It reads the tracks' runs, not their steps: a segment of steps in
+// which no track changes and no machine is congested becomes one run,
+// and every all-idle run shares one assignment.
 func (p *Pseudo) Flatten() *Oblivious {
-	length := p.Len()
-	var steps []Assignment
+	out := &Oblivious{M: p.M}
 	idle := NewIdle(p.M)
-	queue := make([][]int, p.M)
-	for t := 0; t < length; t++ {
-		for i := range queue {
-			queue[i] = queue[i][:0]
-		}
-		cong := 0
-		for _, tr := range p.Tracks {
-			if t >= len(tr.Steps) {
-				continue
-			}
-			for i, j := range tr.Steps[t] {
-				if j != Idle {
-					queue[i] = append(queue[i], j)
-					if len(queue[i]) > cong {
-						cong = len(queue[i])
-					}
-				}
-			}
-		}
+	p.segments(func(t, end, cong int, queue [][]int) {
 		if cong == 0 {
 			// An entirely idle step is preserved to keep precedence
 			// windows aligned across tracks.
-			steps = append(steps, idle)
-			continue
+			out.push(idle, end-t)
+			return
 		}
-		for k := 0; k < cong; k++ {
-			a := NewIdle(p.M)
-			for i := range queue {
-				if k < len(queue[i]) {
-					a[i] = queue[i][k]
+		sub := make([]Assignment, cong)
+		for k := range sub {
+			sub[k] = NewIdle(p.M)
+			for i, q := range queue {
+				if k < len(q) {
+					sub[k][i] = q[k]
 				}
 			}
-			steps = append(steps, a)
 		}
-	}
-	return NewOblivious(p.M, steps, nil)
+		if cong == 1 {
+			out.push(sub[0], end-t)
+			return
+		}
+		for range end - t {
+			for _, a := range sub {
+				out.push(a, 1)
+			}
+		}
+	})
+	out.reindex()
+	return out
 }
 
 // Compact returns the oblivious prefix with all-idle steps removed.
@@ -304,19 +288,16 @@ func (o *Oblivious) Compact() *Oblivious {
 	return out
 }
 
-// Validate checks that every track step has exactly M entries and only
-// valid job indices.
+// Validate checks that every track spans the M machines and passes
+// (*Oblivious).Validate: every step assigns each machine a job in
+// [0,n) or Idle.
 func (p *Pseudo) Validate(n int) error {
 	for k, tr := range p.Tracks {
-		for t, a := range tr.Steps {
-			if len(a) != p.M {
-				return fmt.Errorf("sched: track %d step %d has %d machines, want %d", k, t, len(a), p.M)
-			}
-			for i, j := range a {
-				if j != Idle && (j < 0 || j >= n) {
-					return fmt.Errorf("sched: track %d step %d machine %d -> invalid job %d", k, t, i, j)
-				}
-			}
+		if tr.M != p.M {
+			return fmt.Errorf("sched: track %d has %d machines, want %d", k, tr.M, p.M)
+		}
+		if err := tr.Validate(n); err != nil {
+			return fmt.Errorf("sched: track %d: %w", k, err)
 		}
 	}
 	return nil
@@ -328,7 +309,7 @@ func (p *Pseudo) Validate(n int) error {
 func MassPerJobPseudo(p *Pseudo, pm [][]float64, n int) []float64 {
 	mass := make([]float64, n)
 	for _, tr := range p.Tracks {
-		for _, a := range tr.Steps {
+		for _, a := range tr.Steps() {
 			for i, j := range a {
 				if j != Idle {
 					mass[j] += pm[i][j]

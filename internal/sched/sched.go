@@ -459,24 +459,6 @@ func MassPerJob(in *model.Instance, o *Oblivious) []float64 {
 	return mass
 }
 
-// MassBySteps returns the running per-job mass after each prefix step:
-// out[t][j] is j's mass accumulated in steps 0..t.
-func MassBySteps(in *model.Instance, o *Oblivious) [][]float64 {
-	out := make([][]float64, o.Len())
-	cur := make([]float64, in.N)
-	for t, a := range o.Steps() {
-		for i, j := range a {
-			if j != Idle {
-				cur[j] += in.P[i][j]
-			}
-		}
-		row := make([]float64, in.N)
-		copy(row, cur)
-		out[t] = row
-	}
-	return out
-}
-
 // CheckMassWindows verifies condition (ii) of AccuMass-C on an
 // oblivious prefix: whenever j1 ≺ j2 (direct precedence edge), no
 // machine may be assigned to j2 at a step before j1 has accumulated

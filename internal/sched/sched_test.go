@@ -156,10 +156,6 @@ func TestMassPerJob(t *testing.T) {
 	if mass[0] != 1.0 || mass[1] != 0.4 {
 		t.Errorf("mass=%v, want [1.0 0.4]", mass)
 	}
-	by := MassBySteps(in, steps)
-	if by[0][0] != 0.5 || by[1][0] != 1.0 {
-		t.Errorf("running mass=%v", by)
-	}
 }
 
 func TestCheckMassWindows(t *testing.T) {
@@ -196,9 +192,9 @@ func TestTopoRoundRobinTail(t *testing.T) {
 
 func TestPseudoLoadCongestionDelay(t *testing.T) {
 	// Two tracks each using machine 0 at step 0.
-	p := &Pseudo{M: 2, Tracks: []ChainTrack{
-		{Steps: []Assignment{{0, Idle}, {1, Idle}}},
-		{Steps: []Assignment{{2, Idle}}},
+	p := &Pseudo{M: 2, Tracks: []*Oblivious{
+		NewOblivious(2, []Assignment{{0, Idle}, {1, Idle}}, nil),
+		NewOblivious(2, []Assignment{{2, Idle}}, nil),
 	}}
 	if p.Len() != 2 {
 		t.Errorf("Len=%d", p.Len())
@@ -225,9 +221,9 @@ func TestPseudoLoadCongestionDelay(t *testing.T) {
 
 func TestBestDelaysFindsImprovement(t *testing.T) {
 	// 4 tracks all colliding at step 0 on machine 0.
-	tracks := make([]ChainTrack, 4)
+	tracks := make([]*Oblivious, 4)
 	for k := range tracks {
-		tracks[k] = ChainTrack{Steps: []Assignment{{0}}}
+		tracks[k] = NewOblivious(1, []Assignment{{0}}, nil)
 	}
 	p := &Pseudo{M: 1, Tracks: tracks}
 	if p.MaxCongestion() != 4 {
@@ -241,9 +237,9 @@ func TestBestDelaysFindsImprovement(t *testing.T) {
 }
 
 func TestFlattenProducesFeasibleSchedule(t *testing.T) {
-	p := &Pseudo{M: 2, Tracks: []ChainTrack{
-		{Steps: []Assignment{{0, Idle}, {1, 1}}},
-		{Steps: []Assignment{{2, Idle}}},
+	p := &Pseudo{M: 2, Tracks: []*Oblivious{
+		NewOblivious(2, []Assignment{{0, Idle}, {1, 1}}, nil),
+		NewOblivious(2, []Assignment{{2, Idle}}, nil),
 	}}
 	o := p.Flatten()
 	if err := o.Validate(3); err != nil {
@@ -274,9 +270,9 @@ func TestFlattenPreservesMass(t *testing.T) {
 			in.P[i][j] = 0.1 * float64(i+j+1)
 		}
 	}
-	p := &Pseudo{M: 2, Tracks: []ChainTrack{
-		{Steps: []Assignment{{0, 1}, {1, Idle}}},
-		{Steps: []Assignment{{2, 2}, {Idle, 0}}},
+	p := &Pseudo{M: 2, Tracks: []*Oblivious{
+		NewOblivious(2, []Assignment{{0, 1}, {1, Idle}}, nil),
+		NewOblivious(2, []Assignment{{2, 2}, {Idle, 0}}, nil),
 	}}
 	want := MassPerJobPseudo(p, in.P, 3)
 	got := MassPerJob(in, p.Flatten())
@@ -288,8 +284,8 @@ func TestFlattenPreservesMass(t *testing.T) {
 }
 
 func TestFlattenIdleStepPreserved(t *testing.T) {
-	p := &Pseudo{M: 1, Tracks: []ChainTrack{
-		{Steps: []Assignment{{Idle}, {0}}},
+	p := &Pseudo{M: 1, Tracks: []*Oblivious{
+		NewOblivious(1, []Assignment{{Idle}, {0}}, nil),
 	}}
 	o := p.Flatten()
 	if o.Len() != 2 || o.At(0)[0] != Idle || o.At(1)[0] != 0 {
@@ -298,11 +294,11 @@ func TestFlattenIdleStepPreserved(t *testing.T) {
 }
 
 func TestPseudoValidate(t *testing.T) {
-	p := &Pseudo{M: 2, Tracks: []ChainTrack{{Steps: []Assignment{{0, 9}}}}}
+	p := &Pseudo{M: 2, Tracks: []*Oblivious{NewOblivious(2, []Assignment{{0, 9}}, nil)}}
 	if p.Validate(3) == nil {
 		t.Error("invalid job index accepted")
 	}
-	p2 := &Pseudo{M: 2, Tracks: []ChainTrack{{Steps: []Assignment{{0}}}}}
+	p2 := &Pseudo{M: 2, Tracks: []*Oblivious{NewOblivious(2, []Assignment{{0}}, nil)}}
 	if p2.Validate(3) == nil {
 		t.Error("wrong machine count accepted")
 	}

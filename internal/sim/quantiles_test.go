@@ -41,48 +41,6 @@ func TestMakespanQuantiles(t *testing.T) {
 	}
 }
 
-// TestMakespanP2QuantilesLaneDrainOrder is the P²-under-lanes
-// contract: P² is order-sensitive, so when samples arrive 64 at a
-// time from the lane engine, the drain order within each word must be
-// lane order — the pinned scalar remap's repetition order. Feeding
-// the estimators from the lane engine and from the one-lane-at-a-time
-// oracle must therefore agree to the last bit, including with a
-// partial final group.
-func TestMakespanP2QuantilesLaneDrainOrder(t *testing.T) {
-	in, o := chainsFixture()
-	const cap, seed = 100000, 61
-	qs := []float64{0.5, 0.9, 0.99}
-	for _, reps := range []int{100, 1000} {
-		lane := makespanP2Quantiles(in, o, reps, cap, seed, qs, lanesOn)
-		oracle := makespanP2Quantiles(in, o, reps, cap, seed, qs, lanesOracle)
-		for k := range qs {
-			if lane[k] != oracle[k] {
-				t.Errorf("reps %d q%v: lane %v != oracle %v (drain order drifted)",
-					reps, qs[k], lane[k], oracle[k])
-			}
-		}
-		// Sanity: the estimates sit inside the sample's support.
-		off := makespanP2Quantiles(in, o, reps, cap, seed, qs, lanesOff)
-		for k := 1; k < len(qs); k++ {
-			if lane[k] < lane[k-1] || off[k] < off[k-1] {
-				t.Errorf("reps %d: non-monotone quantiles lane=%v scalar=%v", reps, lane, off)
-			}
-		}
-	}
-
-	// The scalar path keeps matching MakespanQuantiles' sample order.
-	exact, xs := makespanQuantiles(in, o, 400, cap, seed, qs, lanesOff)
-	p2 := makespanP2Quantiles(in, o, 400, cap, seed, qs, lanesOff)
-	if len(xs) != 400 {
-		t.Fatalf("sample size %d", len(xs))
-	}
-	for k := range qs {
-		if math.Abs(p2[k]-exact[k]) > 3+0.1*exact[k] {
-			t.Errorf("q%v: P² %v far from exact %v", qs[k], p2[k], exact[k])
-		}
-	}
-}
-
 // TestMakespanQuantilesMatchEstimate pins MakespanQuantiles to
 // Estimate's sample at a rep count where the lane engine runs: the
 // quantile sample's extremes must equal the summary's and its mean
@@ -110,9 +68,9 @@ func TestMakespanQuantilesMatchEstimate(t *testing.T) {
 }
 
 // TestMakespanQuantilesWorkerInvariant fans the quantile walks out:
-// at 4 workers the sample, its quantiles and the P² estimates must be
-// bit-identical to 1 worker, on the scalar walk and the lane walk,
-// with a partial final unit and more than one window.
+// at 4 workers the sample and its quantiles must be bit-identical to 1
+// worker, on the scalar walk and the lane walk, with a partial final
+// unit and more than one window.
 func TestMakespanQuantilesWorkerInvariant(t *testing.T) {
 	in, o := chainsFixture()
 	const cap, seed = 100000, 71
@@ -125,10 +83,6 @@ func TestMakespanQuantilesWorkerInvariant(t *testing.T) {
 		}
 		if _, seq := MakespanQuantiles(in, o, reps, cap, seed, qs); !slices.Equal(seq, wantXs) {
 			t.Errorf("reps %d: MakespanQuantilesParallel's sample differs from MakespanQuantiles'", reps)
-		}
-		want := p2Quantiles(in, o, reps, cap, seed, qs, 1, lanesAuto)
-		if got := p2Quantiles(in, o, reps, cap, seed, qs, 4, lanesAuto); !slices.Equal(got, want) {
-			t.Errorf("reps %d: P² at 4 workers %v, at 1 worker %v", reps, got, want)
 		}
 	}
 }

@@ -115,9 +115,6 @@ var oneShotForms = []struct {
 		qs, xs := MakespanQuantilesParallel(in, pol, 777, 1<<20, 7, []float64{0.1, 0.5, 0.99}, 2)
 		return fmt.Sprintf("%v %v", bitsOf(qs...), bitsOf(xs...))
 	}},
-	{"MakespanP2Quantiles", func(in *model.Instance, pol sched.Policy) string {
-		return fmt.Sprint(bitsOf(MakespanP2Quantiles(in, pol, 300, 1<<20, 8, []float64{0.5, 0.9})...))
-	}},
 	{"MassWithinHorizon scalar", func(in *model.Instance, pol sched.Policy) string {
 		return fmt.Sprint(bitsOf(MassWithinHorizon(in, pol, 30, 100, 0.25, 9)...))
 	}},

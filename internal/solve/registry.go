@@ -2,7 +2,6 @@ package solve
 
 import (
 	"fmt"
-	"math/rand"
 
 	"suu/internal/core"
 	"suu/internal/dag"
@@ -64,22 +63,15 @@ func init() {
 		Guarantee:      "O(log n) for independent jobs",
 		Classes:        nil, // greedy MSM is feasible (heuristic) on any dag
 		Parallelizable: true,
-		// MSM-ALG is a pure function of the eligible set, so the engine
-		// memoizes its assignment per unfinished-set key.
-		Compilable: true,
-		Build:      buildAdaptive,
+		Build:          buildAdaptive,
 	})
 	Register(Solver{
 		ID:        "learning",
 		Guarantee: "none (beyond the paper; Beta-Bernoulli posterior + MSM greedy)",
 		Classes:   nil,
 		// The learner observes outcomes (sched.OutcomeObserver), so its
-		// repetitions must run sequentially — and its assignments depend
-		// on that observation history, so it is NOT compilable: a frozen
-		// posterior snapshot (LearningPolicy.Frozen) is the stationary,
-		// compilable form for evaluating a trained learner.
+		// repetitions must run sequentially.
 		Parallelizable: false,
-		Compilable:     false,
 		Build:          buildLearning,
 	})
 	Register(Solver{
@@ -88,9 +80,7 @@ func init() {
 		Guarantee:      "exact (layered value iteration; structured dags to n≈20)",
 		Classes:        nil,
 		Parallelizable: true,
-		// The optimal policy is a regimen — stationary by definition.
-		Compilable: true,
-		Build:      buildOptimal,
+		Build:          buildOptimal,
 	})
 	Register(Solver{
 		ID:             "greedy-maxp",
@@ -98,17 +88,14 @@ func init() {
 		Guarantee:      "none (baseline)",
 		Baseline:       true,
 		Parallelizable: true,
-		Compilable:     true,
 		Build: func(in *model.Instance, par core.Params) (*Result, error) {
 			return baselineResult("greedy-maxp", &core.GreedyMaxPPolicy{In: in}), nil
 		},
 	})
 	Register(Solver{
-		ID:        "round-robin",
-		Guarantee: "none (baseline)",
-		Baseline:  true,
-		// Rotates with the step counter: parallel-safe but not
-		// stationary, so never compiled.
+		ID:             "round-robin",
+		Guarantee:      "none (baseline)",
+		Baseline:       true,
 		Parallelizable: true,
 		Build: func(in *model.Instance, par core.Params) (*Result, error) {
 			return baselineResult("round-robin", &core.RoundRobinPolicy{In: in}), nil
@@ -119,7 +106,6 @@ func init() {
 		Guarantee:      "none (baseline)",
 		Baseline:       true,
 		Parallelizable: true,
-		Compilable:     true,
 		Build: func(in *model.Instance, par core.Params) (*Result, error) {
 			return baselineResult("all-on-one", &core.AllOnOnePolicy{In: in}), nil
 		},
@@ -128,11 +114,10 @@ func init() {
 		ID:        "random",
 		Guarantee: "none (baseline)",
 		Baseline:  true,
-		// The shared *rand.Rand is not safe for concurrent repetitions.
-		Parallelizable: false,
+		// Draws are a pure function of (seed, step, eligible set).
+		Parallelizable: true,
 		Build: func(in *model.Instance, par core.Params) (*Result, error) {
-			p := &core.RandomPolicy{In: in, Rng: rand.New(rand.NewSource(par.Seed))}
-			return baselineResult("random", p), nil
+			return baselineResult("random", &core.RandomPolicy{In: in, Seed: par.Seed}), nil
 		},
 	})
 }

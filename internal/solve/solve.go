@@ -97,23 +97,9 @@ type Solver struct {
 	// Parallelizable reports whether simulated repetitions of the built
 	// policy may be fanned out across goroutines sharing the policy.
 	// It must never be more permissive than the engine's runtime check
-	// (sim.Parallelizable, which detects sched.OutcomeObserver) and is
-	// additionally false for policies with hazards the runtime check
-	// cannot see, e.g. the random baseline's shared *rand.Rand. The
+	// (sim.Parallelizable, which detects sched.OutcomeObserver); the
 	// registry tests enforce the consistency.
 	Parallelizable bool
-	// Compilable reports whether the built policy is stationary
-	// (sched.Memoizable): the simulation engine can memoize one
-	// assignment per reachable unfinished-set key and run repetitions
-	// as table-driven walks whenever the state space fits the compile
-	// budget, with a transparent fallback to the step engine beyond
-	// it. False for policies whose assignment depends on execution
-	// history (the learner observes outcomes, round-robin reads the
-	// step counter, the random baseline draws from a generator) and
-	// for oblivious schedules, which have their own compiled engine.
-	// The registry tests pin this flag to the built policy's actual
-	// interface set.
-	Compilable bool
 	// Baseline marks the naive reference policies.
 	Baseline bool
 	// Rank orders Auto dispatch among applicable oblivious solvers

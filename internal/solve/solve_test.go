@@ -41,16 +41,14 @@ func TestRegistryCatalogue(t *testing.T) {
 	if s, _ := Get("learning"); s.Parallelizable {
 		t.Error("learning must be marked non-parallelizable (outcome observer)")
 	}
-	if s, _ := Get("random"); s.Parallelizable {
-		t.Error("random must be marked non-parallelizable (shared rng)")
+	if s, _ := Get("random"); !s.Parallelizable {
+		t.Error("random must be marked parallelizable (its draws are a pure function of seed, step and eligible set)")
 	}
 }
 
 // TestParallelizableConsistentWithEngine pins the registry metadata to
 // the engine's runtime check: a solver marked parallelizable must
-// build policies sim.Parallelizable accepts. (The converse is allowed
-// — "random" is stricter than the runtime check because its shared
-// *rand.Rand is a hazard OutcomeObserver detection cannot see.)
+// build policies sim.Parallelizable accepts.
 func TestParallelizableConsistentWithEngine(t *testing.T) {
 	small := workload.Independent(workload.Config{Jobs: 4, Machines: 2, Seed: 3})
 	for _, s := range All() {
@@ -68,14 +66,14 @@ func TestParallelizableConsistentWithEngine(t *testing.T) {
 	}
 }
 
-// TestCompilableConsistentWithPolicyInterfaces pins the Compilable
-// flag to the built policy's actual interface set: Compilable solvers
-// must build sched.Memoizable policies (so the compiled adaptive
-// engine accepts them), non-Compilable solvers must not — a solver
-// that silently gains or loses stationarity must update its metadata,
-// not drift.
+// TestCompilableConsistentWithPolicyInterfaces pins which built
+// policies the compiled adaptive engine accepts (sched.Memoizable):
+// the MSM greedy and the optimal regimen compile, the live learner
+// never does, and every memoizable policy is an immutable table the
+// registry lets fan out.
 func TestCompilableConsistentWithPolicyInterfaces(t *testing.T) {
 	small := workload.Independent(workload.Config{Jobs: 4, Machines: 2, Seed: 3})
+	memoizable := map[string]bool{}
 	for _, s := range All() {
 		in := small
 		if !s.AppliesTo(dag.ClassIndependent) {
@@ -85,21 +83,15 @@ func TestCompilableConsistentWithPolicyInterfaces(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.ID, err)
 		}
-		_, memoizable := res.Policy.(sched.Memoizable)
-		if memoizable != s.Compilable {
-			t.Errorf("%s: Compilable=%v but built policy memoizable=%v", s.ID, s.Compilable, memoizable)
-		}
-		if s.Compilable && !s.Parallelizable {
-			t.Errorf("%s: compilable policies are immutable tables and must be parallelizable", s.ID)
+		_, memoizable[s.ID] = res.Policy.(sched.Memoizable)
+		if memoizable[s.ID] && !s.Parallelizable {
+			t.Errorf("%s: memoizable policies are immutable tables and must be parallelizable", s.ID)
 		}
 	}
-	// The adaptive and learning entries are the tentpole's showcase:
-	// the MSM greedy compiles, the live learner never does.
-	if s, _ := Get("adaptive"); !s.Compilable {
-		t.Error("adaptive must advertise compilability")
-	}
-	if s, _ := Get("learning"); s.Compilable {
-		t.Error("learning observes outcomes and must not advertise compilability")
+	for id, want := range map[string]bool{"adaptive": true, "optimal": true, "learning": false} {
+		if memoizable[id] != want {
+			t.Errorf("%s: built policy memoizable=%v, want %v", id, memoizable[id], want)
+		}
 	}
 }
 
