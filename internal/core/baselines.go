@@ -46,18 +46,13 @@ type RoundRobinPolicy struct {
 
 // Assign implements sched.Policy.
 func (p *RoundRobinPolicy) Assign(st *sched.State) sched.Assignment {
-	var elig []int
-	for j, e := range st.Eligible {
-		if e {
-			elig = append(elig, j)
-		}
-	}
 	a := sched.NewIdle(p.In.M)
-	if len(elig) == 0 {
+	k := countEligible(st.Eligible)
+	if k == 0 {
 		return a
 	}
-	for i := 0; i < p.In.M; i++ {
-		a[i] = elig[(i+st.Step)%len(elig)]
+	for i := range a {
+		a[i] = nthEligible(st.Eligible, (i+st.Step)%k)
 	}
 	return a
 }
@@ -100,14 +95,9 @@ type RandomPolicy struct {
 
 // Assign implements sched.Policy.
 func (p *RandomPolicy) Assign(st *sched.State) sched.Assignment {
-	var elig []int
-	for j, e := range st.Eligible {
-		if e {
-			elig = append(elig, j)
-		}
-	}
 	a := sched.NewIdle(p.In.M)
-	if len(elig) == 0 {
+	k := countEligible(st.Eligible)
+	if k == 0 {
 		return a
 	}
 	// The step's stream is seeded by output Step+1 of the seed's
@@ -116,8 +106,35 @@ func (p *RandomPolicy) Assign(st *sched.State) sched.Assignment {
 	key.s += uint64(st.Step) * 0x9e3779b97f4a7c15
 	src := newSplitMixSource(int64(key.Uint64()))
 	for i := range a {
-		pick, _ := bits.Mul64(src.Uint64(), uint64(len(elig)))
-		a[i] = elig[pick]
+		pick, _ := bits.Mul64(src.Uint64(), uint64(k))
+		a[i] = nthEligible(st.Eligible, int(pick))
 	}
 	return a
+}
+
+// countEligible returns how many jobs are eligible.
+func countEligible(eligible []bool) int {
+	k := 0
+	for _, e := range eligible {
+		if e {
+			k++
+		}
+	}
+	return k
+}
+
+// nthEligible returns the r-th eligible job in index order, counting
+// from 0, without building the eligible list: the baselines are shared
+// across workers, so they keep no buffer, and a list per step would
+// allocate. r must be below countEligible(eligible).
+func nthEligible(eligible []bool, r int) int {
+	for j, e := range eligible {
+		if e {
+			if r == 0 {
+				return j
+			}
+			r--
+		}
+	}
+	panic("core: nthEligible past the eligible jobs")
 }

@@ -13,12 +13,6 @@ type Params struct {
 	// MassTarget is the per-job mass every oblivious construction
 	// certifies before replication (the paper uses 1/2 in (LP1)).
 	MassTarget float64
-	// PeelThreshold is the mass at which SUU-I-OBL peels a job from
-	// the remaining set (1/96 in Lemma 3.5).
-	PeelThreshold float64
-	// PeelRoundsFactor caps SUU-I-OBL's inner loop at
-	// ceil(PeelRoundsFactor·log₂ n) rounds (66 in the paper).
-	PeelRoundsFactor int
 	// ReplicationFactor scales the σ = ReplicationFactor·⌈log₂ n⌉
 	// schedule replication of Section 4.1 (16 in the paper).
 	ReplicationFactor int
@@ -28,9 +22,6 @@ type Params struct {
 	DelayTries int
 	// Seed drives every randomized choice of the constructions.
 	Seed int64
-	// MaxDoublings caps SUU-I-OBL's doubling search of t as a safety
-	// net; the search provably stops after O(log(n/p_min)) doublings.
-	MaxDoublings int
 	// Optimism scales the UCB-style exploration bonus of the online
 	// learning policy (§5 extension); 0 disables exploration.
 	Optimism float64
@@ -57,12 +48,9 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{
 		MassTarget:        0.5,
-		PeelThreshold:     1.0 / 96,
-		PeelRoundsFactor:  66,
 		ReplicationFactor: 16,
 		DelayTries:        64,
 		Seed:              1,
-		MaxDoublings:      62,
 		Optimism:          0.7,
 	}
 }

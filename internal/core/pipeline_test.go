@@ -295,3 +295,23 @@ func TestRandomPolicyDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestBaselineAssignAllocations pins the baselines' step cost: with
+// every job of a 12×4 instance eligible, Assign allocates only the
+// assignment it returns, for round-robin and random as for greedy.
+func TestBaselineAssignAllocations(t *testing.T) {
+	in := randomInstance(12, 4, rand.New(rand.NewSource(89)))
+	st := &sched.State{Unfinished: make([]bool, in.N), Eligible: make([]bool, in.N), Step: 5}
+	for j := range st.Eligible {
+		st.Unfinished[j], st.Eligible[j] = true, true
+	}
+	for name, pol := range map[string]sched.Policy{
+		"greedy-maxp": &GreedyMaxPPolicy{In: in},
+		"round-robin": &RoundRobinPolicy{In: in},
+		"random":      &RandomPolicy{In: in, Seed: 1},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { pol.Assign(st) }); allocs != 1 {
+			t.Errorf("%s: %v allocations per Assign, want 1 (the assignment)", name, allocs)
+		}
+	}
+}

@@ -30,8 +30,7 @@ var Drivers = []struct {
 // All runs every experiment and returns the tables in presentation
 // order. Drivers run one after another — the parallelism lives at
 // cell granularity inside each driver — so only one worker pool is
-// alive at a time and the deliberately-sequential timing drivers
-// (T12, A4) measure an otherwise-idle machine.
+// alive at a time.
 func All(cfg Config) []*Table {
 	var out []*Table
 	for _, drv := range Drivers {

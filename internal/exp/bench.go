@@ -57,8 +57,8 @@ type SolverBuildBench struct {
 	Family   string `json:"family"`
 	Jobs     int    `json:"jobs"`
 	Machines int    `json:"machines"`
-	// BuildMS is the construction wall-clock in milliseconds (best of
-	// three runs, to shed scheduler noise).
+	// BuildMS is the construction wall-clock in milliseconds, the
+	// median of the sampled runs.
 	BuildMS   float64 `json:"build_ms"`
 	PrefixLen int     `json:"prefix_len,omitempty"`
 	// LPPivots and the LP dimensions track simplex effort, not just
@@ -68,7 +68,8 @@ type SolverBuildBench struct {
 	LPCols   int `json:"lp_cols,omitempty"`
 	LPNnz    int `json:"lp_nnz,omitempty"`
 	// DenseBuildMS is the same construction forced through the dense
-	// LP oracle (best of three); SpeedupVsDense = DenseBuildMS/BuildMS.
+	// LP oracle, timed in pairs with BuildMS; SpeedupVsDense is the
+	// median per-pair ratio of the dense time over the sparse.
 	DenseBuildMS   float64 `json:"dense_build_ms,omitempty"`
 	SpeedupVsDense float64 `json:"speedup_vs_dense,omitempty"`
 	Error          string  `json:"error,omitempty"`
@@ -366,6 +367,24 @@ func SimBenchmarks(cfg Config) SimBenchFile {
 	return file
 }
 
+// measureEngineInfo times the Monte Carlo estimator on one (instance,
+// policy) pair, returning throughput in repetitions per second and
+// nanoseconds per simulated step (normalized by the mean realized
+// makespan) at the median run, the mean makespan itself, and the
+// EngineUsed record of the measured runs, so perf rows report the
+// engine that actually produced the number.
+func measureEngineInfo(in *model.Instance, pol sched.Policy, reps int, seed int64) (repsPerSec, nsPerStep, meanMakespan float64, eng sim.EngineUsed) {
+	tm, _ := sample(timedPairs, false, func() error {
+		sum, _, e := sim.EstimateParallelInfo(in, pol, reps, 5_000_000, seed, 0)
+		meanMakespan, eng = sum.Mean, e
+		return nil
+	}, nil) // the estimator returns no error
+	if steps := meanMakespan * float64(reps); steps > 0 {
+		nsPerStep = tm.A.Median * 1e6 / steps
+	}
+	return perSec(reps, tm.A.Median), nsPerStep, meanMakespan, eng
+}
+
 // adaptiveEngineCases are the stationary-policy workloads the
 // adaptive_engine section measures: an independent instance whose
 // 2^12-state lattice sits inside the compile budget, and a chains
@@ -387,10 +406,6 @@ func adaptiveEngineCases(cfg Config) []struct {
 
 // AdaptiveEngineBenchmarks measures the compiled adaptive (memoizing)
 // engine against the generic step engine on the MSM greedy policy.
-// Both runs are sequential single-worker estimations with identical
-// per-rep streams, so only the engine differs; the generic run is
-// forced through a PolicyFunc wrapper, which strips the Memoizable
-// marker without touching the assignments.
 func AdaptiveEngineBenchmarks(cfg Config) []AdaptiveEngineBench {
 	compiledReps, genericReps := 4000, 1000
 	if cfg.Quick {
@@ -398,35 +413,49 @@ func AdaptiveEngineBenchmarks(cfg Config) []AdaptiveEngineBench {
 	}
 	var out []AdaptiveEngineBench
 	for _, bc := range adaptiveEngineCases(cfg) {
-		pol := &core.AdaptivePolicy{In: bc.in}
-		row := AdaptiveEngineBench{
-			Family: bc.family, Jobs: bc.in.N, Machines: bc.in.M,
-			Policy: "adaptive (Thm 3.3)",
-		}
-		start := time.Now()
-		_, _, eng := sim.EstimateInfo(bc.in, pol, compiledReps, 5_000_000, cfg.Seed+53)
-		compiledSec := time.Since(start).Seconds()
-		if eng.Engine != sim.EngineCompiledAdaptive {
-			row.Error = fmt.Sprintf("expected compiled-adaptive engine, ran %s", eng.Engine)
-			out = append(out, row)
-			continue
-		}
-		row.States = eng.States
-		start = time.Now()
-		sim.Estimate(bc.in, sched.PolicyFunc(pol.Assign), genericReps, 5_000_000, cfg.Seed+53)
-		genericSec := time.Since(start).Seconds()
-		if compiledSec > 0 {
-			row.CompiledRepsPerSec = float64(compiledReps) / compiledSec
-		}
-		if genericSec > 0 {
-			row.GenericRepsPerSec = float64(genericReps) / genericSec
-		}
-		if row.GenericRepsPerSec > 0 {
-			row.Speedup = row.CompiledRepsPerSec / row.GenericRepsPerSec
-		}
-		out = append(out, row)
+		out = append(out, adaptiveEngineRow(bc.family, bc.in, compiledReps, genericReps, cfg.Seed+53))
 	}
 	return out
+}
+
+// adaptiveEngineRow times the MSM greedy on in through the compiled
+// adaptive engine (compiledReps) against the generic step engine
+// (genericReps). Both are sequential single-worker estimations with
+// identical per-rep streams, so only the engine differs; the generic
+// run is forced through a PolicyFunc wrapper, which strips the
+// Memoizable marker without touching the assignments. A call that runs
+// on another engine sets Error. Speedup is the median per-pair ratio of
+// the two rates.
+func adaptiveEngineRow(family string, in *model.Instance, compiledReps, genericReps int, seed int64) AdaptiveEngineBench {
+	pol := &core.AdaptivePolicy{In: in}
+	row := AdaptiveEngineBench{Family: family, Jobs: in.N, Machines: in.M, Policy: "adaptive (Thm 3.3)"}
+	compiled := func() error {
+		_, _, eng := sim.EstimateInfo(in, pol, compiledReps, 5_000_000, seed)
+		row.States = eng.States
+		return wantEngine(eng, sim.EngineCompiledAdaptive, 0)
+	}
+	generic := func() error {
+		_, _, eng := sim.EstimateInfo(in, sched.PolicyFunc(pol.Assign), genericReps, 5_000_000, seed)
+		return wantEngine(eng, sim.EngineGeneric, 0)
+	}
+	tm, err := sample(timedPairs, false, compiled, generic)
+	if err != nil {
+		row.Error = err.Error()
+		return row
+	}
+	row.CompiledRepsPerSec = perSec(compiledReps, tm.A.Median)
+	row.GenericRepsPerSec = perSec(genericReps, tm.B.Median)
+	row.Speedup = tm.Ratio * float64(compiledReps) / float64(genericReps)
+	return row
+}
+
+// wantEngine reports an estimate that ran on another engine or lane
+// width than a timed comparison asks for.
+func wantEngine(eng sim.EngineUsed, engine string, lanes int) error {
+	if eng.Engine != engine || eng.Lanes != lanes {
+		return fmt.Errorf("estimation ran on %q (%d lanes), want %q (%d lanes)", eng.Engine, eng.Lanes, engine, lanes)
+	}
+	return nil
 }
 
 // bitParallelEngineCases are the workloads the bitparallel_engine
@@ -465,10 +494,9 @@ func bitParallelEngineCases(cfg Config) []struct {
 }
 
 // BitParallelEngineBenchmarks measures the 64-lane bit-parallel
-// engine against the scalar compiled engine (sim.EstimateInfoLanes
-// with lanes off) on otherwise identical sequential single-worker
-// estimations. Rep counts are deliberately not lane-width multiples,
-// so every record includes a masked partial tail group.
+// engine against the scalar compiled engine. Rep counts are
+// deliberately not lane-width multiples, so every record includes a
+// masked partial tail group.
 func BitParallelEngineBenchmarks(cfg Config) []BitParallelEngineBench {
 	reps := 8024
 	if cfg.Quick {
@@ -478,50 +506,47 @@ func BitParallelEngineBenchmarks(cfg Config) []BitParallelEngineBench {
 	for _, bc := range bitParallelEngineCases(cfg) {
 		seed := sim.SeedFor(cfg.Seed, "bench-bitparallel/"+bc.family)
 		in, pol, polName, err := bc.build(seed)
-		row := BitParallelEngineBench{Family: bc.family, Policy: polName}
 		if err != nil {
-			row.Error = err.Error()
-			out = append(out, row)
+			out = append(out, BitParallelEngineBench{Family: bc.family, Policy: polName, Error: err.Error()})
 			continue
 		}
-		row.Jobs, row.Machines = in.N, in.M
-		row.Reps, row.PartialLanes = reps, reps%sim.LaneWidth
-		bestOf3 := func(lanes bool) (float64, float64, sim.EngineUsed) {
-			best, mean := -1.0, 0.0
-			var eng sim.EngineUsed
-			for try := 0; try < 3; try++ {
-				start := time.Now()
-				sum, _, e := sim.EstimateInfoLanes(in, pol, reps, 5_000_000, seed+59, lanes)
-				if sec := time.Since(start).Seconds(); best < 0 || sec < best {
-					best, mean, eng = sec, sum.Mean, e
-				}
-			}
-			return best, mean, eng
-		}
-		laneSec, laneMean, laneEng := bestOf3(true)
-		scalarSec, _, scalarEng := bestOf3(false)
-		row.LaneEngine, row.ScalarEngine = laneEng.Engine, scalarEng.Engine
-		row.Lanes = laneEng.Lanes
-		if laneEng.Lanes != sim.LaneWidth {
-			row.Error = fmt.Sprintf("expected a %d-lane engine, ran %s", sim.LaneWidth, laneEng.Engine)
-			out = append(out, row)
-			continue
-		}
-		if laneSec > 0 {
-			row.LaneRepsPerSec = float64(reps) / laneSec
-			if steps := laneMean * float64(reps); steps > 0 {
-				row.LaneNsPerStep = laneSec * 1e9 / steps
-			}
-		}
-		if scalarSec > 0 {
-			row.ScalarRepsPerSec = float64(reps) / scalarSec
-		}
-		if row.ScalarRepsPerSec > 0 {
-			row.Speedup = row.LaneRepsPerSec / row.ScalarRepsPerSec
-		}
-		out = append(out, row)
+		out = append(out, bitParallelRow(bc.family, polName, in, pol, reps, seed+59))
 	}
 	return out
+}
+
+// bitParallelRow times the lane walk of pol on in against the scalar
+// compiled walk (sim.EstimateInfoLanes with lanes off), on otherwise
+// identical sequential single-worker estimations. A call that runs on
+// another engine or lane width sets Error.
+func bitParallelRow(family, policy string, in *model.Instance, pol sched.Policy, reps int, seed int64) BitParallelEngineBench {
+	row := BitParallelEngineBench{
+		Family: family, Jobs: in.N, Machines: in.M, Policy: policy,
+		Reps: reps, PartialLanes: reps % sim.LaneWidth,
+	}
+	var laneMean float64
+	lane := func() error {
+		sum, _, eng := sim.EstimateInfoLanes(in, pol, reps, 5_000_000, seed, true)
+		laneMean = sum.Mean
+		return wantEngine(eng, sim.EngineLane, sim.LaneWidth)
+	}
+	scalar := func() error {
+		_, _, eng := sim.EstimateInfoLanes(in, pol, reps, 5_000_000, seed, false)
+		return wantEngine(eng, sim.EngineCompiled, 0)
+	}
+	tm, err := sample(timedPairs, false, lane, scalar)
+	if err != nil {
+		row.Error = err.Error()
+		return row
+	}
+	row.LaneEngine, row.ScalarEngine, row.Lanes = sim.EngineLane, sim.EngineCompiled, sim.LaneWidth
+	row.LaneRepsPerSec = perSec(reps, tm.A.Median)
+	row.ScalarRepsPerSec = perSec(reps, tm.B.Median)
+	if steps := laneMean * float64(reps); steps > 0 {
+		row.LaneNsPerStep = tm.A.Median * 1e6 / steps
+	}
+	row.Speedup = tm.Ratio
+	return row
 }
 
 // SolverBuildBenchmarks times every registry solver's construction on
@@ -557,58 +582,45 @@ func SolverBuildBenchmarks(cfg Config) []SolverBuildBench {
 			family, gen = ref.family, ref.gen
 		}
 		seed := sim.SeedFor(cfg.Seed, "bench-build/"+s.ID)
-		in := gen(seed)
-		row := SolverBuildBench{
-			Solver: s.ID, Theorem: s.Theorem, Family: family, Jobs: in.N, Machines: in.M,
-		}
-		par := paramsWithSeed(sim.SeedFor(seed, "build"))
-		best := -1.0
-		for try := 0; try < 3; try++ {
-			start := time.Now()
-			res, err := s.Build(in, par)
-			elapsed := float64(time.Since(start).Nanoseconds()) / 1e6
-			if err != nil {
-				row.Error = err.Error()
-				break
-			}
-			row.PrefixLen = res.PrefixLen
-			row.LPPivots = res.LPPivots
-			row.LPRows = res.LPRows
-			row.LPCols = res.LPCols
-			row.LPNnz = res.LPNnz
-			if best < 0 || elapsed < best {
-				best = elapsed
-			}
-		}
-		if best >= 0 {
-			row.BuildMS = best
-		}
-		// LP-backed solvers: rebuild with the dense oracle for the
-		// side-by-side record.
-		if row.Error == "" && row.LPPivots > 0 {
-			parDense := par
-			parDense.DenseLP = true
-			bestDense := -1.0
-			for try := 0; try < 3; try++ {
-				start := time.Now()
-				if _, err := s.Build(in, parDense); err != nil {
-					bestDense = -1
-					break
-				}
-				if elapsed := float64(time.Since(start).Nanoseconds()) / 1e6; bestDense < 0 || elapsed < bestDense {
-					bestDense = elapsed
-				}
-			}
-			if bestDense > 0 {
-				row.DenseBuildMS = bestDense
-				if row.BuildMS > 0 {
-					row.SpeedupVsDense = bestDense / row.BuildMS
-				}
-			}
-		}
-		out = append(out, row)
+		out = append(out, solverBuildRow(s, family, gen(seed), paramsWithSeed(sim.SeedFor(seed, "build"))))
 	}
 	return out
+}
+
+// solverBuildRow times s's construction on in and, for an LP-backed
+// solver, the same construction forced through the dense LP oracle,
+// side by side.
+func solverBuildRow(s solve.Solver, family string, in *model.Instance, par core.Params) SolverBuildBench {
+	row := SolverBuildBench{Solver: s.ID, Theorem: s.Theorem, Family: family, Jobs: in.N, Machines: in.M}
+	res, err := s.Build(in, par)
+	if err != nil {
+		row.Error = err.Error()
+		return row
+	}
+	row.PrefixLen, row.LPPivots = res.PrefixLen, res.LPPivots
+	row.LPRows, row.LPCols, row.LPNnz = res.LPRows, res.LPCols, res.LPNnz
+	build := func(par core.Params) func() error {
+		return func() error {
+			_, err := s.Build(in, par)
+			return err
+		}
+	}
+	var dense func() error
+	if row.LPPivots > 0 {
+		parDense := par
+		parDense.DenseLP = true
+		dense = build(parDense)
+	}
+	tm, err := sample(timedPairs, false, build(par), dense)
+	if err != nil {
+		row.Error = err.Error()
+		return row
+	}
+	row.BuildMS = tm.A.Median
+	if dense != nil {
+		row.DenseBuildMS, row.SpeedupVsDense = tm.B.Median, tm.Ratio
+	}
+	return row
 }
 
 // GridBenchSpec is the short CPU-heavy reference grid shape shared by
@@ -637,31 +649,23 @@ func GridBenchSpec(quick bool) GridSpec {
 func GridHarnessBenchmark(cfg Config) *GridHarnessBench {
 	spec := GridBenchSpec(cfg.Quick)
 	cells := len(spec.Cells())
-	par := cfg
-	par.Workers = 0    // full pool
-	RunGrid(par, spec) // warm caches before timing
-	start := time.Now()
-	RunGrid(par, spec)
-	parSec := time.Since(start).Seconds()
-	seq := cfg
+	par, seq := cfg, cfg
+	par.Workers = 0 // full pool
 	seq.Workers = 1
-	start = time.Now()
-	RunGrid(seq, spec)
-	seqSec := time.Since(start).Seconds()
-	b := &GridHarnessBench{
-		Cells:   cells,
-		Workers: par.workers(),
+	run := func(c Config) func() error {
+		return func() error {
+			RunGrid(c, spec)
+			return nil
+		}
 	}
-	if parSec > 0 {
-		b.CellsPerSec = float64(cells) / parSec
+	tm, _ := sample(timedPairs, false, run(par), run(seq)) // RunGrid returns no error
+	return &GridHarnessBench{
+		Cells:          cells,
+		Workers:        par.workers(),
+		CellsPerSec:    perSec(cells, tm.A.Median),
+		SeqCellsPerSec: perSec(cells, tm.B.Median),
+		Speedup:        tm.Ratio,
 	}
-	if seqSec > 0 {
-		b.SeqCellsPerSec = float64(cells) / seqSec
-	}
-	if b.SeqCellsPerSec > 0 {
-		b.Speedup = b.CellsPerSec / b.SeqCellsPerSec
-	}
-	return b
 }
 
 // allocsPerRep measures steady-state allocations per repetition by

@@ -21,5 +21,7 @@
 // per-section structs (engine gates, LP bench, exact-solver scaling,
 // grid harness, dispatch, serve) are documented field by field in
 // docs/BENCH_SCHEMA.md. The CI gates read that file's sections, so
-// its shape is a contract: field renames are schema changes.
+// its shape is a contract: field renames are schema changes. Every
+// timed number in the record and in the speed gates comes from one
+// sampler (timing.go), and each gate calls its section's row helper.
 package exp

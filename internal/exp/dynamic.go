@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"suu/internal/dyn"
 	"suu/internal/model"
@@ -244,10 +243,10 @@ type DynamicBench struct {
 	// GapVsRolling = Oblivious/Rolling — the adaptivity gap; > 1 means
 	// re-solving at event epochs beat replaying the static schedule.
 	GapVsRolling float64 `json:"gap_vs_rolling"`
-	// ObliviousMS times the oblivious estimate (best of three at
-	// Reps); ObliviousStepwiseMS times the same schedule behind
-	// sched.PolicyFunc, which forces the per-step walk; SkipSpeedup is
-	// their ratio.
+	// ObliviousMS times the oblivious estimate at Reps;
+	// ObliviousStepwiseMS times the same schedule behind
+	// sched.PolicyFunc, which forces the per-step walk, in pairs with
+	// it; SkipSpeedup is their median per-pair ratio.
 	ObliviousMS         float64 `json:"oblivious_ms"`
 	ObliviousStepwiseMS float64 `json:"oblivious_stepwise_ms"`
 	SkipSpeedup         float64 `json:"skip_speedup"`
@@ -302,12 +301,10 @@ func DynamicBenchmarks(cfg Config) []DynamicBench {
 			if row.Rolling > 0 {
 				row.GapVsRolling = row.Oblivious / row.Rolling
 			}
-			var err error
-			row.ObliviousMS, row.ObliviousStepwiseMS, err = dynamicSkipTiming(cfg, p)
-			if err != nil {
+			if tm, err := dynamicSkipTiming(cfg, p); err != nil {
 				row.Error = err.Error()
 			} else {
-				row.SkipSpeedup = row.ObliviousStepwiseMS / row.ObliviousMS
+				row.ObliviousMS, row.ObliviousStepwiseMS, row.SkipSpeedup = tm.A.Median, tm.B.Median, tm.Ratio
 			}
 		}
 		out = append(out, row)
@@ -315,42 +312,36 @@ func DynamicBenchmarks(cfg Config) []DynamicBench {
 	return out
 }
 
-// dynamicSkipTiming times the oblivious strategy of the T15 cell at p,
-// best of three at the cell's repetitions: the deployed schedule,
-// whose walk jumps over runs of steps that trial nothing, and the same
-// schedule behind sched.PolicyFunc, which hides the *sched.Oblivious
-// and so forces the per-step walk. The two alternate, so a slow spell
-// of the host falls on both. They must agree on every draw.
-func dynamicSkipTiming(cfg Config, p GridPoint) (skipMS, stepwiseMS float64, err error) {
+// dynamicSkipTiming times the oblivious strategy of the T15 cell at p
+// at the cell's repetitions: the deployed schedule (A), whose walk
+// jumps over runs of steps that trial nothing, against the same
+// schedule behind sched.PolicyFunc (B), which hides the
+// *sched.Oblivious and so forces the per-step walk. Every call must
+// draw what the first one drew.
+func dynamicSkipTiming(cfg Config, p GridPoint) (timing, error) {
 	in, seed, err := cellInstance(cfg, GridCell{Point: p})
 	if err != nil {
-		return 0, 0, err
+		return timing{}, err
 	}
 	sc := t15Scenario(in, p.Arg)
 	_, res, err := solve.Auto(in, paramsWithSeed(sim.SeedFor(seed, "build")))
 	if err != nil {
-		return 0, 0, err
+		return timing{}, err
 	}
-	timed := func(pol sched.Policy, best *float64) (stats.Summary, error) {
-		start := time.Now()
-		s, _, _, err := dyn.EstimateInfo(sc, dyn.NewStatic(sc, pol), cfg.reps(), t15MaxSteps, sim.SeedFor(seed, "sim"), 1)
-		if e := time.Since(start).Seconds() * 1000; *best == 0 || e < *best {
-			*best = e
-		}
-		return s, err
-	}
-	for try := 0; try < 3; try++ {
-		skipSum, err := timed(res.Policy, &skipMS)
-		if err != nil {
-			return 0, 0, err
-		}
-		stepSum, err := timed(sched.PolicyFunc(res.Policy.Assign), &stepwiseMS)
-		if err != nil {
-			return 0, 0, err
-		}
-		if skipSum != stepSum {
-			return 0, 0, fmt.Errorf("exp: skipping walk %+v diverged from the per-step walk %+v", skipSum, stepSum)
+	var first *stats.Summary
+	walk := func(pol sched.Policy) func() error {
+		return func() error {
+			s, _, _, err := dyn.EstimateInfo(sc, dyn.NewStatic(sc, pol), cfg.reps(), t15MaxSteps, sim.SeedFor(seed, "sim"), 1)
+			if err != nil {
+				return err
+			}
+			if first == nil {
+				first = &s
+			} else if s != *first {
+				return fmt.Errorf("exp: the skipping and per-step walks diverged: %+v vs %+v", *first, s)
+			}
+			return nil
 		}
 	}
-	return skipMS, stepwiseMS, nil
+	return sample(timedPairs, false, walk(res.Policy), walk(sched.PolicyFunc(res.Policy.Assign)))
 }

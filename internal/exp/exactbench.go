@@ -1,7 +1,8 @@
 package exp
 
 import (
-	"time"
+	"fmt"
+	"math"
 
 	"suu/internal/model"
 	"suu/internal/opt"
@@ -31,13 +32,13 @@ type ExactSolverBench struct {
 	ClosedForm  int   `json:"closed_form_states"`
 	// ExactValue is the optimal expected makespan the run certified.
 	ExactValue float64 `json:"exact_value"`
-	// BuildMS is the value iteration's wall-clock (best of three);
-	// StatesPerSec normalizes it by lattice size.
+	// BuildMS is the value iteration's wall-clock, the median of the
+	// sampled runs; StatesPerSec normalizes it by lattice size.
 	BuildMS      float64 `json:"build_ms"`
 	StatesPerSec float64 `json:"states_per_sec"`
 	// OracleMS times the exhaustive DP on the same instance (single
 	// run — it is the slow side by construction); SpeedupVsOracle =
-	// OracleMS/BuildMS. Zero when the oracle was skipped.
+	// OracleMS/BuildMS. Zero when the oracle was skipped or failed.
 	OracleMS        float64 `json:"oracle_ms,omitempty"`
 	SpeedupVsOracle float64 `json:"speedup_vs_oracle,omitempty"`
 	Error           string  `json:"error,omitempty"`
@@ -69,55 +70,53 @@ func exactSolverCases(cfg Config) []struct {
 }
 
 // ExactSolverBenchmarks measures the parallel value iteration per
-// family (best of three runs) and, where marked, the exhaustive DP
-// oracle on the same instance.
+// family and, where marked, the exhaustive DP oracle on the same
+// instance.
 func ExactSolverBenchmarks(cfg Config) []ExactSolverBench {
 	var out []ExactSolverBench
 	for _, bc := range exactSolverCases(cfg) {
-		row := ExactSolverBench{Family: bc.family, Jobs: bc.in.N, Machines: bc.in.M}
-		best := -1.0
-		var st *opt.Stats
-		var value float64
-		for try := 0; try < 3; try++ {
-			start := time.Now()
-			_, v, s, err := opt.OptimalRegimenParallel(bc.in, 0)
-			elapsed := float64(time.Since(start).Nanoseconds()) / 1e6
-			if err != nil {
-				row.Error = err.Error()
-				break
-			}
-			value, st = v, s
-			if best < 0 || elapsed < best {
-				best = elapsed
-			}
-		}
-		if row.Error != "" {
-			out = append(out, row)
-			continue
-		}
-		row.States, row.Layers, row.MaxEligible = st.States, st.Layers, st.MaxEligible
-		row.Transitions, row.ClosedForm = st.Transitions, st.ClosedForm
-		row.ExactValue = value
-		row.BuildMS = best
-		if best > 0 {
-			row.StatesPerSec = float64(st.States) / (best / 1000)
-		}
-		if bc.oracle {
-			start := time.Now()
-			_, ov, err := opt.OptimalRegimenExhaustive(bc.in)
-			if err == nil {
-				row.OracleMS = float64(time.Since(start).Nanoseconds()) / 1e6
-				if row.BuildMS > 0 {
-					row.SpeedupVsOracle = row.OracleMS / row.BuildMS
-				}
-				if diff := value - ov; diff > 1e-9 || diff < -1e-9 {
-					row.Error = "value iteration and exhaustive DP disagree"
-				}
-			}
-		}
-		out = append(out, row)
+		out = append(out, exactSolverRow(bc.family, bc.in, bc.oracle))
 	}
 	return out
+}
+
+// exactSolverRow times the parallel value iteration on in and, with
+// oracle, the exhaustive DP once (it is the slow side by
+// construction), requiring the two to agree on the optimum.
+func exactSolverRow(family string, in *model.Instance, oracle bool) ExactSolverBench {
+	row := ExactSolverBench{Family: family, Jobs: in.N, Machines: in.M}
+	var st *opt.Stats
+	tm, err := sample(timedPairs, false, func() error {
+		var err error
+		_, row.ExactValue, st, err = opt.OptimalRegimenParallel(in, 0)
+		return err
+	}, nil)
+	if err != nil {
+		row.Error = err.Error()
+		return row
+	}
+	row.States, row.Layers, row.MaxEligible = st.States, st.Layers, st.MaxEligible
+	row.Transitions, row.ClosedForm = st.Transitions, st.ClosedForm
+	row.BuildMS = tm.A.Median
+	row.StatesPerSec = perSec(st.States, row.BuildMS)
+	if !oracle {
+		return row
+	}
+	var ov float64
+	ms, err := clock(func() error {
+		var err error
+		_, ov, err = opt.OptimalRegimenExhaustive(in)
+		return err
+	})
+	switch {
+	case err != nil:
+		row.Error = "exhaustive DP: " + err.Error()
+	case math.Abs(row.ExactValue-ov) > 1e-9:
+		row.Error = fmt.Sprintf("value iteration %v disagrees with the exhaustive DP %v", row.ExactValue, ov)
+	default:
+		row.OracleMS, row.SpeedupVsOracle = ms, ms/row.BuildMS
+	}
+	return row
 }
 
 // ExactSolverTable renders the exact_solver rows for suu-bench -exact.

@@ -8,6 +8,7 @@ import (
 
 	"suu/internal/core"
 	"suu/internal/sim"
+	"suu/internal/solve"
 	"suu/internal/workload"
 )
 
@@ -56,11 +57,12 @@ func TestLargeLPTractable(t *testing.T) {
 }
 
 // TestSparseLPSpeedupSmoke is the CI bench-smoke assertion: the
-// sparse path's forest-48x8 build must beat the dense oracle by ≥3×
-// (best of three each). It only runs when BENCH_SMOKE=1 — wall-clock
-// ratios are meaningless under the race detector or a loaded laptop —
-// and skips on single-core runners, whose scheduling noise swamps
-// millisecond builds.
+// sparse path's forest-48x8 build must beat the dense oracle by ≥3×,
+// as the median per-pair ratio of solverBuildRow, the helper behind
+// the record's solver_build rows. It only runs when BENCH_SMOKE=1 —
+// wall-clock ratios are meaningless under the race detector or a
+// loaded laptop — and skips on single-core runners, whose scheduling
+// noise swamps millisecond builds.
 func TestSparseLPSpeedupSmoke(t *testing.T) {
 	if os.Getenv("BENCH_SMOKE") == "" {
 		t.Skip("set BENCH_SMOKE=1 to run the sparse-vs-dense speedup gate")
@@ -68,30 +70,20 @@ func TestSparseLPSpeedupSmoke(t *testing.T) {
 	if runtime.NumCPU() < 2 {
 		t.Skip("speedup gate needs ≥2 cores for stable timing")
 	}
+	s, ok := solve.Get("forest")
+	if !ok {
+		t.Fatal("no forest solver registered")
+	}
 	seed := sim.SeedFor(1, "bench-build/forest")
 	in := workload.OutTree(workload.Config{Jobs: 48, Machines: 8, Seed: seed})
-	par := paramsWithSeed(sim.SeedFor(seed, "build"))
-	bestOf3 := func(par core.Params) float64 {
-		best := -1.0
-		for try := 0; try < 3; try++ {
-			start := time.Now()
-			if _, err := core.SUUForest(in, par); err != nil {
-				t.Fatal(err)
-			}
-			if e := time.Since(start).Seconds() * 1000; best < 0 || e < best {
-				best = e
-			}
-		}
-		return best
+	row := solverBuildRow(s, "out-tree", in, paramsWithSeed(sim.SeedFor(seed, "build")))
+	if row.Error != "" {
+		t.Fatal(row.Error)
 	}
-	sparse := bestOf3(par)
-	parDense := par
-	parDense.DenseLP = true
-	dense := bestOf3(parDense)
-	ratio := dense / sparse
-	t.Logf("forest 48x8 build: sparse %.2fms dense %.2fms ratio %.2fx", sparse, dense, ratio)
-	if ratio < 3 {
+	t.Logf("forest 48x8 build (median of %d pairs): sparse %.2fms dense %.2fms ratio %.2fx",
+		timedPairs, row.BuildMS, row.DenseBuildMS, row.SpeedupVsDense)
+	if row.SpeedupVsDense < 3 {
 		t.Errorf("sparse forest-48x8 build only %.2fx faster than dense (want ≥3x): sparse %.2fms dense %.2fms",
-			ratio, sparse, dense)
+			row.SpeedupVsDense, row.BuildMS, row.DenseBuildMS)
 	}
 }

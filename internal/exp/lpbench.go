@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"time"
-
 	"suu/internal/core"
 	"suu/internal/model"
 	"suu/internal/sim"
@@ -71,8 +69,8 @@ func lpBenchCases(quick bool) []lpBenchCase {
 }
 
 // LPBenchmarks benchmarks the LP layer in isolation: formulation
-// build + solve per family/size (best of three), so LP regressions
-// are visible without timing full solver builds.
+// build + solve per family/size, sparse and dense timed in pairs, so
+// LP regressions are visible without timing full solver builds.
 func LPBenchmarks(cfg Config) []LPBench {
 	var out []LPBench
 	for _, c := range lpBenchCases(cfg.Quick) {
@@ -94,28 +92,13 @@ func LPBenchmarks(cfg Config) []LPBench {
 				jobs[j] = j
 			}
 		}
-		solve := func(dense bool) (*core.FracSolution, float64, error) {
-			best := -1.0
-			var fs *core.FracSolution
-			for try := 0; try < 3; try++ {
-				start := time.Now()
-				var err error
-				if c.lp == "LP1" {
-					fs, err = core.SolveLP1Bench(in, chains, 0.5, dense)
-				} else {
-					fs, err = core.SolveLP2Bench(in, jobs, 0.5, dense)
-				}
-				elapsed := float64(time.Since(start).Nanoseconds()) / 1e6
-				if err != nil {
-					return nil, 0, err
-				}
-				if best < 0 || elapsed < best {
-					best = elapsed
-				}
+		solveLP := func(dense bool) (*core.FracSolution, error) {
+			if c.lp == "LP1" {
+				return core.SolveLP1Bench(in, chains, 0.5, dense)
 			}
-			return fs, best, nil
+			return core.SolveLP2Bench(in, jobs, 0.5, dense)
 		}
-		fs, sparseMS, err := solve(false)
+		fs, err := solveLP(false)
 		if err != nil {
 			out = append(out, LPBench{LP: c.lp, Family: c.family, Jobs: c.jobs, Machines: c.machines, Error: err.Error()})
 			continue
@@ -135,17 +118,28 @@ func LPBenchmarks(cfg Config) []LPBench {
 			}
 			denseRows = pairs + c.jobs + c.machines + len(chains) + c.jobs
 		}
+		timed := func(dense bool) func() error {
+			return func() error {
+				_, err := solveLP(dense)
+				return err
+			}
+		}
+		var dense func() error
+		if denseRows*(fs.Cols+denseRows) <= denseCellBudget {
+			dense = timed(true)
+		}
 		row := LPBench{
 			LP: c.lp, Family: c.family, Jobs: c.jobs, Machines: c.machines,
 			Rows: fs.Rows, Cols: fs.Cols, Nnz: fs.Nnz, DenseRows: denseRows,
-			Pivots: fs.Iterations, SparseMS: sparseMS, TStar: fs.T,
+			Pivots: fs.Iterations, TStar: fs.T,
 		}
-		if denseRows*(fs.Cols+denseRows) <= denseCellBudget {
-			if _, denseMS, err := solve(true); err == nil {
-				row.DenseMS = denseMS
-				if sparseMS > 0 {
-					row.Speedup = denseMS / sparseMS
-				}
+		tm, err := sample(timedPairs, false, timed(false), dense)
+		if err != nil {
+			row.Error = err.Error()
+		} else {
+			row.SparseMS = tm.A.Median
+			if dense != nil {
+				row.DenseMS, row.Speedup = tm.B.Median, tm.Ratio
 			}
 		}
 		out = append(out, row)

@@ -1,37 +1,29 @@
 package exp
 
 import (
-	"time"
-
 	"suu/internal/core"
-	"suu/internal/model"
-	"suu/internal/sched"
 	"suu/internal/sim"
 	"suu/internal/workload"
 )
 
-// T12 profiles the substrate: simplex size/iterations/time for (LP1),
-// end-to-end chains-pipeline construction time, and simulation-engine
-// throughput (reps/s and ns/step of the Monte Carlo estimator on the
-// constructed schedule) across instance sizes. Not a paper claim — it
-// documents that the stdlib-only solver stack stays comfortably
-// polynomial at laptop scale and tracks the engine's perf trajectory
-// (the same measurement feeds BENCH_sim.json; see SimBenchmarks).
+// T12 profiles the substrate: the (LP1) simplex's working size and
+// iterations across instance sizes. Not a paper claim — it documents
+// that the stdlib-only solver stack stays comfortably polynomial at
+// laptop scale. The table holds counts only; the wall-clock of the
+// same work lives in BENCH_sim.json (lp_bench, solver_build,
+// benchmarks; see SimBenchmarks).
 func T12(cfg Config) *Table {
 	t := &Table{
 		ID:         "T12",
-		Title:      "Substrate performance: LP1 simplex, chains pipeline, sim engine",
+		Title:      "Substrate size: LP1 simplex",
 		PaperBound: "polynomial time (the paper's claim); measured here",
-		Header:     []string{"n", "m", "LP vars", "LP rows", "simplex iters", "solve ms", "pipeline ms", "sim reps/s", "sim ns/step"},
+		Header:     []string{"n", "m", "LP vars", "LP rows", "simplex iters"},
 	}
 	type pt struct{ n, m, c int }
 	sweep := []pt{{12, 4, 3}, {24, 6, 4}, {48, 8, 6}, {96, 12, 8}}
 	if cfg.Quick {
 		sweep = sweep[:3]
 	}
-	// T12 is the one driver that stays sequential by design: its
-	// columns are wall-clock measurements and concurrent cells would
-	// pollute them.
 	for _, p := range sweep {
 		seed := sim.SeedFor(cfg.Seed, "T12", int64(p.n), int64(p.m), int64(p.c))
 		in := workload.Chains(workload.Config{Jobs: p.n, Machines: p.m, Seed: seed}, p.c)
@@ -39,52 +31,14 @@ func T12(cfg Config) *Table {
 		if err != nil {
 			continue
 		}
-		start := time.Now()
 		fs, err := core.SolveLP1(in, chains, 0.5)
 		if err != nil {
 			continue
 		}
-		solveMS := time.Since(start).Milliseconds()
-		start = time.Now()
-		built, err := core.SUUChains(in, paramsWithSeed(cfg.Seed))
-		if err != nil {
-			continue
-		}
-		pipeMS := time.Since(start).Milliseconds()
-		simReps := 4 * cfg.reps()
-		repsPerSec, nsPerStep, _ := measureEngine(in, built.Schedule, simReps, cfg.Seed+41)
-		t.Rows = append(t.Rows, []string{
-			d(p.n), d(p.m), d(fs.Cols), d(fs.Rows), d(fs.Iterations), d(int(solveMS)), d(int(pipeMS)),
-			d(int(repsPerSec)), f2(nsPerStep),
-		})
+		t.Rows = append(t.Rows, []string{d(p.n), d(p.m), d(fs.Cols), d(fs.Rows), d(fs.Iterations)})
 	}
 	t.Notes = "LP vars/rows are the sparse solver's working dimensions (window rows are generated lazily, so the row count " +
-		"reflects the binding set, not the full formulation). Iterations grow roughly linearly with the working row count; " +
-		"everything stays interactive well past the experiment sizes. " +
-		"Engine columns measure sim.EstimateParallel on the constructed schedule (ns/step normalizes by realized makespan)."
+		"reflects the binding set, not the full formulation). Iterations grow roughly linearly with the working row count. " +
+		"Timings of the same work are in BENCH_sim.json's lp_bench, solver_build and benchmarks sections."
 	return t
-}
-
-// measureEngine times the Monte Carlo estimator on one (instance,
-// policy) pair, returning throughput in repetitions per wall-clock
-// second, nanoseconds per simulated step (normalized by the mean
-// realized makespan), and the mean makespan itself.
-func measureEngine(in *model.Instance, pol sched.Policy, reps int, seed int64) (repsPerSec, nsPerStep, meanMakespan float64) {
-	repsPerSec, nsPerStep, meanMakespan, _ = measureEngineInfo(in, pol, reps, seed)
-	return repsPerSec, nsPerStep, meanMakespan
-}
-
-// measureEngineInfo is measureEngine plus the EngineUsed record of the
-// measured run, so perf rows report the engine that actually produced
-// the number instead of re-deriving the dispatch decision.
-func measureEngineInfo(in *model.Instance, pol sched.Policy, reps int, seed int64) (repsPerSec, nsPerStep, meanMakespan float64, eng sim.EngineUsed) {
-	start := time.Now()
-	sum, _, info := sim.EstimateParallelInfo(in, pol, reps, 5_000_000, seed, 0)
-	elapsed := time.Since(start)
-	repsPerSec = float64(reps) / elapsed.Seconds()
-	totalSteps := sum.Mean * float64(reps)
-	if totalSteps > 0 {
-		nsPerStep = float64(elapsed.Nanoseconds()) / totalSteps
-	}
-	return repsPerSec, nsPerStep, sum.Mean, info
 }
