@@ -63,9 +63,8 @@
 //	                          # are hard errors) and render the table
 //
 // The merged output is byte-identical no matter how the cells were
-// sharded; cmd/suu-grid drives the whole fork/merge loop locally and
-// the CI grid matrix proves the equality on every push. Figure
-// reproductions (F1, F3) live in suu-trace.
+// sharded; the CI grid matrix proves the equality on every push.
+// Figure reproductions (F1, F3) live in suu-trace.
 package main
 
 import (
@@ -76,7 +75,6 @@ import (
 	"strings"
 	"time"
 
-	"suu/internal/dispatch"
 	"suu/internal/exp"
 	"suu/internal/serve"
 )
@@ -220,10 +218,9 @@ func main() {
 		start := time.Now()
 		file := exp.SimBenchmarks(cfg)
 		file.Commit = *commit
-		// The dispatch and serve sections are filled here rather than
-		// inside exp.SimBenchmarks: those layers live above exp, so
-		// their benchmarks do too.
-		file.Dispatch = dispatch.Benchmark(cfg)
+		// The serve section is filled here rather than inside
+		// exp.SimBenchmarks: that layer lives above exp, so its
+		// benchmark does too.
 		file.Serve = serve.Benchmark(cfg)
 		out, err := exp.WriteSimBenchJSON(file)
 		if err != nil {

@@ -86,54 +86,13 @@ type GridHarnessBench struct {
 	Speedup        float64 `json:"speedup"`
 }
 
-// DispatchRunnerBench is one runner's throughput record from the
-// dispatch benchmark.
-type DispatchRunnerBench struct {
-	Name        string  `json:"name"`
-	Jobs        int     `json:"jobs"`
-	Cells       int     `json:"cells"`
-	Failures    int     `json:"failures"`
-	CellsPerSec float64 `json:"cells_per_sec"`
-}
-
-// DispatchBench records the fault-tolerant dispatch layer's overhead:
-// the same grid sweep coordinated fault-free and under heavy injected
-// chaos, with the robustness counters (re-issues, re-slices,
-// degradations) and the wall-clock cost of surviving the faults. The
-// type lives here (not in internal/dispatch) so the BENCH_sim.json
-// document stays a single package's contract; internal/dispatch fills
-// it and cmd/suu-bench wires it in.
-type DispatchBench struct {
-	Grid   string `json:"grid"`
-	Cells  int    `json:"cells"`
-	Shards int    `json:"shards"`
-	// ChaosRate is the total injected fault rate of the chaos leg,
-	// split evenly across the six fault classes.
-	ChaosRate      float64               `json:"chaos_rate"`
-	Runners        []DispatchRunnerBench `json:"runners"`
-	FaultsInjected map[string]int        `json:"faults_injected"`
-	FaultsDetected int                   `json:"faults_detected"`
-	ReIssues       int                   `json:"re_issues"`
-	ReSlices       int                   `json:"re_slices"`
-	Degradations   int                   `json:"degradations"`
-	// CleanWallMS / ChaosWallMS are the fault-free and chaos sweep
-	// wall-clocks; OverheadPct is the chaos penalty relative to clean.
-	CleanWallMS float64 `json:"clean_wall_ms"`
-	ChaosWallMS float64 `json:"chaos_wall_ms"`
-	OverheadPct float64 `json:"overhead_pct"`
-	// Parity records that the chaos merge was byte-identical to the
-	// fault-free merge — the whole point; a false here is a bug.
-	Parity bool   `json:"parity"`
-	Error  string `json:"error,omitempty"`
-}
-
 // ServeBench records the serving layer's load-harness results: a
 // storm of concurrent clients driving a mixed repeat/fresh workload
 // through the full handler stack, with cache-hit latency measured
 // against cold-build latency. The type lives here (not in
-// internal/serve) for the same reason DispatchBench does: the
-// BENCH_sim.json document stays a single package's contract;
-// internal/serve fills it and cmd/suu-bench wires it in.
+// internal/serve) so the BENCH_sim.json document stays a single
+// package's contract; internal/serve fills it and cmd/suu-bench wires
+// it in.
 type ServeBench struct {
 	// Clients is the concurrent client count; Requests the total
 	// requests they issued (mixed solves and estimates, repeat and
@@ -257,10 +216,6 @@ type SimBenchFile struct {
 	// Grid records the scenario-grid harness's cell throughput and
 	// parallel speedup.
 	Grid *GridHarnessBench `json:"grid_harness,omitempty"`
-	// Dispatch records the fault-tolerant dispatch layer: per-runner
-	// throughput and the wall-clock overhead of a chaos sweep vs the
-	// fault-free run (filled by internal/dispatch via cmd/suu-bench).
-	Dispatch *DispatchBench `json:"dispatch,omitempty"`
 	// Serve records the serving layer's load harness: concurrent-client
 	// storm, cache-hit vs cold latency, coalescing counters (filled by
 	// internal/serve via cmd/suu-bench).

@@ -6,9 +6,9 @@ import "strings"
 // declared GridPlan: the plan enumerates every cell up front and the
 // renderer is a pure function of the evaluated results. That split is
 // what makes the table shardable — suu-bench can execute any cell
-// range of the plan in any process, and a coordinator that merges the
-// shards renders the exact sequential table (timing columns aside,
-// which measure the producing process, not the experiment).
+// range of the plan in any process, and merging the shards renders
+// the exact sequential table (timing columns aside, which measure the
+// producing process, not the experiment).
 type GridDriver struct {
 	// ID is the table id ("T13"); CLI lookup is case-insensitive.
 	ID string

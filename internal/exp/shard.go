@@ -22,17 +22,16 @@ import (
 // already enforces — every cell derives all randomness from its own
 // coordinates — so a shard boundary can never change a value, only
 // which process computes it. cmd/suu-bench exposes the range/merge
-// modes; cmd/suu-grid is the local multi-process coordinator; CI
-// proves the loop by byte-comparing a 4-shard matrix merge against
-// the single-process run.
+// modes; CI proves the loop by byte-comparing a 4-shard matrix merge
+// against the single-process run.
 
 // ShardSchemaVersion versions the shard envelope. Merge refuses to
-// mix versions: a coordinator must never splice rows produced under a
-// different payload contract. Version 2 added the engine and
-// prefix_len payload columns (and cells may carry param overrides and
-// custom evaluators). Version 3 added the per-envelope payload
-// checksum, which lets a coordinator detect corruption in transit
-// instead of trusting whatever bytes arrive.
+// mix versions: it must never splice rows produced under a different
+// payload contract. Version 2 added the engine and prefix_len payload
+// columns (and cells may carry param overrides and custom
+// evaluators). Version 3 added the per-envelope payload checksum,
+// which lets decode detect corruption in transit instead of trusting
+// whatever bytes arrive.
 const ShardSchemaVersion = 3
 
 // CellRange is a half-open slice [Lo:Hi) of a plan's Cells() order.
@@ -72,29 +71,6 @@ func ParseCellRange(s string, total int) (CellRange, error) {
 	return CellRange{Lo: lo, Hi: hi}, nil
 }
 
-// Split partitions the range into k contiguous near-equal sub-ranges
-// (same size rule as ShardRanges, shifted to the range's origin) — the
-// re-slice a coordinator dispatches when a range straggles. Empty tail
-// sub-ranges appear when k exceeds the range length, mirroring
-// ShardRanges; callers that dispatch work should skip zero-length
-// slices.
-func (r CellRange) Split(k int) []CellRange {
-	out := ShardRanges(r.Len(), k)
-	for i := range out {
-		out[i].Lo += r.Lo
-		out[i].Hi += r.Lo
-	}
-	return out
-}
-
-// Contains reports whether r covers all of s.
-func (r CellRange) Contains(s CellRange) bool { return r.Lo <= s.Lo && s.Hi <= r.Hi }
-
-// Overlaps reports whether the two ranges share at least one cell.
-func (r CellRange) Overlaps(s CellRange) bool {
-	return r.Len() > 0 && s.Len() > 0 && r.Lo < s.Hi && s.Lo < r.Hi
-}
-
 // ParseShard parses "k/N" (0-indexed shard k of N) and returns the
 // k-th of ShardRanges(total, N).
 func ParseShard(s string, total int) (CellRange, error) {
@@ -107,7 +83,7 @@ func ParseShard(s string, total int) (CellRange, error) {
 	if err1 != nil || err2 != nil || n < 1 || k < 0 || k >= n {
 		return CellRange{}, fmt.Errorf("exp: shard %q: want k/N with 0 <= k < N", s)
 	}
-	return ShardRanges(total, n)[k], nil
+	return shardRange(total, n, k), nil
 }
 
 // ShardRanges partitions [0:n) into k contiguous near-equal ranges
@@ -119,16 +95,21 @@ func ShardRanges(n, k int) []CellRange {
 		k = 1
 	}
 	out := make([]CellRange, k)
-	lo := 0
-	for i := 0; i < k; i++ {
-		size := n / k
-		if i < n%k {
-			size++
-		}
-		out[i] = CellRange{Lo: lo, Hi: lo + size}
-		lo += size
+	for i := range out {
+		out[i] = shardRange(n, k, i)
 	}
 	return out
+}
+
+// shardRange returns the i-th of ShardRanges(n, k) without building
+// the others: the first n%k ranges hold one extra cell.
+func shardRange(n, k, i int) CellRange {
+	size, extra := n/k, n%k
+	lo := i*size + min(i, extra)
+	if i < extra {
+		size++
+	}
+	return CellRange{Lo: lo, Hi: lo + size}
 }
 
 // GridPlan is a named, ordered list of grid specs — the shardable
@@ -279,7 +260,7 @@ type ShardFile struct {
 	WallMS        float64   `json:"wall_ms"`
 	// PayloadSHA256 is the hex checksum of the envelope's deterministic
 	// payload — fingerprint, range, and row payloads, but not timings —
-	// computed by the producing worker (SealPayload) and re-verified by
+	// computed by the producing worker (RunShard) and re-verified by
 	// every decode, so a byte flipped in transit is detected instead of
 	// merged. Empty means unsealed (hand-built test envelopes); decode
 	// then skips the check.
@@ -309,10 +290,6 @@ func (f *ShardFile) payloadChecksum() string {
 	}{f.SchemaVersion, f.Fingerprint, f.Plan, f.Seed, f.Quick, f.TotalCells, f.Range, rows}, 16)
 }
 
-// SealPayload stamps the envelope's payload checksum. RunShard seals
-// automatically; callers that mutate Cells afterwards must re-seal.
-func (f *ShardFile) SealPayload() { f.PayloadSHA256 = f.payloadChecksum() }
-
 // VerifyPayload re-computes the payload checksum against the sealed
 // value. Unsealed envelopes pass vacuously.
 func (f *ShardFile) VerifyPayload() error {
@@ -320,11 +297,7 @@ func (f *ShardFile) VerifyPayload() error {
 		return nil
 	}
 	if got := f.payloadChecksum(); got != f.PayloadSHA256 {
-		return &EnvelopeFaultError{
-			Range: f.Range,
-			Class: FaultChecksum,
-			Err:   fmt.Errorf("payload checksum %s, envelope sealed as %s", got, f.PayloadSHA256),
-		}
+		return fmt.Errorf("exp: shard %s payload checksum %s, envelope sealed as %s", f.Range, got, f.PayloadSHA256)
 	}
 	return nil
 }
@@ -420,116 +393,8 @@ func RunShard(cfg Config, s ShardSpec) *ShardFile {
 		})
 	}
 	f.WallMS = float64(time.Since(start).Nanoseconds()) / 1e6
-	f.SealPayload()
+	f.PayloadSHA256 = f.payloadChecksum()
 	return f
-}
-
-// Fault classes an EnvelopeFaultError carries — how a delivered
-// envelope was detected as unusable.
-const (
-	// FaultParse: the bytes did not decode as a shard envelope
-	// (truncation, garbage, foreign document).
-	FaultParse = "parse"
-	// FaultChecksum: the envelope decoded but its payload does not
-	// re-hash to the sealed checksum (bit corruption in transit).
-	FaultChecksum = "checksum"
-	// FaultFingerprint: the envelope was cut from a different (config,
-	// plan) pair than the sweep expects.
-	FaultFingerprint = "fingerprint"
-	// FaultMisindex: row indices or row count disagree with the
-	// declared range (shuffled, shifted, or partially lost rows).
-	FaultMisindex = "misindex"
-	// FaultMisdelivery: a transport returned an envelope for a range
-	// nobody asked it for (stale duplicate, crossed wires).
-	FaultMisdelivery = "misdelivery"
-	// FaultTransport: the transport failed outright — worker death,
-	// injected drop, lost connection — and delivered nothing.
-	FaultTransport = "transport"
-)
-
-// EnvelopeFaultError reports a detected fault in a delivered envelope
-// or its delivery. It is typed so coordinators can classify every
-// detected corruption as a re-issuable gap: the error unwraps to a
-// *MissingRangeError for the range the envelope was supposed to
-// cover, which re-enters the same retry loop a killed worker does.
-// Nothing about a faulty envelope is trusted — the whole range is
-// re-issued.
-type EnvelopeFaultError struct {
-	// Range is the cell range whose delivery faulted (the requested
-	// range, not whatever the corrupt envelope claims).
-	Range CellRange
-	// Class is one of the Fault* constants.
-	Class string
-	// Err details the detection.
-	Err error
-}
-
-func (e *EnvelopeFaultError) Error() string {
-	return fmt.Sprintf("exp: envelope fault (%s) for range %s: %v", e.Class, e.Range, e.Err)
-}
-
-// Unwrap exposes both the underlying detection error and the
-// re-issuable gap, so errors.As finds a *MissingRangeError carrying
-// exactly the range to re-dispatch.
-func (e *EnvelopeFaultError) Unwrap() []error {
-	errs := []error{&MissingRangeError{Range: e.Range}}
-	if e.Err != nil {
-		errs = append(errs, e.Err)
-	}
-	return errs
-}
-
-// ValidateShardFile checks a delivered envelope against the sweep it
-// is supposed to belong to: schema version, fingerprint, declared
-// range within the request, row count and row indices, and the sealed
-// payload checksum. Every failure is an *EnvelopeFaultError for the
-// requested range — detected corruption converts into a re-issuable
-// gap, never into trusted rows. want is the range the envelope was
-// requested for; fingerprint and total describe the sweep.
-func ValidateShardFile(f *ShardFile, want CellRange, fingerprint string, total int) error {
-	fault := func(class string, err error) error {
-		return &EnvelopeFaultError{Range: want, Class: class, Err: err}
-	}
-	if f.Range != want {
-		return fault(FaultMisdelivery, fmt.Errorf("envelope covers %s, requested %s", f.Range, want))
-	}
-	if f.SchemaVersion != ShardSchemaVersion {
-		return fault(FaultParse, fmt.Errorf("schema version %d, this binary speaks %d", f.SchemaVersion, ShardSchemaVersion))
-	}
-	if f.Fingerprint != fingerprint {
-		return fault(FaultFingerprint, fmt.Errorf("envelope fingerprint %s, sweep is %s", f.Fingerprint, fingerprint))
-	}
-	if f.TotalCells != total {
-		return fault(FaultFingerprint, fmt.Errorf("envelope total %d cells, sweep has %d", f.TotalCells, total))
-	}
-	if f.Range.Lo < 0 || f.Range.Hi > total || f.Range.Lo > f.Range.Hi {
-		return fault(FaultMisindex, fmt.Errorf("range %s invalid for %d cells", f.Range, total))
-	}
-	if len(f.Cells) != f.Range.Len() {
-		return fault(FaultMisindex, fmt.Errorf("%d rows for range %s, want %d", len(f.Cells), f.Range, f.Range.Len()))
-	}
-	for i, c := range f.Cells {
-		if c.Index != f.Range.Lo+i {
-			return fault(FaultMisindex, fmt.Errorf("row %d tagged index %d, want %d", i, c.Index, f.Range.Lo+i))
-		}
-	}
-	if err := f.VerifyPayload(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// MissingRangeError reports a gap in a shard tiling: no envelope
-// covers cells [Range.Lo:Range.Hi). It is the one Merge failure a
-// coordinator can repair without human eyes — the range is exactly
-// what to re-issue to a fresh worker (cmd/suu-grid -retries does).
-// Detect it with errors.As.
-type MissingRangeError struct {
-	Range CellRange
-}
-
-func (e *MissingRangeError) Error() string {
-	return fmt.Sprintf("exp: missing cell range [%d:%d): no shard covers it", e.Range.Lo, e.Range.Hi)
 }
 
 // Merge validates a set of shard envelopes and reassembles the
@@ -537,10 +402,10 @@ func (e *MissingRangeError) Error() string {
 // distributed run can silently lie: mixed schema versions or
 // fingerprints (shards cut from different sweeps), overlapping ranges
 // or duplicated cells (a row computed twice — which one wins?), gaps
-// or missing tail (a worker lost — reported as *MissingRangeError so
-// a coordinator can re-issue exactly the lost cells), and rows whose
-// index or coordinate sits outside their declared range. Shard order
-// does not matter.
+// or missing tail (a worker lost — the error names the missing cell
+// range, which is exactly what to run again), and rows whose index or
+// coordinate sits outside their declared range. Shard order does not
+// matter.
 func Merge(shards []*ShardFile) (*MergedGrid, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("exp: merge of zero shards")
@@ -552,6 +417,13 @@ func Merge(shards []*ShardFile) (*MergedGrid, error) {
 		return nil, fmt.Errorf("exp: shard schema version %d, this binary speaks %d",
 			first.SchemaVersion, ShardSchemaVersion)
 	}
+	// Size the merged rows from what the envelopes carry, not from the
+	// total_cells they claim: the range checks below have not vetted
+	// that number yet.
+	rows := 0
+	for _, s := range sorted {
+		rows += len(s.Cells)
+	}
 	m := &MergedGrid{
 		SchemaVersion: first.SchemaVersion,
 		Fingerprint:   first.Fingerprint,
@@ -559,7 +431,7 @@ func Merge(shards []*ShardFile) (*MergedGrid, error) {
 		Seed:          first.Seed,
 		Quick:         first.Quick,
 		TotalCells:    first.TotalCells,
-		Cells:         make([]CellRow, 0, first.TotalCells),
+		Cells:         make([]CellRow, 0, rows),
 	}
 	next := 0
 	for _, s := range sorted {
@@ -590,7 +462,7 @@ func Merge(shards []*ShardFile) (*MergedGrid, error) {
 			return nil, fmt.Errorf("exp: overlapping shards: cells [%d:%d) delivered twice", s.Range.Lo, min(next, s.Range.Hi))
 		}
 		if s.Range.Lo > next {
-			return nil, &MissingRangeError{Range: CellRange{Lo: next, Hi: s.Range.Lo}}
+			return nil, missingRange(next, s.Range.Lo)
 		}
 		for i, c := range s.Cells {
 			if c.Index != s.Range.Lo+i {
@@ -602,9 +474,15 @@ func Merge(shards []*ShardFile) (*MergedGrid, error) {
 		next = s.Range.Hi
 	}
 	if next != m.TotalCells {
-		return nil, &MissingRangeError{Range: CellRange{Lo: next, Hi: m.TotalCells}}
+		return nil, missingRange(next, m.TotalCells)
 	}
 	return m, nil
+}
+
+// missingRange reports a gap in a shard tiling: no envelope covers
+// cells [lo:hi).
+func missingRange(lo, hi int) error {
+	return fmt.Errorf("exp: missing cell range [%d:%d): no shard covers it", lo, hi)
 }
 
 // RunMerged runs the full plan in-process and canonicalizes it
@@ -640,8 +518,8 @@ func (m *MergedGrid) Results() []GridResult {
 }
 
 // ShardResults flattens validated shards into grid results in cell
-// order, keeping each row's producing-process build timing — what a
-// coordinator renders tables from. Call Merge first; this trusts the
+// order, keeping each row's producing-process build timing — what
+// suu-bench renders tables from. Call Merge first; this trusts the
 // tiling.
 func ShardResults(shards []*ShardFile) []GridResult {
 	sorted := append([]*ShardFile(nil), shards...)
@@ -658,15 +536,13 @@ func ShardResults(shards []*ShardFile) []GridResult {
 // DecodeShardFile parses a shard envelope, rejecting unknown fields
 // so a truncated or foreign document fails at decode, not at merge,
 // and re-verifies the sealed payload checksum so bit corruption in
-// transit fails here too. Both failure modes return an
-// *EnvelopeFaultError (parse faults with the envelope's declared
-// range when one decoded, the zero range otherwise).
+// transit fails here too.
 func DecodeShardFile(data []byte) (*ShardFile, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var f ShardFile
 	if err := dec.Decode(&f); err != nil {
-		return nil, &EnvelopeFaultError{Range: f.Range, Class: FaultParse, Err: fmt.Errorf("decode shard file: %w", err)}
+		return nil, fmt.Errorf("exp: decode shard file: %w", err)
 	}
 	if err := f.VerifyPayload(); err != nil {
 		return nil, err
