@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"strconv"
@@ -485,18 +486,6 @@ func missingRange(lo, hi int) error {
 	return fmt.Errorf("exp: missing cell range [%d:%d): no shard covers it", lo, hi)
 }
 
-// RunMerged runs the full plan in-process and canonicalizes it
-// through the same projection Merge applies — the byte-compare
-// baseline for any sharded run of the same (cfg, plan).
-func RunMerged(cfg Config, p GridPlan) *MergedGrid {
-	m, err := Merge([]*ShardFile{RunShard(cfg, ShardSpec{Plan: p, Range: CellRange{Lo: 0, Hi: p.NumCells()}})})
-	if err != nil {
-		// A single full-range shard always tiles; an error here is a bug.
-		panic("exp: RunMerged: " + err.Error())
-	}
-	return m
-}
-
 // JSON renders the canonical bytes (stable indentation, trailing
 // newline) that the CI merge job compares.
 func (m *MergedGrid) JSON() ([]byte, error) {
@@ -536,13 +525,18 @@ func ShardResults(shards []*ShardFile) []GridResult {
 // DecodeShardFile parses a shard envelope, rejecting unknown fields
 // so a truncated or foreign document fails at decode, not at merge,
 // and re-verifies the sealed payload checksum so bit corruption in
-// transit fails here too.
+// transit fails here too. The envelope must be the whole input, bar
+// trailing whitespace: a second envelope after it (two files
+// concatenated) is an error, not silently dropped.
 func DecodeShardFile(data []byte) (*ShardFile, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var f ShardFile
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("exp: decode shard file: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("exp: decode shard file: data after the envelope")
 	}
 	if err := f.VerifyPayload(); err != nil {
 		return nil, err

@@ -26,6 +26,8 @@ func FuzzShardEnvelope(f *testing.F) {
 	}
 	f.Add(envs[0], envs[1])
 	f.Add(envs[1], []byte(nil))
+	// Two envelopes in one input, as cat a.json b.json writes them.
+	f.Add(append(append([]byte(nil), envs[0]...), envs[1]...), []byte(nil))
 	f.Add(hostileEnvelope("-1"), []byte(nil))
 	f.Add(hostileEnvelope("1099511627776"), []byte(nil))
 	f.Fuzz(func(t *testing.T, a, b []byte) {

@@ -110,6 +110,19 @@ func shardTestPlan() GridPlan {
 
 func shardTestConfig() Config { return Config{Quick: true, Seed: 5, Workers: 1} }
 
+// runMerged runs the full plan in-process and canonicalizes it
+// through the same projection Merge applies — the byte-compare
+// baseline for any sharded run of the same (cfg, plan).
+func runMerged(t *testing.T, cfg Config, p GridPlan) *MergedGrid {
+	t.Helper()
+	m, err := Merge([]*ShardFile{RunShard(cfg, ShardSpec{Plan: p, Range: CellRange{Lo: 0, Hi: p.NumCells()}})})
+	if err != nil {
+		// A single full-range shard always tiles.
+		t.Fatal(err)
+	}
+	return m
+}
+
 // runShards cuts the plan into the given ranges and runs each as its
 // own shard envelope.
 func runShards(cfg Config, p GridPlan, rs []CellRange) []*ShardFile {
@@ -124,7 +137,7 @@ func runShards(cfg Config, p GridPlan, rs []CellRange) []*ShardFile {
 // Merge sorts by range and still produces the canonical bytes.
 func TestMergeShuffledShardOrder(t *testing.T) {
 	cfg, plan := shardTestConfig(), shardTestPlan()
-	want, err := RunMerged(cfg, plan).JSON()
+	want, err := runMerged(t, cfg, plan).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +192,7 @@ func TestMergeRejectsDuplicateCell(t *testing.T) {
 func TestMergeAcceptsEmptyShards(t *testing.T) {
 	cfg, plan := shardTestConfig(), shardTestPlan()
 	n := plan.NumCells()
-	want, err := RunMerged(cfg, plan).JSON()
+	want, err := runMerged(t, cfg, plan).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,6 +283,32 @@ func TestShardEnvelopeRoundTrips(t *testing.T) {
 	if _, err := DecodeShardFile([]byte(`not json`)); err == nil {
 		t.Error("decoder accepted garbage")
 	}
+	if _, err := DecodeShardFile(append(data, " \n\t\n"...)); err != nil {
+		t.Errorf("decoder rejected trailing whitespace: %v", err)
+	}
+	if _, err := DecodeShardFile(append(data, "]"...)); err == nil {
+		t.Error("decoder accepted a stray bracket after the envelope")
+	}
+}
+
+// TestDecodeRejectsConcatenatedEnvelopes: two envelopes in one input
+// (cat a.json b.json) are an error, not the first envelope alone.
+func TestDecodeRejectsConcatenatedEnvelopes(t *testing.T) {
+	cfg, plan := shardTestConfig(), shardTestPlan()
+	shards := runShards(cfg, plan, ShardRanges(plan.NumCells(), 2))
+	var data []byte
+	for _, s := range shards {
+		env, err := EncodeShardFile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, env...)
+	}
+	if f, err := DecodeShardFile(data); err == nil {
+		t.Fatalf("decoder accepted two concatenated envelopes as one covering %v", f.Range)
+	} else if !strings.Contains(err.Error(), "after the envelope") {
+		t.Errorf("concatenated envelopes: error %q does not say what follows the envelope", err)
+	}
 }
 
 // TestSingleCellRangeMatchesFullRun is the hermeticity assertion the
@@ -324,7 +363,7 @@ func TestShardMergeByteIdenticalAllGridDrivers(t *testing.T) {
 	cfg := Config{Quick: true, Seed: 7}
 	for _, g := range GridDrivers {
 		plan := g.Plan(cfg)
-		want, err := RunMerged(cfg, plan).JSON()
+		want, err := runMerged(t, cfg, plan).JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +402,7 @@ func TestPlanWrapsSingleSpec(t *testing.T) {
 		t.Fatalf("Plan wrap: id %q, %d cells (len %d), want adhoc/4/4", p.ID, p.NumCells(), len(p.Cells()))
 	}
 	cfg := shardTestConfig()
-	want, err := RunMerged(cfg, p).JSON()
+	want, err := runMerged(t, cfg, p).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,8 @@ type Config struct {
 	// their built schedules) and estimate responses.
 	ResultCacheBytes int64
 	// EngineCacheBytes bounds the compiled-engine cache: sim.Prepared
-	// contexts (oblivious occurrence lists; an adaptive policy's
+	// contexts (an oblivious schedule's run tables, charged per
+	// occurrence by sim.Prepared.SizeBytes; an adaptive policy's
 	// context holds no table and is charged a nominal size, because
 	// its memo is rebuilt on every estimate).
 	EngineCacheBytes int64

@@ -5,10 +5,8 @@ import (
 	"slices"
 	"testing"
 
-	"suu/internal/core"
 	"suu/internal/model"
 	"suu/internal/sched"
-	"suu/internal/solve"
 	"suu/internal/workload"
 )
 
@@ -54,9 +52,37 @@ func bitsEqual(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
+// expand unrolls c's run tables into the per-occurrence tables the
+// reference builds: job j's occurrences are steps[offs[j]:offs[j+1]],
+// each with its run's succ and mass. It fails t when an entry's base is
+// not the number of occurrences before it, or occurrences miscounts
+// them.
+func expand(t *testing.T, c *compiledOblivious) (offs, steps []int32, succ, mass []float64) {
+	t.Helper()
+	n := c.in.N
+	offs = make([]int32, n+1)
+	for j := 0; j < n; j++ {
+		for _, r := range c.runs[c.offs[j]:c.offs[j+1]] {
+			if int(r.base) != len(steps) {
+				t.Errorf("job %d: run [%d, %d) has base %d after %d occurrences", j, r.start, r.end, r.base, len(steps))
+			}
+			for s := r.start; s < r.end; s++ {
+				steps = append(steps, s)
+				succ = append(succ, r.succ)
+				mass = append(mass, r.mass)
+			}
+		}
+		offs[j+1] = int32(len(steps))
+	}
+	if c.occurrences != len(steps) {
+		t.Errorf("occurrences = %d, the runs cover %d", c.occurrences, len(steps))
+	}
+	return offs, steps, succ, mass
+}
+
 // TestCompileMatchesStepwise pins the run-wise compile to the per-step
-// reference: offs, steps, succ and mass are equal bit for bit, and so
-// is SizeBytes, which counts them.
+// reference: the run tables, unrolled, give its offs, steps, succ and
+// mass bit for bit, and SizeBytes charges what its tables count.
 func TestCompileMatchesStepwise(t *testing.T) {
 	type tc struct {
 		name string
@@ -85,42 +111,27 @@ func TestCompileMatchesStepwise(t *testing.T) {
 		{"nil tail", small, sched.NewOblivious(3, []sched.Assignment{
 			{2, 2, 5}, {2, 2, 5}, {5, 5, 5}}, nil)},
 	}
-	shapes := []struct {
-		name string
-		in   *model.Instance
-	}{
-		{"independent", workload.Independent(workload.Config{Jobs: 16, Machines: 4, Seed: 11})},
-		{"chains", workload.Chains(workload.Config{Jobs: 18, Machines: 4, Seed: 12}, 3)},
-		{"out-forest", workload.OutTree(workload.Config{Jobs: 16, Machines: 4, Seed: 13})},
-		{"in-forest", workload.InTree(workload.Config{Jobs: 16, Machines: 4, Seed: 14})},
-		{"mixed forest", workload.MixedForest(workload.Config{Jobs: 18, Machines: 4, Seed: 15}, 3)},
-		{"layered", workload.LayeredWidth(workload.Config{Jobs: 16, Machines: 4, Seed: 16}, 4, 0.3)},
-	}
-	for _, s := range shapes {
-		_, res, err := solve.Auto(s.in, core.DefaultParams())
-		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
-		}
-		o, ok := res.Policy.(*sched.Oblivious)
-		if !ok {
-			t.Fatalf("%s: solve.Auto built %T", s.name, res.Policy)
-		}
-		cases = append(cases, tc{"auto " + s.name, s.in, o})
+	for _, s := range autoShapes() {
+		cases = append(cases, tc{"auto " + s.name, s.in, autoOblivious(t, s.in)})
 	}
 	for _, c := range cases {
-		got := Prepare(c.in, c.o).compiled
-		if got == nil {
+		p := Prepare(c.in, c.o)
+		if p.compiled == nil {
 			t.Fatalf("%s: compile failed", c.name)
 		}
+		gotOffs, gotSteps, gotSucc, gotMass := expand(t, p.compiled)
 		offs, steps, succ, mass := compileStepwise(c.in, c.o)
-		if !slices.Equal(got.offs, offs) || !slices.Equal(got.steps, steps) {
+		if !slices.Equal(gotOffs, offs) || !slices.Equal(gotSteps, steps) {
 			t.Errorf("%s: offs/steps differ from the per-step compile:\n got %v %v\nwant %v %v",
-				c.name, got.offs, got.steps, offs, steps)
+				c.name, gotOffs, gotSteps, offs, steps)
 			continue
 		}
-		if !bitsEqual(got.succ, succ) || !bitsEqual(got.mass, mass) {
+		if !bitsEqual(gotSucc, succ) || !bitsEqual(gotMass, mass) {
 			t.Errorf("%s: succ/mass differ from the per-step compile:\n got %v %v\nwant %v %v",
-				c.name, got.succ, got.mass, succ, mass)
+				c.name, gotSucc, gotMass, succ, mass)
+		}
+		if want := int64(len(steps))*20 + int64(len(offs)+c.in.N)*4 + 256; p.SizeBytes() != want {
+			t.Errorf("%s: SizeBytes = %d, want %d", c.name, p.SizeBytes(), want)
 		}
 	}
 }

@@ -13,9 +13,9 @@
 // loop is allocation-free. It is the only loop that draws completion
 // trials step by step, and the reference every other engine is pinned
 // to. When the policy is a *sched.Oblivious, the estimators compile
-// its prefix once into per-job occurrence lists and replay
-// repetitions event-wise (see oblivious.go), falling back
-// to the step engine for any repetition that outlives the prefix;
+// its prefix once into per-job run tables and replay repetitions
+// event-wise (see oblivious.go), falling back to the step engine for
+// any repetition that outlives the prefix;
 // calls of BitParallelAutoMinReps repetitions or more run that walk
 // 64 repetitions per machine word (see lane.go), under a pinned
 // SeedFor-derived stream remap. When the policy is stationary
@@ -57,17 +57,17 @@
 // order.
 //
 // Long-lived callers (the serve daemon) use Prepared: Prepare compiles
-// an oblivious schedule's prefix occurrence lists once, and
-// EstimateParallelInfo replays them for any (reps, seed, concurrency)
-// with results bit-identical to the corresponding cold Estimate call;
-// the equivalence is pinned by TestPreparedBitIdenticalToColdPath. A
+// an oblivious schedule's run tables once, and EstimateParallelInfo
+// replays them for any (reps, seed, concurrency) with results
+// bit-identical to the corresponding cold Estimate call; the
+// equivalence is pinned by TestPreparedBitIdenticalToColdPath. A
 // stationary policy's context holds no table: its memo is built per
 // call.
 //
 // # Pooled memory
 //
-// The constructions repeat each step σ times, so the compiled tables
-// are about σ times the size of the schedule's runs. A one-shot call
+// The compiled tables hold one entry per (job, run), so they are about
+// the size of the schedule's runs, whatever σ is. A one-shot call
 // (the Estimate family, the quantile estimators, MassWithinHorizon)
 // compiles them into a workspace taken from a sync.Pool, reusing the
 // arrays an earlier call left there, and puts it back only once its
@@ -75,10 +75,13 @@
 // dropped. The lane workers' buffers and the makespan window come
 // from pools too, on the one-shot and the Prepared path alike, and go
 // back after the walk. Prepare never takes tables from a pool: a
-// cached engine's tables are its own, sized exactly, and SizeBytes
-// charges them. No result aliases pooled memory, and pooled memory
-// moves no draw: every entry a walk reads is written by the call
-// first (TestReusedWorkspaceMatchesFresh poisons the reused arrays).
-// A warm one-shot lane estimate so allocates under 1% of its engine's
-// size (TestWarmOneShotLaneEstimateAllocation).
+// cached engine's tables are its own and sized exactly. SizeBytes is
+// a cache charge, not their size: it counts 20 bytes per occurrence,
+// what one entry per (job, step) would take, so a cache's byte budget
+// holds a fixed number of engines of a shape whatever the tables
+// take. No result aliases pooled memory, and pooled memory moves no
+// draw: every entry a walk reads is written by the call first
+// (TestReusedWorkspaceMatchesFresh poisons the reused arrays). Prepare allocates under 2% of its charge
+// (TestPrepareAllocation), and a warm one-shot lane estimate under 1%
+// (TestWarmOneShotLaneEstimateAllocation).
 package sim

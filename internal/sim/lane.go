@@ -176,13 +176,13 @@ func (e *estimator) newLaneWorker(seed int64) laneWorker {
 	return newLaneOblivRunner(e.compiled, seed)
 }
 
-// laneOblivRunner walks the compiled oblivious occurrence lists with
-// 64 lanes in lockstep. The walk visits the same (job, occurrence)
-// trials as the scalar compiled walk would for each lane under the
-// remap: per job, lanes whose predecessors all completed within the
-// prefix become active at their first occurrence at or after their
-// eligibility step and trial occurrences in order until they
-// complete; everything else is bookkeeping on lane masks.
+// laneOblivRunner walks the compiled oblivious run tables with 64
+// lanes in lockstep, step by step inside each run. The walk visits the
+// same (job, occurrence) trials as the scalar compiled walk would for
+// each lane under the remap: per job, lanes whose predecessors all
+// completed within the prefix become active at their first occurrence
+// at or after their eligibility step and trial occurrences in order
+// until they complete; everything else is bookkeeping on lane masks.
 type laneOblivRunner struct {
 	c    *compiledOblivious
 	seed int64
@@ -192,14 +192,14 @@ type laneOblivRunner struct {
 	comp []int32
 	done []uint64
 	// wins holds the current group's win masks in walk order: job j's
-	// walk visited its occurrences offs[j], offs[j]+1, ..., and
+	// walk visited its occurrences in step order from its first, and
 	// wins[wlo[j]+i] is the cumulative mask of lanes that completed j
-	// at or before occurrence offs[j]+i; j's segment ends at whi[j], and
-	// a job whose walk was skipped has an empty one. These are per-lane
+	// at or before its occurrence i; j's segment ends at whi[j], and a
+	// job whose walk was skipped has an empty one. These are per-lane
 	// completion steps in wordwise form, which is what lets successor
 	// eligibility stay mask arithmetic plus a binary search. The buffer
 	// is reset per group, so it grows only to the most occurrences one
-	// group visits, not to the compiled table.
+	// group visits.
 	wins     []uint64
 	wlo, whi []int32
 	elig     [LaneWidth]int32 // scratch: per-lane eligibility step of the current job
@@ -287,7 +287,7 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 		r.wlo[j] = int32(len(r.wins))
 		var doneJ uint64
 		if eligAll != 0 && lo < hi {
-			firstT, lastT := c.steps[lo], c.steps[hi-1]
+			firstT, lastT := c.runs[lo].start, c.runs[hi-1].end-1
 			active := eligAll
 			var pend uint64
 			if len(preds) > 0 {
@@ -316,41 +316,45 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 					r.elig[l] = e
 				}
 			}
-			for k := lo; k < hi && active|pend != 0; k++ {
-				t := c.steps[k]
-				if int(t) >= cap {
-					break
-				}
-				if pend != 0 {
-					for m := pend; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros64(m)
-						if r.elig[l] <= t {
-							pend &^= uint64(1) << uint(l)
-							active |= uint64(1) << uint(l)
-						}
+		walk:
+			for _, run := range c.runs[lo:hi] {
+				k := int64(run.base)
+				for t := run.start; t < run.end; t++ {
+					if active|pend == 0 || int(t) >= cap {
+						break walk
 					}
-				}
-				if active != 0 {
-					if r.massB != nil {
-						for m := active; m != 0; m &= m - 1 {
+					if pend != 0 {
+						for m := pend; m != 0; m &= m - 1 {
 							l := bits.TrailingZeros64(m)
-							r.massB[l*in.N+j] += c.mass[k]
-						}
-					}
-					win := active & laneBernoulli(&r.tr, gseed, int64(k), 0, c.succ[k], active)
-					if win != 0 {
-						doneJ |= win
-						active &^= win
-						for m := win; m != 0; m &= m - 1 {
-							l := bits.TrailingZeros64(m)
-							comp[l] = t
-							if t > r.mcmp[l] {
-								r.mcmp[l] = t
+							if r.elig[l] <= t {
+								pend &^= uint64(1) << uint(l)
+								active |= uint64(1) << uint(l)
 							}
 						}
 					}
+					if active != 0 {
+						if r.massB != nil {
+							for m := active; m != 0; m &= m - 1 {
+								l := bits.TrailingZeros64(m)
+								r.massB[l*in.N+j] += run.mass
+							}
+						}
+						win := active & laneBernoulli(&r.tr, gseed, k, 0, run.succ, active)
+						if win != 0 {
+							doneJ |= win
+							active &^= win
+							for m := win; m != 0; m &= m - 1 {
+								l := bits.TrailingZeros64(m)
+								comp[l] = t
+								if t > r.mcmp[l] {
+									r.mcmp[l] = t
+								}
+							}
+						}
+					}
+					r.wins = append(r.wins, doneJ)
+					k++
 				}
-				r.wins = append(r.wins, doneJ)
 			}
 		}
 		r.whi[j] = int32(len(r.wins))
@@ -382,27 +386,30 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 }
 
 // winsBefore returns the mask of lanes that completed job pr strictly
-// before step x, by binary search over the (sorted) steps of the
-// occurrences pr's walk visited into its segment of win masks.
-// Occurrences past the segment were never visited and hold no wins;
-// the cumulative mask at the segment's end already equals pr's full
-// done mask.
+// before step x: the win mask of pr's last visited occurrence before x.
+// A binary search over pr's runs counts its occurrences before x.
+// Occurrences past the visited segment were never visited and hold no
+// wins; the cumulative mask at the segment's end already equals pr's
+// full done mask.
 func (r *laneOblivRunner) winsBefore(pr int, x int32) uint64 {
-	lo := int(r.c.offs[pr])
-	steps := r.c.steps[lo : lo+int(r.whi[pr]-r.wlo[pr])]
-	i, j := 0, len(steps)
+	before := r.whi[pr] - r.wlo[pr]
+	runs := r.c.runs[r.c.offs[pr]:r.c.offs[pr+1]]
+	i, j := 0, len(runs)
 	for i < j {
 		m := int(uint(i+j) >> 1)
-		if steps[m] < x {
+		if runs[m].end <= x {
 			i = m + 1
 		} else {
 			j = m
 		}
 	}
-	if i == 0 {
+	if i < len(runs) {
+		before = min(before, runs[i].base-runs[0].base+max(x-runs[i].start, 0))
+	}
+	if before == 0 {
 		return 0
 	}
-	return r.wins[int(r.wlo[pr])+i-1]
+	return r.wins[r.wlo[pr]+before-1]
 }
 
 // continueTailLane hands lane l to the scalar continuation on the

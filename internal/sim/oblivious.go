@@ -13,14 +13,15 @@ import (
 // each assignment Θ(σ) times, so a run spends almost all wall-clock
 // steps on jobs that are already finished or not yet eligible; the
 // step engine still scans all m machines at each of them. The
-// compiled engine instead stores, per job, the sorted list of prefix
-// steps that assign it — with the step's combined success probability
-// and mass precomputed — and walks jobs in topological order: a job's
+// compiled engine instead stores, per job, the runs of the schedule
+// that assign it — each with the combined success probability and mass
+// its steps share — and walks jobs in topological order: a job's
 // eligibility step is determined by its predecessors' completion
 // steps, and its own completion is sampled with exactly one uniform
 // draw per (eligible, assigned) step, just like the step engine.
 // Work per repetition is proportional to the number of completion
-// trials actually performed, not to makespan × machines.
+// trials actually performed, not to makespan × machines, and the
+// tables hold one entry per (job, run), not one per replicated step.
 //
 // Repetitions that survive the prefix fall back to the generic step
 // engine for the tail, seeded with the state the walk produced.
@@ -29,22 +30,32 @@ type compiledOblivious struct {
 	o         *sched.Oblivious
 	prefixLen int
 	topo      []int32
-	// Occurrences grouped by job: job j's assigned prefix steps are
-	// steps[offs[j]:offs[j+1]], ascending. succ is the combined
-	// single-step completion probability 1-Π(1-p_ij) over the machines
-	// assigned that step; mass is the (uncapped) Σ p_ij the step adds.
-	offs  []int32
-	steps []int32
-	succ  []float64
-	mass  []float64
+	// Runs grouped by job: job j's are runs[offs[j]:offs[j+1]], in step
+	// order. occurrences counts the (job, step) pairs they cover.
+	offs        []int32
+	runs        []jobRun
+	occurrences int
+}
+
+// jobRun is one (job, schedule run) pair: the run assigns the job on
+// every step of [start, end). succ is the combined single-step
+// completion probability 1-Π(1-p_ij) over the machines the run assigns
+// it, and mass the (uncapped) Σ p_ij each of those steps adds. The
+// occurrences — one per (job, assigned step) — are numbered job by job
+// in step order, and base is the number of the run's first step, so
+// step t's trial is occurrence base + t - start: the key the lane
+// remap draws it under.
+type jobRun struct {
+	start, end, base int32
+	succ, mass       float64
 }
 
 // workspace is the memory one compile fills: the tables of a
-// compiledOblivious (offs, steps, succ, mass and topo) and the
-// compile's n-sized scratch. compileOblivious keeps every backing
-// array that is large enough and allocates only what the instance or
-// the schedule outgrew, so a compile into a workspace from
-// workspacePool allocates nothing once the pool has seen the shape.
+// compiledOblivious (offs, runs and topo) and the compile's n-sized
+// scratch. compileOblivious keeps every backing array that is large
+// enough and allocates only what the instance or the schedule outgrew,
+// so a compile into a workspace from workspacePool allocates nothing
+// once the pool has seen the shape.
 type workspace struct {
 	c                  compiledOblivious
 	counts, last, next []int32
@@ -65,27 +76,24 @@ func (ws *workspace) release() {
 	workspacePool.Put(ws)
 }
 
-// compileOblivious builds the per-job occurrence lists of o into ws,
-// walking jobs in order, a topological order of in. It reads each run
-// the schedule stores (sched.Oblivious.Runs) once and fills the run's
-// occurrences from it, so the cost is O(runs × m + occurrences), paid
-// once per Prepare or one-shot call and shared read-only by every
-// worker. The tables are those of a per-step pass: a run's fail
-// products and masses are the same multiplications and additions,
-// over the same machines in the same order, as each of its steps would
-// make. The returned engine lives in ws and is valid until ws compiles
-// again.
+// compileOblivious builds the per-job run tables of o into ws, walking
+// jobs in order, a topological order of in. It reads each run the
+// schedule stores (sched.Oblivious.Runs) twice, once to count and once
+// to fill, and writes one entry per job the run assigns, so the cost is
+// O(runs × m) whatever σ is, paid once per Prepare or one-shot call and
+// shared read-only by every worker. A run's fail product and mass are
+// the multiplications and additions, over the same machines in the
+// same order, that each of its steps would make. The returned engine
+// lives in ws and is valid until ws compiles again.
 func compileOblivious(ws *workspace, in *model.Instance, o *sched.Oblivious, order []int) *compiledOblivious {
 	n := in.N
 	c := &ws.c
 	*c = compiledOblivious{in: in, o: o, prefixLen: o.Len(),
-		topo: reuse(c.topo, n), offs: reuse(c.offs, n+1),
-		steps: c.steps, succ: c.succ, mass: c.mass}
+		topo: reuse(c.topo, n), offs: reuse(c.offs, n+1), runs: c.runs}
 	for k, j := range order {
 		c.topo[k] = int32(j)
 	}
-	// First pass: count each job's occurrences, one per step of every
-	// run that assigns it.
+	// First pass: count each job's entries, one per run that assigns it.
 	runs, ends := o.Runs()
 	counts := reuse(ws.counts, n)
 	clear(counts)
@@ -93,29 +101,23 @@ func compileOblivious(ws *workspace, in *model.Instance, o *sched.Oblivious, ord
 	for j := range last {
 		last[j] = -1
 	}
-	t := 0
 	for k, a := range runs {
 		for _, j := range a {
 			if j == sched.Idle || j < 0 || j >= n || last[j] == int32(k) {
 				continue
 			}
 			last[j] = int32(k)
-			counts[j] += int32(ends[k] - t)
+			counts[j]++
 		}
-		t = ends[k]
 	}
 	c.offs[0] = 0
 	for j := 0; j < n; j++ {
 		c.offs[j+1] = c.offs[j] + counts[j]
 	}
-	// The second pass writes every occurrence, so the tables are not
-	// cleared.
-	total := int(c.offs[n])
-	c.steps = reuse(c.steps, total)
-	c.succ = reuse(c.succ, total)
-	c.mass = reuse(c.mass, total)
+	// The second pass writes every entry, so the table is not cleared.
+	c.runs = reuse(c.runs, int(c.offs[n]))
 	// Second pass: per run, accumulate each assigned job's fail product
-	// and mass over the machines, then fill one occurrence per step.
+	// and mass over the machines, then write the job's entry.
 	next := reuse(ws.next, n)
 	copy(next, c.offs[:n])
 	for j := range last {
@@ -125,7 +127,7 @@ func compileOblivious(ws *workspace, in *model.Instance, o *sched.Oblivious, ord
 	mass := reuse(ws.mass, n)
 	jobs := ws.jobs[:0]
 	p := in.Flat()
-	t = 0
+	t := 0
 	for k, a := range runs {
 		jobs = jobs[:0]
 		for i, j := range a {
@@ -144,18 +146,18 @@ func compileOblivious(ws *workspace, in *model.Instance, o *sched.Oblivious, ord
 			}
 		}
 		for _, j := range jobs {
-			succ := 1 - fail[j]
-			x := next[j]
-			for s := t; s < ends[k]; s++ {
-				c.steps[x] = int32(s)
-				c.succ[x] = succ
-				c.mass[x] = mass[j]
-				x++
-			}
-			next[j] = x
+			c.runs[next[j]] = jobRun{start: int32(t), end: int32(ends[k]), succ: 1 - fail[j], mass: mass[j]}
+			next[j]++
 		}
 		t = ends[k]
 	}
+	// Number the occurrences job by job, in step order.
+	occ := int32(0)
+	for e := range c.runs {
+		c.runs[e].base = occ
+		occ += c.runs[e].end - c.runs[e].start
+	}
+	c.occurrences = int(occ)
 	ws.counts, ws.last, ws.next, ws.fail, ws.mass, ws.jobs = counts, last, next, fail, mass, jobs
 	return c
 }
@@ -228,7 +230,9 @@ func (r *oblivRunner) run(maxSteps int, rng Rand) (int, bool) {
 	return oblivRun(r, maxSteps, seqDraw{rng: rng})
 }
 
-// oblivRun is the compiled walk over an arbitrary draw source.
+// oblivRun is the compiled walk over an arbitrary draw source. It
+// steps through each of a job's runs from the job's eligibility step,
+// one trial per step, keyed by the step's occurrence number.
 func oblivRun[D oblivDraw](r *oblivRunner, maxSteps int, d D) (int, bool) {
 	c := r.c
 	in := c.in
@@ -260,11 +264,11 @@ func oblivRun[D oblivDraw](r *oblivRunner, maxSteps int, d D) (int, bool) {
 		}
 		lo, hi := int(c.offs[j]), int(c.offs[j+1])
 		if elig > 0 {
-			// Lower-bound search for the first occurrence >= elig.
+			// Lower-bound search for the first run that ends after elig.
 			l, h := lo, hi
 			for l < h {
 				mid := int(uint(l+h) >> 1)
-				if c.steps[mid] < int32(elig) {
+				if c.runs[mid].end <= int32(elig) {
 					l = mid + 1
 				} else {
 					h = mid
@@ -273,18 +277,25 @@ func oblivRun[D oblivDraw](r *oblivRunner, maxSteps int, d D) (int, bool) {
 			lo = l
 		}
 		done := false
-		for k := lo; k < hi; k++ {
-			t := int(c.steps[k])
-			if t >= cap {
-				break
-			}
-			r.mass[j] += c.mass[k]
-			if d.trial(k, c.succ[k]) {
-				r.comp[j] = int32(t)
-				if t > maxComp {
-					maxComp = t
+	walk:
+		for e := lo; e < hi; e++ {
+			run := &c.runs[e]
+			start := max(int(run.start), elig)
+			end := min(int(run.end), cap)
+			k := int(run.base) + start - int(run.start)
+			for t := start; t < end; t++ {
+				r.mass[j] += run.mass
+				if d.trial(k, run.succ) {
+					r.comp[j] = int32(t)
+					if t > maxComp {
+						maxComp = t
+					}
+					done = true
+					break walk
 				}
-				done = true
+				k++
+			}
+			if int(run.end) >= cap {
 				break
 			}
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // Prepared is a reusable estimation context for one (instance,
-// policy) pair: the compiled oblivious per-job occurrence lists, built
+// policy) pair: the compiled oblivious per-job run tables, built
 // once and shared across estimation calls, or the engine decision for
 // a stationary policy. The per-call estimators prepare on every
 // invocation; a cache that keys Prepared values by instance
@@ -91,14 +91,19 @@ func (p *Prepared) Engine() (engine string, states int, buildMS float64) {
 	return "", 0, p.buildMS
 }
 
-// SizeBytes estimates the resident size of the compiled tables, for
-// cache accounting. Contexts without a table (generic, and compiled
+// SizeBytes is the charge a context makes against a cache's byte
+// budget (internal/serve's engine cache). It is a charge, not a
+// resident size: a compiled context is charged 20 bytes per
+// occurrence (a step, a success probability and a mass, what a table
+// of one entry per occurrence held), 4 per offs and topo entry, and
+// 256 more, while its tables keep one entry per (job, run), about σ
+// times fewer. Contexts without a table (generic, and compiled
 // adaptive, whose memo lives only for a call) are charged a nominal
 // footprint so cache math never divides by zero.
 func (p *Prepared) SizeBytes() int64 {
 	const word = 8
 	if c := p.compiled; c != nil {
-		return int64(len(c.steps))*(4+word+word) + int64(len(c.offs)+len(c.topo))*4 + 256
+		return int64(c.occurrences)*(4+word+word) + int64(len(c.offs)+len(c.topo))*4 + 256
 	}
 	return 256
 }

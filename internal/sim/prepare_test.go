@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"suu/internal/core"
@@ -83,5 +85,35 @@ func TestPreparedEngineRecord(t *testing.T) {
 	if gotSum != wantSum || gotInc != wantInc || gotEng.Engine != EngineGeneric {
 		t.Fatalf("observer prepared estimate %+v/%d engine %q, cold %+v/%d",
 			gotSum, gotInc, gotEng.Engine, wantSum, wantInc)
+	}
+}
+
+// TestPrepareAllocation pins what Prepare allocates against what it
+// charges: on independent 64x16 and on serve's independent 24x6 shape
+// it allocates under 2% of its SizeBytes charge, since its tables hold
+// one entry per (job, run) while the charge counts every occurrence;
+// tables of one entry per occurrence would allocate about 100% of it.
+// The pin reads the median of nine calls.
+func TestPrepareAllocation(t *testing.T) {
+	for _, in := range []*model.Instance{
+		workload.Independent(workload.Config{Jobs: 64, Machines: 16, Seed: 3}),
+		workload.Independent(workload.Config{Jobs: 24, Machines: 6, Seed: 21}),
+	} {
+		o := autoOblivious(t, in)
+		size := Prepare(in, o).SizeBytes()
+		perCall := make([]int64, 9)
+		var before, after runtime.MemStats
+		for i := range perCall {
+			runtime.ReadMemStats(&before)
+			Prepare(in, o)
+			runtime.ReadMemStats(&after)
+			perCall[i] = int64(after.TotalAlloc - before.TotalAlloc)
+		}
+		slices.Sort(perCall)
+		median := perCall[len(perCall)/2]
+		t.Logf("%dx%d: Prepare allocates %d B in the median call, charges %d B", in.N, in.M, median, size)
+		if median*50 >= size {
+			t.Errorf("%dx%d: Prepare allocates %d B in the median call, want < SizeBytes/50 = %d B", in.N, in.M, median, size/50)
+		}
 	}
 }

@@ -17,8 +17,10 @@ import (
 // TestWarmOneShotLaneEstimateAllocation pins what a warm one-shot lane
 // estimate allocates once the pools hold its workspace, lane workers
 // and window: independent 64x16 at 2048 repetitions on 2 workers
-// allocates under 1% of the engine Prepare builds for it. Compiling
-// fresh tables per call costs about 100% of it.
+// allocates under 1% of the SizeBytes charge of the engine Prepare
+// builds for it. Compiling fresh run tables per call costs about 0.7%
+// of that charge (TestPrepareAllocation), so the pin no longer tells a
+// pool hit from a miss; it pins that no per-occurrence table returns.
 //
 // The pin reads the median call. A pool cannot hand a goroutine what
 // another processor holds in its private slot, so a call whose

@@ -53,14 +53,23 @@ func fill[T any](s []T, v T) {
 // poisonWorkspace fills every array ws owns, up to capacity, with
 // values no compile writes (NaN, -1), and marks the workspace unused.
 func poisonWorkspace(ws *workspace) {
-	for _, s := range [][]int32{ws.c.topo, ws.c.offs, ws.c.steps, ws.counts, ws.last, ws.next} {
+	for _, s := range [][]int32{ws.c.topo, ws.c.offs, ws.counts, ws.last, ws.next} {
 		fill(s, -1)
 	}
-	for _, s := range [][]float64{ws.c.succ, ws.c.mass, ws.fail, ws.mass} {
+	fill(ws.c.runs, jobRun{start: -1, end: -1, base: -1, succ: math.NaN(), mass: math.NaN()})
+	for _, s := range [][]float64{ws.fail, ws.mass} {
 		fill(s, math.NaN())
 	}
 	fill(ws.jobs, -1)
-	ws.c.prefixLen = -1
+	ws.c.prefixLen, ws.c.occurrences = -1, -1
+}
+
+// runsEqual compares run tables entry for entry, floats bit for bit.
+func runsEqual(a, b []jobRun) bool {
+	return slices.EqualFunc(a, b, func(x, y jobRun) bool {
+		return x.start == y.start && x.end == y.end && x.base == y.base &&
+			math.Float64bits(x.succ) == math.Float64bits(y.succ) && math.Float64bits(x.mass) == math.Float64bits(y.mass)
+	})
 }
 
 // poisonedLaneWorker is a pooled lane worker whose buffers hold
@@ -216,12 +225,11 @@ func TestReusedWorkspaceCompileMatchesPrepare(t *testing.T) {
 		o, order := compilable(in, autoOblivious(t, in))
 		got := compileOblivious(ws, in, o, order)
 		want := Prepare(in, o).compiled
-		if got.prefixLen != want.prefixLen || !slices.Equal(got.topo, want.topo) ||
-			!slices.Equal(got.offs, want.offs) || !slices.Equal(got.steps, want.steps) ||
-			!bitsEqual(got.succ, want.succ) || !bitsEqual(got.mass, want.mass) {
+		if got.prefixLen != want.prefixLen || got.occurrences != want.occurrences ||
+			!slices.Equal(got.topo, want.topo) || !slices.Equal(got.offs, want.offs) || !runsEqual(got.runs, want.runs) {
 			t.Errorf("%d jobs: tables compiled into a reused workspace differ from Prepare's", in.N)
 		}
-		if cap(want.steps) != len(want.steps) || cap(want.succ) != len(want.succ) || cap(want.mass) != len(want.mass) {
+		if cap(want.runs) != len(want.runs) {
 			t.Errorf("%d jobs: Prepare's tables have spare capacity", in.N)
 		}
 	}
