@@ -49,8 +49,9 @@
 //
 // ExactMakespan is the oracle: it propagates probability mass over
 // (unfinished set, regime vector) one step at a time and returns the
-// exact expected capped makespan of a static or adaptive strategy on
-// scenarios of about ten jobs and three regime machines. It is also
-// the exact evaluator of fixed oblivious schedules on the static
-// problem (the event-free scenario New(in)).
+// exact expected capped makespan of a static or adaptive strategy. The
+// unfinished sets are the closed sets of dag.Lattice, and up to 2^20
+// states fit: chains 20×4 with three regime machines has 1,296 closed
+// sets. It is also the exact evaluator of fixed oblivious schedules on
+// the static problem (the event-free scenario New(in)).
 package dyn

@@ -7,9 +7,9 @@ import (
 	"suu/internal/sched"
 )
 
-// maxExactBits caps ExactMakespan's state space at 2^20: 2^n
-// unfinished sets times 2^k regime vectors, for the k machines that
-// carry a regime, so n + k ≤ 20.
+// maxExactBits caps ExactMakespan's state space at 2^20: the closed
+// sets of the precedence dag times 2^k regime vectors, for the k
+// machines that carry a regime.
 const maxExactBits = 20
 
 // exactTol is the truncation error ExactMakespan accepts short of the
@@ -23,7 +23,9 @@ const exactTol = 1e-12
 //
 // It pushes probability mass forward one step at a time over states
 // (unfinished set, regime vector of the regime machines) and sums
-// P(T > t) over t < maxSteps. Arrivals and outages are functions of
+// P(T > t) over t < maxSteps. An unfinished set is always closed under
+// successors in the precedence dag, so mass is indexed by the sets of
+// dag.Lattice, not by all 2^n. Arrivals and outages are functions of
 // the step, so they add no state. Each step follows the walk: the
 // regime transition comes first (step 0 included), then the strategy
 // assigns from the visible state, and every up machine assigned an
@@ -39,9 +41,9 @@ const exactTol = 1e-12
 // the visible state. That holds for AdaptiveStrategy, and for
 // StaticStrategy over any deterministic policy: oblivious schedules,
 // regimens, the adaptive policies. Outcome observers, RollingStrategy
-// (its plan is hidden state) and more than 2^20 states are errors. The
-// cost is O(steps × live states × 2^k × 2^(jobs trialed)), meant for
-// n ≤ 10 jobs and at most 3 regime machines.
+// (its plan is hidden state) and more than 2^20 states (closed sets ×
+// 2^k regime vectors) are errors. The cost is O(steps × live sets ×
+// 2^k × 2^(jobs trialed)).
 func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, residual float64, err error) {
 	switch s := strat.(type) {
 	case *AdaptiveStrategy:
@@ -61,19 +63,13 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, residual f
 	}
 	in := sc.In
 	n, m, k := in.N, in.M, len(tl.Regimes)
-	if n+k > maxExactBits {
-		return 0, 0, fmt.Errorf("dyn: ExactMakespan needs 2^%d states, above the cap of 2^%d", n+k, maxExactBits)
+	lat, err := in.Prec.Lattice(1 << maxExactBits >> k)
+	if err != nil {
+		return 0, 0, fmt.Errorf("dyn: ExactMakespan caps closed sets × 2^%d regime vectors at 2^%d states: %w", k, maxExactBits, err)
 	}
 	nk := 1 << k
 
-	// preds[j] is the set of j's predecessors; slot[i] is machine i's
-	// bit in a regime vector, or -1.
-	preds := make([]uint32, n)
-	for j := range preds {
-		for _, p := range in.Prec.Preds(j) {
-			preds[j] |= 1 << p
-		}
-	}
+	// slot[i] is machine i's bit in a regime vector, or -1.
 	slot := make([]int, m)
 	for i := range slot {
 		slot[i] = -1
@@ -82,14 +78,16 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, residual f
 		slot[rm.Machine] = r
 	}
 
-	// cur and next hold the mass of (unfinished set s, regime vector v)
-	// at index s·2^k + v; live lists the sets that carry mass.
-	cur := make([]float64, nk<<n)
-	next := make([]float64, nk<<n)
-	listed := make([]bool, 1<<n)
-	full := uint32(1)<<n - 1
+	// cur and next hold the mass of (unfinished set i, regime vector v)
+	// at index i·2^k + v, where i indexes lat.Masks; live lists the sets
+	// that carry mass. Index 0 is the empty set, the last the full set.
+	ns := len(lat.Masks)
+	cur := make([]float64, ns*nk)
+	next := make([]float64, ns*nk)
+	listed := make([]bool, ns)
+	full := int32(ns - 1)
 	cur[int(full)*nk] = 1
-	live, nextLive := []uint32{full}, []uint32(nil)
+	live, nextLive := []int32{full}, []int32(nil)
 
 	w := strat.NewWalker()
 	st := sched.State{
@@ -102,7 +100,7 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, residual f
 	var trials []trial
 	var jobs []int             // trialed jobs, in order of first trial
 	fail := make([]float64, n) // per trialed job, for one regime vector
-	succ := make([]uint32, 1)  // subset DP: successor set of each outcome
+	succ := make([]int32, 1)   // subset DP: successor set of each outcome
 	prob := make([]float64, 1) // and its probability
 	unfinished := 1.0          // P(T > t)
 	mean = unfinished
@@ -124,8 +122,8 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, residual f
 		}
 		st.Step, st.Epoch = t, epoch
 
-		for _, s := range live {
-			row := cur[int(s)*nk : int(s+1)*nk]
+		for _, li := range live {
+			row := cur[int(li)*nk : int(li+1)*nk]
 			for r, rm := range tl.Regimes {
 				gb, bg := rm.GoodToBad, rm.BadToGood
 				for v := 0; v < nk; v++ {
@@ -137,9 +135,10 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, residual f
 				}
 			}
 
+			s, el := lat.Masks[li], lat.Elig[li]
 			for j := 0; j < n; j++ {
 				st.Unfinished[j] = s>>j&1 == 1
-				st.Eligible[j] = st.Unfinished[j] && st.Arrived[j] && preds[j]&s == 0
+				st.Eligible[j] = el>>j&1 == 1 && st.Arrived[j]
 			}
 			a := w.Assign(&st)
 			trials, jobs = trials[:0], jobs[:0]
@@ -158,7 +157,15 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, residual f
 				}
 			}
 			if need := 1 << len(jobs); len(succ) < need {
-				succ, prob = make([]uint32, need), make([]float64, need)
+				succ, prob = make([]int32, need), make([]float64, need)
+			}
+			// Outcome x completes the jobs of the bits set in x, in the
+			// order of jobs; its successor set does not depend on v.
+			succ[0] = li
+			for b, j := range jobs {
+				for x := 0; x < 1<<b; x++ {
+					succ[1<<b+x] = lat.Without(succ[x], j)
+				}
 			}
 
 			for v, mass := range row {
@@ -176,11 +183,10 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, residual f
 					fail[tr.job] *= 1 - p
 				}
 				size := 1
-				succ[0], prob[0] = s, mass
+				prob[0] = mass
 				for _, j := range jobs {
 					f := fail[j]
 					for x := 0; x < size; x++ {
-						succ[size+x] = succ[x] &^ (1 << j)
 						prob[size+x] = prob[x] * (1 - f)
 						prob[x] *= f
 					}
@@ -202,9 +208,9 @@ func ExactMakespan(sc *Scenario, strat Strategy, maxSteps int) (mean, residual f
 		}
 
 		unfinished = 0
-		for _, s := range nextLive {
-			listed[s] = false
-			for _, x := range next[int(s)*nk : int(s+1)*nk] {
+		for _, li := range nextLive {
+			listed[li] = false
+			for _, x := range next[int(li)*nk : int(li+1)*nk] {
 				unfinished += x
 			}
 		}

@@ -333,3 +333,98 @@ func TestStaticEnginesMatchExactMakespan(t *testing.T) {
 		}
 	}
 }
+
+// burstyWorkload is the seed-7 workload instance of the exact
+// evaluator's capacity pins, one chain per machine or one out-tree,
+// with Burst(i, 0.3, 0.9, 0.2) on machines 0–2.
+func burstyWorkload(jobs, machines int, tree bool) *Scenario {
+	cfg := workload.Config{Jobs: jobs, Machines: machines, Seed: 7}
+	in := workload.Chains(cfg, machines)
+	if tree {
+		in = workload.OutTree(cfg)
+	}
+	return New(in).Burst(0, 0.3, 0.9, 0.2).Burst(1, 0.3, 0.9, 0.2).Burst(2, 0.3, 0.9, 0.2)
+}
+
+// TestExactMakespanGolden pins ExactMakespan's mean and residual bit
+// for bit: both strategies on every exactCases entry, and the adaptive
+// strategy on three bursty workload instances of 180, 294 and 2,401
+// closed sets (chains 14×3, chains 17×3, out-tree 17×4). The bits were
+// recorded when the evaluator kept its mass in dense arrays over all
+// 2^n unfinished sets, so they tie the lattice indexing to the dense
+// one.
+func TestExactMakespanGolden(t *testing.T) {
+	type pin struct {
+		mean, residual uint64
+	}
+	want := map[string]pin{
+		"independent, regime on one machine/static":     {0x4094071f4ae6cb03, 0x3d665a0bd7a1d68f},
+		"independent, regime on one machine/adaptive":   {0x400add3bcbde4913, 0x3d6c6524fe68907f},
+		"chains, arrival/static":                        {0x40a2c30b03d2f71c, 0x3d70c114066f145f},
+		"chains, arrival/adaptive":                      {0x4022a068f036cc0e, 0x3d7092870beae93c},
+		"forest, outage across a run boundary/static":   {0x406e204cb4ade700, 0x3d6b90667d1746f4},
+		"forest, outage across a run boundary/adaptive": {0x401475ab8e3ea67f, 0x3d607db92bfc854f},
+		"forest, regime on every machine/static":        {0x406e2131d84ef723, 0x3d6407c0ca0e9b50},
+		"forest, regime on every machine/adaptive":      {0x40207aa1320d7db9, 0x3d7126680502e582},
+		"independent, fast flips/static":                {0x40940c098d20a4f3, 0x3d69004216d36ec8},
+		"independent, fast flips/adaptive":              {0x40117e2c8f8dedc7, 0x3d65fff54a14860e},
+		"chains, absorbing bad state/static":            {0x40a2c5813661e6db, 0x3d6e898360b8439f},
+		"chains, absorbing bad state/adaptive":          {0x40201e70d6c536df, 0x3d7058c4037c310b},
+		"nil-tail cycling schedule/static":              {0x4049cd1c86ed1775, 0x3d70f46d9750550b},
+		"nil-tail cycling schedule/adaptive":            {0x401e2a8ef54d010f, 0x3d6ffffae5445332},
+		"step cap inside a run/static":                  {0x402be9d7510cfe66, 0x3fee9d7510cfe65b},
+		"step cap inside a run/adaptive":                {0x4016643cc4919a2a, 0x3fa14d61e42e5a06},
+		"chains 14x3/adaptive":                          {0x40271046e4a47d79, 0x3d70ef07f8533812}, // 11.531790871695863
+		"chains 17x3/adaptive":                          {0x402dc4fb97892bfd, 0x3d70afc3902a1ded}, // 14.884731994146927
+		"out-tree 17x4/adaptive":                        {0x4025715924a94146, 0x3d6be9ed01ed208f}, // 10.72138323370076
+	}
+	type run struct {
+		name     string
+		sc       *Scenario
+		strat    Strategy
+		maxSteps int
+	}
+	var runs []run
+	for _, c := range exactCases(t) {
+		for _, strat := range []Strategy{NewStatic(c.sc, c.pol), NewAdaptive(c.sc)} {
+			runs = append(runs, run{c.name, c.sc, strat, c.maxSteps})
+		}
+	}
+	for _, c := range []struct {
+		name           string
+		jobs, machines int
+		tree           bool
+	}{{"chains 14x3", 14, 3, false}, {"chains 17x3", 17, 3, false}, {"out-tree 17x4", 17, 4, true}} {
+		sc := burstyWorkload(c.jobs, c.machines, c.tree)
+		runs = append(runs, run{c.name, sc, NewAdaptive(sc), 100_000})
+	}
+	if len(runs) != len(want) {
+		t.Fatalf("%d runs, %d pins", len(runs), len(want))
+	}
+	for _, r := range runs {
+		key := r.name + "/" + r.strat.Name()
+		mean, residual, err := ExactMakespan(r.sc, r.strat, r.maxSteps)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if got := (pin{math.Float64bits(mean), math.Float64bits(residual)}); got != want[key] {
+			t.Errorf("%s: (mean, residual) = (%v, %v), pinned (%v, %v)", key, mean, residual,
+				math.Float64frombits(want[key].mean), math.Float64frombits(want[key].residual))
+		}
+	}
+}
+
+// TestExactMakespanChains20x4 evaluates chains 20×4 with three regime
+// machines: 1,296 closed sets × 2^3 regime vectors, where all 2^20
+// unfinished sets would need 2^23 states. The dynamic walk must land
+// within 4 standard errors of the value.
+func TestExactMakespanChains20x4(t *testing.T) {
+	sc := burstyWorkload(20, 4, false)
+	strat := NewAdaptive(sc)
+	want := exact(t, sc, strat, 100_000)
+	sum, _, _, err := EstimateInfo(sc, strat, pinReps, 100_000, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	within4SE(t, "chains 20x4", sum, want)
+}

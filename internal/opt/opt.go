@@ -141,23 +141,23 @@ func successProbs(in *model.Instance, a sched.Assignment, el []int) []float64 {
 // the reach matches OptimalRegimen (MaxStates closed states), not the
 // oracle's MaxJobs bound.
 func ExactRegimen(in *model.Instance, r *sched.Regimen) (float64, error) {
-	sp, err := enumerateClosed(in, in.M)
+	lat, err := lattice(in)
 	if err != nil {
 		return 0, err
 	}
-	ns := len(sp.masks)
+	ns := len(lat.Masks)
 	value := make([]float64, ns)
 	unfinished := make([]bool, in.N)
 	state := &sched.State{Unfinished: unfinished}
 	pos := make([]int32, in.N) // job → eligible slot of the current state
-	fail := make([]float64, sp.maxK)
-	slotJob := make([]int, sp.maxK)
+	fail := make([]float64, lat.MaxK)
+	slotJob := make([]int, lat.MaxK)
 	trial := make([]int32, 0, in.M)
 	succ := make([]int32, 1) // successor state of each subset in the DP
 	pv := make([]float64, 1) // probabilities parallel to succ
 	for si := 1; si < ns; si++ {
-		s := sp.masks[si]
-		elm := sp.elig[si]
+		s := lat.Masks[si]
+		elm := lat.Elig[si]
 		k := 0
 		for e := elm; e != 0; e &= e - 1 {
 			j := bits.TrailingZeros64(e)
@@ -214,7 +214,7 @@ func ExactRegimen(in *model.Instance, r *sched.Regimen) (float64, error) {
 			q := 1 - f
 			j := slotJob[trial[i]]
 			for x := 0; x < size; x++ {
-				succ[size+x] = sp.without(succ[x], j)
+				succ[size+x] = lat.Without(succ[x], j)
 				pv[size+x] = pv[x] * q
 				pv[x] *= f
 			}
@@ -317,16 +317,16 @@ func OptimalRegimenExhaustive(in *model.Instance) (*sched.Regimen, float64, erro
 // runs MSM-style greedy matching supplied by assign; it is a helper to
 // freeze an adaptive policy into a regimen for exact evaluation.
 func GreedyRegimen(in *model.Instance, assign func(unfinished, eligible []bool) sched.Assignment) (*sched.Regimen, error) {
-	sp, err := enumerateClosed(in, in.M)
+	lat, err := lattice(in)
 	if err != nil {
 		return nil, err
 	}
 	reg := sched.NewRegimen(in.N, in.M)
 	unf := make([]bool, in.N)
 	elig := make([]bool, in.N)
-	for si := 1; si < len(sp.masks); si++ {
-		s := sp.masks[si]
-		elm := sp.elig[si]
+	for si := 1; si < len(lat.Masks); si++ {
+		s := lat.Masks[si]
+		elm := lat.Elig[si]
 		for j := 0; j < in.N; j++ {
 			unf[j] = s&(1<<uint(j)) != 0
 			elig[j] = elm&(1<<uint(j)) != 0
@@ -339,12 +339,9 @@ func GreedyRegimen(in *model.Instance, assign func(unfinished, eligible []bool) 
 // StateCount returns the number of reachable (closed) states — a
 // difficulty measure reported by the experiment harness.
 func StateCount(in *model.Instance) (int, error) {
-	sp, err := enumerateClosed(in, in.M)
+	lat, err := lattice(in)
 	if err != nil {
 		return 0, err
 	}
-	return len(sp.masks), nil
+	return len(lat.Masks), nil
 }
-
-// Popcount of uint64, exported for tests of the state enumeration.
-func popcount(x uint64) int { return bits.OnesCount64(x) }

@@ -49,11 +49,11 @@ func Transitions(in *model.Instance, s uint64, a sched.Assignment) []Transition 
 // generation, so the limit is MaxStates generated states rather than
 // the oracle's MaxJobs.
 func ClosedStates(in *model.Instance) ([]uint64, error) {
-	sp, err := enumerateClosed(in, in.M)
+	lat, err := lattice(in)
 	if err != nil {
 		return nil, err
 	}
-	out := append([]uint64(nil), sp.masks...)
+	out := append([]uint64(nil), lat.Masks...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
 }

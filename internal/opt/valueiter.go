@@ -5,12 +5,13 @@
 // 2^eligible subset sums of the exhaustive Malewicz-style DP (retained
 // in opt.go as OptimalRegimenExhaustive, the parity oracle) with:
 //
-//   - Direct down-set generation: closed states (successor-closed
-//     unfinished sets) are enumerated by BFS from the all-unfinished
-//     state, removing one eligible job at a time. Every closed state of
-//     a DAG is reachable this way, so the enumeration visits exactly
-//     the reachable lattice — chains at n=20 have ~10^3 states where
-//     the old scan would have tested 2^20 masks.
+//   - Direct down-set generation: the closed states (successor-closed
+//     unfinished sets) come from dag.Lattice, which enumerates them by
+//     BFS from the all-unfinished state, removing one eligible job at a
+//     time. Every closed state of a DAG is reachable this way, so the
+//     enumeration visits exactly the reachable lattice — chains at n=20
+//     have ~10^3 states where the old scan would have tested 2^20
+//     masks.
 //   - Popcount layers with a worker pool: states within one layer have
 //     no value dependencies (transitions strictly shrink the state), so
 //     a layer is solved by workers pulling disjoint index ranges.
@@ -22,7 +23,7 @@
 //     once into a flat table indexed by slot mask (the adaptState
 //     representation of internal/sim/adaptive.go, with values in place
 //     of state ids). The table is filled by chaining single removals
-//     through the lattice's successor array (stateSpace.without), so no
+//     through the lattice's successor array (dag.Lattice.Without), so no
 //     state is looked up by mask once the lattice is built. Note that
 //     for closed states the eligible set is exactly the set of minimal
 //     elements and determines the state (S is the union of the
@@ -67,11 +68,11 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 
+	"suu/internal/dag"
 	"suu/internal/model"
 	"suu/internal/sched"
 )
@@ -130,132 +131,14 @@ type Stats struct {
 	ClosedForm  int   // states solved by the ≤2-unfinished closed forms
 }
 
-// stateSpace is the enumerated closed-state lattice, sorted by
-// (popcount, mask) so contiguous ranges form the popcount layers.
-type stateSpace struct {
-	n     int
-	masks []uint64 // masks[0] == 0, masks[len-1] == full
-	elig  []uint64 // eligible (minimal-element) mask per state
-	// succ[succOff[t]+r] is the index of state t with its r-th eligible
-	// job (in increasing job order) finished; see without.
-	succ     []int32
-	succOff  []int32
-	layerOff []int32 // layer c states are masks[layerOff[c]:layerOff[c+1]]
-	maxK     int     // max popcount of elig
-}
-
-// without returns the index of state t with job j finished; j must be
-// eligible in t. A job eligible in t stays eligible after another
-// eligible job finishes, so chaining without removes any subset of
-// t's eligible jobs.
-func (sp *stateSpace) without(t int32, j int) int32 {
-	return sp.succ[sp.succOff[t]+int32(bits.OnesCount64(sp.elig[t]&(1<<uint(j)-1)))]
-}
-
-// eligMask returns the eligible jobs of s: unfinished jobs whose
-// predecessors are all finished (the minimal elements of s).
-func eligMask(s uint64, pred []uint64) uint64 {
-	var el uint64
-	for t := s; t != 0; t &= t - 1 {
-		j := bits.TrailingZeros64(t)
-		if pred[j]&s == 0 {
-			el |= 1 << uint(j)
-		}
+// lattice returns in's closed-state lattice, or a *TooLargeError
+// naming the states limit when it holds more than MaxStates states.
+func lattice(in *model.Instance) (*dag.Lattice, error) {
+	lat, err := in.Prec.Lattice(MaxStates)
+	if se, ok := err.(*dag.StatesError); ok {
+		return nil, &TooLargeError{N: in.N, M: in.M, States: se.States, Limit: "states"}
 	}
-	return el
-}
-
-// enumerateClosed generates every closed state reachable from the
-// all-unfinished state by BFS over single eligible-job removals. For a
-// DAG this is exactly the set of successor-closed masks. m only labels
-// the error.
-func enumerateClosed(in *model.Instance, m int) (*stateSpace, error) {
-	n := in.N
-	if n > 64 {
-		return nil, &TooLargeError{N: n, M: m, Limit: "states"}
-	}
-	pred := make([]uint64, n)
-	isolated := 0
-	for j := 0; j < n; j++ {
-		for _, p := range in.Prec.Preds(j) {
-			pred[j] |= 1 << uint(p)
-		}
-	}
-	for j := 0; j < n; j++ {
-		if pred[j] == 0 && len(in.Prec.Succs(j)) == 0 {
-			isolated++
-		}
-	}
-	// Cheap refusal: c isolated jobs alone generate 2^c closed states,
-	// so the BFS below would only burn MaxStates of work to learn the
-	// same answer.
-	if isolated > bits.Len(uint(MaxStates))-1 {
-		return nil, &TooLargeError{N: n, M: m, States: MaxStates + 1, Limit: "states"}
-	}
-	full := uint64(1)<<uint(n) - 1
-	idx := make(map[uint64]int32, 1024)
-	found := make([]uint64, 1, 1024)
-	found[0] = full
-	idx[full] = 0
-	if full != 0 {
-		// The empty state is reachable for any DAG; seed it so even
-		// degenerate (cyclic) precedence keeps the terminal state.
-		idx[0] = 1
-		found = append(found, 0)
-	}
-	for head := 0; head < len(found); head++ {
-		s := found[head]
-		for e := eligMask(s, pred); e != 0; e &= e - 1 {
-			s2 := s &^ (e & -e)
-			if _, ok := idx[s2]; !ok {
-				if len(found) >= MaxStates {
-					return nil, &TooLargeError{N: n, M: m, States: len(found) + 1, Limit: "states"}
-				}
-				idx[s2] = int32(len(found))
-				found = append(found, s2)
-			}
-		}
-	}
-	// Sort by (popcount, mask): bucket the states by popcount, then
-	// sort each layer.
-	ns := len(found)
-	sp := &stateSpace{
-		n:        n,
-		masks:    make([]uint64, ns),
-		elig:     make([]uint64, ns),
-		succOff:  make([]int32, ns+1),
-		layerOff: make([]int32, n+2),
-	}
-	for _, s := range found {
-		sp.layerOff[bits.OnesCount64(s)+1]++
-	}
-	for c := 1; c <= n+1; c++ {
-		sp.layerOff[c] += sp.layerOff[c-1]
-	}
-	next := slices.Clone(sp.layerOff)
-	for _, s := range found {
-		c := bits.OnesCount64(s)
-		sp.masks[next[c]] = s
-		next[c]++
-	}
-	for c := 0; c <= n; c++ {
-		slices.Sort(sp.masks[sp.layerOff[c]:sp.layerOff[c+1]])
-	}
-	for i, s := range sp.masks {
-		idx[s] = int32(i)
-		el := eligMask(s, pred)
-		sp.elig[i] = el
-		k := bits.OnesCount64(el)
-		sp.maxK = max(sp.maxK, k)
-		sp.succOff[i+1] = sp.succOff[i] + int32(k)
-	}
-	sp.succ = make([]int32, 0, sp.succOff[ns])
-	for i, s := range sp.masks {
-		for e := sp.elig[i]; e != 0; e &= e - 1 {
-			sp.succ = append(sp.succ, idx[s&^(e&-e)])
-		}
-	}
-	return sp, nil
+	return lat, err
 }
 
 // powCap returns k^m, capped at limit+1.
@@ -273,7 +156,7 @@ func powCap(k, m int, limit int64) int64 {
 // viSolver holds the shared state of one value-iteration run.
 type viSolver struct {
 	in      *model.Instance
-	sp      *stateSpace
+	lat     *dag.Lattice
 	value   []float64
 	assigns []sched.Assignment
 }
@@ -343,7 +226,7 @@ func padded[T any](n int) []T {
 }
 
 func newVIWorker(vs *viSolver) *viWorker {
-	k := vs.sp.maxK
+	k := vs.lat.MaxK
 	m := vs.in.M
 	t := min(m, k)
 	w := &viWorker{
@@ -411,7 +294,7 @@ func (w *viWorker) fillSuccRec(start int, mask uint32, t int32, depth int) {
 		return
 	}
 	for d := start; d < w.k; d++ {
-		w.fillSuccRec(d+1, mask|1<<uint(d), w.vs.sp.without(t, w.el[d]), depth+1)
+		w.fillSuccRec(d+1, mask|1<<uint(d), w.vs.lat.Without(t, w.el[d]), depth+1)
 	}
 }
 
@@ -625,11 +508,11 @@ func (w *viWorker) dfs(i int) {
 // eligible, are finished here and report false.
 func (w *viWorker) begin(si int32) bool {
 	vs := w.vs
-	if bits.OnesCount64(vs.sp.masks[si]) <= 2 {
+	if bits.OnesCount64(vs.lat.Masks[si]) <= 2 {
 		w.solveTerminal(si)
 		return false
 	}
-	elm := vs.sp.elig[si]
+	elm := vs.lat.Elig[si]
 	if elm == 0 {
 		// No eligible job (cyclic precedence): permanently stuck.
 		vs.value[si] = math.Inf(1)
@@ -710,7 +593,7 @@ func (w *viWorker) solveState(si int32) {
 func (w *viWorker) solveTerminal(si int32) {
 	vs := w.vs
 	in := vs.in
-	s := vs.sp.masks[si]
+	s := vs.lat.Masks[si]
 	m := in.M
 	w.closedForm++
 	switch bits.OnesCount64(s) {
@@ -733,7 +616,7 @@ func (w *viWorker) solveTerminal(si int32) {
 	case 2:
 		a := bits.TrailingZeros64(s)
 		b := bits.TrailingZeros64(s &^ (1 << uint(a)))
-		elm := vs.sp.elig[si]
+		elm := vs.lat.Elig[si]
 		if bits.OnesCount64(elm) == 1 {
 			// Chain: only the head is eligible; gang it, then the
 			// remaining single job.
@@ -747,7 +630,7 @@ func (w *viWorker) solveTerminal(si int32) {
 				return
 			}
 			q := 1 - fail
-			vs.value[si] = (1 + q*vs.value[vs.sp.without(si, head)]) / q
+			vs.value[si] = (1 + q*vs.value[vs.lat.Without(si, head)]) / q
 			as := make(sched.Assignment, m)
 			for i := range as {
 				as[i] = head
@@ -757,8 +640,8 @@ func (w *viWorker) solveTerminal(si int32) {
 		}
 		// Antichain pair: enumerate the 2^m splits of machines onto
 		// {a, b}; bit i of msk sends machine i to b.
-		va := vs.value[vs.sp.without(si, b)] // b done, a remains
-		vb := vs.value[vs.sp.without(si, a)] // a done, b remains
+		va := vs.value[vs.lat.Without(si, b)] // b done, a remains
+		vb := vs.value[vs.lat.Without(si, a)] // a done, b remains
 		best := math.Inf(1)
 		bestMsk := -1
 		for msk := 0; msk < 1<<uint(m); msk++ {
@@ -821,20 +704,20 @@ func solveLattice(in *model.Instance, workers int) (*viSolver, *Stats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sp, err := enumerateClosed(in, in.M)
+	lat, err := lattice(in)
 	if err != nil {
 		return nil, nil, err
 	}
-	if need := powCap(sp.maxK, in.M, MaxAssignmentsPerState); need > MaxAssignmentsPerState {
+	if need := powCap(lat.MaxK, in.M, MaxAssignmentsPerState); need > MaxAssignmentsPerState {
 		return nil, nil, &TooLargeError{
-			N: in.N, M: in.M, States: len(sp.masks),
-			Eligible: sp.maxK, Need: need, Limit: "assignments",
+			N: in.N, M: in.M, States: len(lat.Masks),
+			Eligible: lat.MaxK, Need: need, Limit: "assignments",
 		}
 	}
-	ns := len(sp.masks)
+	ns := len(lat.Masks)
 	vs := &viSolver{
 		in:      in,
-		sp:      sp,
+		lat:     lat,
 		value:   make([]float64, ns),
 		assigns: make([]sched.Assignment, ns),
 	}
@@ -843,9 +726,9 @@ func solveLattice(in *model.Instance, workers int) (*viSolver, *Stats, error) {
 	for i := range ws {
 		ws[i] = newVIWorker(vs)
 	}
-	st := &Stats{States: ns, MaxEligible: sp.maxK, Workers: workers}
-	for c := 1; c <= sp.n; c++ {
-		lo, hi := sp.layerOff[c], sp.layerOff[c+1]
+	st := &Stats{States: ns, MaxEligible: lat.MaxK, Workers: workers}
+	for c := 1; c <= in.N; c++ {
+		lo, hi := lat.LayerOff[c], lat.LayerOff[c+1]
 		if lo == hi {
 			continue
 		}
@@ -886,10 +769,10 @@ func solveLattice(in *model.Instance, workers int) (*viSolver, *Stats, error) {
 // regimen returns the solved assignments as a regimen, and the value
 // of the all-unfinished state.
 func (vs *viSolver) regimen() (*sched.Regimen, float64) {
-	sp := vs.sp
+	masks := vs.lat.Masks
 	reg := sched.NewRegimen(vs.in.N, vs.in.M)
-	for i := 1; i < len(sp.masks); i++ {
-		reg.F[sp.masks[i]] = vs.assigns[i]
+	for i := 1; i < len(masks); i++ {
+		reg.F[masks[i]] = vs.assigns[i]
 	}
-	return reg, vs.value[len(sp.masks)-1]
+	return reg, vs.value[len(masks)-1]
 }

@@ -288,21 +288,21 @@ func fullEnumeration(w *viWorker, si int32) {
 // states wider than svFlatMaxK use.
 func solveInOrder(t *testing.T, in *model.Instance, mapTable bool, solve func(*viWorker, int32)) *viSolver {
 	t.Helper()
-	sp, err := enumerateClosed(in, in.M)
+	lat, err := lattice(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vs := &viSolver{
 		in:      in,
-		sp:      sp,
-		value:   make([]float64, len(sp.masks)),
-		assigns: make([]sched.Assignment, len(sp.masks)),
+		lat:     lat,
+		value:   make([]float64, len(lat.Masks)),
+		assigns: make([]sched.Assignment, len(lat.Masks)),
 	}
 	w := newVIWorker(vs)
 	if mapTable {
 		w.sv, w.svMap = nil, make(map[uint32]float64)
 	}
-	for si := int32(1); si < int32(len(sp.masks)); si++ {
+	for si := int32(1); si < int32(len(lat.Masks)); si++ {
 		solve(w, si)
 	}
 	return vs
@@ -380,11 +380,11 @@ func TestGainBoundMatchesFullEnumeration(t *testing.T) {
 			for si, want := range ref.value {
 				if got := vs.value[si]; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s %s state %b: value %v, full enumeration %v",
-						c.name, run, ref.sp.masks[si], got, want)
+						c.name, run, ref.lat.Masks[si], got, want)
 				}
 				if got, want := vs.assigns[si], ref.assigns[si]; !slices.Equal(got, want) {
 					t.Fatalf("%s %s state %b: assignment %v, full enumeration %v",
-						c.name, run, ref.sp.masks[si], got, want)
+						c.name, run, ref.lat.Masks[si], got, want)
 				}
 			}
 		}
@@ -406,14 +406,14 @@ func TestGainBoundLeafCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := enumerateClosed(in, in.M)
+		lat, err := lattice(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var leaves int64
-		for si, s := range sp.masks {
+		for si, s := range lat.Masks {
 			if bits.OnesCount64(s) > 2 {
-				leaves += powCap(bits.OnesCount64(sp.elig[si]), in.M, math.MaxInt64)
+				leaves += powCap(bits.OnesCount64(lat.Elig[si]), in.M, math.MaxInt64)
 			}
 		}
 		t.Logf("independent %dx%d: %d of %d leaves valued (%.2f%%), %d children cut",

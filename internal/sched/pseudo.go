@@ -270,9 +270,11 @@ func (p *Pseudo) Flatten() *Oblivious {
 // assignment, hence all precedence windows and per-job masses, and can
 // only shorten the schedule. Pipelines apply it after flattening
 // (delayed tracks produce idle slots where every chain is waiting).
-// It drops idle runs, so its cost is O(runs).
+// It drops idle runs, so its cost is O(runs), and it emits at most as
+// many runs as o holds.
 func (o *Oblivious) Compact() *Oblivious {
-	out := &Oblivious{M: o.M, Tail: o.Tail}
+	out := &Oblivious{M: o.M, Tail: o.Tail,
+		runs: make([]Assignment, 0, len(o.runs)), ends: make([]int, 0, len(o.runs))}
 	start := 0
 	for k, a := range o.runs {
 		if slices.ContainsFunc(a, func(j int) bool { return j != Idle }) {

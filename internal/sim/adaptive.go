@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"suu/internal/dag"
 	"suu/internal/model"
 	"suu/internal/sched"
 )
@@ -90,7 +91,7 @@ const scratchState int32 = 0
 
 // adaptRunner is one worker's memo and walk state.
 type adaptRunner struct {
-	in     *model.Instance
+	pred   []uint64 // the precedence dag's predecessor masks
 	pol    sched.Memoizable
 	p      []float64
 	n, m   int
@@ -130,7 +131,7 @@ func memoizable(in *model.Instance, pol sched.Policy) (sched.Memoizable, bool) {
 func newAdaptRunner(in *model.Instance, pol sched.Memoizable, budget int) *adaptRunner {
 	n := in.N
 	r := &adaptRunner{
-		in:     in,
+		pred:   in.Prec.PredMasks(),
 		pol:    pol,
 		p:      in.Flat(),
 		n:      n,
@@ -146,27 +147,6 @@ func newAdaptRunner(in *model.Instance, pol sched.Memoizable, budget int) *adapt
 	r.st = sched.State{Unfinished: make([]bool, n), Eligible: make([]bool, n)}
 	r.states[scratchState].trials = make([]trial, 0, min(n, r.m))
 	return r
-}
-
-// eligibleMask returns the eligible-job bitmask of unfinished-set s.
-func eligibleMask(in *model.Instance, s uint64) uint64 {
-	var el uint64
-	for j := 0; j < in.N; j++ {
-		if s&(1<<uint(j)) == 0 {
-			continue
-		}
-		ok := true
-		for _, p := range in.Prec.Preds(j) {
-			if s&(1<<uint(p)) != 0 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			el |= 1 << uint(j)
-		}
-	}
-	return el
 }
 
 // visit returns the index of unfinished-set mask's digest: its kept
@@ -209,7 +189,7 @@ func (r *adaptRunner) visit(mask uint64) int32 {
 func (r *adaptRunner) digest(mask uint64) {
 	n, p := r.n, r.p
 	unf, elig := r.st.Unfinished, r.st.Eligible
-	el := eligibleMask(r.in, mask)
+	el := dag.Eligible(mask, r.pred)
 	for j := 0; j < n; j++ {
 		unf[j] = mask&(1<<uint(j)) != 0
 		elig[j] = el&(1<<uint(j)) != 0

@@ -15,7 +15,9 @@ import (
 // adaptiveParityCases builds one (instance, policy) pair per
 // stationary-policy family the compiled adaptive engine must cover:
 // the MSM greedy (SUU-I-ALG), a greedy regimen frozen through the opt
-// state walk, and a trained-then-frozen learning policy.
+// state walk, and a trained-then-frozen learning policy. The MSM
+// greedy also runs on a 64-job out-tree, whose precedence reaches bit
+// 63 and whose full set is the all-ones mask.
 func adaptiveParityCases(t *testing.T) map[string]struct {
 	in  *model.Instance
 	pol sched.Memoizable
@@ -31,6 +33,12 @@ func adaptiveParityCases(t *testing.T) map[string]struct {
 		in  *model.Instance
 		pol sched.Memoizable
 	}{msmIn, &core.AdaptivePolicy{In: msmIn}}
+
+	treeIn := workload.OutTree(workload.Config{Jobs: 64, Machines: 8, Seed: 5})
+	cases["msm-adaptive-outtree-64"] = struct {
+		in  *model.Instance
+		pol sched.Memoizable
+	}{treeIn, &core.AdaptivePolicy{In: treeIn}}
 
 	regIn := workload.Chains(workload.Config{Jobs: 9, Machines: 3, Seed: 7}, 3)
 	reg, err := opt.GreedyRegimen(regIn, func(unf, elig []bool) sched.Assignment {
