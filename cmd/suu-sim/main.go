@@ -121,7 +121,7 @@ func main() {
 		}
 	}
 
-	sum, incomplete, eng := sim.EstimateInfo(in, res.Policy, *reps, *maxSteps, *seed)
+	sum, incomplete, eng := sim.EstimateParallelInfo(in, res.Policy, *reps, *maxSteps, *seed, 1)
 	if *stats {
 		fmt.Printf("engine: %s", eng.Engine)
 		if eng.Lanes > 0 {

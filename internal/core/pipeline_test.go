@@ -11,7 +11,7 @@ import (
 
 func simulateCompletes(t *testing.T, in *model.Instance, pol sched.Policy, reps int) float64 {
 	t.Helper()
-	sum, incomplete := sim.Estimate(in, pol, reps, 2_000_000, 123)
+	sum, incomplete, _ := sim.EstimateParallelInfo(in, pol, reps, 2_000_000, 123, 1)
 	if incomplete != 0 {
 		t.Fatalf("%d/%d runs incomplete", incomplete, reps)
 	}
@@ -284,7 +284,7 @@ func TestPackSequentialShape(t *testing.T) {
 func TestRandomPolicyDeterministicAcrossWorkers(t *testing.T) {
 	in := randomInstance(8, 3, rand.New(rand.NewSource(83)))
 	pol := &RandomPolicy{In: in, Seed: 3}
-	want, incomplete := sim.EstimateParallel(in, pol, 400, 100_000, 9, 1)
+	want, incomplete, _ := sim.EstimateParallelInfo(in, pol, 400, 100_000, 9, 1)
 	if incomplete != 0 {
 		t.Fatalf("%d of 400 runs incomplete", incomplete)
 	}

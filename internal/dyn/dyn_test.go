@@ -91,7 +91,7 @@ func TestNoOpEventParity(t *testing.T) {
 		{"learner", func() sched.Policy { return core.NewLearningPolicy(in, 0.5) }, samePosteriors},
 	} {
 		pol := c.pol()
-		want, wantInc, wantEng := sim.EstimateInfo(in, pol, 500, 100000, 42)
+		want, wantInc, wantEng := sim.EstimateParallelInfo(in, pol, 500, 100000, 42, 1)
 		if wantEng.Engine != sim.EngineGeneric {
 			t.Fatalf("%s: oracle engine %q, want generic", c.name, wantEng.Engine)
 		}

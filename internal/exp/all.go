@@ -16,7 +16,6 @@ var Drivers = []struct {
 	{"T9", T9},
 	{"T10", T10},
 	{"T11", T11},
-	{"T12", T12},
 	{"T13", T13},
 	{"T14", T14},
 	{"T15", T15},

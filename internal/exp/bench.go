@@ -152,7 +152,8 @@ type AdaptiveEngineBench struct {
 // BitParallelEngineBench is one row of the bitparallel_engine
 // section: the 64-lane bit-parallel engine measured head to head
 // against the scalar compiled engine on the same policy — the number
-// the CI bench-smoke gate asserts stays ≥5x on the T12 families.
+// the CI bench-smoke gate asserts stays ≥5x on the chains-48x8 and
+// chains-96x12 rows.
 type BitParallelEngineBench struct {
 	Family   string `json:"family"`
 	Jobs     int    `json:"jobs"`
@@ -292,11 +293,11 @@ func SimBenchmarks(cfg Config) SimBenchFile {
 			continue
 		}
 		caseReps := reps
-		if !sim.UsesCompiledEngine(in, pol) {
+		if eng, _, _ := sim.Prepare(in, pol).Engine(); eng != sim.EngineCompiled {
 			caseReps = reps / 4 // the step engine is the slow path; keep the suite quick
 		}
 		repsPerSec, nsPerStep, mean, eng := measureEngineInfo(in, pol, caseReps, cfg.Seed+43)
-		quants, _ := sim.MakespanQuantiles(in, pol, caseReps/2, 5_000_000, cfg.Seed+47, []float64{0.5, 0.99})
+		quants, _ := sim.MakespanQuantilesParallel(in, pol, caseReps/2, 5_000_000, cfg.Seed+47, []float64{0.5, 0.99}, 1)
 		file.Benchmarks = append(file.Benchmarks, SimBench{
 			Family:       bc.family,
 			Jobs:         in.N,
@@ -385,12 +386,12 @@ func adaptiveEngineRow(family string, in *model.Instance, compiledReps, genericR
 	pol := &core.AdaptivePolicy{In: in}
 	row := AdaptiveEngineBench{Family: family, Jobs: in.N, Machines: in.M, Policy: "adaptive (Thm 3.3)"}
 	compiled := func() error {
-		_, _, eng := sim.EstimateInfo(in, pol, compiledReps, 5_000_000, seed)
+		_, _, eng := sim.EstimateParallelInfo(in, pol, compiledReps, 5_000_000, seed, 1)
 		row.States = eng.States
 		return wantEngine(eng, sim.EngineCompiledAdaptive, 0)
 	}
 	generic := func() error {
-		_, _, eng := sim.EstimateInfo(in, sched.PolicyFunc(pol.Assign), genericReps, 5_000_000, seed)
+		_, _, eng := sim.EstimateParallelInfo(in, sched.PolicyFunc(pol.Assign), genericReps, 5_000_000, seed, 1)
 		return wantEngine(eng, sim.EngineGeneric, 0)
 	}
 	tm, err := sample(timedPairs, false, compiled, generic)
@@ -414,8 +415,8 @@ func wantEngine(eng sim.EngineUsed, engine string, lanes int) error {
 }
 
 // bitParallelEngineCases are the workloads the bitparallel_engine
-// section measures: the two T12 chains families the CI gate reads
-// (the paper constructions whose throughput story this engine
+// section measures: the chains-48x8 and chains-96x12 rows the CI gate
+// reads (the paper constructions whose throughput story this engine
 // continues) and the widest oblivious LP family.
 func bitParallelEngineCases(cfg Config) []struct {
 	family string
@@ -628,8 +629,8 @@ func GridHarnessBenchmark(cfg Config) *GridHarnessBench {
 // (schedule compilation, accumulators, worker state).
 func allocsPerRep(in *model.Instance, pol sched.Policy, seed int64) float64 {
 	const base = 32
-	small := testing.AllocsPerRun(3, func() { sim.Estimate(in, pol, base, 5_000_000, seed) })
-	large := testing.AllocsPerRun(3, func() { sim.Estimate(in, pol, 2*base, 5_000_000, seed) })
+	small := testing.AllocsPerRun(3, func() { sim.EstimateParallelInfo(in, pol, base, 5_000_000, seed, 1) })
+	large := testing.AllocsPerRun(3, func() { sim.EstimateParallelInfo(in, pol, 2*base, 5_000_000, seed, 1) })
 	per := (large - small) / base
 	if per < 0 {
 		per = 0

@@ -10,7 +10,8 @@ import (
 
 // TestBitParallelSpeedupSmoke is the CI bench-smoke assertion for the
 // 64-lane bit-parallel engine: estimating the SUUChains schedules on
-// the T12 chains families must beat the scalar compiled engine by ≥5×,
+// the chains-48x8 and chains-96x12 rows must beat the scalar compiled
+// engine by ≥5×,
 // as the median per-pair ratio of bitParallelRow, the helper behind
 // the record's bitparallel_engine rows (the scalar run pinned per call
 // with sim.EstimateInfoLanes, identical reps and seeds). It only runs

@@ -96,7 +96,7 @@ func estimate(in *model.Instance, pol sched.Policy, reps int, seed int64) float6
 // estimateInfo is estimate plus the engine record the grid rows
 // persist.
 func estimateInfo(in *model.Instance, pol sched.Policy, reps int, seed int64) (float64, sim.EngineUsed) {
-	sum, incomplete, eng := sim.EstimateInfo(in, pol, reps, 5_000_000, seed)
+	sum, incomplete, eng := sim.EstimateParallelInfo(in, pol, reps, 5_000_000, seed, 1)
 	if incomplete > 0 {
 		return -1, eng
 	}

@@ -425,3 +425,37 @@ func TestCacheHoldBuild(t *testing.T) {
 		t.Errorf("held build's value was not cached: %v hit=%v", v, hit)
 	}
 }
+
+// TestServeBodyCap posts a body one byte over maxBodyBytes to each POST
+// endpoint, which must answer 413 with the JSON error body, and then a
+// valid body, which must still be served. The oversized body is one
+// JSON object whose closing brace is its last byte, so the decoder
+// reads every byte before it could finish.
+func TestServeBodyCap(t *testing.T) {
+	_, ts := testServer(t)
+	over := bytes.Repeat([]byte(" "), maxBodyBytes+1)
+	over[0], over[len(over)-1] = '{', '}'
+	in := testInstance(5)
+	for _, c := range []struct {
+		path  string
+		valid any
+	}{
+		{"/v1/instances", in},
+		{"/v1/solve", map[string]any{"instance": in, "solver": "auto", "seed": 3}},
+		{"/v1/estimate", map[string]any{"instance": in, "reps": 64, "sim_seed": 2}},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", bytes.NewReader(over))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r rawReply
+		err = json.NewDecoder(resp.Body).Decode(&r)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || !strings.Contains(r.Error, "exceeds") {
+			t.Errorf("%s, %d-byte body: status %d, error %q (decode: %v), want 413 with a JSON error", c.path, len(over), resp.StatusCode, r.Error, err)
+		}
+		if code, r := post(t, ts.URL+c.path, c.valid); code != http.StatusOK {
+			t.Errorf("%s, valid body: status %d, error %q", c.path, code, r.Error)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -157,6 +158,27 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes caps every POST body at 32 MiB, room for an instance of
+// over a million probabilities in JSON.
+const maxBodyBytes = 32 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxBodyBytes of it. On failure it writes the error reply, prefixed
+// with what: 413 when the body outgrew the cap, 400 otherwise.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, "%s: body exceeds %d bytes", what, maxBodyBytes)
+	default:
+		httpError(w, http.StatusBadRequest, "%s: %v", what, err)
+	}
+	return false
+}
+
 // Meta is the volatile half of a reply: how THIS request was served.
 // It lives outside the result object so that cached and cold replies
 // carry byte-identical results — the bit-identity tests compare the
@@ -190,8 +212,7 @@ type instanceReply struct {
 
 func (s *Server) handleInstances(w http.ResponseWriter, r *http.Request) {
 	in := &model.Instance{}
-	if err := json.NewDecoder(r.Body).Decode(in); err != nil {
-		httpError(w, http.StatusBadRequest, "decode instance: %v", err)
+	if !decodeBody(w, r, in, "decode instance") {
 		return
 	}
 	key := InstanceKey(in)
@@ -274,8 +295,7 @@ type solveReply struct {
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req solveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !decodeBody(w, r, &req, "decode request") {
 		return
 	}
 	entry, meta, err := s.solveEntry(req)
@@ -427,8 +447,7 @@ type estimateReply struct {
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var req estimateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !decodeBody(w, r, &req, "decode request") {
 		return
 	}
 

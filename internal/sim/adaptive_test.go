@@ -77,7 +77,7 @@ func TestCompiledAdaptiveBitIdenticalToGeneric(t *testing.T) {
 	const reps, cap, seed = 1500, 100000, 17
 	for name, tc := range adaptiveParityCases(t) {
 		t.Run(name, func(t *testing.T) {
-			sumC, incC, eng := EstimateInfo(tc.in, tc.pol, reps, cap, seed)
+			sumC, incC, eng := EstimateParallelInfo(tc.in, tc.pol, reps, cap, seed, 1)
 			if eng.Engine != EngineCompiledAdaptive {
 				t.Fatalf("engine = %q (states %d), want %q", eng.Engine, eng.States, EngineCompiledAdaptive)
 			}
@@ -85,7 +85,7 @@ func TestCompiledAdaptiveBitIdenticalToGeneric(t *testing.T) {
 				t.Fatalf("suspiciously small table: %d states", eng.States)
 			}
 			generic := sched.PolicyFunc(tc.pol.Assign)
-			sumG, incG, engG := EstimateInfo(tc.in, generic, reps, cap, seed)
+			sumG, incG, engG := EstimateParallelInfo(tc.in, generic, reps, cap, seed, 1)
 			if engG.Engine != EngineGeneric {
 				t.Fatalf("PolicyFunc wrapper ran on %q, want generic", engG.Engine)
 			}
@@ -133,8 +133,8 @@ func TestCompiledAdaptiveMemoCapParity(t *testing.T) {
 	in := workload.Independent(workload.Config{Jobs: 12, Machines: 4, Seed: 3})
 	pol := &core.AdaptivePolicy{In: in}
 	const reps, cap, seed = 700, 100000, 5
-	sumG, incG := Estimate(in, sched.PolicyFunc(pol.Assign), reps, cap, seed)
-	_, _, full := EstimateInfo(in, pol, reps, cap, seed)
+	sumG, incG, _ := EstimateParallelInfo(in, sched.PolicyFunc(pol.Assign), reps, cap, seed, 1)
+	_, _, full := EstimateParallelInfo(in, pol, reps, cap, seed, 1)
 	if full.Engine != EngineCompiledAdaptive || full.States < 60 {
 		t.Fatalf("default memo: %+v, want compiled-adaptive with the fixture's states", full)
 	}
@@ -186,11 +186,11 @@ func TestCompiledAdaptiveStuckState(t *testing.T) {
 	reg := sched.NewRegimen(2, 1)
 	reg.F[sched.Key([]bool{true, true})] = sched.Assignment{0} // {1} and {0,1}\{0} states missing
 	const reps, cap, seed = 400, 50, 9
-	sumC, incC, eng := EstimateInfo(in, reg, reps, cap, seed)
+	sumC, incC, eng := EstimateParallelInfo(in, reg, reps, cap, seed, 1)
 	if eng.Engine != EngineCompiledAdaptive {
 		t.Fatalf("engine %q, want compiled-adaptive", eng.Engine)
 	}
-	sumG, incG := Estimate(in, sched.PolicyFunc(reg.Assign), reps, cap, seed)
+	sumG, incG, _ := EstimateParallelInfo(in, sched.PolicyFunc(reg.Assign), reps, cap, seed, 1)
 	if sumC != sumG || incC != incG {
 		t.Errorf("stuck-state parity: compiled %+v/%d vs generic %+v/%d", sumC, incC, sumG, incG)
 	}
@@ -205,7 +205,7 @@ func TestCompiledAdaptiveStuckState(t *testing.T) {
 func TestCompiledAdaptiveObserverNeverCompiles(t *testing.T) {
 	in := workload.Independent(workload.Config{Jobs: 6, Machines: 2, Seed: 21})
 	lp := core.NewLearningPolicy(in, 0)
-	_, _, eng := EstimateInfo(in, observingMemoizable{lp}, 50, 10000, 3)
+	_, _, eng := EstimateParallelInfo(in, observingMemoizable{lp}, 50, 10000, 3, 1)
 	if eng.Engine != EngineGeneric {
 		t.Errorf("observer policy compiled to %q", eng.Engine)
 	}
@@ -236,11 +236,11 @@ func TestCompiledAdaptiveCertainJobParity(t *testing.T) {
 	in.SetAt(1, 1, 0.5)
 	pol := &core.AllOnOnePolicy{In: in} // gangs both machines onto job 0, then job 1
 	const reps, cap, seed = 600, 10000, 13
-	sumC, incC, eng := EstimateInfo(in, pol, reps, cap, seed)
+	sumC, incC, eng := EstimateParallelInfo(in, pol, reps, cap, seed, 1)
 	if eng.Engine != EngineCompiledAdaptive {
 		t.Fatalf("engine %q, want compiled-adaptive", eng.Engine)
 	}
-	sumG, incG := Estimate(in, sched.PolicyFunc(pol.Assign), reps, cap, seed)
+	sumG, incG, _ := EstimateParallelInfo(in, sched.PolicyFunc(pol.Assign), reps, cap, seed, 1)
 	if sumC != sumG || incC != incG {
 		t.Errorf("p=1 parity: compiled %+v/%d vs generic %+v/%d", sumC, incC, sumG, incG)
 	}
@@ -271,11 +271,11 @@ func TestCompiledAdaptiveWideAssignmentRunsFromScratch(t *testing.T) {
 		}
 	}
 	pol := &core.GreedyMaxPPolicy{In: in}
-	sum, inc, eng := EstimateInfo(in, pol, 200, 10000, 7)
+	sum, inc, eng := EstimateParallelInfo(in, pol, 200, 10000, 7, 1)
 	if eng.Engine != EngineCompiledAdaptive {
 		t.Fatalf("wide assignment ran %q, want compiled-adaptive", eng.Engine)
 	}
-	sumG, incG := Estimate(in, sched.PolicyFunc(pol.Assign), 200, 10000, 7)
+	sumG, incG, _ := EstimateParallelInfo(in, sched.PolicyFunc(pol.Assign), 200, 10000, 7, 1)
 	if sum != sumG || inc != incG {
 		t.Errorf("scratch digests changed values: %+v/%d vs %+v/%d", sum, inc, sumG, incG)
 	}

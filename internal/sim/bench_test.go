@@ -33,7 +33,7 @@ func BenchmarkEstimate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, _ := Estimate(in, pol, reps, 1_000_000, 42)
+		sum, _, _ := EstimateParallelInfo(in, pol, reps, 1_000_000, 42, 1)
 		totalSteps += sum.Mean * float64(reps)
 	}
 	b.StopTimer()
@@ -53,7 +53,7 @@ func BenchmarkEstimateParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EstimateParallel(in, pol, reps, 1_000_000, 42, 0)
+		EstimateParallelInfo(in, pol, reps, 1_000_000, 42, 0)
 	}
 	b.StopTimer()
 	if s := b.Elapsed().Seconds(); s > 0 {

@@ -26,7 +26,8 @@
 // a bounded memo digests states past its cap afresh on every visit
 // rather than falling back. Engine choice is a pure function of
 // (instance, policy, repetition count), made in one place
-// (Prepared.estimator), and EstimateInfo reports which engine ran.
+// (Prepared.estimator), and EstimateParallelInfo reports which engine
+// ran.
 //
 // The step engine also runs dynamic scenarios. Given a Timeline
 // (NewTimelineRunner; internal/dyn compiles the timelines and supplies
@@ -48,40 +49,37 @@
 // done, each 256-repetition chunk is folded into a streaming
 // stats.Accumulator in repetition order and the chunks merge in chunk
 // order. Chunk boundaries depend only on the repetition count, so
-// Estimate and EstimateParallel return bit-identical summaries at
-// every concurrency, even a call of 32 repetitions fans out, and
-// memory stays one window (32 KiB) however many repetitions run. The
-// quantile estimators fold the same windows in repetition order, so
-// MakespanQuantiles' sample is exactly the one Estimate summarizes at
-// any concurrency; the mass estimator reads the same repetitions in
-// order.
+// EstimateParallelInfo returns bit-identical summaries at every
+// concurrency, even a call of 32 repetitions fans out, and memory
+// stays one window (32 KiB) however many repetitions run. The quantile
+// estimator folds the same windows in repetition order, so
+// MakespanQuantilesParallel's sample is exactly the one
+// EstimateParallelInfo summarizes at any concurrency; the mass
+// estimator reads the same repetitions in order.
 //
-// Long-lived callers (the serve daemon) use Prepared: Prepare compiles
-// an oblivious schedule's run tables once, and EstimateParallelInfo
-// replays them for any (reps, seed, concurrency) with results
-// bit-identical to the corresponding cold Estimate call; the
-// equivalence is pinned by TestPreparedBitIdenticalToColdPath. A
-// stationary policy's context holds no table: its memo is built per
-// call.
+// Every estimate starts from Prepare, which compiles an oblivious
+// schedule's run tables once. A one-shot call (EstimateParallelInfo,
+// EstimateInfoLanes, MakespanQuantilesParallel, MassWithinHorizon)
+// prepares a fresh context and walks it; long-lived callers (the serve
+// daemon) keep the Prepared value and replay its tables for any
+// (reps, seed, concurrency) with results bit-identical to the
+// corresponding one-shot call, pinned by
+// TestPreparedBitIdenticalToColdPath. A stationary policy's context
+// holds no table: its memo is built per call.
 //
-// # Pooled memory
+// # Memory
 //
 // The compiled tables hold one entry per (job, run), so they are about
-// the size of the schedule's runs, whatever σ is. A one-shot call
-// (the Estimate family, the quantile estimators, MassWithinHorizon)
-// compiles them into a workspace taken from a sync.Pool, reusing the
-// arrays an earlier call left there, and puts it back only once its
-// walk has joined every worker, with its instance and schedule
-// dropped. The lane workers' buffers and the makespan window come
-// from pools too, on the one-shot and the Prepared path alike, and go
-// back after the walk. Prepare never takes tables from a pool: a
-// cached engine's tables are its own and sized exactly. SizeBytes is
-// a cache charge, not their size: it counts 20 bytes per occurrence,
-// what one entry per (job, step) would take, so a cache's byte budget
-// holds a fixed number of engines of a shape whatever the tables
-// take. No result aliases pooled memory, and pooled memory moves no
-// draw: every entry a walk reads is written by the call first
-// (TestReusedWorkspaceMatchesFresh poisons the reused arrays). Prepare allocates under 2% of its charge
-// (TestPrepareAllocation), and a warm one-shot lane estimate under 1%
-// (TestWarmOneShotLaneEstimateAllocation).
+// the size of the schedule's runs, whatever σ is, and Prepare
+// allocates each at exactly the size it needs, under 2% of its
+// SizeBytes charge (TestPrepareAllocation). SizeBytes is a cache
+// charge, not their size: it counts 20 bytes per occurrence, what one
+// entry per (job, step) would take, so a cache's byte budget holds a
+// fixed number of engines of a shape whatever the tables take. The
+// lane workers' buffers and the makespan window come from sync.Pools
+// and go back after the walk has joined every worker; no result
+// aliases them, and they move no draw: every entry a walk reads is
+// written by the call first (TestPooledLaneBuffersMatchFresh poisons
+// them). A warm one-shot lane estimate allocates under 1% of its
+// engine's charge (TestWarmOneShotLaneEstimateAllocation).
 package sim

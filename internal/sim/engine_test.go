@@ -44,7 +44,7 @@ func TestCompiledMatchesStepEngine(t *testing.T) {
 
 	const reps, cap = 4000, 100000
 	fast, fastInc, _ := EstimateInfoLanes(in, o, reps, cap, 21, false)
-	slow, slowInc := Estimate(in, generic, reps, cap, 21)
+	slow, slowInc, _ := EstimateParallelInfo(in, generic, reps, cap, 21, 1)
 	if fastInc != 0 || slowInc != 0 {
 		t.Fatalf("incomplete runs: compiled %d, generic %d", fastInc, slowInc)
 	}
@@ -73,7 +73,7 @@ func TestCompiledTailContinuation(t *testing.T) {
 
 	const reps, cap = 2000, 100000
 	fast, fastInc, _ := EstimateInfoLanes(in, short, reps, cap, 77, false) // the scalar walk; lanes are lane_test.go's job
-	slow, slowInc := Estimate(in, generic, reps, cap, 77)
+	slow, slowInc, _ := EstimateParallelInfo(in, generic, reps, cap, 77, 1)
 	if fastInc != 0 || slowInc != 0 {
 		t.Fatalf("incomplete runs: compiled %d, generic %d", fastInc, slowInc)
 	}
@@ -91,9 +91,9 @@ func TestEstimateDeterministicAcrossConcurrency(t *testing.T) {
 	in, o := chainsFixture()
 	generic := sched.PolicyFunc(func(st *sched.State) sched.Assignment { return o.At(st.Step) })
 	for name, pol := range map[string]sched.Policy{"compiled": o, "generic": generic} {
-		want, wantInc := EstimateParallel(in, pol, 1500, 100000, 9, 1)
+		want, wantInc, _ := EstimateParallelInfo(in, pol, 1500, 100000, 9, 1)
 		for _, conc := range []int{4, runtime.GOMAXPROCS(0), 0} {
-			got, gotInc := EstimateParallel(in, pol, 1500, 100000, 9, conc)
+			got, gotInc, _ := EstimateParallelInfo(in, pol, 1500, 100000, 9, conc)
 			if got != want || gotInc != wantInc {
 				t.Errorf("%s engine, concurrency %d: %+v/%d differs from sequential %+v/%d",
 					name, conc, got, gotInc, want, wantInc)
@@ -179,11 +179,11 @@ func TestEstimateParallelDesyncedP(t *testing.T) {
 		}
 		return a
 	})
-	sum, inc := EstimateParallel(in, pol, 1200, 10000, 5, 4)
+	sum, inc, _ := EstimateParallelInfo(in, pol, 1200, 10000, 5, 4)
 	if inc != 0 || sum.N != 1200 {
 		t.Fatalf("sum=%+v inc=%d", sum, inc)
 	}
-	seq, seqInc := Estimate(in, pol, 1200, 10000, 5)
+	seq, seqInc, _ := EstimateParallelInfo(in, pol, 1200, 10000, 5, 1)
 	if sum != seq || inc != seqInc {
 		t.Errorf("parallel %+v differs from sequential %+v", sum, seq)
 	}
@@ -200,7 +200,7 @@ func TestEstimateStreamingMemory(t *testing.T) {
 	in := model.New(1, 1)
 	in.SetAt(0, 0, 0.9)
 	pol := sched.NewOblivious(1, []sched.Assignment{{0}}, nil)
-	sum, inc := Estimate(in, pol, 100_000, 1000, 3)
+	sum, inc, _ := EstimateParallelInfo(in, pol, 100_000, 1000, 3, 1)
 	if inc != 0 || sum.N != 100_000 {
 		t.Fatalf("sum=%+v inc=%d", sum, inc)
 	}

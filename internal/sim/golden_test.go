@@ -77,7 +77,7 @@ var goldenForms = []struct {
 // the repetitions: the median makespan of an uncapped walk, or the
 // prefix's last step if that is sooner.
 func medianCap(in *model.Instance, o *sched.Oblivious) int {
-	qs, _ := MakespanQuantiles(in, o, 100, 1<<20, 5, []float64{0.5})
+	qs, _ := MakespanQuantilesParallel(in, o, 100, 1<<20, 5, []float64{0.5}, 1)
 	return min(int(qs[0]), o.Len()-1)
 }
 

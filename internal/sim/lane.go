@@ -45,8 +45,8 @@ import (
 //
 // Means and variances under the remap differ from the scalar
 // engines' in the last Monte Carlo digits (different draws, same
-// distribution); EstimateInfo reports which engine ran so persisted
-// results are attributable.
+// distribution); EstimateParallelInfo reports which engine ran so
+// persisted results are attributable.
 
 // LaneWidth is the number of repetitions a lane group advances in
 // lockstep: one per bit of a uint64.
@@ -153,7 +153,7 @@ func laneBernoulli(tr *Stream, gseed, a, b int64, succ float64, need uint64) uin
 // massLanes enables per-lane mass tracking and returns the buffer the
 // subsequent runGroup calls fill: lane l's per-job masses are
 // mass[l*n : (l+1)*n], valid until the next call. Tracking is off by
-// default — Estimate never pays for it — and is what lets
+// default — a summary estimate never pays for it — and is what lets
 // MassWithinHorizon run on the lane engine. Per lane, masses accrue
 // in the same order as the scalar walk under the remap, so the lane
 // engine and the one-lane-at-a-time oracle stay bit-identical.

@@ -102,7 +102,7 @@ func TestLaneObliviousMatchesScalarRemapExactly(t *testing.T) {
 // returns the summary and incomplete count as one comparable value.
 func summaryOf(t *testing.T, in *model.Instance, pol sched.Policy, reps, cap int, seed int64, workers int, mode laneMode, eng *EngineUsed) [2]interface{} {
 	t.Helper()
-	sum, inc, e := estimate(in, pol, reps, cap, seed, workers, mode)
+	sum, inc, e := Prepare(in, pol).estimate(reps, cap, seed, workers, mode)
 	*eng = e
 	return [2]interface{}{sum, inc}
 }
@@ -215,21 +215,21 @@ func TestLaneAutoDispatchByRepCount(t *testing.T) {
 			t.Errorf("%s: engine %+v, want %s/lanes=%d", name, eng, want, wantLanes)
 		}
 	}
-	_, _, eng := EstimateInfo(in, o, BitParallelAutoMinReps-1, 100000, 3)
+	_, _, eng := EstimateParallelInfo(in, o, BitParallelAutoMinReps-1, 100000, 3, 1)
 	check("auto below floor", eng, EngineCompiled, 0)
-	_, _, eng = EstimateInfo(in, o, BitParallelAutoMinReps, 100000, 3)
+	_, _, eng = EstimateParallelInfo(in, o, BitParallelAutoMinReps, 100000, 3, 1)
 	check("auto at floor", eng, EngineLane, LaneWidth)
 	_, _, eng = EstimateInfoLanes(in, o, 10000, 100000, 3, false)
 	check("lanes=false", eng, EngineCompiled, 0)
 	_, _, eng = EstimateInfoLanes(in, o, 10000, 100000, 3, true)
 	check("lanes=true", eng, EngineLane, LaneWidth)
-	_, _, eng = estimate(in, o, 10, 100000, 3, 1, lanesOn)
+	_, _, eng = Prepare(in, o).estimate(10, 100000, 3, 1, lanesOn)
 	check("forced on", eng, EngineLane, LaneWidth)
 
 	generic := sched.PolicyFunc(func(st *sched.State) sched.Assignment { return o.At(st.Step) })
-	_, _, eng = estimate(in, generic, 1000, 100000, 3, 1, lanesOn)
+	_, _, eng = Prepare(in, generic).estimate(1000, 100000, 3, 1, lanesOn)
 	check("generic policy", eng, EngineGeneric, 0)
-	_, _, eng = estimate(in, &core.AdaptivePolicy{In: in}, 1000, 100000, 3, 1, lanesOn)
+	_, _, eng = Prepare(in, &core.AdaptivePolicy{In: in}).estimate(1000, 100000, 3, 1, lanesOn)
 	check("adaptive policy", eng, EngineCompiledAdaptive, 0)
 }
 

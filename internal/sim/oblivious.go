@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"sync"
+	"slices"
 
 	"suu/internal/model"
 	"suu/internal/sched"
@@ -50,54 +50,26 @@ type jobRun struct {
 	succ, mass       float64
 }
 
-// workspace is the memory one compile fills: the tables of a
-// compiledOblivious (offs, runs and topo) and the compile's n-sized
-// scratch. compileOblivious keeps every backing array that is large
-// enough and allocates only what the instance or the schedule outgrew,
-// so a compile into a workspace from workspacePool allocates nothing
-// once the pool has seen the shape.
-type workspace struct {
-	c                  compiledOblivious
-	counts, last, next []int32
-	fail, mass         []float64
-	jobs               []int
-}
-
-// workspacePool holds workspaces between one-shot estimates. A call
-// takes one, compiles into it, and puts it back once its walk has
-// joined every worker; nothing the call returns aliases it. Prepare
-// never takes one, so a cached engine's tables are never pooled.
-var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
-
-// release drops the workspace's instance and schedule and puts it back
-// in workspacePool. Call it only once no walk reads its tables.
-func (ws *workspace) release() {
-	ws.c.in, ws.c.o = nil, nil
-	workspacePool.Put(ws)
-}
-
-// compileOblivious builds the per-job run tables of o into ws, walking
-// jobs in order, a topological order of in. It reads each run the
-// schedule stores (sched.Oblivious.Runs) twice, once to count and once
-// to fill, and writes one entry per job the run assigns, so the cost is
-// O(runs × m) whatever σ is, paid once per Prepare or one-shot call and
-// shared read-only by every worker. A run's fail product and mass are
-// the multiplications and additions, over the same machines in the
-// same order, that each of its steps would make. The returned engine
-// lives in ws and is valid until ws compiles again.
-func compileOblivious(ws *workspace, in *model.Instance, o *sched.Oblivious, order []int) *compiledOblivious {
+// compileOblivious builds the per-job run tables of o, walking jobs
+// in order, a topological order of in. It reads each run the schedule
+// stores (sched.Oblivious.Runs) twice, once to count and once to fill,
+// and writes one entry per job the run assigns, so the cost is
+// O(runs × m) whatever σ is, paid once per Prepare and shared
+// read-only by every worker. A run's fail product and mass are the
+// multiplications and additions, over the same machines in the same
+// order, that each of its steps would make. Every table is allocated
+// at exactly the size it needs.
+func compileOblivious(in *model.Instance, o *sched.Oblivious, order []int) *compiledOblivious {
 	n := in.N
-	c := &ws.c
-	*c = compiledOblivious{in: in, o: o, prefixLen: o.Len(),
-		topo: reuse(c.topo, n), offs: reuse(c.offs, n+1), runs: c.runs}
+	c := &compiledOblivious{in: in, o: o, prefixLen: o.Len(),
+		topo: make([]int32, n), offs: make([]int32, n+1)}
 	for k, j := range order {
 		c.topo[k] = int32(j)
 	}
-	// First pass: count each job's entries, one per run that assigns it.
+	// First pass: count each job's entries, one per run that assigns it,
+	// into offs[j+1], then sum the counts into offsets.
 	runs, ends := o.Runs()
-	counts := reuse(ws.counts, n)
-	clear(counts)
-	last := reuse(ws.last, n) // run that last counted the job
+	last := make([]int32, n) // run that last counted the job
 	for j := range last {
 		last[j] = -1
 	}
@@ -107,25 +79,22 @@ func compileOblivious(ws *workspace, in *model.Instance, o *sched.Oblivious, ord
 				continue
 			}
 			last[j] = int32(k)
-			counts[j]++
+			c.offs[j+1]++
 		}
 	}
-	c.offs[0] = 0
 	for j := 0; j < n; j++ {
-		c.offs[j+1] = c.offs[j] + counts[j]
+		c.offs[j+1] += c.offs[j]
 	}
-	// The second pass writes every entry, so the table is not cleared.
-	c.runs = reuse(c.runs, int(c.offs[n]))
+	c.runs = make([]jobRun, c.offs[n])
 	// Second pass: per run, accumulate each assigned job's fail product
 	// and mass over the machines, then write the job's entry.
-	next := reuse(ws.next, n)
-	copy(next, c.offs[:n])
+	next := slices.Clone(c.offs[:n])
 	for j := range last {
 		last[j] = -1
 	}
-	fail := reuse(ws.fail, n)
-	mass := reuse(ws.mass, n)
-	jobs := ws.jobs[:0]
+	fail := make([]float64, n)
+	mass := make([]float64, n)
+	jobs := make([]int, 0, min(n, in.M))
 	p := in.Flat()
 	t := 0
 	for k, a := range runs {
@@ -158,7 +127,6 @@ func compileOblivious(ws *workspace, in *model.Instance, o *sched.Oblivious, ord
 		occ += c.runs[e].end - c.runs[e].start
 	}
 	c.occurrences = int(occ)
-	ws.counts, ws.last, ws.next, ws.fail, ws.mass, ws.jobs = counts, last, next, fail, mass, jobs
 	return c
 }
 

@@ -21,9 +21,9 @@ func parallelFixture() (*model.Instance, sched.Policy) {
 
 func TestEstimateParallelMatchesSequential(t *testing.T) {
 	in, pol := parallelFixture()
-	seq, seqInc := Estimate(in, pol, 500, 100000, 42)
+	seq, seqInc, _ := EstimateParallelInfo(in, pol, 500, 100000, 42, 1)
 	for _, conc := range []int{0, 2, 7} {
-		par, parInc := EstimateParallel(in, pol, 500, 100000, 42, conc)
+		par, parInc, _ := EstimateParallelInfo(in, pol, 500, 100000, 42, conc)
 		if par.Mean != seq.Mean || par.Min != seq.Min || par.Max != seq.Max || par.StdDev != seq.StdDev {
 			t.Fatalf("concurrency %d: summary differs: %+v vs %+v", conc, par, seq)
 		}
@@ -44,7 +44,7 @@ func TestEstimateParallelStatefulFallsBack(t *testing.T) {
 	if !Parallelizable(pol0) {
 		t.Error("oblivious schedule reported non-parallelizable")
 	}
-	sum, inc := EstimateParallel(in, pol, 50, 100000, 1, 4)
+	sum, inc, _ := EstimateParallelInfo(in, pol, 50, 100000, 1, 4)
 	if sum.N != 50 {
 		t.Fatalf("runs %d", sum.N)
 	}
@@ -53,7 +53,7 @@ func TestEstimateParallelStatefulFallsBack(t *testing.T) {
 	}
 	// The fallback must be exactly the sequential path.
 	pol2 := &observingPolicy{m: in.M}
-	seq, seqInc := Estimate(in, pol2, 50, 100000, 1)
+	seq, seqInc, _ := EstimateParallelInfo(in, pol2, 50, 100000, 1, 1)
 	if sum != seq || inc != seqInc {
 		t.Errorf("fallback %+v/%d differs from sequential %+v/%d", sum, inc, seq, seqInc)
 	}
@@ -88,5 +88,5 @@ func TestEstimateParallelRepsGuard(t *testing.T) {
 			t.Error("no panic for reps=0")
 		}
 	}()
-	EstimateParallel(in, pol, 0, 10, 1, 2)
+	EstimateParallelInfo(in, pol, 0, 10, 1, 2)
 }

@@ -15,16 +15,17 @@ import (
 )
 
 // TestWarmOneShotLaneEstimateAllocation pins what a warm one-shot lane
-// estimate allocates once the pools hold its workspace, lane workers
-// and window: independent 64x16 at 2048 repetitions on 2 workers
-// allocates under 1% of the SizeBytes charge of the engine Prepare
-// builds for it. Compiling fresh run tables per call costs about 0.7%
-// of that charge (TestPrepareAllocation), so the pin no longer tells a
-// pool hit from a miss; it pins that no per-occurrence table returns.
-//
-// The pin reads the median call. A pool cannot hand a goroutine what
-// another processor holds in its private slot, so a call whose
-// goroutine moved since the last one sometimes compiles fresh tables.
+// estimate allocates once the pools hold its lane workers and window:
+// independent 64x16 at 2048 repetitions on 2 workers allocates under 1%
+// of the SizeBytes charge of the engine Prepare builds for it. Every
+// call compiles fresh run tables: the call allocates about 15.6 KB
+// (0.72% of the 2.16 MB charge), nearly all of it Prepare's 14.8 KB.
+// Two lane workers' fresh buffers would add over 32 KB, so the pin
+// holds that the pooled buffers are reused and that no per-occurrence
+// table returns. It reads the median call: a pool cannot hand a
+// goroutine what another processor holds in its private slot, so a
+// call whose goroutine moved since the last one sometimes allocates
+// fresh lane buffers.
 func TestWarmOneShotLaneEstimateAllocation(t *testing.T) {
 	in := workload.Independent(workload.Config{Jobs: 64, Machines: 16, Seed: 3})
 	o := autoOblivious(t, in)

@@ -23,14 +23,11 @@ import (
 // top of the shared tables, exactly as the per-call estimators fan
 // workers out over one compiled engine.
 //
-// Results are bit-identical to the cold path: the one-shot estimators
-// are themselves a prepare followed by the per-call selection
+// Results are bit-identical to the cold path: every one-shot
+// estimator is Prepare followed by the per-call selection
 // EstimateParallelInfo applies (see Prepared.estimator), so a cached
 // engine can change wall-clock only, never a digit. The parity is
-// pinned by TestPreparedBitIdenticalToColdPath. The one-shot prepare
-// compiles into a workspace from workspacePool and puts it back when
-// the call returns; Prepare never touches that pool, so a Prepared's
-// tables are its own and sized exactly.
+// pinned by TestPreparedBitIdenticalToColdPath.
 type Prepared struct {
 	in       *model.Instance
 	pol      sched.Policy
@@ -47,12 +44,7 @@ type Prepared struct {
 // calls run the generic step engine, which is still reusable — the
 // instance's flat backing and parallel-dispatch decisions are
 // resolved once.
-func Prepare(in *model.Instance, pol sched.Policy) *Prepared { return prepare(in, pol, nil) }
-
-// prepare is Prepare compiling an oblivious schedule into ws. A nil ws
-// gives the context tables of its own, each of exactly the size it
-// needs.
-func prepare(in *model.Instance, pol sched.Policy, ws *workspace) *Prepared {
+func Prepare(in *model.Instance, pol sched.Policy) *Prepared {
 	p := &Prepared{in: in, pol: pol}
 	// Resolve the flat backing once, on this goroutine: workers read it
 	// concurrently via newRunState, and Instance.Flat rebuilds lazily
@@ -60,14 +52,7 @@ func prepare(in *model.Instance, pol sched.Policy, ws *workspace) *Prepared {
 	in.Flat()
 	start := time.Now()
 	if o, order := compilable(in, pol); o != nil {
-		if ws != nil {
-			p.compiled = compileOblivious(ws, in, o, order)
-		} else {
-			// Copying the tables out of a fresh workspace lets the
-			// compile's scratch go.
-			c := *compileOblivious(new(workspace), in, o, order)
-			p.compiled = &c
-		}
+		p.compiled = compileOblivious(in, o, order)
 	} else if mpol, ok := memoizable(in, pol); ok {
 		p.memo = mpol
 	}
@@ -130,21 +115,23 @@ func (p *Prepared) estimator(reps int, lanes laneMode) *estimator {
 	return e
 }
 
-// EstimateInfo is sim.EstimateInfo on the prepared engines: reps
-// repetitions, sequential, summary plus the EngineUsed record.
-func (p *Prepared) EstimateInfo(reps, maxSteps int, seed int64) (stats.Summary, int, EngineUsed) {
-	return p.EstimateParallelInfo(reps, maxSteps, seed, 1)
+// EstimateParallelInfo runs reps repetitions on the prepared engines,
+// fanned out as sim.EstimateParallelInfo documents, and returns their
+// summary, the number that hit the step cap, and the EngineUsed
+// record. sim.EstimateParallelInfo is this call on a fresh Prepare, so
+// a cached context returns the bits a cold estimate of the same
+// (reps, maxSteps, seed) returns, at any concurrency. concurrency <= 0
+// selects GOMAXPROCS; observer policies run sequentially.
+func (p *Prepared) EstimateParallelInfo(reps, maxSteps int, seed int64, concurrency int) (stats.Summary, int, EngineUsed) {
+	return p.estimate(reps, maxSteps, seed, effectiveWorkers(p.pol, concurrency), lanesAuto)
 }
 
-// EstimateParallelInfo is sim.EstimateParallelInfo on the prepared
-// engines. Repetition streams, chunk merging, and the engine dispatch
-// match the one-shot estimators call for call, so the summary is
-// bit-identical to a cold estimate of the same (reps, maxSteps, seed)
-// at any concurrency. concurrency <= 0 selects GOMAXPROCS; observer
-// policies degrade to sequential exactly as EstimateParallel does.
-func (p *Prepared) EstimateParallelInfo(reps, maxSteps int, seed int64, concurrency int) (stats.Summary, int, EngineUsed) {
+// estimate is the chunked run of reps repetitions on workers, on the
+// engine the lane mode selects for reps: the one path behind every
+// summary the package returns.
+func (p *Prepared) estimate(reps, maxSteps int, seed int64, workers int, lanes laneMode) (stats.Summary, int, EngineUsed) {
 	if reps <= 0 {
 		panic("sim: reps must be positive")
 	}
-	return p.estimator(reps, lanesAuto).run(reps, maxSteps, seed, effectiveWorkers(p.pol, concurrency))
+	return p.estimator(reps, lanes).run(reps, maxSteps, seed, workers)
 }

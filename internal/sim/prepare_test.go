@@ -80,8 +80,8 @@ func TestPreparedEngineRecord(t *testing.T) {
 	if eng, _, _ := p.Engine(); eng != "" {
 		t.Fatalf("observer prepared engine = %q, want none", eng)
 	}
-	wantSum, wantInc, _ := EstimateInfo(adIn, core.NewLearningPolicy(adIn, 0.5), 30, 10000, 3)
-	gotSum, gotInc, gotEng := p.EstimateInfo(30, 10000, 3)
+	wantSum, wantInc, _ := EstimateParallelInfo(adIn, core.NewLearningPolicy(adIn, 0.5), 30, 10000, 3, 1)
+	gotSum, gotInc, gotEng := p.EstimateParallelInfo(30, 10000, 3, 1)
 	if gotSum != wantSum || gotInc != wantInc || gotEng.Engine != EngineGeneric {
 		t.Fatalf("observer prepared estimate %+v/%d engine %q, cold %+v/%d",
 			gotSum, gotInc, gotEng.Engine, wantSum, wantInc)
@@ -93,14 +93,19 @@ func TestPreparedEngineRecord(t *testing.T) {
 // it allocates under 2% of its SizeBytes charge, since its tables hold
 // one entry per (job, run) while the charge counts every occurrence;
 // tables of one entry per occurrence would allocate about 100% of it.
-// The pin reads the median of nine calls.
+// The pin reads the median of nine calls. Every table is sized exactly:
+// no capacity past its length.
 func TestPrepareAllocation(t *testing.T) {
 	for _, in := range []*model.Instance{
 		workload.Independent(workload.Config{Jobs: 64, Machines: 16, Seed: 3}),
 		workload.Independent(workload.Config{Jobs: 24, Machines: 6, Seed: 21}),
 	} {
 		o := autoOblivious(t, in)
-		size := Prepare(in, o).SizeBytes()
+		p := Prepare(in, o)
+		size := p.SizeBytes()
+		if c := p.compiled; cap(c.runs) != len(c.runs) || cap(c.offs) != len(c.offs) || cap(c.topo) != len(c.topo) {
+			t.Errorf("%dx%d: Prepare's tables have spare capacity", in.N, in.M)
+		}
 		perCall := make([]int64, 9)
 		var before, after runtime.MemStats
 		for i := range perCall {

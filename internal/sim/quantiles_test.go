@@ -15,7 +15,7 @@ func TestMakespanQuantiles(t *testing.T) {
 	pol := sched.PolicyFunc(func(st *sched.State) sched.Assignment {
 		return sched.Assignment{0}
 	})
-	qs, xs := MakespanQuantiles(in, pol, 4000, 10000, 5, []float64{0.5, 0.9})
+	qs, xs := MakespanQuantilesParallel(in, pol, 4000, 10000, 5, []float64{0.5, 0.9}, 1)
 	if len(xs) != 4000 {
 		t.Fatalf("sample size %d", len(xs))
 	}
@@ -30,7 +30,7 @@ func TestMakespanQuantiles(t *testing.T) {
 		t.Error("NaN quantile")
 	}
 	// Quantiles agree with the seeds used by Estimate (same derivation).
-	sum, _ := Estimate(in, pol, 4000, 10000, 5)
+	sum, _, _ := EstimateParallelInfo(in, pol, 4000, 10000, 5, 1)
 	mean := 0.0
 	for _, x := range xs {
 		mean += x
@@ -48,11 +48,11 @@ func TestMakespanQuantiles(t *testing.T) {
 func TestMakespanQuantilesMatchEstimate(t *testing.T) {
 	in, o := chainsFixture()
 	const reps, cap, seed = 1000, 100000, 67
-	sum, _, eng := EstimateInfo(in, o, reps, cap, seed)
+	sum, _, eng := EstimateParallelInfo(in, o, reps, cap, seed, 1)
 	if eng.Engine != EngineLane {
 		t.Fatalf("engine %+v, want the lane engine at %d reps", eng, reps)
 	}
-	_, xs := MakespanQuantiles(in, o, reps, cap, seed, []float64{0.5})
+	_, xs := MakespanQuantilesParallel(in, o, reps, cap, seed, []float64{0.5}, 1)
 	lo, hi, mean := xs[0], xs[0], 0.0
 	for _, x := range xs {
 		lo, hi = math.Min(lo, x), math.Max(hi, x)
@@ -81,7 +81,7 @@ func TestMakespanQuantilesWorkerInvariant(t *testing.T) {
 		if !slices.Equal(gotXs, wantXs) || !slices.Equal(gotQ, wantQ) {
 			t.Errorf("reps %d: the 4-worker sample or quantiles %v differ from 1 worker's %v", reps, gotQ, wantQ)
 		}
-		if _, seq := MakespanQuantiles(in, o, reps, cap, seed, qs); !slices.Equal(seq, wantXs) {
+		if _, seq := MakespanQuantilesParallel(in, o, reps, cap, seed, qs, 1); !slices.Equal(seq, wantXs) {
 			t.Errorf("reps %d: MakespanQuantilesParallel's sample differs from MakespanQuantiles'", reps)
 		}
 	}

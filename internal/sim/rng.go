@@ -13,9 +13,9 @@ type Rand interface {
 // rand.New — which is what lets the estimators derive an independent
 // stream per repetition for free.
 //
-// Both Estimate and EstimateParallel derive the rep-r stream as
-// Reseed(seed, r), so a repetition's draws are identical whether it
-// runs sequentially or on any worker of any fan-out. Pair a Stream
+// The scalar walks derive the rep-r stream as Reseed(seed, r), so a
+// repetition's draws are identical whether it runs sequentially or on
+// any worker of any fan-out. Pair a Stream
 // with a Runner to reproduce any single repetition in isolation.
 type Stream struct {
 	s uint64

@@ -158,11 +158,11 @@ func TestEstimateMemoryIsOneWindow(t *testing.T) {
 	in.SetAt(0, 0, 0.9)
 	pol := sched.NewOblivious(1, []sched.Assignment{{0}}, nil)
 	const reps = 1 << 17
-	Estimate(in, pol, reps, 1000, 3)
+	EstimateParallelInfo(in, pol, reps, 1000, 3, 1)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	Estimate(in, pol, reps, 1000, 3)
+	EstimateParallelInfo(in, pol, reps, 1000, 3, 1)
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
 	bound := uint64(windowChunks*estimateChunk*8 + reps/estimateChunk*64 + 64<<10)

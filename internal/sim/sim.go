@@ -113,21 +113,10 @@ type estimator struct {
 	oracle bool
 }
 
-// UsesCompiledEngine reports whether the estimators will run pol on
-// in with the compiled oblivious engine rather than the generic step
-// engine: an oblivious schedule with a non-empty prefix, no outcome
-// observation, and an acyclic instance. Exported so reporting code
-// (BENCH_sim.json) attributes measurements to the engine that
-// actually ran; for the full decision including the compiled adaptive
-// engine use the EngineUsed value returned by EstimateInfo.
-func UsesCompiledEngine(in *model.Instance, pol sched.Policy) bool {
-	o, _ := compilable(in, pol)
-	return o != nil
-}
-
 // compilable returns the schedule the compiled oblivious engine runs
-// for pol on in, with the topological order its compile walks, or nil
-// when UsesCompiledEngine is false.
+// for pol on in, with the topological order its compile walks: an
+// oblivious schedule with a non-empty prefix, no outcome observation,
+// and an acyclic instance. It returns nil otherwise.
 func compilable(in *model.Instance, pol sched.Policy) (*sched.Oblivious, []int) {
 	o, ok := pol.(*sched.Oblivious)
 	if !ok || o.Len() == 0 || !Parallelizable(pol) {
@@ -402,60 +391,29 @@ func (it *repIter) run(lo, hi, maxSteps int, visit func(makespan int, completed 
 	}
 }
 
-// estimate is the one-shot estimator behind every exported form:
-// engine selection for (in, pol, reps) under the lane mode, on a
-// pooled workspace, then the chunked run.
-func estimate(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, workers int, lanes laneMode) (stats.Summary, int, EngineUsed) {
-	if reps <= 0 {
-		panic("sim: reps must be positive")
-	}
-	ws := workspacePool.Get().(*workspace)
-	sum, inc, eng := prepare(in, pol, ws).estimator(reps, lanes).run(reps, maxSteps, seed, workers)
-	ws.release()
-	return sum, inc, eng
-}
-
-// Estimate runs reps independent executions (repetition r's RNG
-// stream is derived deterministically from (seed, r)) and returns the
-// summary of observed makespans together with the number of runs that
-// hit the step cap without completing. Aggregation is streaming: the
-// full sample is never materialized.
-func Estimate(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64) (stats.Summary, int) {
-	sum, inc, _ := estimate(in, pol, reps, maxSteps, seed, 1, lanesAuto)
-	return sum, inc
-}
-
-// EstimateInfo is Estimate plus the EngineUsed record — which engine
-// actually ran (compiled oblivious or its lane form, compiled adaptive
-// with its memoized state count, or the generic step engine). Harness
-// code that persists results should prefer this form so a fallback to
-// the slow path is recorded, not inferred.
-func EstimateInfo(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64) (stats.Summary, int, EngineUsed) {
-	return estimate(in, pol, reps, maxSteps, seed, 1, lanesAuto)
-}
-
-// EstimateInfoLanes is EstimateInfo with the lane decision passed per
-// call: lanes=true is EstimateInfo's dispatch, lanes=false runs the
-// scalar walks at every repetition count — what a lane-vs-scalar
-// timing needs where dispatch would pick lanes. The two forms sample
-// different draws of the same distribution whenever lanes would run.
+// EstimateInfoLanes is the sequential EstimateParallelInfo with the
+// lane decision passed per call: lanes=true is EstimateParallelInfo's
+// dispatch, lanes=false runs the scalar walks at every repetition
+// count — what a lane-vs-scalar timing needs where dispatch would pick
+// lanes. The two forms sample different draws of the same distribution
+// whenever lanes would run.
 func EstimateInfoLanes(in *model.Instance, pol sched.Policy, reps, maxSteps int, seed int64, lanes bool) (stats.Summary, int, EngineUsed) {
 	mode := lanesAuto
 	if !lanes {
 		mode = lanesOff
 	}
-	return estimate(in, pol, reps, maxSteps, seed, 1, mode)
+	return Prepare(in, pol).estimate(reps, maxSteps, seed, 1, mode)
 }
 
 // massSeedSalt decorrelates MassWithinHorizon's streams from
-// Estimate's when both are called with the same seed.
+// EstimateParallelInfo's when both are called with the same seed.
 const massSeedSalt = 0x6D617373 // "mass"
 
 // MassWithinHorizon runs reps executions of pol truncated at horizon
 // steps and returns, for job j, the fraction of runs in which j
 // accumulated mass at least threshold. Used to validate Theorem 2.2
-// empirically. It runs on the engine Estimate would select for reps,
-// the lane walk included (with per-lane mass columns, see
+// empirically. It runs on the engine EstimateParallelInfo would select
+// for reps, the lane walk included (with per-lane mass columns, see
 // laneWorker.massLanes).
 func MassWithinHorizon(in *model.Instance, pol sched.Policy, horizon, reps int, threshold float64, seed int64) []float64 {
 	return massWithinHorizon(in, pol, horizon, reps, threshold, seed, lanesAuto)
@@ -463,8 +421,7 @@ func MassWithinHorizon(in *model.Instance, pol sched.Policy, horizon, reps int, 
 
 func massWithinHorizon(in *model.Instance, pol sched.Policy, horizon, reps int, threshold float64, seed int64, lanes laneMode) []float64 {
 	counts := make([]float64, in.N)
-	ws := workspacePool.Get().(*workspace)
-	it := prepare(in, pol, ws).estimator(reps, lanes).newIter(seed^massSeedSalt, true)
+	it := Prepare(in, pol).estimator(reps, lanes).newIter(seed^massSeedSalt, true)
 	it.run(0, reps, horizon, func(_ int, _ bool, mass []float64) {
 		for j, m := range mass {
 			if m >= threshold-1e-12 {
@@ -473,7 +430,6 @@ func massWithinHorizon(in *model.Instance, pol sched.Policy, horizon, reps int, 
 		}
 	})
 	it.release()
-	ws.release()
 	for j := range counts {
 		counts[j] /= float64(reps)
 	}

@@ -78,7 +78,7 @@ func TestGeometricMeanMatchesTheory(t *testing.T) {
 	pol := sched.PolicyFunc(func(st *sched.State) sched.Assignment {
 		return sched.Assignment{0}
 	})
-	sum, incomplete := Estimate(in, pol, 4000, 10000, 7)
+	sum, incomplete, _ := EstimateParallelInfo(in, pol, 4000, 10000, 7, 1)
 	if incomplete != 0 {
 		t.Fatalf("%d incomplete runs", incomplete)
 	}
@@ -95,7 +95,7 @@ func TestEstimateMatchesExactRegimen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, incomplete := Estimate(in, reg, 6000, 100000, 11)
+	sum, incomplete, _ := EstimateParallelInfo(in, reg, 6000, 100000, 11, 1)
 	if incomplete != 0 {
 		t.Fatalf("%d incomplete", incomplete)
 	}
@@ -115,7 +115,7 @@ func TestObliviousScheduleExecution(t *testing.T) {
 	in.Prec.MustEdge(0, 1)
 	in.Prec.MustEdge(1, 2)
 	o := sched.NewOblivious(2, []sched.Assignment{{0, 0}}, &sched.TopoRoundRobin{M: 2, Order: []int{0, 1, 2}})
-	sum, incomplete := Estimate(in, o, 300, 100000, 3)
+	sum, incomplete, _ := EstimateParallelInfo(in, o, 300, 100000, 3, 1)
 	if incomplete != 0 {
 		t.Fatalf("%d incomplete", incomplete)
 	}

@@ -7,7 +7,7 @@ import (
 
 // runState holds every buffer one simulation needs, allocated once
 // and reset per repetition, so the step loop itself performs zero
-// allocations. Each worker of EstimateParallel owns one.
+// allocations. Each estimation worker on the step engine owns one.
 type runState struct {
 	in   *model.Instance
 	p    []float64 // flat row-major probabilities: p[i*n+j]
@@ -185,8 +185,8 @@ func (rs *runState) runFrom(pol sched.Policy, t0, maxSteps int, rng Rand, reg *S
 
 // Runner executes many simulations of one policy on one instance,
 // reusing every buffer across runs. It is the allocation-free core
-// that Estimate and EstimateParallel build on; use it directly when
-// driving repetitions with custom per-run logic.
+// the estimators' step engine builds on; use it directly when driving
+// repetitions with custom per-run logic.
 //
 // A Runner is not safe for concurrent use; give each goroutine its
 // own.

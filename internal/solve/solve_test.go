@@ -141,7 +141,7 @@ func TestEverySolverBuildsOnItsClasses(t *testing.T) {
 			t.Errorf("%s: oblivious solver produced adaptive result", s.ID)
 		}
 		// Every built policy must finish a small instance.
-		sum, incomplete := sim.Estimate(in, res.Policy, 30, 200000, 7)
+		sum, incomplete, _ := sim.EstimateParallelInfo(in, res.Policy, 30, 200000, 7, 1)
 		if incomplete != 0 {
 			t.Errorf("%s: %d incomplete runs", s.ID, incomplete)
 		}
