@@ -13,6 +13,14 @@
 //     the chains algorithm (Theorem 4.4), the LP-based independent-jobs
 //     algorithm (Theorem 4.5) and the tree/forest algorithms
 //     (Theorems 4.7 and 4.8);
+//   - the forest pipeline's two stages per decomposition block: the LP
+//     stage stays sequential in block order on the calling goroutine,
+//     since each block's crash basis (LPWarm) depends on the blocks
+//     solved before it; the finish stage (rounding, pseudo-schedule,
+//     delays, flattening, replication) of each block runs on one extra
+//     goroutine while the next block's LP solves, so a forest build
+//     may use one goroutine besides its caller's. Results are
+//     bit-identical to the sequential loop at any GOMAXPROCS;
 //   - one count packer behind every prefix built from step counts:
 //     SUU-I-OBL's MSM-E-ALG rounds (ScheduleFromCounts), the LP packing
 //     (PackSequential) and the chain windows of a pseudo-schedule

@@ -138,15 +138,12 @@ func (s *splitMixSource) Seed(seed int64) { *s = *newSplitMixSource(seed) }
 
 // finishSchedule replicates the core prefix σ times and appends the
 // topological round-robin tail Σ_o,3 (Section 4.1's schedule
-// replication), producing the final oblivious schedule.
-func finishSchedule(in *model.Instance, core *sched.Oblivious, sigma int) (*sched.Oblivious, error) {
-	order, err := in.Prec.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
+// replication) over order, a topological order of in.Prec that the
+// tail only reads, producing the final oblivious schedule.
+func finishSchedule(in *model.Instance, core *sched.Oblivious, sigma int, order []int) *sched.Oblivious {
 	repl := core.Replicate(sigma)
 	repl.Tail = &sched.TopoRoundRobin{M: in.M, Order: order}
-	return repl, nil
+	return repl
 }
 
 // ChainsResult extends OblResult with the chain pipeline's diagnostics.
@@ -187,12 +184,6 @@ func SUUChains(in *model.Instance, par Params) (*ChainsResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: SUU-C needs disjoint chains: %w", err)
 	}
-	return chainsOnBlocks(in, chains, par)
-}
-
-// chainsOnBlocks runs the chain pipeline on an explicit chain set
-// (either the whole instance's chains or one decomposition block).
-func chainsOnBlocks(in *model.Instance, chains [][]int, par Params) (*ChainsResult, error) {
 	return chainsOnBlocksDelayed(in, chains, par, 0, nil)
 }
 
@@ -205,18 +196,36 @@ func SUUChainsOnBlock(in *model.Instance, chains [][]int, par Params) (*ChainsRe
 	return chainsOnBlocksDelayed(in, chains, par, 0, nil)
 }
 
-// chainsOnBlocksDelayed is chainsOnBlocks with an explicit delay-range
-// divisor: delays are drawn from [0, Π_max/divisor] (divisor <= 1
-// means the full [0, Π_max] range of Theorem 4.4). Theorem 4.8's
-// specialized tree analysis samples from [0, O(Π_max/log n)], trading
-// slightly higher congestion for much shorter delayed prefixes. warm
-// (may be nil) carries the crash-basis bias across a decomposition's
-// per-block solves.
+// chainsOnBlocksDelayed runs the chain pipeline on an explicit chain
+// set (the whole instance's chains or one decomposition block): the LP
+// stage (solveLP1) and then the finish stage (finishChains), back to
+// back. Delays are drawn from [0, Π_max/divisor] (divisor <= 1 means
+// the full [0, Π_max] range of Theorem 4.4); Theorem 4.8's specialized
+// tree analysis samples from [0, O(Π_max/log n)], trading slightly
+// higher congestion for much shorter delayed prefixes. warm (may be
+// nil) carries the crash-basis bias across a decomposition's per-block
+// solves. SUUForest runs the same two stages per block, but finishes
+// each block while the next block's LP solves.
 func chainsOnBlocksDelayed(in *model.Instance, chains [][]int, par Params, divisor int, warm *LPWarm) (*ChainsResult, error) {
 	frac, err := solveLP1(in, chains, par.MassTarget, lpOptions{dense: par.DenseLP, warm: warm})
 	if err != nil {
 		return nil, err
 	}
+	order, err := in.Prec.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	return finishChains(in, chains, par, divisor, frac, order)
+}
+
+// finishChains is the chain pipeline's finish stage: it rounds the
+// (LP1) solution frac, lays out the pseudo-schedule, chooses the
+// delays, flattens, replicates and appends the round-robin tail over
+// order, a topological order of in.Prec. It reads only its arguments
+// (frac is this chain set's own solution, and par.Seed alone seeds the
+// delay search), so the finish stages of different blocks may run
+// concurrently and in any order with the same bits.
+func finishChains(in *model.Instance, chains [][]int, par Params, divisor int, frac *FracSolution, order []int) (*ChainsResult, error) {
 	ints, err := RoundLP(in, frac, par.MassTarget)
 	if err != nil {
 		return nil, err
@@ -238,13 +247,9 @@ func chainsOnBlocksDelayed(in *model.Instance, chains [][]int, par Params, divis
 	for _, c := range chains {
 		nScope += len(c)
 	}
-	final, err := finishSchedule(in, flat, par.sigma(nScope))
-	if err != nil {
-		return nil, err
-	}
 	return &ChainsResult{
 		OblResult: OblResult{
-			Schedule:     final,
+			Schedule:     finishSchedule(in, flat, par.sigma(nScope), order),
 			CoreLength:   flat.Len(),
 			MassAchieved: ints.MinMass(in),
 			TGuess:       int(frac.T + 1),
@@ -282,13 +287,13 @@ func SUUIndependentLP(in *model.Instance, par Params) (*ChainsResult, error) {
 		return nil, err
 	}
 	packed := PackSequential(in, ints.X)
-	final, err := finishSchedule(in, packed, par.sigma(in.N))
+	order, err := in.Prec.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
 	return &ChainsResult{
 		OblResult: OblResult{
-			Schedule:     final,
+			Schedule:     finishSchedule(in, packed, par.sigma(in.N), order),
 			CoreLength:   packed.Len(),
 			MassAchieved: ints.MinMass(in),
 			TGuess:       int(frac.T + 1),
@@ -332,15 +337,22 @@ type ForestResult struct {
 // (ii) of the decomposition makes the concatenation precedence-
 // feasible; each block is replicated before the next begins so that
 // all its jobs finish with high probability.
+//
+// Each block runs the chain pipeline's two stages. The LP stages run
+// in block order on the calling goroutine, because each block's crash
+// basis (LPWarm) depends on the loads of the blocks solved before it.
+// A block's finish stage reads only its own LP solution, the instance
+// and par.Seed, so one extra goroutine finishes each block while the
+// next block's LP solves (twoStage), and the caller joins in once its
+// last LP is solved. A forest build thus may use one goroutine besides
+// the caller's; a one-block decomposition uses none. The results are
+// bit-identical to the sequential loop's at any GOMAXPROCS, and a
+// failure returns the earliest failing block's error, as the loop did.
 func SUUForest(in *model.Instance, par Params) (*ForestResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	dc := in.Prec.ChainDecomposition()
-	res := &ForestResult{Decomposition: dc}
-	blocks := make([]*sched.Oblivious, 0, len(dc.Blocks))
-	coreLen := 0
-	minMass := 1.0
 	// Theorem 4.8 (rank-decomposed trees/forests): delays within a
 	// block are drawn from [0, O(Π_max/log n)]; the general Theorem 4.7
 	// fallback keeps the full range.
@@ -349,17 +361,39 @@ func SUUForest(in *model.Instance, par Params) (*ForestResult, error) {
 	case "rank-out", "rank-in", "per-component":
 		divisor = log2Ceil(in.N)
 	}
+	// One topological order serves every block's tail and the final
+	// one; the tails only read it.
+	order, err := in.Prec.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
 	// Consecutive block solves share a warm-start context: each block's
 	// crash basis is biased away from the machines earlier blocks
 	// loaded, which shortens phase 1 measurably on specialist-shaped
 	// instances.
 	warm := NewLPWarm(in.M)
-	for bi, block := range dc.Blocks {
-		br, err := chainsOnBlocksDelayed(in, block.Chains, par, divisor, warm)
-		if err != nil {
-			return nil, fmt.Errorf("core: block %d: %w", bi, err)
-		}
-		res.BlockResults = append(res.BlockResults, br)
+	results, err := twoStage(len(dc.Blocks),
+		func(bi int) (*FracSolution, error) {
+			frac, err := solveLP1(in, dc.Blocks[bi].Chains, par.MassTarget, lpOptions{dense: par.DenseLP, warm: warm})
+			if err != nil {
+				return nil, fmt.Errorf("core: block %d: %w", bi, err)
+			}
+			return frac, nil
+		},
+		func(bi int, frac *FracSolution) (*ChainsResult, error) {
+			br, err := finishChains(in, dc.Blocks[bi].Chains, par, divisor, frac, order)
+			if err != nil {
+				return nil, fmt.Errorf("core: block %d: %w", bi, err)
+			}
+			return br, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	res := &ForestResult{Decomposition: dc, BlockResults: results}
+	blocks := make([]*sched.Oblivious, len(results))
+	minMass := 1.0
+	for bi, br := range results {
 		res.LPPivots += br.LPPivots
 		if br.LPRows > res.LPRows {
 			res.LPRows, res.LPCols, res.LPNnz = br.LPRows, br.LPCols, br.LPNnz
@@ -370,22 +404,17 @@ func SUUForest(in *model.Instance, par Params) (*ForestResult, error) {
 		if br.MassAchieved < minMass {
 			minMass = br.MassAchieved
 		}
-		coreLen += br.CoreLength
+		res.CoreLength += br.CoreLength
 		// br.Schedule's prefix is the replicated block schedule; its
 		// tail is replaced below.
-		blocks = append(blocks, br.Schedule)
+		blocks[bi] = br.Schedule
 	}
 	if tlb := TrivialLowerBound(in); tlb > res.LowerBound {
 		res.LowerBound = tlb
 	}
-	order, err := in.Prec.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
 	combined := sched.Concat(blocks...)
 	combined.Tail = &sched.TopoRoundRobin{M: in.M, Order: order}
 	res.Schedule = combined
-	res.CoreLength = coreLen
 	res.MassAchieved = minMass
 	return res, nil
 }
