@@ -1,5 +1,6 @@
-// Benchmarks — one per experiment table of DESIGN.md §6. They exercise
-// the code paths that regenerate each table at a representative size;
+// Benchmarks — one per experiment table of exp.Drivers (T1..T10,
+// A1..A4) and per figure of cmd/suu-trace (F1, F3). They exercise the
+// code paths that regenerate each table at a representative size;
 // cmd/suu-bench produces the tables themselves.
 package suu
 

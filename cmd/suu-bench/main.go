@@ -1,6 +1,6 @@
-// Command suu-bench regenerates the experiment tables of
-// EXPERIMENTS.md — the empirical validation of every theorem of the
-// paper plus the ablations (see DESIGN.md §6 for the index) — and the
+// Command suu-bench regenerates the experiment tables — the empirical
+// validation of every theorem of the paper plus the ablations, one
+// per entry of exp.Drivers (T1..T11, T13..T15, A1..A5) — and the
 // simulation-engine throughput record BENCH_sim.json.
 //
 // Usage:
@@ -138,15 +138,8 @@ func main() {
 		fmt.Printf("_serve load harness completed in %.1fs_\n", time.Since(start).Seconds())
 		if *jsonPath != "" {
 			file := exp.NewSimBenchFile(cfg)
-			file.Commit = *commit
 			file.Serve = b
-			out, err := exp.WriteSimBenchJSON(file)
-			if err != nil {
-				log.Fatalf("marshal serve benchmarks: %v", err)
-			}
-			if err := os.WriteFile(*jsonPath, out, 0o644); err != nil {
-				log.Fatalf("write %s: %v", *jsonPath, err)
-			}
+			writeRecord(*jsonPath, *commit, file)
 		}
 		return
 	}
@@ -157,15 +150,8 @@ func main() {
 		fmt.Printf("_exact-solver benchmarks completed in %.1fs_\n", time.Since(start).Seconds())
 		if *jsonPath != "" {
 			file := exp.NewSimBenchFile(cfg)
-			file.Commit = *commit
 			file.ExactSolver = rows
-			out, err := exp.WriteSimBenchJSON(file)
-			if err != nil {
-				log.Fatalf("marshal exact-solver benchmarks: %v", err)
-			}
-			if err := os.WriteFile(*jsonPath, out, 0o644); err != nil {
-				log.Fatalf("write %s: %v", *jsonPath, err)
-			}
+			writeRecord(*jsonPath, *commit, file)
 		}
 		return
 	}
@@ -177,15 +163,8 @@ func main() {
 		fmt.Printf("_LP benchmarks completed in %.1fs_\n", time.Since(start).Seconds())
 		if *jsonPath != "" {
 			file := exp.NewSimBenchFile(cfg)
-			file.Commit = *commit
 			file.LPBench = rows
-			out, err := exp.WriteSimBenchJSON(file)
-			if err != nil {
-				log.Fatalf("marshal LP benchmarks: %v", err)
-			}
-			if err := os.WriteFile(*jsonPath, out, 0o644); err != nil {
-				log.Fatalf("write %s: %v", *jsonPath, err)
-			}
+			writeRecord(*jsonPath, *commit, file)
 		}
 		return
 	}
@@ -217,23 +196,29 @@ func main() {
 	if *jsonPath != "" {
 		start := time.Now()
 		file := exp.SimBenchmarks(cfg)
-		file.Commit = *commit
 		// The serve section is filled here rather than inside
 		// exp.SimBenchmarks: that layer lives above exp, so its
 		// benchmark does too.
 		file.Serve = serve.Benchmark(cfg)
-		out, err := exp.WriteSimBenchJSON(file)
-		if err != nil {
-			log.Fatalf("marshal engine benchmarks: %v", err)
-		}
-		if err := os.WriteFile(*jsonPath, out, 0o644); err != nil {
-			log.Fatalf("write %s: %v", *jsonPath, err)
-		}
-		for _, s := range file.Skipped {
-			fmt.Fprintf(os.Stderr, "warning: benchmark family skipped: %s\n", s)
-		}
+		writeRecord(*jsonPath, *commit, file)
 		fmt.Printf("_engine benchmarks (%d families) written to %s in %.1fs_\n",
 			len(file.Benchmarks), *jsonPath, time.Since(start).Seconds())
+	}
+}
+
+// writeRecord stamps the perf record with the commit, writes it to
+// path, and warns on stderr about every benchmark family it skipped.
+func writeRecord(path, commit string, file exp.SimBenchFile) {
+	file.Commit = commit
+	out, err := exp.WriteSimBenchJSON(file)
+	if err != nil {
+		log.Fatalf("marshal the perf record: %v", err)
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		log.Fatalf("write %s: %v", path, err)
+	}
+	for _, s := range file.Skipped {
+		fmt.Fprintf(os.Stderr, "warning: benchmark family skipped: %s\n", s)
 	}
 }
 

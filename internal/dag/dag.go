@@ -74,9 +74,6 @@ func (d *DAG) Preds(v int) []int { return d.preds[v] }
 // InDeg returns the in-degree of v.
 func (d *DAG) InDeg(v int) int { return len(d.preds[v]) }
 
-// OutDeg returns the out-degree of u.
-func (d *DAG) OutDeg(u int) int { return len(d.succs[u]) }
-
 // Clone returns a deep copy.
 func (d *DAG) Clone() *DAG {
 	c := New(d.n)
@@ -217,42 +214,6 @@ func (d *DAG) Levels() []int {
 		}
 	}
 	return lvl
-}
-
-// Ancestors returns the set of vertices from which v is reachable
-// (excluding v itself) as a boolean mask.
-func (d *DAG) Ancestors(v int) []bool {
-	seen := make([]bool, d.n)
-	stack := []int{v}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range d.preds[u] {
-			if !seen[p] {
-				seen[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return seen
-}
-
-// Descendants returns the set of vertices reachable from v (excluding
-// v itself) as a boolean mask.
-func (d *DAG) Descendants(v int) []bool {
-	seen := make([]bool, d.n)
-	stack := []int{v}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range d.succs[u] {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return seen
 }
 
 // TransitiveClosure returns reach[u][v] = true iff there is a directed

@@ -5,27 +5,6 @@ import (
 	"strings"
 )
 
-// DOT renders the graph in Graphviz dot syntax. labels may be nil (job
-// indices are used) or provide one display label per vertex.
-func (d *DAG) DOT(name string, labels []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n", name)
-	for v := 0; v < d.n; v++ {
-		label := fmt.Sprint(v)
-		if labels != nil && v < len(labels) {
-			label = labels[v]
-		}
-		fmt.Fprintf(&b, "  n%d [label=%q];\n", v, label)
-	}
-	for u := 0; u < d.n; u++ {
-		for _, v := range d.succs[u] {
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", u, v)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // DOTDecomposition renders the graph with its chain decomposition:
 // blocks become clusters, chain edges are bold.
 func (d *DAG) DOTDecomposition(name string, dc *Decomposition) string {

@@ -5,22 +5,6 @@ import (
 	"testing"
 )
 
-func TestDOT(t *testing.T) {
-	d := New(3)
-	d.MustEdge(0, 1)
-	d.MustEdge(1, 2)
-	out := d.DOT("g", nil)
-	for _, want := range []string{"digraph", "n0 -> n1", "n1 -> n2", `label="2"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-	labeled := d.DOT("g", []string{"a", "b", "c"})
-	if !strings.Contains(labeled, `label="a"`) {
-		t.Error("labels ignored")
-	}
-}
-
 func TestDOTDecomposition(t *testing.T) {
 	d := New(4)
 	d.MustEdge(0, 1)

@@ -37,13 +37,3 @@ func All(cfg Config) []*Table {
 	}
 	return out
 }
-
-// ByID runs a single experiment, or returns nil for an unknown id.
-func ByID(id string, cfg Config) *Table {
-	for _, drv := range Drivers {
-		if drv.ID == id {
-			return drv.Run(cfg)
-		}
-	}
-	return nil
-}

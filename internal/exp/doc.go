@@ -1,7 +1,7 @@
-// Package exp contains the experiment drivers that regenerate every
-// table of EXPERIMENTS.md — the empirical validation of each theorem
-// of Lin & Rajaraman (SPAA 2007) — plus the ablations called out in
-// DESIGN.md. Each driver returns a Table; cmd/suu-bench renders them.
+// Package exp contains the experiment drivers (Drivers, in
+// presentation order) that regenerate every table of the empirical
+// validation of each theorem of Lin & Rajaraman (SPAA 2007), plus the
+// ablations. Each driver returns a Table; cmd/suu-bench renders them.
 //
 // The drivers are built on the scenario-grid harness in grid.go:
 // every Monte Carlo cell (one instance × one solver × one trial)

@@ -69,15 +69,11 @@ func TestMonteCarloDriversQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping Monte Carlo experiment drivers in -short mode")
 	}
-	for _, id := range []string{"T3", "T6", "T10"} {
-		tb := ByID(id, quickCfg)
-		checkTable(t, tb, 2)
-	}
-}
-
-func TestByIDUnknown(t *testing.T) {
-	if ByID("nope", quickCfg) != nil {
-		t.Error("unknown id returned a table")
+	for _, drv := range Drivers {
+		switch drv.ID {
+		case "T3", "T6", "T10":
+			checkTable(t, drv.Run(quickCfg), 2)
+		}
 	}
 }
 

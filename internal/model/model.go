@@ -168,31 +168,3 @@ func (in *Instance) Mass(j int, ms []int) float64 {
 	}
 	return s
 }
-
-// PMin returns the smallest strictly positive entry of P. It is used
-// for the T_OPT = O(n/pmin · log n) upper bound that seeds the
-// doubling search in SUU-I-OBL. Returns 0 when the matrix is all zero.
-func (in *Instance) PMin() float64 {
-	min := 0.0
-	for i := range in.P {
-		for _, p := range in.P[i] {
-			if p > 0 && (min == 0 || p < min) {
-				min = p
-			}
-		}
-	}
-	return min
-}
-
-// MaxMassPerStep returns, for job j, the largest mass obtainable in a
-// single step by assigning every machine to j (capped at 1).
-func (in *Instance) MaxMassPerStep(j int) float64 {
-	s := 0.0
-	for i := 0; i < in.M; i++ {
-		s += in.P[i][j]
-	}
-	if s > 1 {
-		return 1
-	}
-	return s
-}

@@ -111,18 +111,6 @@ func TestProposition21(t *testing.T) {
 	}
 }
 
-func TestPMin(t *testing.T) {
-	in := New(2, 2)
-	in.P[0][0] = 0.3
-	in.P[1][1] = 0.1
-	if pm := in.PMin(); pm != 0.1 {
-		t.Errorf("PMin=%v, want 0.1", pm)
-	}
-	if pm := New(1, 1).PMin(); pm != 0 {
-		t.Errorf("PMin of zero matrix = %v, want 0", pm)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	in := New(2, 1)
 	in.P[0][0], in.P[0][1] = 0.5, 0.5
@@ -131,18 +119,5 @@ func TestCloneIndependence(t *testing.T) {
 	c.Prec.MustEdge(0, 1)
 	if in.P[0][0] != 0.5 || in.Prec.E() != 0 {
 		t.Error("Clone shares storage")
-	}
-}
-
-func TestMaxMassPerStep(t *testing.T) {
-	in := New(1, 3)
-	in.P[0][0], in.P[1][0], in.P[2][0] = 0.6, 0.6, 0.6
-	if m := in.MaxMassPerStep(0); m != 1 {
-		t.Errorf("capped mass=%v", m)
-	}
-	in2 := New(1, 2)
-	in2.P[0][0], in2.P[1][0] = 0.2, 0.3
-	if m := in2.MaxMassPerStep(0); math.Abs(m-0.5) > 1e-12 {
-		t.Errorf("mass=%v, want 0.5", m)
 	}
 }

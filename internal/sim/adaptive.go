@@ -15,14 +15,14 @@ import (
 // estimation worker memoizes, per unfinished-set key it visits,
 // exactly what the generic step engine would do in that state: which
 // jobs receive a completion draw (in the step engine's machine-scan
-// order), each job's combined single-step success probability, the
-// mass the step adds, and the successor state for every completion
-// outcome. The first visit to a state costs one policy call; every
-// later visit is one slice lookup plus one uniform draw per trialed
-// job, and a successor is resolved the first time its transition is
-// taken. A call only digests the states its repetitions reach, which
-// can be a small part of the reachable space (162 of 711 on the
-// independent 12×4 adaptive_engine instance at 3000 repetitions).
+// order), each job's combined single-step success probability, and the
+// successor state for every completion outcome. The first visit to a
+// state costs one policy call; every later visit is one slice lookup
+// plus one uniform draw per trialed job, and a successor is resolved
+// the first time its transition is taken. A call only digests the
+// states its repetitions reach, which can be a small part of the
+// reachable space (162 of 711 on the independent 12×4 adaptive_engine
+// instance at 3000 repetitions).
 //
 // The walk consumes uniforms in the same order and compares them
 // against bit-identical probabilities (the fail products are
@@ -35,10 +35,8 @@ import (
 // (callBudget) and maxAdaptiveTableEntries successor slots. A state
 // past either cap is digested into a reused scratch state that is not
 // kept, so draws still match the step engine; only the policy call is
-// repeated. Per-job mass is accumulated per step from a precomputed
-// sum, so it can differ from the step engine's machine-by-machine
-// accumulation in the last floating-point bits — the same latitude
-// the compiled oblivious engine already takes.
+// repeated. The walk tracks no mass: MassWithinHorizon runs the step
+// engine, which matches it draw for draw.
 
 // DefaultAdaptiveCompileBudget bounds the states one worker memoizes.
 // Profitability, not memory, sets it: memoizing a state costs one
@@ -73,11 +71,10 @@ type adaptState struct {
 }
 
 // trial is one completion draw: job's combined success probability
-// 1-Π(1-p_ij) with the product taken in machine order, and the Σ p_ij
-// the step adds to its mass.
+// 1-Π(1-p_ij) with the product taken in machine order.
 type trial struct {
-	job        int
-	succ, mass float64
+	job  int
+	succ float64
 }
 
 const (
@@ -104,12 +101,10 @@ type adaptRunner struct {
 	slots  int
 	// start is the full set's kept index (scratchState until kept).
 	start int32
-	mass  []float64
 
 	// Digest scratch.
 	st   sched.State
 	fail []float64
-	acc  []float64
 	seen []bool
 }
 
@@ -139,9 +134,7 @@ func newAdaptRunner(in *model.Instance, pol sched.Memoizable, budget int) *adapt
 		budget: budget,
 		keys:   make(map[uint64]int32),
 		states: make([]adaptState, 1, 64),
-		mass:   make([]float64, n),
 		fail:   make([]float64, n),
-		acc:    make([]float64, n),
 		seen:   make([]bool, n),
 	}
 	r.st = sched.State{Unfinished: make([]bool, n), Eligible: make([]bool, n)}
@@ -181,11 +174,11 @@ func (r *adaptRunner) visit(mask uint64) int32 {
 
 // digest computes mask's state into the scratch state exactly as
 // runState.runFrom would play the policy's assignment there: machines
-// on ineligible jobs idle, fail products and masses accumulate in
-// machine order, draw order is first-touch order. seen, not
-// fail[j]==0, marks first touches — a p_ij of exactly 1 zeroes the
-// product and must not re-enroll the job (runFrom uses the same
-// marker, keeping the digests aligned draw for draw).
+// on ineligible jobs idle, fail products accumulate in machine order,
+// draw order is first-touch order. seen, not fail[j]==0, marks first
+// touches — a p_ij of exactly 1 zeroes the product and must not
+// re-enroll the job (runFrom uses the same marker, keeping the digests
+// aligned draw for draw).
 func (r *adaptRunner) digest(mask uint64) {
 	n, p := r.n, r.p
 	unf, elig := r.st.Unfinished, r.st.Eligible
@@ -206,15 +199,13 @@ func (r *adaptRunner) digest(mask uint64) {
 		if !r.seen[j] {
 			r.seen[j] = true
 			r.fail[j] = 1
-			r.acc[j] = 0
 			sc.trials = append(sc.trials, trial{job: j})
 		}
 		r.fail[j] *= 1 - p[i*n+j]
-		r.acc[j] += p[i*n+j]
 	}
 	for b := range sc.trials {
 		tr := &sc.trials[b]
-		tr.succ, tr.mass = 1-r.fail[tr.job], r.acc[tr.job]
+		tr.succ = 1 - r.fail[tr.job]
 		r.seen[tr.job] = false
 	}
 }
@@ -225,7 +216,6 @@ func (r *adaptRunner) digest(mask uint64) {
 // is bit-identical. Once the memo holds every state a repetition
 // reaches, the loop allocates nothing.
 func (r *adaptRunner) run(maxSteps int, rng Rand) (int, bool) {
-	clear(r.mass)
 	cur := r.start
 	if cur == scratchState {
 		cur = r.visit(uint64(1)<<uint(r.n) - 1) // n = 64 wraps to all ones
@@ -236,7 +226,6 @@ func (r *adaptRunner) run(maxSteps int, rng Rand) (int, bool) {
 		var sub uint64
 		for k := range s.trials {
 			tr := &s.trials[k]
-			r.mass[tr.job] += tr.mass
 			var bit uint64 // set without a branch: draws are coin flips
 			if rng.Float64() < tr.succ {
 				bit = 1
@@ -273,8 +262,6 @@ func (r *adaptRunner) run(maxSteps int, rng Rand) (int, bool) {
 	}
 	return maxSteps, false
 }
-
-func (r *adaptRunner) massView() []float64 { return r.mass }
 
 // memoizedStates is a call's EngineUsed.States: the distinct
 // unfinished sets its workers digested, capped at budget. A worker

@@ -11,13 +11,12 @@ import (
 )
 
 // compileStepwise is the reference compile: one pass per prefix step,
-// one occurrence per (job, step), with the fail product and mass
-// accumulated over the step's machines in machine order.
-func compileStepwise(in *model.Instance, o *sched.Oblivious) (offs, steps []int32, succ, mass []float64) {
+// one occurrence per (job, step), with the fail product accumulated
+// over the step's machines in machine order.
+func compileStepwise(in *model.Instance, o *sched.Oblivious) (offs, steps []int32, succ []float64) {
 	n := in.N
 	occ := make([][]int32, n)
 	fail := make([][]float64, n)
-	ms := make([][]float64, n)
 	p := in.Flat()
 	for t, a := range o.Steps() {
 		for i, j := range a {
@@ -27,12 +26,10 @@ func compileStepwise(in *model.Instance, o *sched.Oblivious) (offs, steps []int3
 			pv := p[i*n+j]
 			if k := len(occ[j]) - 1; k >= 0 && occ[j][k] == int32(t) {
 				fail[j][k] *= 1 - pv
-				ms[j][k] += pv
 				continue
 			}
 			occ[j] = append(occ[j], int32(t))
 			fail[j] = append(fail[j], 1-pv)
-			ms[j] = append(ms[j], pv)
 		}
 	}
 	offs = make([]int32, n+1)
@@ -42,9 +39,8 @@ func compileStepwise(in *model.Instance, o *sched.Oblivious) (offs, steps []int3
 		for _, f := range fail[j] {
 			succ = append(succ, 1-f)
 		}
-		mass = append(mass, ms[j]...)
 	}
-	return offs, steps, succ, mass
+	return offs, steps, succ
 }
 
 // bitsEqual compares float slices bit for bit.
@@ -54,10 +50,9 @@ func bitsEqual(a, b []float64) bool {
 
 // expand unrolls c's run tables into the per-occurrence tables the
 // reference builds: job j's occurrences are steps[offs[j]:offs[j+1]],
-// each with its run's succ and mass. It fails t when an entry's base is
-// not the number of occurrences before it, or occurrences miscounts
-// them.
-func expand(t *testing.T, c *compiledOblivious) (offs, steps []int32, succ, mass []float64) {
+// each with its run's succ. It fails t when an entry's base is not the
+// number of occurrences before it, or occurrences miscounts them.
+func expand(t *testing.T, c *compiledOblivious) (offs, steps []int32, succ []float64) {
 	t.Helper()
 	n := c.in.N
 	offs = make([]int32, n+1)
@@ -69,7 +64,6 @@ func expand(t *testing.T, c *compiledOblivious) (offs, steps []int32, succ, mass
 			for s := r.start; s < r.end; s++ {
 				steps = append(steps, s)
 				succ = append(succ, r.succ)
-				mass = append(mass, r.mass)
 			}
 		}
 		offs[j+1] = int32(len(steps))
@@ -77,12 +71,12 @@ func expand(t *testing.T, c *compiledOblivious) (offs, steps []int32, succ, mass
 	if c.occurrences != len(steps) {
 		t.Errorf("occurrences = %d, the runs cover %d", c.occurrences, len(steps))
 	}
-	return offs, steps, succ, mass
+	return offs, steps, succ
 }
 
 // TestCompileMatchesStepwise pins the run-wise compile to the per-step
-// reference: the run tables, unrolled, give its offs, steps, succ and
-// mass bit for bit, and SizeBytes charges what its tables count.
+// reference: the run tables, unrolled, give its offs, steps and succ
+// bit for bit, and SizeBytes charges what its tables count.
 func TestCompileMatchesStepwise(t *testing.T) {
 	type tc struct {
 		name string
@@ -119,16 +113,15 @@ func TestCompileMatchesStepwise(t *testing.T) {
 		if p.compiled == nil {
 			t.Fatalf("%s: compile failed", c.name)
 		}
-		gotOffs, gotSteps, gotSucc, gotMass := expand(t, p.compiled)
-		offs, steps, succ, mass := compileStepwise(c.in, c.o)
+		gotOffs, gotSteps, gotSucc := expand(t, p.compiled)
+		offs, steps, succ := compileStepwise(c.in, c.o)
 		if !slices.Equal(gotOffs, offs) || !slices.Equal(gotSteps, steps) {
 			t.Errorf("%s: offs/steps differ from the per-step compile:\n got %v %v\nwant %v %v",
 				c.name, gotOffs, gotSteps, offs, steps)
 			continue
 		}
-		if !bitsEqual(gotSucc, succ) || !bitsEqual(gotMass, mass) {
-			t.Errorf("%s: succ/mass differ from the per-step compile:\n got %v %v\nwant %v %v",
-				c.name, gotSucc, gotMass, succ, mass)
+		if !bitsEqual(gotSucc, succ) {
+			t.Errorf("%s: succ differs from the per-step compile:\n got %v\nwant %v", c.name, gotSucc, succ)
 		}
 		if want := int64(len(steps))*20 + int64(len(offs)+c.in.N)*4 + 256; p.SizeBytes() != want {
 			t.Errorf("%s: SizeBytes = %d, want %d", c.name, p.SizeBytes(), want)

@@ -11,11 +11,12 @@
 // assignment and drawing one uniform per (eligible, assigned) job per
 // step; all per-run buffers live in a reusable runState, so the step
 // loop is allocation-free. It is the only loop that draws completion
-// trials step by step, and the reference every other engine is pinned
-// to. When the policy is a *sched.Oblivious, the estimators compile
-// its prefix once into per-job run tables and replay repetitions
-// event-wise (see oblivious.go), falling back to the step engine for
-// any repetition that outlives the prefix;
+// trials step by step, the only one that accumulates per-job mass
+// (Runner.Mass, MassWithinHorizon), and the reference every other
+// engine is pinned to. When the policy is a *sched.Oblivious, the
+// estimators compile its prefix once into per-job run tables and
+// replay repetitions event-wise (see oblivious.go), falling back to
+// the step engine for any repetition that outlives the prefix;
 // calls of BitParallelAutoMinReps repetitions or more run that walk
 // 64 repetitions per machine word (see lane.go), under a pinned
 // SeedFor-derived stream remap. When the policy is stationary
@@ -54,12 +55,13 @@
 // stays one window (32 KiB) however many repetitions run. The quantile
 // estimator folds the same windows in repetition order, so
 // MakespanQuantilesParallel's sample is exactly the one
-// EstimateParallelInfo summarizes at any concurrency; the mass
-// estimator reads the same repetitions in order.
+// EstimateParallelInfo summarizes at any concurrency. The mass
+// estimator, MassWithinHorizon, runs the generic step engine on one
+// goroutine over streams (seed^massSeedSalt, r), whatever the policy.
 //
-// Every estimate starts from Prepare, which compiles an oblivious
-// schedule's run tables once. A one-shot call (EstimateParallelInfo,
-// EstimateInfoLanes, MakespanQuantilesParallel, MassWithinHorizon)
+// Every makespan estimate starts from Prepare, which compiles an
+// oblivious schedule's run tables once. A one-shot call
+// (EstimateParallelInfo, EstimateInfoLanes, MakespanQuantilesParallel)
 // prepares a fresh context and walks it; long-lived callers (the serve
 // daemon) keep the Prepared value and replay its tables for any
 // (reps, seed, concurrency) with results bit-identical to the

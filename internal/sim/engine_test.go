@@ -35,7 +35,7 @@ func chainsFixture() (*model.Instance, *sched.Oblivious) {
 // TestCompiledMatchesStepEngine pins the compiled oblivious engine to
 // the generic step engine: the same schedule run through a PolicyFunc
 // wrapper (which disables compilation) must produce the same makespan
-// distribution and mass probabilities up to Monte Carlo error.
+// distribution up to Monte Carlo error.
 func TestCompiledMatchesStepEngine(t *testing.T) {
 	// Pin the scalar compiled engine: at these rep counts dispatch would
 	// select the lane engine, whose parity is lane_test.go's job.
@@ -51,15 +51,6 @@ func TestCompiledMatchesStepEngine(t *testing.T) {
 	tol := 3*(fast.HalfWidth95+slow.HalfWidth95) + 1e-9
 	if math.Abs(fast.Mean-slow.Mean) > tol {
 		t.Errorf("compiled mean %v vs step-engine mean %v (tol %v)", fast.Mean, slow.Mean, tol)
-	}
-
-	horizon := int(fast.Mean)
-	fastFr := massWithinHorizon(in, o, horizon, reps, 0.5, 31, lanesOff)
-	slowFr := MassWithinHorizon(in, generic, horizon, reps, 0.5, 31)
-	for j := range fastFr {
-		if math.Abs(fastFr[j]-slowFr[j]) > 0.05 {
-			t.Errorf("job %d: mass fraction compiled %v vs generic %v", j, fastFr[j], slowFr[j])
-		}
 	}
 }
 

@@ -147,22 +147,13 @@ func laneBernoulli(tr *Stream, gseed, a, b int64, succ float64, need uint64) uin
 // laneWorker is one estimation worker's lane engine: runGroup
 // executes lane group g (cnt live lanes, cnt < LaneWidth only for the
 // final partial group) and returns the per-lane makespans in lane
-// order plus the completed-lane mask. The returned slice is a view
-// into the worker's buffer, valid until the next call.
-//
-// massLanes enables per-lane mass tracking and returns the buffer the
-// subsequent runGroup calls fill: lane l's per-job masses are
-// mass[l*n : (l+1)*n], valid until the next call. Tracking is off by
-// default — a summary estimate never pays for it — and is what lets
-// MassWithinHorizon run on the lane engine. Per lane, masses accrue
-// in the same order as the scalar walk under the remap, so the lane
-// engine and the one-lane-at-a-time oracle stay bit-identical.
+// order plus the mask of live lanes that completed. The returned slice
+// is a view into the worker's buffer, valid until the next call.
 //
 // release hands the worker's pooled buffers back once its walk is
 // over; the worker must not run again.
 type laneWorker interface {
 	runGroup(g int64, cnt, maxSteps int) (mk []int32, completed uint64)
-	massLanes() []float64
 	release()
 }
 
@@ -211,9 +202,6 @@ type laneOblivRunner struct {
 	// continue one at a time on the generic step engine, reusing the
 	// scalar engine's continueTail seeding.
 	tailR *oblivRunner
-	// massB is the per-lane mass buffer (massB[l*n+j]), nil until
-	// massLanes enables tracking.
-	massB []float64
 }
 
 // lanePool holds lane workers between walks, so a walk's workers
@@ -237,10 +225,10 @@ func newLaneOblivRunner(c *compiledOblivious, seed int64) *laneOblivRunner {
 	return r
 }
 
-// release drops the tables, the tail runner and the mass columns, and
-// puts the worker back in lanePool.
+// release drops the tables and the tail runner, and puts the worker
+// back in lanePool.
 func (r *laneOblivRunner) release() {
-	r.c, r.tailR, r.massB = nil, nil, nil
+	r.c, r.tailR = nil, nil
 	lanePool.Put(r)
 }
 
@@ -268,9 +256,6 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 	var unfin uint64 // lanes with at least one job unfinished after the prefix
 	for l := range r.mcmp {
 		r.mcmp[l] = -1
-	}
-	if r.massB != nil {
-		clear(r.massB[:cnt*in.N])
 	}
 	r.wins = r.wins[:0]
 	for _, j32 := range c.topo {
@@ -333,12 +318,6 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 						}
 					}
 					if active != 0 {
-						if r.massB != nil {
-							for m := active; m != 0; m &= m - 1 {
-								l := bits.TrailingZeros64(m)
-								r.massB[l*in.N+j] += run.mass
-							}
-						}
 						win := active & laneBernoulli(&r.tr, gseed, k, 0, run.succ, active)
 						if win != 0 {
 							doneJ |= win
@@ -413,9 +392,9 @@ func (r *laneOblivRunner) winsBefore(pr int, x int32) uint64 {
 }
 
 // continueTailLane hands lane l to the scalar continuation on the
-// generic step engine: it copies the lane's completion column — and, when mass tracking is on, its accumulated prefix mass
-// — into the scratch scalar runner and reuses its continueTail
-// seeding, with the rep's pinned tail stream.
+// generic step engine: it copies the lane's completion column into
+// the scratch scalar runner and reuses its continueTail seeding, with
+// the rep's pinned tail stream.
 func (r *laneOblivRunner) continueTailLane(g int64, l, maxSteps int) (int, bool) {
 	if r.tailR == nil {
 		r.tailR = r.c.newRunner()
@@ -425,45 +404,27 @@ func (r *laneOblivRunner) continueTailLane(g int64, l, maxSteps int) (int, bool)
 	unfinished := 0
 	for j := 0; j < n; j++ {
 		tr.comp[j] = r.comp[j*LaneWidth+l]
-		if r.massB != nil {
-			tr.mass[j] = r.massB[l*n+j]
-		} else {
-			tr.mass[j] = 0
-		}
 		if tr.comp[j] < 0 {
 			unfinished++
 		}
 	}
 	r.tail.Reseed(laneTailSeed(r.seed), g*LaneWidth+int64(l))
-	mk, done := tr.continueTail(unfinished, maxSteps, &r.tail)
-	if r.massB != nil {
-		copy(r.massB[l*n:(l+1)*n], tr.mass)
-	}
-	return mk, done
-}
-
-func (r *laneOblivRunner) massLanes() []float64 {
-	if r.massB == nil {
-		r.massB = make([]float64, r.c.in.N*LaneWidth)
-	}
-	return r.massB
+	return tr.continueTail(unfinished, maxSteps, &r.tail)
 }
 
 // laneOblivOracle replays the lane engine's numbers one lane at a
 // time on the scalar compiled walk (oblivRun parameterized with
 // remapDraw) — the exactness oracle for the oblivious lane walk.
 type laneOblivOracle struct {
-	r     *oblivRunner
-	seed  int64
-	tr    Stream
-	tail  Stream
-	mk    [LaneWidth]int32
-	massB []float64
+	r    *oblivRunner
+	seed int64
+	tr   Stream
+	tail Stream
+	mk   [LaneWidth]int32
 }
 
 func (o *laneOblivOracle) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64) {
 	gseed := laneGroupSeed(o.seed, g)
-	n := o.r.c.in.N
 	var completed uint64
 	for l := 0; l < cnt; l++ {
 		o.tail.Reseed(laneTailSeed(o.seed), g*LaneWidth+int64(l))
@@ -472,18 +433,8 @@ func (o *laneOblivOracle) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 		if done {
 			completed |= uint64(1) << uint(l)
 		}
-		if o.massB != nil {
-			copy(o.massB[l*n:(l+1)*n], o.r.mass)
-		}
 	}
 	return o.mk[:cnt], completed
 }
 
 func (o *laneOblivOracle) release() {}
-
-func (o *laneOblivOracle) massLanes() []float64 {
-	if o.massB == nil {
-		o.massB = make([]float64, o.r.c.in.N*LaneWidth)
-	}
-	return o.massB
-}

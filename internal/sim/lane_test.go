@@ -356,37 +356,3 @@ func TestLaneEstimateAllocation(t *testing.T) {
 		t.Errorf("lane estimate allocates %d B per call, want < SizeBytes/8 = %d B", perCall, p.SizeBytes()/8)
 	}
 }
-
-// TestLaneMassParity pins satellite mass tracking on the lane engine:
-// MassWithinHorizon under the wordwise lane engine and under the
-// one-lane-at-a-time oracle must agree EXACTLY — threshold counts are
-// integers, so any per-lane mass divergence shows up as a changed
-// fraction.
-func TestLaneMassParity(t *testing.T) {
-	in, o := chainsFixture()
-	const reps, horizon, seed = 1000, 30, 29
-	for _, threshold := range []float64{0.25, 1.0} {
-		lane := massWithinHorizon(in, o, horizon, reps, threshold, seed, lanesOn)
-		oracle := massWithinHorizon(in, o, horizon, reps, threshold, seed, lanesOracle)
-		for j := range lane {
-			if lane[j] != oracle[j] {
-				t.Errorf("threshold %v job %d: lane fraction %v != oracle %v",
-					threshold, j, lane[j], oracle[j])
-			}
-		}
-	}
-
-	// The lane sample is a different draw of the same distribution as
-	// the scalar sample: fractions must agree statistically (binomial
-	// 6-sigma at 1000 reps), which guards against systematic accrual
-	// bugs the oracle comparison alone would share.
-	lane := massWithinHorizon(in, o, horizon, reps, 0.25, seed, lanesOn)
-	scalar := massWithinHorizon(in, o, horizon, reps, 0.25, seed, lanesOff)
-	for j := range lane {
-		p := (lane[j] + scalar[j]) / 2 // pooled: either sample alone can sit at 0 or 1
-		sd := math.Sqrt(p * (1 - p) / reps)
-		if math.Abs(lane[j]-scalar[j]) > 6*sd+1e-3 {
-			t.Errorf("job %d: lane fraction %v vs scalar %v (sd %v)", j, lane[j], scalar[j], sd)
-		}
-	}
-}

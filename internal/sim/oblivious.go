@@ -14,8 +14,8 @@ import (
 // steps on jobs that are already finished or not yet eligible; the
 // step engine still scans all m machines at each of them. The
 // compiled engine instead stores, per job, the runs of the schedule
-// that assign it — each with the combined success probability and mass
-// its steps share — and walks jobs in topological order: a job's
+// that assign it — each with the combined success probability its
+// steps share — and walks jobs in topological order: a job's
 // eligibility step is determined by its predecessors' completion
 // steps, and its own completion is sampled with exactly one uniform
 // draw per (eligible, assigned) step, just like the step engine.
@@ -40,14 +40,13 @@ type compiledOblivious struct {
 // jobRun is one (job, schedule run) pair: the run assigns the job on
 // every step of [start, end). succ is the combined single-step
 // completion probability 1-Π(1-p_ij) over the machines the run assigns
-// it, and mass the (uncapped) Σ p_ij each of those steps adds. The
-// occurrences — one per (job, assigned step) — are numbered job by job
-// in step order, and base is the number of the run's first step, so
-// step t's trial is occurrence base + t - start: the key the lane
-// remap draws it under.
+// it. The occurrences — one per (job, assigned step) — are numbered
+// job by job in step order, and base is the number of the run's first
+// step, so step t's trial is occurrence base + t - start: the key the
+// lane remap draws it under.
 type jobRun struct {
 	start, end, base int32
-	succ, mass       float64
+	succ             float64
 }
 
 // compileOblivious builds the per-job run tables of o, walking jobs
@@ -55,10 +54,10 @@ type jobRun struct {
 // stores (sched.Oblivious.Runs) twice, once to count and once to fill,
 // and writes one entry per job the run assigns, so the cost is
 // O(runs × m) whatever σ is, paid once per Prepare and shared
-// read-only by every worker. A run's fail product and mass are the
-// multiplications and additions, over the same machines in the same
-// order, that each of its steps would make. Every table is allocated
-// at exactly the size it needs.
+// read-only by every worker. A run's fail product is the
+// multiplications, over the same machines in the same order, that
+// each of its steps would make. Every table is allocated at exactly
+// the size it needs.
 func compileOblivious(in *model.Instance, o *sched.Oblivious, order []int) *compiledOblivious {
 	n := in.N
 	c := &compiledOblivious{in: in, o: o, prefixLen: o.Len(),
@@ -87,13 +86,12 @@ func compileOblivious(in *model.Instance, o *sched.Oblivious, order []int) *comp
 	}
 	c.runs = make([]jobRun, c.offs[n])
 	// Second pass: per run, accumulate each assigned job's fail product
-	// and mass over the machines, then write the job's entry.
+	// over the machines, then write the job's entry.
 	next := slices.Clone(c.offs[:n])
 	for j := range last {
 		last[j] = -1
 	}
 	fail := make([]float64, n)
-	mass := make([]float64, n)
 	jobs := make([]int, 0, min(n, in.M))
 	p := in.Flat()
 	t := 0
@@ -108,14 +106,12 @@ func compileOblivious(in *model.Instance, o *sched.Oblivious, order []int) *comp
 				last[j] = int32(k)
 				jobs = append(jobs, j)
 				fail[j] = 1 - pv
-				mass[j] = pv
 			} else {
 				fail[j] *= 1 - pv
-				mass[j] += pv
 			}
 		}
 		for _, j := range jobs {
-			c.runs[next[j]] = jobRun{start: int32(t), end: int32(ends[k]), succ: 1 - fail[j], mass: mass[j]}
+			c.runs[next[j]] = jobRun{start: int32(t), end: int32(ends[k]), succ: 1 - fail[j]}
 			next[j]++
 		}
 		t = ends[k]
@@ -144,16 +140,11 @@ func reuse[T any](s []T, n int) []T {
 type oblivRunner struct {
 	c    *compiledOblivious
 	comp []int32 // completion step per job, -1 while unfinished
-	mass []float64
 	cont *Runner // lazily built generic engine for tail continuations
 }
 
 func (c *compiledOblivious) newRunner() *oblivRunner {
-	return &oblivRunner{
-		c:    c,
-		comp: make([]int32, c.in.N),
-		mass: make([]float64, c.in.N),
-	}
+	return &oblivRunner{c: c, comp: make([]int32, c.in.N)}
 }
 
 // oblivDraw abstracts where the compiled walk's completion trials
@@ -193,7 +184,7 @@ func (d remapDraw) tailRand() Rand { return d.tail }
 
 // run simulates one repetition. Draw-for-draw it performs the same
 // completion trials as the step engine, only ordered by job instead
-// of by step, so makespan and mass distributions are identical.
+// of by step, so the makespan distribution is identical.
 func (r *oblivRunner) run(maxSteps int, rng Rand) (int, bool) {
 	return oblivRun(r, maxSteps, seqDraw{rng: rng})
 }
@@ -212,7 +203,6 @@ func oblivRun[D oblivDraw](r *oblivRunner, maxSteps int, d D) (int, bool) {
 	maxComp := -1
 	for _, j32 := range c.topo {
 		j := int(j32)
-		r.mass[j] = 0
 		r.comp[j] = -1
 		elig := 0
 		blocked := false
@@ -252,7 +242,6 @@ func oblivRun[D oblivDraw](r *oblivRunner, maxSteps int, d D) (int, bool) {
 			end := min(int(run.end), cap)
 			k := int(run.base) + start - int(run.start)
 			for t := start; t < end; t++ {
-				r.mass[j] += run.mass
 				if d.trial(k, run.succ) {
 					r.comp[j] = int32(t)
 					if t > maxComp {
@@ -282,7 +271,8 @@ func oblivRun[D oblivDraw](r *oblivRunner, maxSteps int, d D) (int, bool) {
 
 // continueTail finishes a repetition that outlived the prefix: it
 // seeds the generic step engine with the post-prefix state and runs it
-// to the cap.
+// to the cap. The step engine's mass is not read here, so it is not
+// seeded.
 func (r *oblivRunner) continueTail(unfinished, maxSteps int, rng Rand) (int, bool) {
 	c := r.c
 	if r.cont == nil {
@@ -293,7 +283,6 @@ func (r *oblivRunner) continueTail(unfinished, maxSteps int, rng Rand) (int, boo
 	for j := 0; j < n; j++ {
 		unf := r.comp[j] < 0
 		rs.unfinished[j] = unf
-		rs.mass[j] = r.mass[j]
 		rs.fail[j] = 0
 		left := 0
 		for _, pr := range c.in.Prec.Preds(j) {
@@ -305,9 +294,5 @@ func (r *oblivRunner) continueTail(unfinished, maxSteps int, rng Rand) (int, boo
 		rs.eligible[j] = unf && left == 0
 	}
 	rs.remaining = unfinished
-	makespan, completed := rs.runFrom(c.o, c.prefixLen, maxSteps, rng, nil)
-	copy(r.mass, rs.mass)
-	return makespan, completed
+	return rs.runFrom(c.o, c.prefixLen, maxSteps, rng, nil)
 }
-
-func (r *oblivRunner) massView() []float64 { return r.mass }

@@ -101,12 +101,6 @@ var oneShotForms = []struct {
 		qs, xs := MakespanQuantilesParallel(in, pol, 777, 1<<20, 7, []float64{0.1, 0.5, 0.99}, 2)
 		return fmt.Sprintf("%v %v", bitsOf(qs...), bitsOf(xs...))
 	}},
-	{"MassWithinHorizon scalar", func(in *model.Instance, pol sched.Policy) string {
-		return fmt.Sprint(bitsOf(MassWithinHorizon(in, pol, 30, 100, 0.25, 9)...))
-	}},
-	{"MassWithinHorizon lanes", func(in *model.Instance, pol sched.Policy) string {
-		return fmt.Sprint(bitsOf(MassWithinHorizon(in, pol, 1<<20, 400, 1.0, 10)...))
-	}},
 }
 
 func bitsOf(xs ...float64) []uint64 {
@@ -139,9 +133,8 @@ func poisonPools(n int) (taken func() bool) {
 // TestPooledLaneBuffersMatchFresh pins the pooled buffers' contract: a
 // one-shot estimate whose lane workers and makespan window come from
 // their pools, sized for a larger instance and filled with garbage,
-// returns the bits of an estimate on empty pools. Every form but the
-// scalar mass walk, which reads neither pool, must take a poisoned
-// buffer at least once.
+// returns the bits of an estimate on empty pools. Every form must take
+// a poisoned buffer at least once.
 func TestPooledLaneBuffersMatchFresh(t *testing.T) {
 	large := workload.Independent(workload.Config{Jobs: 64, Machines: 16, Seed: 3})
 
@@ -178,7 +171,7 @@ func TestPooledLaneBuffersMatchFresh(t *testing.T) {
 					t.Errorf("%s, %s: poisoned pooled buffers gave\n%s\nempty pools gave\n%s", tg.name, form.name, got, want)
 				}
 			}
-			if !used && form.name != "MassWithinHorizon scalar" {
+			if !used {
 				t.Errorf("%s, %s: no call took a poisoned pooled buffer", tg.name, form.name)
 			}
 		}

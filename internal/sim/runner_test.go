@@ -118,14 +118,8 @@ func TestEstimateMatchesSequentialWalk(t *testing.T) {
 	for _, c := range cases {
 		for _, reps := range c.reps {
 			e := Prepare(c.in, c.pol).estimator(reps, lanesAuto)
-			values := make([]float64, 0, reps)
-			wantInc := 0
-			e.newIter(seed, false).run(0, reps, cap, func(makespan int, completed bool, _ []float64) {
-				values = append(values, float64(makespan))
-				if !completed {
-					wantInc++
-				}
-			})
+			values := make([]float64, reps)
+			wantInc := e.newIter(seed).run(0, reps, cap, values)
 			want := refFold(values)
 			unit := scalarUnit
 			if c.engine == EngineLane {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -34,17 +35,13 @@ func Run(in *model.Instance, pol sched.Policy, maxSteps int, rng *rand.Rand) Res
 	return Result{Makespan: makespan, Completed: completed, Mass: mass}
 }
 
-// repRunner is one worker's engine: run executes a repetition, mass
-// exposes the per-job mass of the latest repetition as a view.
+// repRunner is one worker's scalar engine: run executes a repetition.
 type repRunner interface {
 	run(maxSteps int, rng Rand) (makespan int, completed bool)
-	massView() []float64
 }
 
 // run adapts Runner to repRunner.
 func (r *Runner) run(maxSteps int, rng Rand) (int, bool) { return r.Run(maxSteps, rng) }
-
-func (r *Runner) massView() []float64 { return r.rs.mass }
 
 // Engine names for EngineUsed.Engine. The compiled oblivious engine
 // keeps the short name "compiled" that BENCH_sim.json has carried
@@ -280,20 +277,12 @@ func (e *estimator) walk(reps, maxSteps int, seed int64, workers int, fold func(
 		unit = LaneWidth
 	}
 	incomplete, workers := runWindows(reps, workers, unit, func() ChunkFunc {
-		it := e.newIter(seed, false)
+		it := e.newIter(seed)
 		mu.Lock()
 		iters = append(iters, it)
 		mu.Unlock()
-		return func(lo, hi int, makespans []float64) (inc int) {
-			k := 0
-			it.run(lo, hi, maxSteps, func(makespan int, completed bool, _ []float64) {
-				makespans[k] = float64(makespan)
-				k++
-				if !completed {
-					inc++
-				}
-			})
-			return inc
+		return func(lo, hi int, makespans []float64) int {
+			return it.run(lo, hi, maxSteps, makespans)
 		}
 	}, fold)
 	var memos []*adaptRunner
@@ -322,30 +311,22 @@ func (e *estimator) run(reps, maxSteps int, seed int64, workers int) (stats.Summ
 // selected engine. The scalar walks reseed stream (seed, r) for
 // repetition r; the lane walk runs 64-repetition groups under the
 // remap and drains each group in lane order, which is repetition
-// order. Every estimator — chunked, quantile and mass — reads its
-// repetitions through this loop, so all of them see the same sample
-// for the same (engine, seed, reps).
+// order. Both the chunked and the quantile estimator read their
+// repetitions through this loop, so they see the same sample for the
+// same (engine, seed, reps).
 type repIter struct {
 	scalar repRunner
 	lanes  laneWorker
-	// mass holds the lane walk's per-lane mass columns when tracking is
-	// on, nil otherwise.
-	mass []float64
-	n    int
-	seed int64
-	rng  Stream
+	seed   int64
+	rng    Stream
 }
 
-// newIter builds one worker's iterator. trackMass turns on the lane
-// walk's per-lane mass columns; the scalar walks always track mass.
-func (e *estimator) newIter(seed int64, trackMass bool) *repIter {
-	it := &repIter{n: e.in.N, seed: seed}
+// newIter builds one worker's iterator.
+func (e *estimator) newIter(seed int64) *repIter {
+	it := &repIter{seed: seed}
 	switch {
 	case e.lane:
 		it.lanes = e.newLaneWorker(seed)
-		if trackMass {
-			it.mass = it.lanes.massLanes()
-		}
 	case e.compiled != nil:
 		it.scalar = e.compiled.newRunner()
 	case e.memo != nil:
@@ -365,30 +346,29 @@ func (it *repIter) release() {
 }
 
 // run executes repetitions [lo, hi) — lo a multiple of LaneWidth on
-// the lane walk — and calls visit for each in repetition order with
-// its makespan, completion flag and per-job mass. The mass slice is a
-// view valid only during the call, and nil on the lane walk without
-// mass tracking.
-func (it *repIter) run(lo, hi, maxSteps int, visit func(makespan int, completed bool, mass []float64)) {
+// the lane walk — writes repetition r's makespan to makespans[r-lo],
+// and returns how many of them hit the step cap.
+func (it *repIter) run(lo, hi, maxSteps int, makespans []float64) (incomplete int) {
 	if it.lanes == nil {
 		for r := lo; r < hi; r++ {
 			it.rng.Reseed(it.seed, int64(r))
 			makespan, completed := it.scalar.run(maxSteps, &it.rng)
-			visit(makespan, completed, it.scalar.massView())
+			makespans[r-lo] = float64(makespan)
+			if !completed {
+				incomplete++
+			}
 		}
-		return
+		return incomplete
 	}
 	for g := lo; g < hi; g += LaneWidth {
 		cnt := min(hi-g, LaneWidth)
 		mk, completed := it.lanes.runGroup(int64(g/LaneWidth), cnt, maxSteps)
-		for l := 0; l < cnt; l++ {
-			var mass []float64
-			if it.mass != nil {
-				mass = it.mass[l*it.n : (l+1)*it.n]
-			}
-			visit(int(mk[l]), completed>>uint(l)&1 == 1, mass)
+		for l, m := range mk {
+			makespans[g-lo+l] = float64(m)
 		}
+		incomplete += cnt - bits.OnesCount64(completed)
 	}
+	return incomplete
 }
 
 // EstimateInfoLanes is the sequential EstimateParallelInfo with the
@@ -412,24 +392,22 @@ const massSeedSalt = 0x6D617373 // "mass"
 // MassWithinHorizon runs reps executions of pol truncated at horizon
 // steps and returns, for job j, the fraction of runs in which j
 // accumulated mass at least threshold. Used to validate Theorem 2.2
-// empirically. It runs on the engine EstimateParallelInfo would select
-// for reps, the lane walk included (with per-lane mass columns, see
-// laneWorker.massLanes).
+// empirically. It runs the generic step engine, the only engine that
+// accumulates mass, sequentially: repetition r draws from stream
+// (seed^massSeedSalt, r).
 func MassWithinHorizon(in *model.Instance, pol sched.Policy, horizon, reps int, threshold float64, seed int64) []float64 {
-	return massWithinHorizon(in, pol, horizon, reps, threshold, seed, lanesAuto)
-}
-
-func massWithinHorizon(in *model.Instance, pol sched.Policy, horizon, reps int, threshold float64, seed int64, lanes laneMode) []float64 {
 	counts := make([]float64, in.N)
-	it := Prepare(in, pol).estimator(reps, lanes).newIter(seed^massSeedSalt, true)
-	it.run(0, reps, horizon, func(_ int, _ bool, mass []float64) {
-		for j, m := range mass {
+	r := NewRunner(in, pol)
+	var rng Stream
+	for rep := 0; rep < reps; rep++ {
+		rng.Reseed(seed^massSeedSalt, int64(rep))
+		r.Run(horizon, &rng)
+		for j, m := range r.Mass() {
 			if m >= threshold-1e-12 {
 				counts[j]++
 			}
 		}
-	})
-	it.release()
+	}
 	for j := range counts {
 		counts[j] /= float64(reps)
 	}

@@ -73,18 +73,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Ratio returns a/b, guarding against division by ~zero (returns +Inf
-// with b==0 and a>0, NaN when both vanish).
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		if a == 0 {
-			return math.NaN()
-		}
-		return math.Inf(1)
-	}
-	return a / b
-}
-
 // Log2 returns log₂(max(x,1)) — the convention used when reporting
 // polylog shapes (log of tiny instance sizes clamps to 0).
 func Log2(x float64) float64 {

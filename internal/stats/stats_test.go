@@ -50,18 +50,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	if Ratio(6, 3) != 2 {
-		t.Error("ratio wrong")
-	}
-	if !math.IsInf(Ratio(1, 0), 1) {
-		t.Error("x/0 not +Inf")
-	}
-	if !math.IsNaN(Ratio(0, 0)) {
-		t.Error("0/0 not NaN")
-	}
-}
-
 func TestLog2Clamp(t *testing.T) {
 	if Log2(0.5) != 0 || Log2(1) != 0 {
 		t.Error("clamp failed")
