@@ -40,9 +40,15 @@ func TrivialLowerBound(in *model.Instance) float64 {
 // trivial bounds. Every component is a valid lower bound on T_OPT, so
 // the max is too.
 func CombinedLowerBound(in *model.Instance, tStar float64) float64 {
-	lb := TrivialLowerBound(in)
-	if v := LPLowerBound(tStar); v > lb {
-		lb = v
+	return combineLowerBounds(TrivialLowerBound(in), tStar)
+}
+
+// combineLowerBounds is CombinedLowerBound with the trivial bound
+// already computed, for callers that combine it with several LP
+// optima.
+func combineLowerBounds(trivial, tStar float64) float64 {
+	if v := LPLowerBound(tStar); v > trivial {
+		return v
 	}
-	return lb
+	return trivial
 }

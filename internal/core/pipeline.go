@@ -215,17 +215,19 @@ func chainsOnBlocksDelayed(in *model.Instance, chains [][]int, par Params, divis
 	if err != nil {
 		return nil, err
 	}
-	return finishChains(in, chains, par, divisor, frac, order)
+	return finishChains(in, chains, par, divisor, frac, order, TrivialLowerBound(in))
 }
 
 // finishChains is the chain pipeline's finish stage: it rounds the
 // (LP1) solution frac, lays out the pseudo-schedule, chooses the
 // delays, flattens, replicates and appends the round-robin tail over
-// order, a topological order of in.Prec. It reads only its arguments
-// (frac is this chain set's own solution, and par.Seed alone seeds the
-// delay search), so the finish stages of different blocks may run
-// concurrently and in any order with the same bits.
-func finishChains(in *model.Instance, chains [][]int, par Params, divisor int, frac *FracSolution, order []int) (*ChainsResult, error) {
+// order, a topological order of in.Prec. trivial is
+// TrivialLowerBound(in), which the lower bound combines with frac's.
+// It reads only its arguments (frac is this chain set's own solution,
+// and par.Seed alone seeds the delay search), so the finish stages of
+// different blocks may run concurrently and in any order with the same
+// bits.
+func finishChains(in *model.Instance, chains [][]int, par Params, divisor int, frac *FracSolution, order []int, trivial float64) (*ChainsResult, error) {
 	ints, err := RoundLP(in, frac, par.MassTarget)
 	if err != nil {
 		return nil, err
@@ -255,7 +257,7 @@ func finishChains(in *model.Instance, chains [][]int, par Params, divisor int, f
 			TGuess:       int(frac.T + 1),
 		},
 		TStar:      frac.T,
-		LowerBound: CombinedLowerBound(in, frac.T),
+		LowerBound: combineLowerBounds(trivial, frac.T),
 		MaxLoad:    maxLoad,
 		Congestion: cong,
 		Delays:     delays,
@@ -341,11 +343,12 @@ type ForestResult struct {
 // Each block runs the chain pipeline's two stages. The LP stages run
 // in block order on the calling goroutine, because each block's crash
 // basis (LPWarm) depends on the loads of the blocks solved before it.
-// A block's finish stage reads only its own LP solution, the instance
-// and par.Seed, so one extra goroutine finishes each block while the
-// next block's LP solves (twoStage), and the caller joins in once its
-// last LP is solved. A forest build thus may use one goroutine besides
-// the caller's; a one-block decomposition uses none. The results are
+// A block's finish stage reads only its own LP solution, the instance,
+// par.Seed and the build's trivial lower bound, so one extra goroutine
+// finishes each block while the next block's LP solves (twoStage), and
+// the caller joins in once its last LP is solved. A forest build thus
+// may use one goroutine besides the caller's; a one-block
+// decomposition uses none. The results are
 // bit-identical to the sequential loop's at any GOMAXPROCS, and a
 // failure returns the earliest failing block's error, as the loop did.
 func SUUForest(in *model.Instance, par Params) (*ForestResult, error) {
@@ -367,6 +370,9 @@ func SUUForest(in *model.Instance, par Params) (*ForestResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every block's lower bound and the forest's own start from the
+	// same trivial bound, which the finish stages only read.
+	trivial := TrivialLowerBound(in)
 	// Consecutive block solves share a warm-start context: each block's
 	// crash basis is biased away from the machines earlier blocks
 	// loaded, which shortens phase 1 measurably on specialist-shaped
@@ -381,7 +387,7 @@ func SUUForest(in *model.Instance, par Params) (*ForestResult, error) {
 			return frac, nil
 		},
 		func(bi int, frac *FracSolution) (*ChainsResult, error) {
-			br, err := finishChains(in, dc.Blocks[bi].Chains, par, divisor, frac, order)
+			br, err := finishChains(in, dc.Blocks[bi].Chains, par, divisor, frac, order, trivial)
 			if err != nil {
 				return nil, fmt.Errorf("core: block %d: %w", bi, err)
 			}
@@ -409,8 +415,8 @@ func SUUForest(in *model.Instance, par Params) (*ForestResult, error) {
 		// tail is replaced below.
 		blocks[bi] = br.Schedule
 	}
-	if tlb := TrivialLowerBound(in); tlb > res.LowerBound {
-		res.LowerBound = tlb
+	if trivial > res.LowerBound {
+		res.LowerBound = trivial
 	}
 	combined := sched.Concat(blocks...)
 	combined.Tail = &sched.TopoRoundRobin{M: in.M, Order: order}

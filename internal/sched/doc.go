@@ -15,7 +15,10 @@
 //     machine to several jobs per step;
 //   - transformations: random delays, flattening, replication,
 //     concatenation (Section 4.1's conversion pipeline), all reading
-//     and writing runs: a delay is one idle run before a track, and
-//     flattening walks the segments between consecutive run ends;
+//     and writing runs: the delay search scores each candidate over
+//     every machine's busy intervals (one per stretch of a track's
+//     runs that keeps the machine busy), a delay is one idle run
+//     before a track, and flattening walks the segments between
+//     consecutive run ends;
 //   - mass accounting (Definition 2.4) and feasibility validation.
 package sched

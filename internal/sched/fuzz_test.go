@@ -57,3 +57,42 @@ func tailOrder(o *Oblivious) []int {
 	}
 	return nil
 }
+
+// FuzzBestDelays holds BestDelays and MaxCongestion to the cell count
+// (checkBestDelays) on pseudo-schedules decoded from bytes. The first
+// bytes give the machine count (1–16), the track count (1–24), the
+// delay range, the tries (1–64) and the rng seed; then each track reads
+// a run count and, per run, a length (1–8) and one byte per machine:
+// Idle when the byte is 0 modulo 7, else job byte%7 − 1. Bytes past
+// the end read as 0, so a short input ends in empty tracks.
+func FuzzBestDelays(f *testing.F) {
+	f.Add([]byte{1, 1, 0, 0, 0})
+	f.Add([]byte{1, 2, 3, 15, 7, 2, 0, 1, 1, 2, 2, 1, 1, 2, 3, 2, 4, 1})
+	f.Add([]byte{3, 3, 9, 63, 42, 3, 2, 1, 0, 2, 3, 1, 0, 3, 5, 5, 5, 2, 4, 0, 0, 1, 1, 6, 0, 2, 1, 2, 4, 3, 2, 1, 1, 0, 0})
+	f.Add([]byte{15, 23, 200, 255, 1, 9, 1, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 7, 6, 5, 4, 3, 2, 1, 0, 6, 5, 4, 3, 2, 1, 0, 6, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		m, tracks, delay, tries, seed := 1+next()%16, 1+next()%24, next(), 1+next()%64, int64(next())
+		p := &Pseudo{M: m, Tracks: make([]*Oblivious, tracks)}
+		for k := range p.Tracks {
+			runs := make([]Assignment, next()%10)
+			counts := make([]int, len(runs))
+			for r := range runs {
+				counts[r] = 1 + next()%8
+				runs[r] = NewIdle(m)
+				for i := range runs[r] {
+					runs[r][i] = next()%7 - 1
+				}
+			}
+			p.Tracks[k] = NewObliviousRuns(m, runs, counts, nil)
+		}
+		checkBestDelays(t, p, delay%(p.Len()+4), tries, seed)
+	})
+}

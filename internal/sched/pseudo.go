@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 )
@@ -59,15 +60,97 @@ func (p *Pseudo) MaxLoad() int {
 }
 
 // MaxCongestion returns the largest number of jobs assigned to any
-// single machine in any single step.
+// single machine in any single step. It counts over the tracks' busy
+// intervals, as BestDelays scores its candidates.
 func (p *Pseudo) MaxCongestion() int {
-	max := 0
-	p.segments(func(_, _, cong int, _ [][]int) {
-		if cong > max {
-			max = cong
+	return p.busyIntervals().congestion(make([]int, len(p.Tracks)), math.MaxInt)
+}
+
+// busy holds each machine's busy intervals across a pseudo-schedule's
+// tracks, the form in which BestDelays scores delay vectors.
+type busy struct {
+	// ivs[off[i]:off[i+1]] are machine i's intervals in track order:
+	// one per maximal stretch of a track's consecutive runs that keep
+	// i busy. A track serves at most one job per machine per step, so
+	// the number of intervals that hold (t, i) is the number of jobs
+	// the tracks assign to machine i at step t.
+	ivs []interval
+	off []int
+	// starts and ends are congestion's sweep buffers.
+	starts, ends []int32
+}
+
+// interval is the half-open stretch of steps [start, end) in which
+// track keeps one machine busy.
+type interval struct{ track, start, end int32 }
+
+// busyIntervals lists p's busy intervals machine by machine. It reads
+// each run of each track once per machine, so it costs O(M·runs).
+func (p *Pseudo) busyIntervals() *busy {
+	runs := 0
+	for _, tr := range p.Tracks {
+		runs += len(tr.runs)
+	}
+	b := &busy{ivs: make([]interval, 0, runs), off: make([]int, p.M+1)}
+	most := 0
+	for i := range p.M {
+		for k, tr := range p.Tracks {
+			start, open := 0, false
+			for r, a := range tr.runs {
+				if on := a[i] != Idle; on != open {
+					if on {
+						b.ivs = append(b.ivs, interval{track: int32(k), start: int32(start)})
+					} else {
+						b.ivs[len(b.ivs)-1].end = int32(start)
+					}
+					open = on
+				}
+				start = tr.ends[r]
+			}
+			if open {
+				b.ivs[len(b.ivs)-1].end = int32(start)
+			}
 		}
-	})
-	return max
+		b.off[i+1] = len(b.ivs)
+		most = max(most, b.off[i+1]-b.off[i])
+	}
+	b.starts, b.ends = make([]int32, most), make([]int32, most)
+	return b
+}
+
+// congestion returns the largest number of jobs that one machine
+// serves in one step once track k is delayed by delays[k] steps, or
+// some number above bound as soon as one machine exceeds it. Per
+// machine it sorts the delayed interval starts and ends and sweeps
+// them, an end at t closing before a start at t.
+func (b *busy) congestion(delays []int, bound int) int {
+	c := 0
+	for i := range len(b.off) - 1 {
+		ivs := b.ivs[b.off[i]:b.off[i+1]]
+		if len(ivs) <= c {
+			continue // machine i cannot raise c
+		}
+		starts, ends := b.starts[:len(ivs)], b.ends[:len(ivs)]
+		for x, iv := range ivs {
+			d := int32(delays[iv.track])
+			starts[x], ends[x] = iv.start+d, iv.end+d
+		}
+		slices.Sort(starts)
+		slices.Sort(ends)
+		closed := 0
+		for x, s := range starts {
+			for ends[closed] <= s {
+				closed++
+			}
+			if x+1-closed > c {
+				c = x + 1 - closed
+				if c > bound {
+					return c
+				}
+			}
+		}
+	}
+	return c
 }
 
 // segments walks the steps [0, Len) as segments [t, end) in which no
@@ -131,6 +214,16 @@ func (p *Pseudo) WithDelays(delays []int) *Pseudo {
 // random vector meets the O(log(n+m)/loglog(n+m)) congestion bound
 // with high probability, so a handful of samples suffices; we keep the
 // best seen, which can only be better. tries must be >= 1.
+//
+// Each candidate draws one delay per track, is shifted so its smallest
+// delay is 0 (only relative offsets matter), and replaces the
+// incumbent, starting from the zero vector, when its congestion is
+// lower, or equal with a smaller delay sum. The search reads the
+// tracks' runs, not their steps: per machine, each track's busy steps
+// are a few intervals, listed once, and a candidate's congestion is
+// the largest overlap of those intervals shifted by their tracks'
+// delays. A candidate stops counting as soon as one machine exceeds
+// the congestion it would need to win.
 func (p *Pseudo) BestDelays(maxDelay, tries int, rng *rand.Rand) ([]int, int) {
 	if tries < 1 {
 		panic("sched: tries must be >= 1")
@@ -138,83 +231,30 @@ func (p *Pseudo) BestDelays(maxDelay, tries int, rng *rand.Rand) ([]int, int) {
 	if maxDelay < 0 {
 		panic("sched: negative maxDelay")
 	}
-	sum := func(xs []int) int {
-		s := 0
-		for _, x := range xs {
-			s += x
-		}
-		return s
-	}
+	b := p.busyIntervals()
 	best := make([]int, len(p.Tracks))
-	bestCong := p.MaxCongestion() // zero-delay candidate
+	bestCong := b.congestion(best, math.MaxInt) // zero-delay candidate
 	bestSum := 0
 	cand := make([]int, len(p.Tracks))
-	// The search evaluates `tries` candidates over the same busy
-	// pattern, so precompute each track's busy cells once (as flat
-	// step·M+machine offsets — a delay d shifts every offset by d·M)
-	// and count into a stamped scratch buffer: no per-candidate
-	// allocation or clearing, and a candidate aborts as soon as some
-	// cell strictly exceeds the incumbent congestion (it can only get
-	// worse, and the equal-congestion tie-break needs no exact count
-	// for a loser). Results are bit-identical to the naive loop: the
-	// rng draws happen before evaluation either way.
-	busy := make([][]int32, len(p.Tracks))
-	maxTrackLen := 0
-	for k, tr := range p.Tracks {
-		if tr.Len() > maxTrackLen {
-			maxTrackLen = tr.Len()
-		}
-		for t, a := range tr.Steps() {
-			for i, j := range a {
-				if j != Idle {
-					busy[k] = append(busy[k], int32(t*p.M+i))
-				}
-			}
-		}
-	}
-	counts := make([]int32, (maxTrackLen+maxDelay)*p.M)
-	stamp := make([]int32, len(counts))
-	for trial := 0; trial < tries; trial++ {
+	for range tries {
+		lo := maxDelay
 		for k := range cand {
 			cand[k] = rng.Intn(maxDelay + 1)
+			lo = min(lo, cand[k])
 		}
-		// Only relative offsets matter for congestion, so normalize the
-		// candidate by its minimum before comparing lengths.
-		min := cand[0]
-		for _, x := range cand {
-			if x < min {
-				min = x
-			}
-		}
+		sum := 0
 		for k := range cand {
-			cand[k] -= min
+			cand[k] -= lo
+			sum += cand[k]
 		}
-		epoch := int32(trial + 1)
-		c := 0
-		for k := range cand {
-			shift := int32(cand[k] * p.M)
-			for _, e := range busy[k] {
-				idx := e + shift
-				if stamp[idx] != epoch {
-					stamp[idx] = epoch
-					counts[idx] = 1
-				} else {
-					counts[idx]++
-				}
-				if int(counts[idx]) > c {
-					c = int(counts[idx])
-					if c > bestCong {
-						break // strictly worse than the incumbent
-					}
-				}
-			}
-			if c > bestCong {
-				break
-			}
+		// A candidate no shorter than the incumbent wins only with a
+		// lower congestion.
+		bound := bestCong
+		if sum >= bestSum {
+			bound--
 		}
-		if c < bestCong || (c == bestCong && sum(cand) < bestSum) {
-			bestCong = c
-			bestSum = sum(cand)
+		if c := b.congestion(cand, bound); c <= bound {
+			bestCong, bestSum = c, sum
 			copy(best, cand)
 		}
 	}
