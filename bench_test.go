@@ -1,7 +1,7 @@
-// Benchmarks — one per experiment table of exp.Drivers (T1..T10,
-// A1..A4) and per figure of cmd/suu-trace (F1, F3). They exercise the
-// code paths that regenerate each table at a representative size;
-// cmd/suu-bench produces the tables themselves.
+// Benchmarks — for the experiment tables of exp.Drivers (T1..T3,
+// T5..T10, A2, A3) and the figures of cmd/suu-trace (F1, F3). They
+// exercise the code paths that regenerate each table at a
+// representative size; cmd/suu-bench produces the tables themselves.
 package suu
 
 import (
@@ -59,8 +59,8 @@ func BenchmarkSUUIAdaptive(b *testing.B) {
 	}
 }
 
-// BenchmarkSUUIOblivious (T4): constructing the combinatorial
-// oblivious schedule.
+// BenchmarkSUUIOblivious (T5's comb columns): constructing the
+// combinatorial oblivious schedule.
 func BenchmarkSUUIOblivious(b *testing.B) {
 	in := benchInstance(32, 8, 4)
 	par := core.DefaultParams()
@@ -197,7 +197,8 @@ func BenchmarkLP1Round(b *testing.B) {
 	}
 }
 
-// BenchmarkDelayAblation (A1): flatten with and without delays.
+// BenchmarkDelayAblation (T7's lengths): flatten with and without
+// delays.
 func BenchmarkDelayAblation(b *testing.B) {
 	in := workload.Chains(workload.Config{Jobs: 32, Machines: 6, Seed: 13}, 8)
 	chains, _ := in.Prec.Chains()
@@ -210,9 +211,16 @@ func BenchmarkDelayAblation(b *testing.B) {
 		b.Fatal(err)
 	}
 	pseudo := core.BuildPseudo(in, chains, ints.X)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pseudo.Flatten()
+	delays, _ := pseudo.BestDelays(pseudo.MaxLoad(), 64, rand.New(rand.NewSource(1)))
+	for _, c := range []struct {
+		name   string
+		delays []int
+	}{{"off", nil}, {"on", delays}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pseudo.Flatten(c.delays)
+			}
+		})
 	}
 }
 
@@ -247,26 +255,6 @@ func BenchmarkBucketAblation(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkConstructionCost (A4): both oblivious constructions.
-func BenchmarkConstructionCost(b *testing.B) {
-	in := benchInstance(32, 8, 16)
-	par := core.DefaultParams()
-	b.Run("combinatorial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SUUIOblivious(in, par); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("lp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SUUIndependentLP(in, par); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkQuickTables runs the two fastest experiment drivers end to

@@ -1,7 +1,7 @@
 // Command suu-bench regenerates the experiment tables — the empirical
 // validation of every theorem of the paper plus the ablations, one
-// per entry of exp.Drivers (T1..T11, T13..T15, A1..A5) — and the
-// simulation-engine throughput record BENCH_sim.json.
+// per entry of exp.Drivers (T1..T3, T5..T11, T13..T15, A2, A3, A5) —
+// and the simulation-engine throughput record BENCH_sim.json.
 //
 // Usage:
 //

@@ -220,8 +220,9 @@ func chainsOnBlocksDelayed(in *model.Instance, chains [][]int, par Params, divis
 
 // finishChains is the chain pipeline's finish stage: it rounds the
 // (LP1) solution frac, lays out the pseudo-schedule, chooses the
-// delays, flattens, replicates and appends the round-robin tail over
-// order, a topological order of in.Prec. trivial is
+// delays, flattens the delayed tracks in one pass (which drops every
+// step no track occupies), replicates and appends the round-robin
+// tail over order, a topological order of in.Prec. trivial is
 // TrivialLowerBound(in), which the lower bound combines with frac's.
 // It reads only its arguments (frac is this chain set's own solution,
 // and par.Seed alone seeds the delay search), so the finish stages of
@@ -243,7 +244,7 @@ func finishChains(in *model.Instance, chains [][]int, par Params, divisor int, f
 	}
 	rng := rand.New(newSplitMixSource(par.Seed))
 	delays, cong := pseudo.BestDelays(maxDelay, par.DelayTries, rng)
-	flat := pseudo.WithDelays(delays).Flatten().Compact()
+	flat := pseudo.Flatten(delays)
 
 	nScope := 0
 	for _, c := range chains {

@@ -250,7 +250,7 @@ func TestBuildPseudoWindows(t *testing.T) {
 	}
 	// Flatten of a single track must be congestion-free and identical in
 	// per-job mass.
-	flat := p.Flatten()
+	flat := p.Flatten(nil)
 	if flat.Len() != 5 {
 		t.Errorf("flatten changed single-track length: %d", flat.Len())
 	}

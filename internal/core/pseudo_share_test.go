@@ -40,8 +40,8 @@ func buildPseudoPerStep(in *model.Instance, chains [][]int, x [][]int) *sched.Ps
 	return p
 }
 
-// withDelaysCloned is WithDelays with a fresh idle assignment per delay
-// step and a clone of every track step.
+// withDelaysCloned shifts track k of p by delays[k] steps, each a
+// fresh idle assignment, and clones every track step.
 func withDelaysCloned(p *sched.Pseudo, delays []int) *sched.Pseudo {
 	out := &sched.Pseudo{M: p.M, Tracks: make([]*sched.Oblivious, len(p.Tracks))}
 	for k, tr := range p.Tracks {
@@ -57,7 +57,9 @@ func withDelaysCloned(p *sched.Pseudo, delays []int) *sched.Pseudo {
 	return out
 }
 
-// flattenPerStep is Flatten with a fresh assignment per all-idle step.
+// flattenPerStep is Flatten of p's tracks, undelayed, step by step:
+// it expands each step by its congestion, drops every all-idle step,
+// and keeps one fresh idle step when p spans steps but occupies none.
 func flattenPerStep(p *sched.Pseudo) *sched.Oblivious {
 	var steps []sched.Assignment
 	queue := make([][]int, p.M)
@@ -77,10 +79,6 @@ func flattenPerStep(p *sched.Pseudo) *sched.Oblivious {
 				}
 			}
 		}
-		if cong == 0 {
-			steps = append(steps, sched.NewIdle(p.M))
-			continue
-		}
 		for k := 0; k < cong; k++ {
 			a := sched.NewIdle(p.M)
 			for i := range queue {
@@ -90,6 +88,9 @@ func flattenPerStep(p *sched.Pseudo) *sched.Oblivious {
 			}
 			steps = append(steps, a)
 		}
+	}
+	if len(steps) == 0 && p.Len() > 0 {
+		steps = append(steps, sched.NewIdle(p.M))
 	}
 	return sched.NewOblivious(p.M, steps, nil)
 }
@@ -112,12 +113,13 @@ func sameTracks(a, b [][]sched.Assignment) bool {
 	})
 }
 
-// TestSharedStepsMatchPerStepPipeline pins the chain pipeline's shared
-// steps (one backing array per track, one idle assignment for the
-// delay steps and for Flatten's all-idle steps, track steps shared by
-// WithDelays) to the per-step forms they replaced: over random chain
-// sets, counts and delay vectors, the flattened and compacted schedule
-// has the same runs, and the pseudo-schedule is left as it was built.
+// TestSharedStepsMatchPerStepPipeline pins the chain pipeline's run
+// forms (one backing array per track, and Flatten reading the tracks'
+// runs, each shifted by its delay) to the per-step forms they
+// replaced: over random chain sets, counts and delay vectors, the
+// flattened schedule has the same runs as the per-step tracks, delayed
+// by idle steps, flattened and compacted, and the pseudo-schedule is
+// left as it was built.
 func TestSharedStepsMatchPerStepPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 300; trial++ {
@@ -152,8 +154,8 @@ func TestSharedStepsMatchPerStepPipeline(t *testing.T) {
 			}
 		}
 		for _, d := range [][]int{delays, make([]int, len(chains))} {
-			got := p.WithDelays(d).Flatten().Compact()
-			want := flattenPerStep(withDelaysCloned(old, d)).Compact()
+			got := p.Flatten(d)
+			want := flattenPerStep(withDelaysCloned(old, d))
 			gotRuns, gotEnds := got.Runs()
 			wantRuns, wantEnds := want.Runs()
 			if got.M != want.M || !slices.Equal(gotEnds, wantEnds) || !slices.EqualFunc(gotRuns, wantRuns, slices.Equal) {

@@ -1,65 +1,10 @@
 package exp
 
 import (
-	"math/rand"
-
 	"suu/internal/core"
 	"suu/internal/sim"
 	"suu/internal/workload"
 )
-
-// A1 ablates the random-delay step of Section 4.1: congestion and
-// flattened length with and without delays.
-func A1(cfg Config) *Table {
-	t := &Table{
-		ID:         "A1",
-		Title:      "Ablation: random delays on vs. off (chains pipeline)",
-		PaperBound: "§4.1: delays trade schedule length (×congestion) for feasibility",
-		Header:     []string{"n", "m", "chains", "cong off", "len off", "cong on", "len on"},
-	}
-	type pt struct{ n, m, c int }
-	sweep := []pt{{16, 4, 4}, {32, 6, 8}, {64, 8, 12}}
-	if cfg.Quick {
-		sweep = sweep[:2]
-	}
-	type row struct {
-		cells []string
-		ok    bool
-	}
-	rows := runCells(cfg, len(sweep), func(i int) row {
-		p := sweep[i]
-		seed := sim.SeedFor(cfg.Seed, "A1", int64(p.n), int64(p.m), int64(p.c))
-		in := workload.Chains(workload.Config{Jobs: p.n, Machines: p.m, Seed: seed}, p.c)
-		chains, err := in.Prec.Chains()
-		if err != nil {
-			return row{}
-		}
-		fs, err := core.SolveLP1(in, chains, 0.5)
-		if err != nil {
-			return row{}
-		}
-		ints, err := core.RoundLP(in, fs, 0.5)
-		if err != nil {
-			return row{}
-		}
-		pseudo := core.BuildPseudo(in, chains, ints.X)
-		congOff := pseudo.MaxCongestion()
-		lenOff := pseudo.Flatten().Len()
-		// SplitMix64 via sim.Stream, matching the grid path's seed
-		// derivation (see chains.go).
-		prng := rand.New(sim.NewStream(sim.SeedFor(seed, "delays")))
-		delays, congOn := pseudo.BestDelays(pseudo.MaxLoad(), 64, prng)
-		lenOn := pseudo.WithDelays(delays).Flatten().Len()
-		return row{cells: []string{d(p.n), d(p.m), d(p.c), d(congOff), d(lenOff), d(congOn), d(lenOn)}, ok: true}
-	})
-	for _, r := range rows {
-		if r.ok {
-			t.Rows = append(t.Rows, r.cells)
-		}
-	}
-	t.Notes = "Flattening multiplies length by per-step congestion; delays spread the collisions, shortening the flattened schedule when chains overlap heavily."
-	return t
-}
 
 // A2 sweeps the replication factor σ of the schedule-replication step:
 // the paper's σ = 16⌈log₂ n⌉ guarantees whp completion inside the
@@ -170,39 +115,4 @@ func ceilInt(x float64) int {
 		c++
 	}
 	return c
-}
-
-// A4 compares the output of the two oblivious constructions for
-// independent jobs: prefix lengths, and the LP lift λ, which the
-// registry result does not carry, so it runs on the raw core API.
-// Their build times are the record's solver_build rows
-// (comb-oblivious, lp-oblivious).
-func A4(cfg Config) *Table {
-	t := &Table{
-		ID:         "A4",
-		Title:      "Ablation: combinatorial (Thm 3.6) vs. LP (Thm 4.5) construction",
-		PaperBound: "both polynomial; the LP route pays simplex, the combinatorial route pays doubling",
-		Header:     []string{"n", "m", "comb: prefix", "lp: prefix", "lp lift λ"},
-	}
-	sizes := [][2]int{{8, 4}, {16, 6}, {32, 8}, {64, 12}}
-	if cfg.Quick {
-		sizes = sizes[:3]
-	}
-	for _, nm := range sizes {
-		n, m := nm[0], nm[1]
-		seed := sim.SeedFor(cfg.Seed, "A4", int64(n), int64(m))
-		in := workload.Independent(workload.Config{Jobs: n, Machines: m, Seed: seed})
-		comb, err := core.SUUIOblivious(in, paramsWithSeed(sim.SeedFor(seed, "build")))
-		if err != nil {
-			continue
-		}
-		lpres, err := core.SUUIndependentLP(in, paramsWithSeed(sim.SeedFor(seed, "build")))
-		if err != nil {
-			continue
-		}
-		t.Rows = append(t.Rows, []string{
-			d(n), d(m), d(comb.Schedule.Len()), d(lpres.Schedule.Len()), d(lpres.Round.Lambda),
-		})
-	}
-	return t
 }

@@ -8,7 +8,6 @@ var Drivers = []struct {
 	{"T1", T1},
 	{"T2", T2},
 	{"T3", T3},
-	{"T4", T4},
 	{"T5", T5},
 	{"T6", T6},
 	{"T7", T7},
@@ -19,10 +18,8 @@ var Drivers = []struct {
 	{"T13", T13},
 	{"T14", T14},
 	{"T15", T15},
-	{"A1", A1},
 	{"A2", A2},
 	{"A3", A3},
-	{"A4", A4},
 	{"A5", A5},
 }
 

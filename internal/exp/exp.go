@@ -53,9 +53,9 @@ func (c Config) trials() int {
 
 // Table is one experiment's result in displayable form.
 type Table struct {
-	// ID is the experiment id from Drivers (T1..T11, T13..T15,
-	// A1..A5), or EXACT and LP for the exact-solver and LP benchmark
-	// tables.
+	// ID is the experiment id from Drivers (T1..T3, T5..T11,
+	// T13..T15, A2, A3, A5), or EXACT and LP for the exact-solver and
+	// LP benchmark tables.
 	ID string
 	// Title describes the experiment.
 	Title string

@@ -57,7 +57,7 @@ func TestT2ProbabilitiesMeetBound(t *testing.T) {
 func TestFastDriversProduceTables(t *testing.T) {
 	for _, drv := range Drivers {
 		switch drv.ID {
-		case "T3", "T4", "T5", "T6", "T8", "T9", "T10", "A2":
+		case "T3", "T5", "T6", "T8", "T9", "T10", "A2":
 			continue // slower (Monte Carlo heavy); exercised by TestAllQuick in -short skip
 		}
 		tb := drv.Run(quickCfg)

@@ -171,13 +171,6 @@ type GridPoint struct {
 type ParamOverrides struct {
 	// ReplicationFactor overrides Params.ReplicationFactor when > 0.
 	ReplicationFactor int `json:"replication_factor,omitempty"`
-	// MassTarget overrides Params.MassTarget when > 0.
-	MassTarget float64 `json:"mass_target,omitempty"`
-	// DelayTries overrides Params.DelayTries when > 0.
-	DelayTries int `json:"delay_tries,omitempty"`
-	// Optimism overrides Params.Optimism when non-nil (0 is a
-	// meaningful setting — it disables the learner's exploration).
-	Optimism *float64 `json:"optimism,omitempty"`
 }
 
 // apply folds the overrides into par.
@@ -187,15 +180,6 @@ func (o *ParamOverrides) apply(par *core.Params) {
 	}
 	if o.ReplicationFactor > 0 {
 		par.ReplicationFactor = o.ReplicationFactor
-	}
-	if o.MassTarget > 0 {
-		par.MassTarget = o.MassTarget
-	}
-	if o.DelayTries > 0 {
-		par.DelayTries = o.DelayTries
-	}
-	if o.Optimism != nil {
-		par.Optimism = *o.Optimism
 	}
 }
 

@@ -69,7 +69,7 @@ func T2(cfg Config) *Table {
 		n, m := sizes[i][0], sizes[i][1]
 		seed := sim.SeedFor(cfg.Seed, "T2", int64(n), int64(m))
 		in := workload.Independent(workload.Config{Jobs: n, Machines: m, Seed: seed})
-		reg, topt, err := optRegimen(in)
+		reg, topt, err := opt.OptimalRegimen(in)
 		if err != nil {
 			return row{}
 		}
@@ -122,14 +122,7 @@ func T3(cfg Config) *Table {
 		n, m := sizes[s][0], sizes[s][1]
 		seed := sim.SeedFor(cfg.Seed, "T3", int64(n), int64(m), int64(k))
 		in := workload.Independent(workload.Config{Jobs: n, Machines: m, Seed: seed})
-		lb, exact := exactOpt(in)
-		if !exact {
-			fs, err := core.SolveLP2(in, seqJobs(n), 0.5)
-			if err != nil {
-				return cell{}
-			}
-			lb = core.CombinedLowerBound(in, fs.T)
-		}
+		lb, exact := lowerBound(in)
 		if lb <= 0 {
 			return cell{}
 		}
@@ -180,72 +173,16 @@ func T3(cfg Config) *Table {
 	return t
 }
 
-// T4 validates Lemma 3.5 / Theorem 3.6: the combinatorial oblivious
-// schedule SUU-I-OBL stays within O(log² n) of optimal.
-func T4(cfg Config) *Table {
-	t := &Table{
-		ID:         "T4",
-		Title:      "Combinatorial oblivious SUU-I-OBL ratio vs. instance size",
-		PaperBound: "Theorem 3.6: E[makespan] ≤ O(log² n)·T_OPT",
-		Header:     []string{"n", "m", "core len", "mean ratio", "ratio/log₂²n"},
-	}
-	sizes := [][2]int{{4, 3}, {8, 3}, {16, 6}, {32, 8}}
-	if cfg.Quick {
-		sizes = sizes[:3]
-	}
-	trials := cfg.trials()
-	type cell struct {
-		ratio   float64
-		coreLen int
-		ok      bool
-	}
-	cells := runSweep(cfg, len(sizes), trials, func(s, k int) cell {
-		n, m := sizes[s][0], sizes[s][1]
-		seed := sim.SeedFor(cfg.Seed, "T4", int64(n), int64(m), int64(k))
-		in := workload.Independent(workload.Config{Jobs: n, Machines: m, Seed: seed})
-		comb, _ := solve.Get("comb-oblivious")
-		res, err := comb.Build(in, paramsWithSeed(sim.SeedFor(seed, "build")))
-		if err != nil {
-			return cell{}
-		}
-		mean := estimate(in, res.Policy, cfg.reps(), sim.SeedFor(seed, "sim"))
-		if mean < 0 {
-			return cell{}
-		}
-		lb := lowerBound(in, n)
-		if lb <= 0 {
-			return cell{}
-		}
-		return cell{ratio: mean / lb, coreLen: res.CoreLength, ok: true}
-	})
-	for s, nm := range sizes {
-		var ratios []float64
-		coreLen := 0
-		for _, c := range cells[s] {
-			if !c.ok {
-				continue
-			}
-			ratios = append(ratios, c.ratio)
-			coreLen = c.coreLen
-		}
-		if len(ratios) == 0 {
-			continue
-		}
-		mr := stats.Mean(ratios)
-		l := stats.Log2(float64(nm[0]) + 1)
-		t.Rows = append(t.Rows, []string{d(nm[0]), d(nm[1]), d(coreLen), f2(mr), f2(mr / (l * l))})
-	}
-	return t
-}
-
-// T5 validates Theorem 4.5 and compares the LP-based oblivious
-// schedule against the combinatorial one.
+// T5 validates Theorems 4.5 and 3.6 on independent jobs: the LP-based
+// oblivious schedule against the combinatorial one, with the prefix
+// each builds and the lift λ of the LP's rounding (Thm 4.1).
 func T5(cfg Config) *Table {
 	t := &Table{
 		ID:         "T5",
 		Title:      "LP-based oblivious schedule (Thm 4.5) vs. combinatorial (Thm 3.6)",
-		PaperBound: "Theorem 4.5: E[makespan] ≤ O(log n · log min(n,m))·T_OPT",
-		Header:     []string{"n", "m", "LP T*", "lp-obl ratio", "comb-obl ratio", "lp/comb"},
+		PaperBound: "Theorem 4.5: E[makespan] ≤ O(log n · log min(n,m))·T_OPT; Theorem 3.6: E[makespan] ≤ O(log² n)·T_OPT",
+		Header: []string{"n", "m", "LP T*", "lp-obl ratio", "comb-obl ratio", "lp/comb",
+			"lp prefix", "lp lift λ", "comb prefix", "comb ratio/log₂²n"},
 	}
 	sizes := [][2]int{{4, 3}, {8, 4}, {16, 6}, {32, 8}}
 	if cfg.Quick {
@@ -253,15 +190,17 @@ func T5(cfg Config) *Table {
 	}
 	trials := cfg.trials()
 	type cell struct {
-		lpR, combR, tstar float64
-		ok                bool
+		lpR, combR, tstar            float64
+		lpPrefix, lambda, combPrefix int
+		ok                           bool
 	}
 	cells := runSweep(cfg, len(sizes), trials, func(s, k int) cell {
 		n, m := sizes[s][0], sizes[s][1]
 		seed := sim.SeedFor(cfg.Seed, "T5", int64(n), int64(m), int64(k))
 		in := workload.Independent(workload.Config{Jobs: n, Machines: m, Seed: seed})
-		lp, _ := solve.Get("lp-oblivious")
-		lres, err := lp.Build(in, paramsWithSeed(sim.SeedFor(seed, "build")))
+		// The registry's lp-oblivious build is this call; its result
+		// does not carry the rounding's λ.
+		lres, err := core.SUUIndependentLP(in, paramsWithSeed(sim.SeedFor(seed, "build")))
 		if err != nil {
 			return cell{}
 		}
@@ -270,35 +209,38 @@ func T5(cfg Config) *Table {
 		if err != nil {
 			return cell{}
 		}
-		lb := lowerBound(in, n)
+		lb, _ := lowerBound(in)
 		if lb <= 0 {
 			return cell{}
 		}
-		lpMean := estimate(in, lres.Policy, cfg.reps(), sim.SeedFor(seed, "sim"))
+		lpMean := estimate(in, lres.Schedule, cfg.reps(), sim.SeedFor(seed, "sim"))
 		combMean := estimate(in, cres.Policy, cfg.reps(), sim.SeedFor(seed, "sim"))
 		if lpMean <= 0 || combMean <= 0 {
 			return cell{}
 		}
-		return cell{lpR: lpMean / lb, combR: combMean / lb, tstar: lres.LPValue, ok: true}
+		return cell{lpR: lpMean / lb, combR: combMean / lb, tstar: lres.TStar,
+			lpPrefix: lres.Schedule.Len(), lambda: lres.Round.Lambda, combPrefix: cres.PrefixLen, ok: true}
 	})
 	for s, nm := range sizes {
 		var lpR, combR []float64
-		tstar := 0.0
+		var last cell
 		for _, c := range cells[s] {
 			if !c.ok {
 				continue
 			}
 			lpR = append(lpR, c.lpR)
 			combR = append(combR, c.combR)
-			tstar = c.tstar
+			last = c
 		}
-		if len(lpR) == 0 || len(combR) == 0 {
+		if len(lpR) == 0 {
 			continue
 		}
 		a, b := stats.Mean(lpR), stats.Mean(combR)
-		t.Rows = append(t.Rows, []string{d(nm[0]), d(nm[1]), f2(tstar), f2(a), f2(b), f2(a / b)})
+		l := stats.Log2(float64(nm[0]) + 1)
+		t.Rows = append(t.Rows, []string{d(nm[0]), d(nm[1]), f2(last.tstar), f2(a), f2(b), f2(a / b),
+			d(last.lpPrefix), d(last.lambda), d(last.combPrefix), f2(b / (l * l))})
 	}
-	t.Notes = "The combinatorial schedule cycles its prefix (fast retries); the LP schedule pays the σ-replication up front. The theorems bound both; the comparison reports the practical trade."
+	t.Notes = "The combinatorial schedule cycles its prefix (fast retries); the LP schedule pays the σ-replication up front. The theorems bound both; the comparison reports the practical trade. The prefix and λ columns are the last trial's; the normalized comb column should stay roughly flat if the O(log² n) shape holds."
 	return t
 }
 
@@ -333,19 +275,16 @@ func registryPolicy(id string, in *model.Instance, seed int64) sched.Policy {
 	return res.Policy
 }
 
-// lowerBound returns exact OPT for small instances, else the LP2/16
-// bound.
-func lowerBound(in *model.Instance, n int) float64 {
+// lowerBound returns T_OPT and true where exactOpt reaches the
+// instance, else the combined LP2 lower bound and false (-1 when the
+// LP fails).
+func lowerBound(in *model.Instance) (float64, bool) {
 	if v, ok := exactOpt(in); ok {
-		return v
+		return v, true
 	}
-	fs, err := core.SolveLP2(in, seqJobs(n), 0.5)
+	fs, err := core.SolveLP2(in, seqJobs(in.N), 0.5)
 	if err != nil {
-		return -1
+		return -1, false
 	}
-	return core.CombinedLowerBound(in, fs.T)
-}
-
-func optRegimen(in *model.Instance) (*sched.Regimen, float64, error) {
-	return opt.OptimalRegimen(in)
+	return core.CombinedLowerBound(in, fs.T), false
 }

@@ -17,8 +17,8 @@
 //     concatenation (Section 4.1's conversion pipeline), all reading
 //     and writing runs: the delay search scores each candidate over
 //     every machine's busy intervals (one per stretch of a track's
-//     runs that keeps the machine busy), a delay is one idle run
-//     before a track, and flattening walks the segments between
-//     consecutive run ends;
+//     runs that keeps the machine busy), and flattening shifts each
+//     track by its delay, walks the segments between consecutive
+//     delayed run ends and drops every step no track occupies;
 //   - mass accounting (Definition 2.4) and feasibility validation.
 package sched

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"slices"
 	"testing"
+
+	"suu/internal/model"
 )
 
 // FuzzObliviousJSON feeds arbitrary bytes to the schedule decoder, the
@@ -95,4 +97,123 @@ func FuzzBestDelays(f *testing.F) {
 		}
 		checkBestDelays(t, p, delay%(p.Len()+4), tries, seed)
 	})
+}
+
+// FuzzFlatten holds Flatten to flattenSteps, its step-by-step
+// reference, on pseudo-schedules decoded from bytes. The first bytes
+// give the machine count (1–6), the track count (1–8) and whether
+// there is a delay vector (none when the byte is even); then each
+// track reads a run count (0–5) and, per run, a length (1–4) and one
+// byte per machine: Idle when the byte is 0 modulo 5, else job
+// byte%5 − 1; then, with a delay vector, one delay per track in
+// [0, 20]. Bytes past the end read as 0, so a short input ends in
+// idle runs and empty tracks.
+func FuzzFlatten(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 1, 1})
+	f.Add([]byte{1, 2, 1, 2, 0, 1, 3, 2, 1, 0, 0, 1, 1, 2, 3, 5})
+	f.Add([]byte{2, 3, 0, 3, 1, 1, 2, 0, 0, 0, 3, 6, 7, 2, 4, 2, 1, 3, 0, 1, 1, 4, 9})
+	f.Add([]byte{5, 7, 1, 5, 3, 1, 2, 3, 4, 0, 6, 2, 5, 0, 0, 0, 0, 0, 0, 3, 1, 1, 1, 1, 1, 1, 2, 2, 9, 8, 7, 6, 5, 4, 3, 2, 1, 20, 0, 13, 4})
+	f.Add([]byte{3, 4, 1, 0, 0, 0, 0, 20, 7, 20, 3})
+	f.Add([]byte{0, 1, 1, 0, 0, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		m, tracks, delayed := 1+next()%6, 1+next()%8, next()%2 == 1
+		p := &Pseudo{M: m, Tracks: make([]*Oblivious, tracks)}
+		for k := range p.Tracks {
+			runs := make([]Assignment, next()%6)
+			counts := make([]int, len(runs))
+			for r := range runs {
+				counts[r] = 1 + next()%4
+				runs[r] = NewIdle(m)
+				for i := range runs[r] {
+					runs[r][i] = next()%5 - 1
+				}
+			}
+			p.Tracks[k] = NewObliviousRuns(m, runs, counts, nil)
+		}
+		var delays []int
+		if delayed {
+			delays = make([]int, tracks)
+			for k := range delays {
+				delays[k] = next() % 21
+			}
+		}
+		got := p.Flatten(delays)
+		want := NewOblivious(m, flattenSteps(p, delays), nil)
+		runs, ends := got.Runs()
+		wantRuns, wantEnds := want.Runs()
+		if got.M != m || got.Tail != nil || !slices.Equal(ends, wantEnds) ||
+			!slices.EqualFunc(runs, wantRuns, slices.Equal[Assignment]) {
+			t.Fatalf("delays %v: runs %v ending at %v, the reference gives %v ending at %v",
+				delays, runs, ends, wantRuns, wantEnds)
+		}
+		in := model.New(4, m)
+		for i := range in.P {
+			for j := range in.P[i] {
+				in.P[i][j] = float64((i+1)*(j+2)) / 64
+			}
+		}
+		if mass, wantMass := MassPerJob(in, got), MassPerJobPseudo(p, in.P, in.N); !slices.Equal(mass, wantMass) {
+			t.Fatalf("delays %v: per-job mass %v, the tracks hold %v", delays, mass, wantMass)
+		}
+	})
+}
+
+// flattenSteps is Flatten written step by step: track k becomes
+// delays[k] idle steps (none when delays is nil) followed by its own
+// steps; each step of the union is expanded by its congestion, each
+// machine serving its jobs in track order; all-idle steps are dropped,
+// and one is kept when the union spans steps but occupies none.
+func flattenSteps(p *Pseudo, delays []int) []Assignment {
+	var tracks [][]Assignment
+	span := 0
+	for k, tr := range p.Tracks {
+		var steps []Assignment
+		if delays != nil {
+			for range delays[k] {
+				steps = append(steps, NewIdle(p.M))
+			}
+		}
+		for _, a := range tr.Steps() {
+			steps = append(steps, a)
+		}
+		tracks = append(tracks, steps)
+		span = max(span, len(steps))
+	}
+	var out []Assignment
+	for t := range span {
+		queue := make([][]int, p.M)
+		for _, steps := range tracks {
+			if t < len(steps) {
+				for i, j := range steps[t] {
+					if j != Idle {
+						queue[i] = append(queue[i], j)
+					}
+				}
+			}
+		}
+		for k := 0; ; k++ {
+			a, busy := NewIdle(p.M), false
+			for i, q := range queue {
+				if k < len(q) {
+					a[i], busy = q[k], true
+				}
+			}
+			if !busy {
+				break
+			}
+			out = append(out, a)
+		}
+	}
+	if len(out) == 0 && span > 0 {
+		out = append(out, NewIdle(p.M))
+	}
+	return out
 }

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -96,8 +98,9 @@ func TestConcatProperties(t *testing.T) {
 	}
 }
 
-// Property: delays never change total load or per-job mass; they can
-// only move congestion around; flatten preserves assignment multiset.
+// Property: flattening delayed tracks keeps per-job mass, drops only
+// the steps no delayed track occupies, and expands each occupied step
+// by at most the delayed congestion.
 func TestDelayFlattenInvariants(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -127,30 +130,44 @@ func TestDelayFlattenInvariants(t *testing.T) {
 		for k := range delays {
 			delays[k] = rng.Intn(6)
 		}
-		d := p.WithDelays(delays)
+		flat := p.Flatten(delays)
 		m1 := MassPerJobPseudo(p, in.P, n)
-		m2 := MassPerJobPseudo(d, in.P, n)
-		for j := range m1 {
-			if diff := m1[j] - m2[j]; diff > 1e-9 || diff < -1e-9 {
-				return false
-			}
-		}
-		if loadSum(p) != loadSum(d) {
-			return false
-		}
-		flat := d.Flatten()
 		m3 := MassPerJob(in, flat)
 		for j := range m1 {
 			if diff := m1[j] - m3[j]; diff > 1e-9 || diff < -1e-9 {
 				return false
 			}
 		}
-		// Flatten output never double-books a machine (by type), and its
-		// length is at most Len·MaxCongestion and at least Len.
-		if flat.Len() < d.Len() || flat.Len() > d.Len()*max1(d.MaxCongestion()) {
+		// Every (machine, job) unit of the tracks is played once.
+		busy := 0
+		for _, a := range flat.Steps() {
+			for _, j := range a {
+				if j != Idle {
+					busy++
+				}
+			}
+		}
+		if busy != loadSum(p) {
 			return false
 		}
-		return true
+		// Flatten output never double-books a machine (by type). Its
+		// length is at least the number of steps some delayed track
+		// occupies and at most that number times the delayed
+		// congestion; with no occupied step it is one idle step.
+		occupied := map[int]bool{}
+		for k, tr := range p.Tracks {
+			for s, a := range tr.Steps() {
+				if slices.ContainsFunc(a, func(j int) bool { return j != Idle }) {
+					occupied[delays[k]+s] = true
+				}
+			}
+		}
+		occ := len(occupied)
+		if occ == 0 {
+			return flat.Len() == 1
+		}
+		cong := p.busyIntervals().congestion(delays, math.MaxInt)
+		return flat.Len() >= occ && flat.Len() <= occ*cong
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -163,13 +180,6 @@ func loadSum(p *Pseudo) int {
 		s += l
 	}
 	return s
-}
-
-func max1(x int) int {
-	if x < 1 {
-		return 1
-	}
-	return x
 }
 
 // Property: BestDelays never returns congestion worse than zero-delay.

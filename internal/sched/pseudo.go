@@ -11,9 +11,9 @@ import (
 // tracks. Track k schedules one precedence chain as an oblivious prefix
 // on M machines (its tail is ignored), so within a track a machine
 // serves at most one job per step. The union may assign one machine to
-// several jobs in a step, which is what the random-delay + flattening
-// conversion repairs. The pseudo-schedules and schedules derived from
-// p share its tracks' runs, so they must not be modified.
+// several jobs in a step, which Flatten repairs once BestDelays has
+// chosen each track's delay. Like any Oblivious, a track shares its
+// runs with the code that built it, so they must not be modified.
 type Pseudo struct {
 	M      int
 	Tracks []*Oblivious
@@ -153,59 +153,6 @@ func (b *busy) congestion(delays []int, bound int) int {
 	return c
 }
 
-// segments walks the steps [0, Len) as segments [t, end) in which no
-// track changes its assignment, keeping one run cursor per track. For
-// each it calls yield with the jobs each machine serves there across
-// the tracks, in track order, in queue[machine], and the segment's
-// congestion, the longest queue. queue is reused between calls.
-func (p *Pseudo) segments(yield func(t, end, cong int, queue [][]int)) {
-	cur := make([]int, len(p.Tracks))
-	queue := make([][]int, p.M)
-	for t, length := 0, p.Len(); t < length; {
-		for i := range queue {
-			queue[i] = queue[i][:0]
-		}
-		end, cong := length, 0
-		for k, tr := range p.Tracks {
-			if t >= tr.Len() {
-				continue
-			}
-			for tr.ends[cur[k]] <= t {
-				cur[k]++
-			}
-			end = min(end, tr.ends[cur[k]])
-			for i, j := range tr.runs[cur[k]] {
-				if j != Idle {
-					queue[i] = append(queue[i], j)
-					cong = max(cong, len(queue[i]))
-				}
-			}
-		}
-		yield(t, end, cong, queue)
-		t = end
-	}
-}
-
-// WithDelays returns a new pseudo-schedule in which track k is shifted
-// to start delays[k] steps later (the random-delay technique of
-// Leighton–Maggs–Rao / Shmoys–Stein–Wein used in Section 4.1). Each
-// delayed track is one idle run followed by p's track, whose runs it
-// shares, so neither may be modified.
-func (p *Pseudo) WithDelays(delays []int) *Pseudo {
-	if len(delays) != len(p.Tracks) {
-		panic("sched: delay vector length mismatch")
-	}
-	out := &Pseudo{M: p.M, Tracks: make([]*Oblivious, len(p.Tracks))}
-	idle := []Assignment{NewIdle(p.M)}
-	for k, tr := range p.Tracks {
-		if delays[k] < 0 {
-			panic("sched: negative delay")
-		}
-		out.Tracks[k] = Concat(NewObliviousRuns(p.M, idle, delays[k:k+1], nil), tr)
-	}
-	return out
-}
-
 // BestDelays samples `tries` delay vectors uniformly from
 // [0, maxDelay] per track and returns the vector achieving the lowest
 // maximum congestion, together with that congestion. This is the
@@ -262,25 +209,68 @@ func (p *Pseudo) BestDelays(maxDelay, tries int, rng *rand.Rand) ([]int, int) {
 }
 
 // Flatten converts the pseudo-schedule into a feasible oblivious
-// prefix: each global step t with congestion c_t is expanded into c_t
-// unit steps, during which every machine processes its queued jobs of
-// step t one per sub-step. Ordering within a step is irrelevant to
-// correctness because jobs sharing (machine, step) belong to different
-// tracks, which carry no mutual precedence constraints. The result's
-// length is Σ_t c_t <= MaxCongestion()·Len().
+// prefix, with track k shifted to start delays[k] steps later (the
+// random-delay technique of Leighton–Maggs–Rao / Shmoys–Stein–Wein
+// used in Section 4.1; nil delays shift none). Each delayed step t
+// with congestion c_t is expanded into c_t unit steps, during which
+// every machine processes its queued jobs of step t one per sub-step,
+// and each step that no track occupies is dropped. Ordering within a
+// step is irrelevant to correctness because jobs sharing (machine,
+// step) belong to different tracks, which carry no mutual precedence
+// constraints, and dropping an unoccupied step keeps the order of
+// every other, hence all precedence windows and per-job masses. When
+// the delayed tracks span steps but occupy none, one idle step is
+// kept so cycling prefixes stay well defined. The result's length is
+// Σ_t c_t <= (the delayed congestion)·(the occupied steps).
 //
-// It reads the tracks' runs, not their steps: a segment of steps in
-// which no track changes and no machine is congested becomes one run,
-// and every all-idle run shares one assignment.
-func (p *Pseudo) Flatten() *Oblivious {
+// It reads the tracks' runs, not their steps: it walks the segments
+// of steps in which no delayed track changes its run, keeping one run
+// cursor per track, and a segment in which no machine is congested
+// becomes one run. It panics when delays is non-nil and not one per
+// track, or a delay is negative.
+func (p *Pseudo) Flatten(delays []int) *Oblivious {
+	if delays == nil {
+		delays = make([]int, len(p.Tracks))
+	}
+	if len(delays) != len(p.Tracks) {
+		panic("sched: delay vector length mismatch")
+	}
+	span := 0
+	for k, tr := range p.Tracks {
+		if delays[k] < 0 {
+			panic("sched: negative delay")
+		}
+		span = max(span, delays[k]+tr.Len())
+	}
 	out := &Oblivious{M: p.M}
-	idle := NewIdle(p.M)
-	p.segments(func(t, end, cong int, queue [][]int) {
-		if cong == 0 {
-			// An entirely idle step is preserved to keep precedence
-			// windows aligned across tracks.
-			out.push(idle, end-t)
-			return
+	cur := make([]int, len(p.Tracks))
+	// queue[i] lists the jobs machine i serves in the segment, in
+	// track order.
+	queue := make([][]int, p.M)
+	for t := 0; t < span; {
+		for i := range queue {
+			queue[i] = queue[i][:0]
+		}
+		end, cong := span, 0
+		for k, tr := range p.Tracks {
+			s := t - delays[k] // track k's own step
+			if s < 0 {
+				end = min(end, delays[k])
+				continue
+			}
+			if s >= tr.Len() {
+				continue
+			}
+			for tr.ends[cur[k]] <= s {
+				cur[k]++
+			}
+			end = min(end, delays[k]+tr.ends[cur[k]])
+			for i, j := range tr.runs[cur[k]] {
+				if j != Idle {
+					queue[i] = append(queue[i], j)
+					cong = max(cong, len(queue[i]))
+				}
+			}
 		}
 		sub := make([]Assignment, cong)
 		for k := range sub {
@@ -291,40 +281,21 @@ func (p *Pseudo) Flatten() *Oblivious {
 				}
 			}
 		}
-		if cong == 1 {
+		switch cong {
+		case 0: // no track occupies the segment: drop it
+		case 1:
 			out.push(sub[0], end-t)
-			return
-		}
-		for range end - t {
-			for _, a := range sub {
-				out.push(a, 1)
+		default:
+			for range end - t {
+				for _, a := range sub {
+					out.push(a, 1)
+				}
 			}
 		}
-	})
-	out.reindex()
-	return out
-}
-
-// Compact returns the oblivious prefix with all-idle steps removed.
-// Removing an idle step preserves the relative order of every
-// assignment, hence all precedence windows and per-job masses, and can
-// only shorten the schedule. Pipelines apply it after flattening
-// (delayed tracks produce idle slots where every chain is waiting).
-// It drops idle runs, so its cost is O(runs), and it emits at most as
-// many runs as o holds.
-func (o *Oblivious) Compact() *Oblivious {
-	out := &Oblivious{M: o.M, Tail: o.Tail,
-		runs: make([]Assignment, 0, len(o.runs)), ends: make([]int, 0, len(o.runs))}
-	start := 0
-	for k, a := range o.runs {
-		if slices.ContainsFunc(a, func(j int) bool { return j != Idle }) {
-			out.push(a, o.ends[k]-start)
-		}
-		start = o.ends[k]
+		t = end
 	}
-	if len(out.runs) == 0 && len(o.runs) > 0 {
-		// Keep one step so cycling prefixes stay well defined.
-		out.push(o.runs[0], 1)
+	if span > 0 && len(out.runs) == 0 {
+		out.push(NewIdle(p.M), 1)
 	}
 	out.reindex()
 	return out

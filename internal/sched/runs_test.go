@@ -91,8 +91,11 @@ func concatStepwise(parts ...*stepwise) *stepwise {
 	return out
 }
 
+// compact is the prefix with every all-idle step dropped, or one kept
+// when all are idle, and no tail: what flattening it as the one track
+// of a pseudo-schedule gives.
 func (r *stepwise) compact() *stepwise {
-	out := &stepwise{m: r.m, tail: r.tail}
+	out := &stepwise{m: r.m}
 	for _, a := range r.steps {
 		if slices.ContainsFunc(a, func(j int) bool { return j != Idle }) {
 			out.steps = append(out.steps, a)
@@ -284,8 +287,9 @@ func checkRuns(t *testing.T, name string, in *model.Instance, o *Oblivious, r *s
 }
 
 // TestRunFormMatchesStepwise pins the run form to the per-step
-// reference on random prefixes and on what Replicate, Concat and
-// Compact derive from them.
+// reference on random prefixes and on what Replicate, Concat and a
+// one-track Flatten derive from them. A single track has congestion
+// at most 1, so flattening it compacts its prefix.
 func TestRunFormMatchesStepwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 300; trial++ {
@@ -306,9 +310,10 @@ func TestRunFormMatchesStepwise(t *testing.T) {
 		checkRuns(t, fmt.Sprintf("trial %d Replicate(%d)", trial, sigma), in, parts[0].Replicate(sigma), refs[0].replicate(sigma))
 		checkRuns(t, fmt.Sprintf("trial %d Concat", trial), in, Concat(parts...), concatStepwise(refs...))
 		checkRuns(t, fmt.Sprintf("trial %d Concat of one", trial), in, Concat(parts[1]), concatStepwise(refs[1]))
-		checkRuns(t, fmt.Sprintf("trial %d Compact", trial), in, parts[2].Compact(), refs[2].compact())
-		checkRuns(t, fmt.Sprintf("trial %d Compact of a Concat", trial), in,
-			Concat(parts[0], parts[1].Replicate(sigma)).Compact(),
+		flatten := func(o *Oblivious) *Oblivious { return (&Pseudo{M: m, Tracks: []*Oblivious{o}}).Flatten(nil) }
+		checkRuns(t, fmt.Sprintf("trial %d Flatten", trial), in, flatten(parts[2]), refs[2].compact())
+		checkRuns(t, fmt.Sprintf("trial %d Flatten of a Concat", trial), in,
+			flatten(Concat(parts[0], parts[1].Replicate(sigma))),
 			concatStepwise(refs[0], refs[1].replicate(sigma)).compact())
 	}
 }

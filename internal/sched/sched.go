@@ -112,8 +112,8 @@ type Tail interface {
 // The prefix is kept as runs. A run is a maximal block of consecutive
 // steps with equal assignments, stored once with the step it ends
 // at. Replicate makes runs of at least σ steps, and the packed
-// constructions often repeat a step as well, so replication,
-// concatenation and compaction cost O(runs), not O(steps). Build a
+// constructions often repeat a step as well, so replication and
+// concatenation cost O(runs), not O(steps). Build a
 // schedule with NewOblivious; the zero value has an empty prefix. A
 // schedule shares its assignments with the code that built it and
 // with the schedules derived from it, so they must not be modified.

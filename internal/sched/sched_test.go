@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"suu/internal/model"
@@ -208,14 +210,13 @@ func TestPseudoLoadCongestionDelay(t *testing.T) {
 	if p.MaxCongestion() != 2 {
 		t.Errorf("MaxCongestion=%d, want 2", p.MaxCongestion())
 	}
-	d := p.WithDelays([]int{0, 1})
-	if d.MaxCongestion() != 2 {
+	b := p.busyIntervals()
+	if c := b.congestion([]int{0, 1}, math.MaxInt); c != 2 {
 		// After delaying track 2 by 1, step1 has track1 job1 + track2 job2 on machine 0.
-		t.Errorf("delayed congestion=%d, want 2", d.MaxCongestion())
+		t.Errorf("delayed congestion=%d, want 2", c)
 	}
-	d2 := p.WithDelays([]int{0, 2})
-	if d2.MaxCongestion() != 1 {
-		t.Errorf("delayed congestion=%d, want 1", d2.MaxCongestion())
+	if c := b.congestion([]int{0, 2}, math.MaxInt); c != 1 {
+		t.Errorf("delayed congestion=%d, want 1", c)
 	}
 }
 
@@ -241,7 +242,7 @@ func TestFlattenProducesFeasibleSchedule(t *testing.T) {
 		NewOblivious(2, []Assignment{{0, Idle}, {1, 1}}, nil),
 		NewOblivious(2, []Assignment{{2, Idle}}, nil),
 	}}
-	o := p.Flatten()
+	o := p.Flatten(nil)
 	if err := o.Validate(3); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestFlattenPreservesMass(t *testing.T) {
 		NewOblivious(2, []Assignment{{2, 2}, {Idle, 0}}, nil),
 	}}
 	want := MassPerJobPseudo(p, in.P, 3)
-	got := MassPerJob(in, p.Flatten())
+	got := MassPerJob(in, p.Flatten(nil))
 	for j := range want {
 		if diff := want[j] - got[j]; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("job %d mass %v != %v", j, got[j], want[j])
@@ -283,13 +284,103 @@ func TestFlattenPreservesMass(t *testing.T) {
 	}
 }
 
-func TestFlattenIdleStepPreserved(t *testing.T) {
+// TestFlattenIdleStepDropped: a step that no track occupies is
+// dropped, so the track's one occupied step comes first.
+func TestFlattenIdleStepDropped(t *testing.T) {
 	p := &Pseudo{M: 1, Tracks: []*Oblivious{
 		NewOblivious(1, []Assignment{{Idle}, {0}}, nil),
 	}}
-	o := p.Flatten()
-	if o.Len() != 2 || o.At(0)[0] != Idle || o.At(1)[0] != 0 {
-		t.Errorf("idle step not preserved:\n%s", o.Gantt(0))
+	o := p.Flatten(nil)
+	if o.Len() != 1 || o.At(0)[0] != 0 {
+		t.Errorf("idle step not dropped:\n%s", o.Gantt(0))
+	}
+}
+
+// TestFlattenDropsUnoccupiedStepsOnly: flattening drops the steps no
+// delayed track occupies, whether a track plays them idle or a delay
+// opens them, and keeps every other step in order, so per-job mass
+// and every precedence window hold.
+func TestFlattenDropsUnoccupiedStepsOnly(t *testing.T) {
+	in := model.New(2, 2)
+	in.P[0][0], in.P[1][1] = 0.5, 0.5
+	in.Prec.MustEdge(0, 1)
+	idle := &Pseudo{M: 2, Tracks: []*Oblivious{NewOblivious(2, []Assignment{
+		{Idle, Idle},
+		{0, Idle},
+		{Idle, Idle},
+		{Idle, 1},
+	}, nil)}}
+	delayed := &Pseudo{M: 2, Tracks: []*Oblivious{
+		NewOblivious(2, []Assignment{{0, Idle}}, nil),
+		NewOblivious(2, []Assignment{{Idle, 1}}, nil),
+	}}
+	for _, c := range []struct {
+		name   string
+		p      *Pseudo
+		delays []int
+	}{{"idle steps", idle, nil}, {"delays", delayed, []int{1, 3}}} {
+		o := c.p.Flatten(c.delays)
+		want := []Assignment{{0, Idle}, {Idle, 1}}
+		if o.Len() != len(want) {
+			t.Fatalf("%s: len=%d, want %d:\n%s", c.name, o.Len(), len(want), o.Gantt(0))
+		}
+		for s, a := range o.Steps() {
+			if !slices.Equal(a, want[s]) {
+				t.Errorf("%s: step %d is %v, want %v", c.name, s, a, want[s])
+			}
+		}
+		if m1, m2 := MassPerJobPseudo(c.p, in.P, in.N), MassPerJob(in, o); !slices.Equal(m1, m2) {
+			t.Errorf("%s: mass %v, the tracks hold %v", c.name, m2, m1)
+		}
+		// Job 0's mass still reaches 1/2 before job 1's first step.
+		if err := CheckMassWindows(in, o, 0.5); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// TestFlattenAllIdleKeepsOneStep: delayed tracks that span steps but
+// occupy none flatten to one idle step, so the prefix can cycle; a
+// pseudo-schedule that spans no step stays empty.
+func TestFlattenAllIdleKeepsOneStep(t *testing.T) {
+	idle := &Pseudo{M: 1, Tracks: []*Oblivious{NewOblivious(1, []Assignment{{Idle}, {Idle}}, nil)}}
+	empty := &Pseudo{M: 1, Tracks: []*Oblivious{{M: 1}, {M: 1}}}
+	for _, c := range []struct {
+		p      *Pseudo
+		delays []int
+		want   int
+	}{
+		{idle, nil, 1},
+		{idle, []int{4}, 1},
+		{empty, []int{0, 3}, 1},
+		{empty, nil, 0},
+		{&Pseudo{M: 1}, nil, 0},
+	} {
+		o := c.p.Flatten(c.delays)
+		if o.Len() != c.want {
+			t.Errorf("%d tracks delayed by %v: len=%d, want %d", len(c.p.Tracks), c.delays, o.Len(), c.want)
+		}
+		for _, a := range o.Steps() {
+			if a[0] != Idle {
+				t.Errorf("%d tracks delayed by %v play %v", len(c.p.Tracks), c.delays, a)
+			}
+		}
+	}
+}
+
+// TestFlattenRejectsBadDelays: a delay vector must hold one
+// non-negative delay per track.
+func TestFlattenRejectsBadDelays(t *testing.T) {
+	p := &Pseudo{M: 1, Tracks: []*Oblivious{NewOblivious(1, []Assignment{{0}}, nil)}}
+	for _, delays := range [][]int{{}, {0, 0}, {-1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("delays %v accepted", delays)
+				}
+			}()
+			p.Flatten(delays)
+		}()
 	}
 }
 
