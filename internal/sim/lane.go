@@ -8,12 +8,14 @@ import (
 // The bit-parallel lane engine advances LaneWidth (64) independent
 // repetitions of the compiled oblivious walk in lockstep, one per bit
 // of a uint64. Per-rep state in that walk is tiny — "which jobs are
-// finished" plus a clock — so completion bookkeeping becomes
-// AND/OR/popcount-style word operations, and each (job, occurrence)
-// completion trial draws all 64 lanes' Bernoulli outcomes at once from
-// the raw words SplitMix64 already emits (see laneBernoulli).
-// Makespans feed the chunked Welford accumulators 64 samples at a
-// time, in lane order.
+// finished" plus a clock — so completion bookkeeping becomes word
+// operations: each job keeps one event per step on which some lane
+// completed it, the step and the cumulative mask of lanes done, and
+// no lane's completion step is stored on its own. Each (job,
+// occurrence) completion trial draws all 64 lanes' Bernoulli outcomes
+// at once from the raw words SplitMix64 already emits (see
+// laneBernoulli). Makespans feed the chunked Welford accumulators 64
+// samples at a time, in lane order.
 //
 // # Stream remap
 //
@@ -53,9 +55,9 @@ import (
 const LaneWidth = 64
 
 // BitParallelAutoMinReps is the repetition floor of the lane
-// dispatch: below it the per-group fixed costs (SeedFor per group,
-// per-lane eligibility scatter) are not worth the lockstep win, and
-// scalar results stay bit-compatible with historical runs.
+// dispatch: below it the per-group fixed costs (SeedFor per group, the
+// makespan merge over every job's events) are not worth the lockstep
+// win, and scalar results stay bit-compatible with historical runs.
 const BitParallelAutoMinReps = 256
 
 // laneMode is one call's lane decision for a compiled oblivious
@@ -177,36 +179,48 @@ func (e *estimator) newLaneWorker(seed int64) laneWorker {
 type laneOblivRunner struct {
 	c    *compiledOblivious
 	seed int64
-	// comp[j*LaneWidth+l] is lane l's completion step of job j, -1
-	// while unfinished. done[j] is the lane mask that completed j
-	// within the prefix.
-	comp []int32
+	// done[j] is the lane mask that completed job j within the prefix.
 	done []uint64
-	// wins holds the current group's win masks in walk order: job j's
-	// walk visited its occurrences in step order from its first, and
-	// wins[wlo[j]+i] is the cumulative mask of lanes that completed j
-	// at or before its occurrence i; j's segment ends at whi[j], and a
-	// job whose walk was skipped has an empty one. These are per-lane
-	// completion steps in wordwise form, which is what lets successor
-	// eligibility stay mask arithmetic plus a binary search. The buffer
-	// is reset per group, so it grows only to the most occurrences one
-	// group visits.
-	wins     []uint64
-	wlo, whi []int32
-	elig     [LaneWidth]int32 // scratch: per-lane eligibility step of the current job
-	mcmp     [LaneWidth]int32 // per-lane max completion step
-	mk       [LaneWidth]int32
-	tr       Stream
-	tail     Stream
+	// events holds the current group's completions, one per (job, step
+	// on which some lane completed the job), as the step and the
+	// cumulative mask of lanes that completed the job at or before it.
+	// Job j's are events[evLo[j]:evHi[j]], in step order, and the last
+	// one's mask is done[j]; a job whose walk was skipped or won nothing
+	// has none. They are the lanes' completion steps in wordwise form:
+	// successor eligibility is a binary search by step, and one lane's
+	// step a binary search by mask bit. The buffer is reset per group,
+	// so it grows only to the most completions one group makes.
+	events     []laneEvent
+	evLo, evHi []int32
+	// cursors is the makespan merge's heap, one entry per job.
+	cursors []laneCursor
+	elig    [LaneWidth]int32 // scratch: per-lane eligibility step of the current job
+	mk      [LaneWidth]int32
+	tr      Stream
+	tail    Stream
 	// tailR is a scratch scalar runner: lanes that outlive the prefix
 	// continue one at a time on the generic step engine, reusing the
 	// scalar engine's continueTail seeding.
 	tailR *oblivRunner
 }
 
+// laneEvent is one step on which some lane completed a job: done is
+// the mask of lanes that completed it at or before step.
+type laneEvent struct {
+	step int32
+	done uint64
+}
+
+// laneCursor is one job's position in the makespan merge: events[at]
+// is its latest event not yet merged, at step, and events[lo] its
+// first.
+type laneCursor struct {
+	step, at, lo int32
+}
+
 // lanePool holds lane workers between walks, so a walk's workers
-// reuse the comp, done, wins, wlo and whi buffers of earlier walks.
-// runGroup writes every entry of them it reads, so they are not
+// reuse the done, events, evLo, evHi and cursors buffers of earlier
+// walks. runGroup writes every entry of them it reads, so they are not
 // cleared.
 var lanePool = sync.Pool{New: func() any { return new(laneOblivRunner) }}
 
@@ -214,13 +228,13 @@ func newLaneOblivRunner(c *compiledOblivious, seed int64) *laneOblivRunner {
 	r := lanePool.Get().(*laneOblivRunner)
 	n := c.in.N
 	*r = laneOblivRunner{
-		c:    c,
-		seed: seed,
-		comp: reuse(r.comp, n*LaneWidth),
-		done: reuse(r.done, n),
-		wins: r.wins[:0],
-		wlo:  reuse(r.wlo, n),
-		whi:  reuse(r.whi, n),
+		c:       c,
+		seed:    seed,
+		done:    reuse(r.done, n),
+		events:  r.events[:0],
+		evLo:    reuse(r.evLo, n),
+		evHi:    reuse(r.evHi, n),
+		cursors: reuse(r.cursors, n),
 	}
 	return r
 }
@@ -231,15 +245,6 @@ func (r *laneOblivRunner) release() {
 	r.c, r.tailR = nil, nil
 	lanePool.Put(r)
 }
-
-// laneNegOnes is the memmove template resetting a job's completion
-// column to "unfinished".
-var laneNegOnes = func() (a [LaneWidth]int32) {
-	for i := range a {
-		a[i] = -1
-	}
-	return
-}()
 
 func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64) {
 	c := r.c
@@ -254,14 +259,9 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 		cap = maxSteps
 	}
 	var unfin uint64 // lanes with at least one job unfinished after the prefix
-	for l := range r.mcmp {
-		r.mcmp[l] = -1
-	}
-	r.wins = r.wins[:0]
+	events := r.events[:0]
 	for _, j32 := range c.topo {
 		j := int(j32)
-		comp := r.comp[j*LaneWidth : (j+1)*LaneWidth]
-		copy(comp, laneNegOnes[:])
 		// Lanes that may trial j at all: every predecessor done.
 		eligAll := laneMask
 		preds := in.Prec.Preds(j)
@@ -269,7 +269,7 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 			eligAll &= r.done[pr]
 		}
 		lo, hi := int(c.offs[j]), int(c.offs[j+1])
-		r.wlo[j] = int32(len(r.wins))
+		r.evLo[j] = int32(len(events))
 		var doneJ uint64
 		if eligAll != 0 && lo < hi {
 			firstT, lastT := c.runs[lo].start, c.runs[hi-1].end-1
@@ -282,8 +282,8 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 				// beyond (late) — two binary searches per pred, no
 				// per-lane reads. Stragglers in between are rare (the
 				// constructions replicate assignments Θ(σ) times); only
-				// they pay a per-lane eligibility computation before
-				// waiting in pend.
+				// they pay a per-lane lookup of their completion steps
+				// before waiting in pend.
 				var drop uint64
 				for _, pr := range preds {
 					active &= r.winsBefore(int(pr), firstT)
@@ -293,9 +293,7 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 					l := bits.TrailingZeros64(m)
 					e := int32(0)
 					for _, pr := range preds {
-						if pc := r.comp[pr*LaneWidth+l] + 1; pc > e {
-							e = pc
-						}
+						e = max(e, r.compStep(int(pr), l)+1)
 					}
 					pend |= uint64(1) << uint(l)
 					r.elig[l] = e
@@ -318,32 +316,24 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 						}
 					}
 					if active != 0 {
-						win := active & laneBernoulli(&r.tr, gseed, k, 0, run.succ, active)
-						if win != 0 {
+						if win := active & laneBernoulli(&r.tr, gseed, k, 0, run.succ, active); win != 0 {
 							doneJ |= win
 							active &^= win
-							for m := win; m != 0; m &= m - 1 {
-								l := bits.TrailingZeros64(m)
-								comp[l] = t
-								if t > r.mcmp[l] {
-									r.mcmp[l] = t
-								}
-							}
+							events = append(events, laneEvent{step: t, done: doneJ})
 						}
 					}
-					r.wins = append(r.wins, doneJ)
 					k++
 				}
 			}
 		}
-		r.whi[j] = int32(len(r.wins))
+		r.events = events
+		r.evHi[j] = int32(len(events))
 		r.done[j] = doneJ
 		unfin |= laneMask &^ doneJ
 	}
 	completed := laneMask &^ unfin
-	for m := completed; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros64(m)
-		r.mk[l] = r.mcmp[l] + 1
+	if completed != 0 {
+		r.placeCompleted(completed)
 	}
 	if unfin != 0 {
 		if maxSteps <= c.prefixLen {
@@ -364,37 +354,121 @@ func (r *laneOblivRunner) runGroup(g int64, cnt, maxSteps int) ([]int32, uint64)
 	return r.mk[:cnt], completed
 }
 
+// placeCompleted writes the makespans of the completed lanes: one past
+// each lane's latest completion step over all jobs. It merges the
+// jobs' events downward by step on a max-heap of per-job cursors; the
+// first event that adds a lane to its job's mask is that lane's
+// latest completion, and the merge stops once every completed lane is
+// placed.
+func (r *laneOblivRunner) placeCompleted(completed uint64) {
+	h := r.cursors[:0]
+	for j, lo := range r.evLo {
+		if at := r.evHi[j] - 1; at >= lo {
+			h = append(h, laneCursor{step: r.events[at].step, at: at, lo: lo})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	left := completed
+	for left != 0 && len(h) > 0 {
+		top := &h[0]
+		added := r.events[top.at].done
+		if top.at > top.lo {
+			added &^= r.events[top.at-1].done
+		}
+		for m := added & left; m != 0; m &= m - 1 {
+			r.mk[bits.TrailingZeros64(m)] = top.step + 1
+		}
+		left &^= added
+		if top.at > top.lo {
+			top.at--
+			top.step = r.events[top.at].step
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		if len(h) > 0 {
+			siftDown(h, 0)
+		}
+	}
+	// Lanes are left over only when the instance has no jobs: they
+	// finish at once.
+	for m := left; m != 0; m &= m - 1 {
+		r.mk[bits.TrailingZeros64(m)] = 0
+	}
+}
+
+// siftDown restores the max-heap order on step below h[i].
+func siftDown(h []laneCursor, i int) {
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].step > h[c].step {
+			c++
+		}
+		if h[c].step <= x.step {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
+}
+
 // winsBefore returns the mask of lanes that completed job pr strictly
-// before step x: the win mask of pr's last visited occurrence before x.
-// A binary search over pr's runs counts its occurrences before x.
-// Occurrences past the visited segment were never visited and hold no
-// wins; the cumulative mask at the segment's end already equals pr's
-// full done mask.
+// before step x: pr's done mask when all its events precede x, else
+// the mask of its last event before x, found by a binary search over
+// its events.
 func (r *laneOblivRunner) winsBefore(pr int, x int32) uint64 {
-	before := r.whi[pr] - r.wlo[pr]
-	runs := r.c.runs[r.c.offs[pr]:r.c.offs[pr+1]]
-	i, j := 0, len(runs)
+	ev := r.events[r.evLo[pr]:r.evHi[pr]]
+	if len(ev) == 0 || ev[len(ev)-1].step < x {
+		return r.done[pr]
+	}
+	i, j := 0, len(ev)-1
 	for i < j {
 		m := int(uint(i+j) >> 1)
-		if runs[m].end <= x {
+		if ev[m].step < x {
 			i = m + 1
 		} else {
 			j = m
 		}
 	}
-	if i < len(runs) {
-		before = min(before, runs[i].base-runs[0].base+max(x-runs[i].start, 0))
-	}
-	if before == 0 {
+	if i == 0 {
 		return 0
 	}
-	return r.wins[r.wlo[pr]+before-1]
+	return ev[i-1].done
+}
+
+// compStep returns the step on which lane l completed job j, or -1 if
+// it did not within the prefix: the step of j's first event whose
+// mask holds the lane, found by a binary search, since the masks only
+// grow.
+func (r *laneOblivRunner) compStep(j, l int) int32 {
+	bit := uint64(1) << uint(l)
+	if r.done[j]&bit == 0 {
+		return -1
+	}
+	ev := r.events[r.evLo[j]:r.evHi[j]]
+	i, h := 0, len(ev)-1
+	for i < h {
+		m := int(uint(i+h) >> 1)
+		if ev[m].done&bit == 0 {
+			i = m + 1
+		} else {
+			h = m
+		}
+	}
+	return ev[i].step
 }
 
 // continueTailLane hands lane l to the scalar continuation on the
-// generic step engine: it copies the lane's completion column into
-// the scratch scalar runner and reuses its continueTail seeding, with
-// the rep's pinned tail stream.
+// generic step engine: it copies the lane's completion steps into the
+// scratch scalar runner and reuses its continueTail seeding, with the
+// rep's pinned tail stream.
 func (r *laneOblivRunner) continueTailLane(g int64, l, maxSteps int) (int, bool) {
 	if r.tailR == nil {
 		r.tailR = r.c.newRunner()
@@ -403,7 +477,7 @@ func (r *laneOblivRunner) continueTailLane(g int64, l, maxSteps int) (int, bool)
 	n := r.c.in.N
 	unfinished := 0
 	for j := 0; j < n; j++ {
-		tr.comp[j] = r.comp[j*LaneWidth+l]
+		tr.comp[j] = r.compStep(j, l)
 		if tr.comp[j] < 0 {
 			unfinished++
 		}

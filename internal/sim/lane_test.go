@@ -2,8 +2,10 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"suu/internal/core"
@@ -125,6 +127,56 @@ func TestLaneTailContinuation(t *testing.T) {
 	}
 	if sL[1].(int) != 0 {
 		t.Errorf("tail continuation left %d incomplete runs", sL[1].(int))
+	}
+}
+
+// TestLaneStragglersMatchOracle pins the lanes that become eligible
+// strictly inside a successor's span, each of which looks its
+// predecessors' completion steps up in the events. A chain 0→1 runs on
+// two machines: job 0 alone for two steps, then steps that alternate
+// job 0 beside job 1 with job 1 alone, then job 0 alone. So job 0's
+// completions land before job 1's span (early lanes), inside it, on a
+// step that also trials job 1 (stragglers, whose first trial is the
+// next step), and past it (dropped lanes). Every group, full or
+// partial, must return the oracle's makespans and completed mask bit
+// for bit, at caps inside, at and past the prefix, and lanes must
+// straggle at every cap.
+func TestLaneStragglersMatchOracle(t *testing.T) {
+	in := model.New(2, 2)
+	in.P[0] = []float64{0.3, 0.2}
+	in.P[1] = []float64{0, 0.25}
+	in.Prec.MustEdge(0, 1)
+	steps := []sched.Assignment{{0, sched.Idle}, {0, sched.Idle}}
+	for k := 0; k < 20; k++ {
+		steps = append(steps, sched.Assignment{0, 1}, sched.Assignment{1, sched.Idle})
+	}
+	steps = append(steps, sched.Assignment{0, sched.Idle})
+	o := sched.NewOblivious(2, steps, &sched.TopoRoundRobin{M: 2, Order: []int{0, 1}})
+	c := Prepare(in, o).compiled
+	// Job 1's first and last occurrences: a lane that completed job 0
+	// on a step in [first, last) straggles.
+	first, last := int32(2), int32(len(steps)-2)
+	const seed = 17
+	for _, cap := range []int{15, 30, len(steps), 100000} {
+		w := newLaneOblivRunner(c, seed)
+		oracle := &laneOblivOracle{r: c.newRunner(), seed: seed}
+		stragglers := 0
+		for g := int64(0); g < 64; g++ {
+			cnt := LaneWidth
+			if g%2 == 1 {
+				cnt = 37
+			}
+			mk, completed := w.runGroup(g, cnt, cap)
+			stragglers += bits.OnesCount64(w.winsBefore(0, last) &^ w.winsBefore(0, first))
+			wantMK, wantCompleted := oracle.runGroup(g, cnt, cap)
+			if !slices.Equal(mk, wantMK) || completed != wantCompleted {
+				t.Fatalf("cap %d group %d: lanes %v completed %#x, oracle %v completed %#x", cap, g, mk, completed, wantMK, wantCompleted)
+			}
+		}
+		w.release()
+		if stragglers == 0 {
+			t.Errorf("cap %d: no lane straggled; the fixture no longer reaches the lookup", cap)
+		}
 	}
 }
 

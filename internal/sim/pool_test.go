@@ -50,20 +50,21 @@ func fill[T any](s []T, v T) {
 }
 
 // poisonedLaneWorker is a pooled lane worker whose buffers hold
-// garbage: completion steps and window bounds of -1, full masks.
+// garbage: events at step -1 with full masks, event bounds and heap
+// cursors of -1, full done masks.
 func poisonedLaneWorker(n int) *laneOblivRunner {
 	r := &laneOblivRunner{
-		comp: make([]int32, n*LaneWidth),
-		done: make([]uint64, n),
-		wins: make([]uint64, 0, 4*n),
-		wlo:  make([]int32, n),
-		whi:  make([]int32, n),
+		done:    make([]uint64, n),
+		events:  make([]laneEvent, 0, 4*n),
+		evLo:    make([]int32, n),
+		evHi:    make([]int32, n),
+		cursors: make([]laneCursor, n),
 	}
-	fill(r.comp, -1)
 	fill(r.done, ^uint64(0))
-	fill(r.wins, ^uint64(0))
-	fill(r.wlo, -1)
-	fill(r.whi, -1)
+	fill(r.events, laneEvent{step: -1, done: ^uint64(0)})
+	fill(r.evLo, -1)
+	fill(r.evHi, -1)
+	fill(r.cursors, laneCursor{step: -1, at: -1, lo: -1})
 	return r
 }
 
