@@ -7,7 +7,8 @@
 //
 //	suu-bench                 # run everything (minutes)
 //	suu-bench -quick          # smaller sweeps (tens of seconds)
-//	suu-bench -only T6,A2     # selected experiments
+//	suu-bench -only T6,A2     # selected experiments (case-insensitive
+//	                          # ids; an unknown id is fatal)
 //	suu-bench -workers 1      # force the sequential harness
 //	                          # (default 0 = one worker per CPU; the
 //	                          # tables are bit-identical either way)
@@ -42,11 +43,11 @@
 //	                          # print the summary; with -json the
 //	                          # record holds just the serve section
 //
-// Distributed sweeps (see README "Distributed sweeps"): a shardable
-// grid table (T13, T14, the T15 dynamic-scenario grid, the T10
-// solver sweep, the A2/A5 ablation grids) can be cut into half-open
-// cell ranges, each executed in its own process, and merged
-// bit-identically:
+// Distributed sweeps (see README "Distributed sweeps"): a table whose
+// driver declares a grid plan (the T10 solver sweep, T13, T14, the
+// T15 dynamic-scenario grid, the A2/A5 ablation grids) can be cut
+// into half-open cell ranges, each executed in its own process, and
+// merged bit-identically:
 //
 //	suu-bench -grid T13 -cells 0:12 -json-cells s0.json
 //	                          # run cells [0:12) of T13's plan and
@@ -91,7 +92,7 @@ func main() {
 		serveOnly = flag.Bool("serve", false, "run the serving-layer load harness in isolation and exit (skips the experiment drivers)")
 		commit    = flag.String("commit", os.Getenv("GITHUB_SHA"), "commit SHA to embed in the -json perf record (defaults to $GITHUB_SHA)")
 
-		gridID    = flag.String("grid", "", "run one shardable grid table (T13, T14, T15, T10, A2, A5) through the cell-range path")
+		gridID    = flag.String("grid", "", "run one shardable grid table ("+gridIDs()+") through the cell-range path")
 		cellsFlag = flag.String("cells", "", "with -grid: half-open cell range a:b to execute (default: all cells)")
 		shardFlag = flag.String("shard", "", "with -grid: execute shard k/N (0-indexed) of the plan's cells")
 		jsonCells = flag.String("json-cells", "", "with -grid/-merge: write the shard envelope / merged document here")
@@ -169,28 +170,30 @@ func main() {
 		return
 	}
 
+	// Resolve every -only id before any table runs, so a typo fails
+	// the run instead of silently dropping a table.
 	ids := map[string]bool{}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {
-			ids[strings.TrimSpace(id)] = true
+			id = strings.TrimSpace(id)
+			drv, ok := exp.DriverByID(id)
+			if !ok {
+				log.Fatalf("-only: no experiment has id %q", id)
+			}
+			ids[drv.ID] = true
 		}
 	}
 
 	fmt.Printf("# SUU experiment run (%s, quick=%v, seed=%d)\n\n",
 		time.Now().Format("2006-01-02"), *quick, *seed)
-	ran := 0
 	for _, drv := range exp.Drivers {
 		if len(ids) > 0 && !ids[drv.ID] {
 			continue
 		}
 		start := time.Now()
-		table := drv.Run(cfg)
+		table := drv.Table(cfg)
 		fmt.Println(table.Markdown())
 		fmt.Printf("_%s completed in %.1fs_\n\n", drv.ID, time.Since(start).Seconds())
-		ran++
-	}
-	if ran == 0 && *only != "" {
-		log.Fatalf("no experiment matched -only=%q", *only)
 	}
 
 	if *jsonPath != "" {
@@ -222,14 +225,26 @@ func writeRecord(path, commit string, file exp.SimBenchFile) {
 	}
 }
 
+// gridIDs lists the ids of the drivers that declare a grid plan — the
+// tables -grid accepts.
+func gridIDs() string {
+	var ids []string
+	for _, drv := range exp.Drivers {
+		if drv.Plan != nil {
+			ids = append(ids, drv.ID)
+		}
+	}
+	return strings.Join(ids, ", ")
+}
+
 // runGridRange executes a cell range of one shardable grid table and
 // writes the partial-result envelope.
 func runGridRange(cfg exp.Config, gridID, cellsFlag, shardFlag, jsonCells string) {
-	g, ok := exp.GridDriverByID(gridID)
-	if !ok {
-		log.Fatalf("unknown grid table %q: shardable tables are %s", gridID, exp.GridDriverIDs())
+	drv, ok := exp.DriverByID(gridID)
+	if !ok || drv.Plan == nil {
+		log.Fatalf("unknown grid table %q: shardable tables are %s", gridID, gridIDs())
 	}
-	plan := g.Plan(cfg)
+	plan := drv.Plan(cfg)
 	total := plan.NumCells()
 	r := exp.CellRange{Lo: 0, Hi: total}
 	var err error
@@ -251,7 +266,7 @@ func runGridRange(cfg exp.Config, gridID, cellsFlag, shardFlag, jsonCells string
 		log.Fatal("-cells/-shard runs a partial range: add -json-cells to keep the shard envelope")
 	}
 	start := time.Now()
-	shard := exp.RunShard(cfg, exp.ShardSpec{Plan: plan, Range: r})
+	shard := exp.RunShard(cfg, plan, r)
 	if jsonCells != "" {
 		data, err := exp.EncodeShardFile(shard)
 		if err != nil {
@@ -263,8 +278,7 @@ func runGridRange(cfg exp.Config, gridID, cellsFlag, shardFlag, jsonCells string
 	}
 	if r.Len() == total {
 		// A full-range run is just the sequential table with a receipt.
-		results := exp.ShardResults([]*exp.ShardFile{shard})
-		fmt.Println(g.Render(cfg, results).Markdown())
+		fmt.Println(drv.Render(cfg, shard.Cells).Markdown())
 	}
 	fmt.Printf("_%s cells [%s) of %d (fingerprint %s) completed in %.1fs_\n",
 		plan.ID, r, total, shard.Fingerprint, time.Since(start).Seconds())
@@ -309,10 +323,10 @@ func runMerge(jsonCells string, paths []string) {
 	// removed in a newer binary) the merged document is still valid,
 	// but rendering it against the re-derived plan would mis-group or
 	// slice out of bounds.
-	if g, ok := exp.GridDriverByID(m.Plan); ok {
+	if drv, ok := exp.DriverByID(m.Plan); ok && drv.Plan != nil {
 		cfg := exp.Config{Quick: m.Quick, Seed: m.Seed}
-		if fp := exp.Fingerprint(cfg, g.Plan(cfg)); fp == m.Fingerprint {
-			fmt.Println(g.Render(cfg, exp.ShardResults(shards)).Markdown())
+		if fp := exp.Fingerprint(cfg, drv.Plan(cfg)); fp == m.Fingerprint {
+			fmt.Println(drv.Render(cfg, exp.ShardResults(shards)).Markdown())
 		} else {
 			fmt.Fprintf(os.Stderr, "note: %s plan in this binary (fingerprint %s) differs from the envelopes' (%s); merged document written, table rendering skipped\n",
 				m.Plan, fp, m.Fingerprint)

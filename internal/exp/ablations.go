@@ -6,22 +6,17 @@ import (
 	"suu/internal/workload"
 )
 
-// A2 sweeps the replication factor σ of the schedule-replication step:
-// the paper's σ = 16⌈log₂ n⌉ guarantees whp completion inside the
-// prefix; smaller σ gives shorter schedules that lean on the tail.
-// The sweep is declared, not hand-rolled: one spec per σ carrying a
-// ParamOverrides, which makes A2 a shardable GridDriver like any
-// other grid table — every spec shares the same workload point, so
-// all factors are evaluated on the same generated instance with the
-// same simulation streams (paired comparison by construction).
-func A2(cfg Config) *Table {
-	g, _ := GridDriverByID("A2")
-	return runGridDriver(cfg, g)
-}
-
 // a2Factors is the σ sweep; plan and renderer share it.
 var a2Factors = []int{1, 2, 4, 8, 16}
 
+// a2Plan declares A2, which sweeps the replication factor σ of the
+// schedule-replication step: the paper's σ = 16⌈log₂ n⌉ guarantees
+// whp completion inside the prefix; smaller σ gives shorter schedules
+// that lean on the tail. The sweep is declared, not hand-rolled: one
+// spec per σ carrying a ParamOverrides, which makes A2 shardable like
+// any other grid table — every spec shares the same workload point,
+// so all factors are evaluated on the same generated instance with
+// the same simulation streams (paired comparison by construction).
 func a2Plan(cfg Config) GridPlan {
 	point := GridPoint{Scenario: "independent", Jobs: 16, Machines: 5}
 	plan := GridPlan{ID: "A2"}
@@ -36,7 +31,7 @@ func a2Plan(cfg Config) GridPlan {
 	return plan
 }
 
-func renderA2(cfg Config, results []GridResult) *Table {
+func renderA2(cfg Config, results []ShardCell) *Table {
 	t := &Table{
 		ID:         "A2",
 		Title:      "Ablation: replication factor σ sweep (independent jobs, LP schedule)",
@@ -44,7 +39,7 @@ func renderA2(cfg Config, results []GridResult) *Table {
 		Header:     []string{"repl factor", "prefix len", "E[makespan]"},
 	}
 	for i, r := range results {
-		if r.Err != nil {
+		if r.Err != "" {
 			continue
 		}
 		t.Rows = append(t.Rows, []string{d(a2Factors[i]), d(r.PrefixLen), f2(r.Mean)})

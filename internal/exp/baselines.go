@@ -1,23 +1,5 @@
 package exp
 
-// T10 compares the paper's constructions against naive baselines on
-// the two motivating scenarios of Section 1 (grid computing, project
-// management), plus an n=20 chains workload sized to sit exactly on
-// the value iteration's frontier: who wins, by roughly what factor,
-// and — where the exact solver reaches — by how much everyone misses
-// T_OPT. The contenders are not hand-picked: every registry solver
-// applicable to the workload's precedence class enters (the exact DP
-// stays out of the sweep and instead supplies the T_OPT reference
-// column). The table is a shardable GridDriver — the solver sweep is
-// a declared plan, so CI runs its cells as disjoint ranges — and each
-// row records which simulation engine estimated it: the stationary
-// policies (adaptive, greedy-maxp, all-on-one) run the compiled
-// adaptive (memoizing) engine.
-func T10(cfg Config) *Table {
-	g, _ := GridDriverByID("T10")
-	return runGridDriver(cfg, g)
-}
-
 // t10Workloads pairs each motivating workload with its display label;
 // plan and renderer share it so spec segments and row labels cannot
 // drift apart. The chains workload keeps m ≤ 4 on purpose: its
@@ -34,8 +16,22 @@ var t10Workloads = []struct {
 	{"chains at the exact frontier", GridPoint{Scenario: "chains", Jobs: 20, Machines: 4}, "chains"},
 }
 
-// t10Plan declares one spec per workload, because each workload
-// carries its own applicable-solver set.
+// t10Plan declares T10, which compares the paper's constructions
+// against naive baselines on the two motivating scenarios of Section 1
+// (grid computing, project management), plus an n=20 chains workload
+// sized to sit exactly on the value iteration's frontier: who wins, by
+// roughly what factor, and — where the exact solver reaches — by how
+// much everyone misses T_OPT. The contenders are not hand-picked:
+// every registry solver applicable to the workload's precedence class
+// enters (the exact DP stays out of the sweep and instead supplies the
+// T_OPT reference column). The solver sweep is a declared plan, so CI
+// runs its cells as disjoint ranges, and each row records which
+// simulation engine estimated it: the stationary policies (adaptive,
+// greedy-maxp, all-on-one) run the compiled adaptive (memoizing)
+// engine.
+//
+// The plan is one spec per workload, because each workload carries its
+// own applicable-solver set.
 func t10Plan(cfg Config) GridPlan {
 	plan := GridPlan{ID: "T10"}
 	for _, w := range t10Workloads {
@@ -56,7 +52,7 @@ func t10Plan(cfg Config) GridPlan {
 // runs one trial per workload), so the reference is computed for
 // exactly the instance the sweep estimated, on the render side of the
 // shard boundary.
-func renderT10(cfg Config, results []GridResult) *Table {
+func renderT10(cfg Config, results []ShardCell) *Table {
 	t := &Table{
 		ID:         "T10",
 		Title:      "Schedulers head-to-head on the paper's motivating workloads",
@@ -64,9 +60,9 @@ func renderT10(cfg Config, results []GridResult) *Table {
 		Header:     []string{"workload", "solver", "construction", "engine", "E[makespan]", "vs best", "T_OPT", "vs T_OPT"},
 	}
 	off := 0
-	for i, seg := range specSegments(t10Plan(cfg)) {
-		block := results[off : off+seg]
-		off += seg
+	for i, spec := range t10Plan(cfg).Specs {
+		block := results[off : off+spec.NumCells()]
+		off += len(block)
 		label := t10Workloads[i].label
 		topt, exact := 0.0, false
 		if in, _, err := cellInstance(cfg, GridCell{Point: t10Workloads[i].point}); err == nil {
@@ -79,16 +75,16 @@ func renderT10(cfg Config, results []GridResult) *Table {
 		}
 		best := -1.0
 		for _, r := range block {
-			if r.Err == nil && r.Mean > 0 && (best < 0 || r.Mean < best) {
+			if r.Err == "" && r.Mean > 0 && (best < 0 || r.Mean < best) {
 				best = r.Mean
 			}
 		}
 		for _, r := range block {
-			if r.Err != nil || r.Mean < 0 {
-				t.Rows = append(t.Rows, []string{label, r.Cell.Solver, r.Kind, r.Engine, "did not finish", "—", toptCol, "—"})
+			if r.Err != "" || r.Mean < 0 {
+				t.Rows = append(t.Rows, []string{label, r.Solver, r.Kind, r.Engine, "did not finish", "—", toptCol, "—"})
 				continue
 			}
-			t.Rows = append(t.Rows, []string{label, r.Cell.Solver, r.Kind, r.Engine, f2(r.Mean), f2(r.Mean / best), toptCol, gap(r.Mean)})
+			t.Rows = append(t.Rows, []string{label, r.Solver, r.Kind, r.Engine, f2(r.Mean), f2(r.Mean / best), toptCol, gap(r.Mean)})
 		}
 	}
 	t.Notes = "Adaptive coordination wins outright; among non-adaptive options the paper's oblivious schedule is the only one with a guarantee (the naive baselines are adaptive — they observe completions — yet uncoordinated ones still lose ground). " +

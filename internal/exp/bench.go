@@ -603,18 +603,18 @@ func GridBenchSpec(quick bool) GridSpec {
 // bar reads (≥ 2× on a multi-core runner); on a single-core machine
 // it hovers near 1.
 func GridHarnessBenchmark(cfg Config) *GridHarnessBench {
-	spec := GridBenchSpec(cfg.Quick)
-	cells := len(spec.Cells())
+	plan := Plan("bench", GridBenchSpec(cfg.Quick))
+	cells := plan.NumCells()
 	par, seq := cfg, cfg
 	par.Workers = 0 // full pool
 	seq.Workers = 1
 	run := func(c Config) func() error {
 		return func() error {
-			RunGrid(c, spec)
+			RunPlan(c, plan)
 			return nil
 		}
 	}
-	tm, _ := sample(timedPairs, false, run(par), run(seq)) // RunGrid returns no error
+	tm, _ := sample(timedPairs, false, run(par), run(seq)) // RunPlan returns no error
 	return &GridHarnessBench{
 		Cells:          cells,
 		Workers:        par.workers(),

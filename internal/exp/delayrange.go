@@ -6,24 +6,6 @@ import (
 	"suu/internal/stats"
 )
 
-// A5 ablates the delay range: Theorem 4.4/4.7 draw chain delays from
-// [0, Π_max]; Theorem 4.8's tree analysis allows [0, Π_max/log n].
-// Narrower ranges give shorter delayed prefixes at (theoretically)
-// higher congestion; this table measures both effects on out-trees by
-// comparing the two SUUForest code paths end to end. The log-div
-// variant is a standard grid cell (forest solver, estimated); the
-// full-range variant needs per-block reruns the registry does not
-// expose, so it registers the "a5-full" custom cell evaluator — which
-// is what makes A5 a shardable GridDriver despite its bespoke cells.
-func A5(cfg Config) *Table {
-	g, _ := GridDriverByID("A5")
-	return runGridDriver(cfg, g)
-}
-
-func init() {
-	cellEvals["a5-full"] = evalA5FullRange
-}
-
 // a5Sizes is the sweep; plan and renderer share it.
 func a5Sizes(cfg Config) [][2]int {
 	sizes := [][2]int{{12, 4}, {24, 6}, {48, 8}}
@@ -33,8 +15,19 @@ func a5Sizes(cfg Config) [][2]int {
 	return sizes
 }
 
-// a5Plan declares two specs per size over the same out-tree point:
-// the shipping log-div path as plain cells, the full-range rebuild
+// a5Plan declares A5, which ablates the delay range: Theorem 4.4/4.7
+// draw chain delays from [0, Π_max]; Theorem 4.8's tree analysis
+// allows [0, Π_max/log n]. Narrower ranges give shorter delayed
+// prefixes at (theoretically) higher congestion; this table measures
+// both effects on out-trees by comparing the two SUUForest code paths
+// end to end. The log-div variant is a standard grid cell (forest
+// solver, estimated); the full-range variant needs per-block reruns
+// the registry does not expose, so it runs the "a5-full" custom cell
+// evaluator — which is what makes A5 shardable despite its bespoke
+// cells.
+//
+// The plan is two specs per size over the same out-tree point: the
+// shipping log-div path as plain cells, the full-range rebuild
 // through the custom evaluator. Identical points mean identical
 // instances and build seeds across the pair, so the comparison runs
 // on the very same decomposition blocks.
@@ -58,37 +51,36 @@ func a5Plan(cfg Config) GridPlan {
 // essentially its prefix length, which is the paper's comparison.
 // All randomness derives from the cell's coordinates, so the cell
 // shards like any other.
-func evalA5FullRange(cfg Config, c GridCell) GridResult {
+func evalA5FullRange(cfg Config, c GridCell) ShardCell {
+	r := cellRow(cfg, c)
 	in, seed, err := cellInstance(cfg, c)
 	if err != nil {
-		return GridResult{Cell: c, Err: err}
+		return r.fail(nil, err)
 	}
 	par := paramsWithSeed(sim.SeedFor(seed, c.Solver))
 	divRes, err := core.SUUForest(in, par)
 	if err != nil {
-		return GridResult{Cell: c, Class: in.Prec.Classify().String(), Err: err}
+		return r.fail(in, err)
 	}
 	fullPrefix := 0
 	for _, blk := range divRes.Decomposition.Blocks {
 		br, err := core.SUUChainsOnBlock(in, blk.Chains, par)
 		if err != nil {
-			return GridResult{Cell: c, Class: in.Prec.Classify().String(), Err: err}
+			return r.fail(in, err)
 		}
 		fullPrefix += br.Schedule.Len()
 	}
-	return GridResult{
-		Cell:       c,
-		Class:      in.Prec.Classify().String(),
-		Kind:       "forest blocks, full-range delays (Thm 4.4)",
-		Mean:       -1,
-		LowerBound: divRes.LowerBound,
-		PrefixLen:  fullPrefix,
-	}
+	r.Class = in.Prec.Classify().String()
+	r.Kind = "forest blocks, full-range delays (Thm 4.4)"
+	r.Mean = -1
+	r.LowerBound = divRes.LowerBound
+	r.PrefixLen = fullPrefix
+	return r
 }
 
 // renderA5 pairs each size's (log-div, full-range) spec blocks and
 // aggregates trials, reproducing the pre-grid table shape.
-func renderA5(cfg Config, results []GridResult) *Table {
+func renderA5(cfg Config, results []ShardCell) *Table {
 	t := &Table{
 		ID:         "A5",
 		Title:      "Ablation: delay range [0,Πmax] (Thm 4.4/4.7) vs [0,Πmax/log n] (Thm 4.8)",
@@ -103,7 +95,7 @@ func renderA5(cfg Config, results []GridResult) *Table {
 		off += 2 * trials
 		var fullLen, divLen, fullR, divR []float64
 		for k := 0; k < trials; k++ {
-			if div[k].Err != nil || full[k].Err != nil || div[k].LowerBound <= 0 || full[k].LowerBound <= 0 {
+			if div[k].Err != "" || full[k].Err != "" || div[k].LowerBound <= 0 || full[k].LowerBound <= 0 {
 				continue
 			}
 			fullLen = append(fullLen, float64(full[k].PrefixLen))

@@ -1,13 +1,18 @@
 // Package exp contains the experiment drivers (Drivers, in
 // presentation order) that regenerate every table of the empirical
 // validation of each theorem of Lin & Rajaraman (SPAA 2007), plus the
-// ablations. Each driver returns a Table; cmd/suu-bench renders them.
+// ablations. Driver.Table returns each one's Table; cmd/suu-bench
+// renders them. A grid table's driver declares a GridPlan and a
+// renderer instead of a Run function, which is what makes it
+// shardable.
 //
 // The drivers are built on the scenario-grid harness in grid.go:
 // every Monte Carlo cell (one instance × one solver × one trial)
 // derives its seeds from its own coordinates and evaluates on a
 // worker pool, so tables are bit-identical at any Workers setting and
-// any GOMAXPROCS while multi-core runs cut wall-clock time.
+// any GOMAXPROCS while multi-core runs cut wall-clock time. A grid
+// cell evaluates to one ShardCell, the row renderers read and shard
+// envelopes carry.
 //
 // The sharding layer (shard.go) cuts a sweep into fingerprinted cell
 // ranges that separate processes run and Merge reassembles, naming

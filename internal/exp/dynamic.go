@@ -12,26 +12,6 @@ import (
 	"suu/internal/workload"
 )
 
-// T15 measures the price of rigidity under dynamics: the same
-// instance run through a deterministic event timeline — an early
-// outage of machine 0, optionally staggered job arrivals, optionally
-// a hidden Markov failure-burst regime on every machine — evaluated
-// by three strategies. "oblivious" deploys the static Solve schedule
-// unchanged; "adaptive" reruns the masked MSM greedy on whatever is
-// eligible and up; "rolling" re-solves the surviving sub-instance at
-// every event epoch (warm-starting the LP from the initial solve's
-// basis). The oblivious-vs-rolling ratio is the adaptivity gap the
-// dynamic layer exists to expose. Every cell runs through the
-// "t15-dyn" custom evaluator, so the table shards like any grid.
-func T15(cfg Config) *Table {
-	g, _ := GridDriverByID("T15")
-	return runGridDriver(cfg, g)
-}
-
-func init() {
-	cellEvals["t15-dyn"] = evalT15Dynamic
-}
-
 // t15Spacings are the arrival-ramp spacings swept (0 = everything
 // present at step 0).
 var t15Spacings = []int{0, 2}
@@ -76,11 +56,23 @@ func t15Trials(cfg Config) int {
 	return 2
 }
 
-// t15Plan declares the grid: one spec per (spacing, burst) point,
-// three strategy cells each. The point's Arg encodes the dynamics
-// coordinate (spacing index × bursts + burst index); the independent
-// generator ignores Arg, so it is free to ride in the seed and the
-// cell fingerprint.
+// t15Plan declares T15, the price of rigidity under dynamics: the
+// same instance run through a deterministic event timeline — an early
+// outage of machine 0, optionally staggered job arrivals, optionally
+// a hidden Markov failure-burst regime on every machine — evaluated
+// by three strategies. "oblivious" deploys the static Solve schedule
+// unchanged; "adaptive" reruns the masked MSM greedy on whatever is
+// eligible and up; "rolling" re-solves the surviving sub-instance at
+// every event epoch (warm-starting the LP from the initial solve's
+// basis). The oblivious-vs-rolling ratio is the adaptivity gap the
+// dynamic layer exists to expose. Every cell runs through the
+// "t15-dyn" custom evaluator, so the table shards like any grid.
+//
+// The grid is one spec per (spacing, burst) point, three strategy
+// cells each. The point's Arg encodes the dynamics coordinate
+// (spacing index × bursts + burst index); the independent generator
+// ignores Arg, so it is free to ride in the seed and the cell
+// fingerprint.
 func t15Plan(cfg Config) GridPlan {
 	n, m := t15Size(cfg)
 	plan := GridPlan{ID: "T15"}
@@ -124,10 +116,11 @@ func t15Scenario(in *model.Instance, arg int) *dyn.Scenario {
 // rolling's initial plan IS the oblivious schedule and the comparison
 // isolates adaptation. All randomness derives from cell coordinates;
 // the cell shards like any other.
-func evalT15Dynamic(cfg Config, c GridCell) GridResult {
+func evalT15Dynamic(cfg Config, c GridCell) ShardCell {
+	r := cellRow(cfg, c)
 	in, seed, err := cellInstance(cfg, c)
 	if err != nil {
-		return GridResult{Cell: c, Err: err}
+		return r.fail(nil, err)
 	}
 	sc := t15Scenario(in, c.Point.Arg)
 	par := paramsWithSeed(sim.SeedFor(seed, "build"))
@@ -137,7 +130,7 @@ func evalT15Dynamic(cfg Config, c GridCell) GridResult {
 	case "oblivious":
 		_, res, err := solve.Auto(in, par)
 		if err != nil {
-			return GridResult{Cell: c, Class: in.Prec.Classify().String(), Err: err}
+			return r.fail(in, err)
 		}
 		strat = dyn.NewStatic(sc, res.Policy)
 		kind = res.Kind + ", deployed unchanged"
@@ -147,34 +140,31 @@ func evalT15Dynamic(cfg Config, c GridCell) GridResult {
 	case "rolling":
 		roll, err := dyn.NewRolling(sc, "", par)
 		if err != nil {
-			return GridResult{Cell: c, Class: in.Prec.Classify().String(), Err: err}
+			return r.fail(in, err)
 		}
 		strat = roll
 		kind = "rolling-horizon re-solve (warm LP basis)"
 	default:
-		return GridResult{Cell: c, Err: fmt.Errorf("exp: unknown T15 strategy %q", c.Solver)}
+		return r.fail(nil, fmt.Errorf("exp: unknown T15 strategy %q", c.Solver))
 	}
 	sum, incomplete, eng, err := dyn.EstimateInfo(sc, strat, cfg.reps(), t15MaxSteps, sim.SeedFor(seed, "sim"), 1)
 	if err != nil {
-		return GridResult{Cell: c, Class: in.Prec.Classify().String(), Err: err}
+		return r.fail(in, err)
 	}
-	mean := sum.Mean
+	r.Class = in.Prec.Classify().String()
+	r.Kind = kind
+	r.Mean = sum.Mean
 	if incomplete > 0 {
-		mean = -1
+		r.Mean = -1
 	}
-	return GridResult{
-		Cell:   c,
-		Class:  in.Prec.Classify().String(),
-		Kind:   kind,
-		Mean:   mean,
-		Engine: eng.Engine,
-	}
+	r.Engine = eng.Engine
+	return r
 }
 
 // renderT15 aggregates each point's trials per strategy and reports
 // the oblivious/adaptive means relative to rolling — the adaptivity
 // gap column the acceptance bar reads.
-func renderT15(cfg Config, results []GridResult) *Table {
+func renderT15(cfg Config, results []ShardCell) *Table {
 	n, m := t15Size(cfg)
 	t := &Table{
 		ID:         "T15",
@@ -194,7 +184,7 @@ func renderT15(cfg Config, results []GridResult) *Table {
 				var vals []float64
 				for k := 0; k < trials; k++ {
 					r := block[sidx*trials+k]
-					if r.Err == nil && r.Mean > 0 {
+					if r.Err == "" && r.Mean > 0 {
 						vals = append(vals, r.Mean)
 					}
 				}
@@ -283,8 +273,8 @@ func DynamicBenchmarks(cfg Config) []DynamicBench {
 		means := map[string]float64{}
 		for _, strat := range t15Strategies {
 			r := evalT15Dynamic(cfg, GridCell{Point: p, Solver: strat, Eval: "t15-dyn"})
-			if r.Err != nil {
-				row.Error = r.Err.Error()
+			if r.Err != "" {
+				row.Error = r.Err
 				break
 			}
 			if r.Mean < 0 {

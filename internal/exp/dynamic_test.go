@@ -5,11 +5,17 @@ import (
 	"testing"
 )
 
+// t15 renders T15 through its driver, the path suu-bench takes.
+func t15(cfg Config) *Table {
+	drv, _ := DriverByID("T15")
+	return drv.Table(cfg)
+}
+
 // T15's reason to exist: on at least one bursty cell the deployed
 // static schedule must measurably lose to the rolling re-solver.
 func TestT15ReportsAdaptivityGap(t *testing.T) {
 	cfg := Config{Quick: true, Seed: 1}
-	tbl := T15(cfg)
+	tbl := t15(cfg)
 	if tbl == nil || len(tbl.Rows) == 0 {
 		t.Fatal("empty T15 table")
 	}
@@ -38,8 +44,8 @@ func TestT15ReportsAdaptivityGap(t *testing.T) {
 // The table must be bit-identical at any worker count — the property
 // the shard harness (and CI's byte-compare merge job) relies on.
 func TestT15WorkerInvariance(t *testing.T) {
-	seq := T15(Config{Quick: true, Seed: 1, Workers: 1})
-	par := T15(Config{Quick: true, Seed: 1, Workers: 4})
+	seq := t15(Config{Quick: true, Seed: 1, Workers: 1})
+	par := t15(Config{Quick: true, Seed: 1, Workers: 4})
 	if seq.Markdown() != par.Markdown() {
 		t.Fatal("T15 differs between 1 and 4 workers")
 	}

@@ -60,7 +60,7 @@ func TestFastDriversProduceTables(t *testing.T) {
 		case "T3", "T5", "T6", "T8", "T9", "T10", "A2":
 			continue // slower (Monte Carlo heavy); exercised by TestAllQuick in -short skip
 		}
-		tb := drv.Run(quickCfg)
+		tb := drv.Table(quickCfg)
 		checkTable(t, tb, 1)
 	}
 }
@@ -72,7 +72,7 @@ func TestMonteCarloDriversQuick(t *testing.T) {
 	for _, drv := range Drivers {
 		switch drv.ID {
 		case "T3", "T6", "T10":
-			checkTable(t, drv.Run(quickCfg), 2)
+			checkTable(t, drv.Table(quickCfg), 2)
 		}
 	}
 }

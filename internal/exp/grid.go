@@ -241,33 +241,6 @@ func (s GridSpec) Cells() []GridCell {
 	return cells
 }
 
-// GridResult is one evaluated cell.
-type GridResult struct {
-	Cell  GridCell
-	Class string
-	// Kind is the built construction's display name.
-	Kind string
-	// Mean is the estimated expected makespan (-1 when runs hit the
-	// step cap).
-	Mean       float64
-	LowerBound float64
-	// PrefixLen is the built schedule's oblivious prefix length (0 for
-	// adaptive policies); ablation renderers (A2, A5) read it.
-	PrefixLen int
-	// Engine records which simulation engine actually ran the cell's
-	// estimation (sim.EngineCompiled / EngineCompiledAdaptive /
-	// EngineGeneric, "" when nothing was simulated). Deterministic for
-	// the cell's coordinates, so it is merge payload, not provenance.
-	Engine string
-	// BuildTime is the construction's wall-clock cost (LP solve etc.),
-	// excluded from determinism comparisons.
-	BuildTime time.Duration
-	// LPPivots reports the construction's simplex effort (0 for non-LP
-	// solvers), also excluded from determinism comparisons.
-	LPPivots int
-	Err      error
-}
-
 // pointSeed derives the seed shared by every solver at one (point,
 // trial) coordinate. The solver id is deliberately NOT mixed in: all
 // solvers of a grid row see the same generated instance and the same
@@ -283,7 +256,34 @@ func pointSeed(root int64, p GridPoint, trial int) int64 {
 // selects. Every evaluator must be a pure function of (cfg, cell) —
 // all randomness derived from the cell's coordinates via sim.SeedFor —
 // so custom cells shard exactly like standard ones.
-var cellEvals = map[string]func(Config, GridCell) GridResult{}
+var cellEvals = map[string]func(Config, GridCell) ShardCell{
+	"t15-dyn": evalT15Dynamic,
+	"a5-full": evalA5FullRange,
+}
+
+// cellRow starts the row of an evaluated cell: its coordinates and the
+// (point, trial) seed it runs under. RunPlanRange sets the index.
+func cellRow(cfg Config, c GridCell) ShardCell {
+	return ShardCell{CellRow: CellRow{
+		Scenario: c.Point.Scenario,
+		Jobs:     c.Point.Jobs,
+		Machines: c.Point.Machines,
+		Arg:      c.Point.Arg,
+		Solver:   c.Solver,
+		Trial:    c.Trial,
+		Seed:     pointSeed(cfg.Seed, c.Point, c.Trial),
+	}}
+}
+
+// fail records err on the row, with the precedence class of the
+// cell's instance when one was generated (in != nil).
+func (r ShardCell) fail(in *model.Instance, err error) ShardCell {
+	if in != nil {
+		r.Class = in.Prec.Classify().String()
+	}
+	r.Err = err.Error()
+	return r
+}
 
 // cellInstance regenerates a cell's instance from its coordinates —
 // the shared front half of every evaluator.
@@ -300,54 +300,43 @@ func cellInstance(cfg Config, c GridCell) (*model.Instance, int64, error) {
 // the cell's coordinates: instance generation and simulation from the
 // (point, trial) seed — identical across solvers, so comparisons are
 // paired — and construction randomness additionally from the solver
-// id. Cells with a custom evaluator dispatch to it instead.
-func EvalCell(cfg Config, c GridCell) GridResult {
+// id. Cells with a custom evaluator dispatch to it instead. The row's
+// Index stays 0; RunPlanRange tags it with the cell's position.
+func EvalCell(cfg Config, c GridCell) ShardCell {
+	r := cellRow(cfg, c)
 	if c.Eval != "" {
 		fn, ok := cellEvals[c.Eval]
 		if !ok {
-			return GridResult{Cell: c, Err: fmt.Errorf("exp: unknown cell evaluator %q", c.Eval)}
+			return r.fail(nil, fmt.Errorf("exp: unknown cell evaluator %q", c.Eval))
 		}
 		return fn(cfg, c)
 	}
 	sol, ok := solve.Get(c.Solver)
 	if !ok {
-		return GridResult{Cell: c, Err: fmt.Errorf("exp: unknown solver %q", c.Solver)}
+		return r.fail(nil, fmt.Errorf("exp: unknown solver %q", c.Solver))
 	}
 	in, seed, err := cellInstance(cfg, c)
 	if err != nil {
-		return GridResult{Cell: c, Err: err}
+		return r.fail(nil, err)
 	}
 	par := core.DefaultParams()
 	c.Overrides.apply(&par)
 	par.Seed = sim.SeedFor(seed, c.Solver)
 	start := time.Now()
 	res, err := sol.Build(in, par)
-	bt := time.Since(start)
+	r.BuildMS = float64(time.Since(start).Nanoseconds()) / 1e6
 	if err != nil {
-		return GridResult{Cell: c, Class: in.Prec.Classify().String(), BuildTime: bt, Err: err}
+		return r.fail(in, err)
 	}
 	mean, eng := estimateInfo(in, res.Policy, cfg.reps(), sim.SeedFor(seed, "sim"))
-	return GridResult{
-		Cell:       c,
-		Class:      in.Prec.Classify().String(),
-		Kind:       res.Kind,
-		Mean:       mean,
-		LowerBound: res.LowerBound,
-		PrefixLen:  res.PrefixLen,
-		Engine:     eng.Engine,
-		BuildTime:  bt,
-		LPPivots:   res.LPPivots,
-	}
-}
-
-// RunGrid evaluates every cell of the spec on the worker pool and
-// returns results in Cells() order — bit-identical at any Workers
-// setting.
-func RunGrid(cfg Config, spec GridSpec) []GridResult {
-	cells := spec.Cells()
-	return runCells(cfg, len(cells), func(i int) GridResult {
-		return EvalCell(cfg, cells[i])
-	})
+	r.Class = in.Prec.Classify().String()
+	r.Kind = res.Kind
+	r.Mean = mean
+	r.LowerBound = res.LowerBound
+	r.PrefixLen = res.PrefixLen
+	r.Engine = eng.Engine
+	r.LPPivots = res.LPPivots
+	return r
 }
 
 // classByName maps a precedence-class name (as Scenario.Class uses

@@ -49,10 +49,10 @@ func TestScenarioVocabularyGeneratesValidInstances(t *testing.T) {
 
 // stripGridTimings clears the fields that measure wall-clock time and
 // therefore legitimately differ between runs.
-func stripGridTimings(rs []GridResult) []GridResult {
-	out := append([]GridResult(nil), rs...)
+func stripGridTimings(rs []ShardCell) []ShardCell {
+	out := append([]ShardCell(nil), rs...)
 	for i := range out {
-		out[i].BuildTime = 0
+		out[i].BuildMS = 0
 	}
 	return out
 }
@@ -67,9 +67,10 @@ func TestGridBitIdenticalAcrossWorkers(t *testing.T) {
 		Solvers: []string{"lp-oblivious", "forest", "adaptive", "greedy-maxp", "random"},
 		Trials:  2,
 	}
-	base := stripGridTimings(RunGrid(Config{Quick: true, Seed: 3, Workers: 1}, spec))
+	plan := Plan("workers", spec)
+	base := stripGridTimings(RunPlan(Config{Quick: true, Seed: 3, Workers: 1}, plan))
 	for _, workers := range []int{2, 8} {
-		got := stripGridTimings(RunGrid(Config{Quick: true, Seed: 3, Workers: workers}, spec))
+		got := stripGridTimings(RunPlan(Config{Quick: true, Seed: 3, Workers: workers}, plan))
 		if !reflect.DeepEqual(base, got) {
 			t.Fatalf("grid results differ between Workers=1 and Workers=%d", workers)
 		}
@@ -148,16 +149,16 @@ func TestGridSpeedup(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		t.Skipf("only %d CPUs; speedup needs a multi-core runner", runtime.GOMAXPROCS(0))
 	}
-	spec := GridBenchSpec(false)
+	plan := Plan("bench", GridBenchSpec(false))
 	timeGrid := func(workers int) func() time.Duration {
 		return func() time.Duration {
 			start := time.Now()
-			RunGrid(Config{Quick: true, Seed: 9, Workers: workers}, spec)
+			RunPlan(Config{Quick: true, Seed: 9, Workers: workers}, plan)
 			return time.Since(start)
 		}
 	}
 	timeGrid(0)() // warm caches before measuring
-	requireSpeedup(t, "RunGrid", 1.5, timeGrid(1), timeGrid(0))
+	requireSpeedup(t, "RunPlan", 1.5, timeGrid(1), timeGrid(0))
 	// The acceptance bar is end to end: exp.All itself must beat the
 	// sequential harness. Its ceiling is lower (it runs the tables one
 	// after another, and some have few cells), hence the softer floor.
@@ -173,14 +174,14 @@ func TestGridSpeedup(t *testing.T) {
 
 func TestEvalCellReportsUnknownNames(t *testing.T) {
 	cfg := Config{Quick: true, Seed: 1, Workers: 1}
-	if r := EvalCell(cfg, GridCell{Point: GridPoint{Scenario: "nope", Jobs: 4, Machines: 2}, Solver: "forest"}); r.Err == nil {
+	if r := EvalCell(cfg, GridCell{Point: GridPoint{Scenario: "nope", Jobs: 4, Machines: 2}, Solver: "forest"}); r.Err == "" {
 		t.Error("unknown scenario not reported")
 	}
-	if r := EvalCell(cfg, GridCell{Point: GridPoint{Scenario: "independent", Jobs: 4, Machines: 2}, Solver: "nope"}); r.Err == nil {
+	if r := EvalCell(cfg, GridCell{Point: GridPoint{Scenario: "independent", Jobs: 4, Machines: 2}, Solver: "nope"}); r.Err == "" {
 		t.Error("unknown solver not reported")
 	}
 	r := EvalCell(cfg, GridCell{Point: GridPoint{Scenario: "independent", Jobs: 4, Machines: 2}, Solver: "lp-oblivious"})
-	if r.Err != nil || r.Mean <= 0 || r.Class != "independent" || r.Kind == "" {
+	if r.Err != "" || r.Mean <= 0 || r.Class != "independent" || r.Kind == "" {
 		t.Errorf("healthy cell misreported: %+v", r)
 	}
 }
@@ -193,7 +194,7 @@ func TestGridComparisonsArePaired(t *testing.T) {
 	cfg := Config{Quick: true, Seed: 11, Workers: 1}
 	point := GridPoint{Scenario: "power-law", Jobs: 8, Machines: 3}
 	r := EvalCell(cfg, GridCell{Point: point, Solver: "adaptive"})
-	if r.Err != nil {
+	if r.Err != "" {
 		t.Fatal(r.Err)
 	}
 	// Reproduce the cell by hand from the (point, trial) seed alone.
@@ -207,7 +208,7 @@ func TestGridComparisonsArePaired(t *testing.T) {
 	// A different solver on the same coordinate sees the same class
 	// (same instance) rather than a per-solver regeneration.
 	r2 := EvalCell(cfg, GridCell{Point: point, Solver: "greedy-maxp"})
-	if r2.Err != nil || r2.Class != r.Class {
+	if r2.Err != "" || r2.Class != r.Class {
 		t.Errorf("paired cell diverged: %+v vs %+v", r, r2)
 	}
 }
@@ -221,7 +222,7 @@ func TestEvalCellHonorsOverridesAndRecordsEngine(t *testing.T) {
 	point := GridPoint{Scenario: "independent", Jobs: 8, Machines: 3}
 	sigma1 := EvalCell(cfg, GridCell{Point: point, Solver: "lp-oblivious", Overrides: &ParamOverrides{ReplicationFactor: 1}})
 	sigma4 := EvalCell(cfg, GridCell{Point: point, Solver: "lp-oblivious", Overrides: &ParamOverrides{ReplicationFactor: 4}})
-	if sigma1.Err != nil || sigma4.Err != nil {
+	if sigma1.Err != "" || sigma4.Err != "" {
 		t.Fatalf("cells errored: %v / %v", sigma1.Err, sigma4.Err)
 	}
 	if sigma4.PrefixLen != 4*sigma1.PrefixLen || sigma1.PrefixLen == 0 {
@@ -238,7 +239,7 @@ func TestEvalCellHonorsOverridesAndRecordsEngine(t *testing.T) {
 	if learning.Engine != sim.EngineGeneric {
 		t.Errorf("learning cell engine %q, want %q", learning.Engine, sim.EngineGeneric)
 	}
-	if r := EvalCell(cfg, GridCell{Point: point, Solver: "forest", Eval: "nope"}); r.Err == nil {
+	if r := EvalCell(cfg, GridCell{Point: point, Solver: "forest", Eval: "nope"}); r.Err == "" {
 		t.Error("unknown cell evaluator not reported")
 	}
 	// Full-mode rep counts cross the bit-parallel auto-dispatch
@@ -248,7 +249,7 @@ func TestEvalCellHonorsOverridesAndRecordsEngine(t *testing.T) {
 		t.Fatalf("full-mode reps %d below lane threshold %d; test premise broken", full.reps(), sim.BitParallelAutoMinReps)
 	}
 	laneCell := EvalCell(full, GridCell{Point: point, Solver: "lp-oblivious"})
-	if laneCell.Err != nil {
+	if laneCell.Err != "" {
 		t.Fatal(laneCell.Err)
 	}
 	if laneCell.Engine != sim.EngineLane {

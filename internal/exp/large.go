@@ -1,21 +1,16 @@
 package exp
 
-// T14 exercises the grid vocabulary at instance sizes the dense
-// tableau could not touch: 512 independent jobs through (LP2) and
-// 256-job chains/forests through per-block (LP1) solves. These cells
-// exist because the sparse revised simplex keeps the working LP at
-// the size of its binding rows; the table records build wall-clock
-// and pivot counts so the large-instance path has a perf trail in
-// every run, not just in BENCH_sim.json.
-func T14(cfg Config) *Table {
-	g, _ := GridDriverByID("T14")
-	return runGridDriver(cfg, g)
-}
-
-// t14Plan declares T14's three (point, solver) pairings as
-// single-cell specs — the smallest real sharding surface, which is
-// exactly why the shard tests split it 3 and 8 ways (8 exercises
-// empty shards).
+// t14Plan declares T14, which exercises the grid vocabulary at
+// instance sizes the dense tableau could not touch: 512 independent
+// jobs through (LP2) and 256-job chains/forests through per-block
+// (LP1) solves. These cells exist because the sparse revised simplex
+// keeps the working LP at the size of its binding rows; the table
+// records build wall-clock and pivot counts so the large-instance path
+// has a perf trail in every run, not just in BENCH_sim.json.
+//
+// The three (point, solver) pairings are single-cell specs — the
+// smallest real sharding surface, which is exactly why the shard tests
+// split it 3 and 8 ways (8 exercises empty shards).
 func t14Plan(cfg Config) GridPlan {
 	points := []struct {
 		p      GridPoint
@@ -41,7 +36,7 @@ func t14Plan(cfg Config) GridPlan {
 
 // renderT14 builds the table straight from the results — every column
 // is carried by the cell itself.
-func renderT14(cfg Config, results []GridResult) *Table {
+func renderT14(cfg Config, results []ShardCell) *Table {
 	t := &Table{
 		ID:         "T14",
 		Title:      "Large instances via sparse revised simplex",
@@ -49,9 +44,8 @@ func renderT14(cfg Config, results []GridResult) *Table {
 		Header:     []string{"scenario", "n", "m", "solver", "build ms", "LP pivots", "E[makespan]", "lower bound"},
 	}
 	for _, r := range results {
-		p := r.Cell.Point
-		if r.Err != nil {
-			t.Rows = append(t.Rows, []string{p.Scenario, d(p.Jobs), d(p.Machines), r.Cell.Solver, "—", "—", "error: " + r.Err.Error(), "—"})
+		if r.Err != "" {
+			t.Rows = append(t.Rows, []string{r.Scenario, d(r.Jobs), d(r.Machines), r.Solver, "—", "—", "error: " + r.Err, "—"})
 			continue
 		}
 		mean := "step cap hit"
@@ -59,8 +53,8 @@ func renderT14(cfg Config, results []GridResult) *Table {
 			mean = f2(r.Mean)
 		}
 		t.Rows = append(t.Rows, []string{
-			p.Scenario, d(p.Jobs), d(p.Machines), r.Cell.Solver,
-			f2(float64(r.BuildTime.Microseconds()) / 1000), d(r.LPPivots), mean, f2(r.LowerBound),
+			r.Scenario, d(r.Jobs), d(r.Machines), r.Solver,
+			f2(r.BuildMS), d(r.LPPivots), mean, f2(r.LowerBound),
 		})
 	}
 	t.Notes = "Build wall-clock includes the full construction (LP solve, rounding, delays, replication). " +

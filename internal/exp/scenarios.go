@@ -1,21 +1,16 @@
 package exp
 
-// T13 exercises the scenario-grid vocabulary on the workload families
-// beyond the seed experiments: heavy-tailed (power-law) and rank-1
-// (correlated) probability shapes, and layered general dags with a
-// tunable antichain width. Each point runs every applicable registry
-// solver; rows report who wins where. Beyond its findings, the table
-// is the living example of declaring a grid: add a Scenario and a
-// GridPoint and the harness — including the process-sharded path —
-// does the rest.
-func T13(cfg Config) *Table {
-	g, _ := GridDriverByID("T13")
-	return runGridDriver(cfg, g)
-}
-
-// t13Plan declares T13's cell surface: one spec per point, because
-// each point carries its own applicable-solver set (the pairing is
-// not a cross product).
+// t13Plan declares T13, which exercises the scenario-grid vocabulary
+// on the workload families beyond the seed experiments: heavy-tailed
+// (power-law) and rank-1 (correlated) probability shapes, and layered
+// general dags with a tunable antichain width. Each point runs every
+// applicable registry solver; rows report who wins where. Beyond its
+// findings, the table is the living example of declaring a grid: add
+// a Scenario and a GridPoint and the harness — including the
+// process-sharded path — does the rest.
+//
+// The plan is one spec per point, because each point carries its own
+// applicable-solver set (the pairing is not a cross product).
 func t13Plan(cfg Config) GridPlan {
 	n, m := 24, 6
 	if cfg.Quick {
@@ -46,7 +41,7 @@ func t13Plan(cfg Config) GridPlan {
 
 // renderT13 builds the table from the plan's results, one best-of
 // aggregation per point.
-func renderT13(cfg Config, results []GridResult) *Table {
+func renderT13(cfg Config, results []ShardCell) *Table {
 	t := &Table{
 		ID:         "T13",
 		Title:      "Scenario grid: new workload families × solver registry",
@@ -54,21 +49,20 @@ func renderT13(cfg Config, results []GridResult) *Table {
 		Header:     []string{"scenario", "n", "m", "arg", "class", "solver", "E[makespan]", "vs best"},
 	}
 	off := 0
-	for _, seg := range specSegments(t13Plan(cfg)) {
-		block := results[off : off+seg]
-		off += seg
+	for _, spec := range t13Plan(cfg).Specs {
+		block := results[off : off+spec.NumCells()]
+		off += len(block)
 		best := -1.0
 		for _, r := range block {
-			if r.Err == nil && r.Mean > 0 && (best < 0 || r.Mean < best) {
+			if r.Err == "" && r.Mean > 0 && (best < 0 || r.Mean < best) {
 				best = r.Mean
 			}
 		}
 		for _, r := range block {
-			p := r.Cell.Point
-			if r.Err != nil || r.Mean < 0 {
-				t.Rows = append(t.Rows, []string{p.Scenario, d(p.Jobs), d(p.Machines), d(p.Arg), r.Class, r.Cell.Solver, "did not finish", "—"})
+			if r.Err != "" || r.Mean < 0 {
+				t.Rows = append(t.Rows, []string{r.Scenario, d(r.Jobs), d(r.Machines), d(r.Arg), r.Class, r.Solver, "did not finish", "—"})
 			} else {
-				t.Rows = append(t.Rows, []string{p.Scenario, d(p.Jobs), d(p.Machines), d(p.Arg), r.Class, r.Cell.Solver, f2(r.Mean), f2(r.Mean / best)})
+				t.Rows = append(t.Rows, []string{r.Scenario, d(r.Jobs), d(r.Machines), d(r.Arg), r.Class, r.Solver, f2(r.Mean), f2(r.Mean / best)})
 			}
 		}
 	}

@@ -149,13 +149,6 @@ func Plan(id string, spec GridSpec) GridPlan {
 	return GridPlan{ID: id, Specs: []GridSpec{spec}}
 }
 
-// ShardSpec selects one half-open cell range of a plan — the unit of
-// work a worker process executes.
-type ShardSpec struct {
-	Plan  GridPlan
-	Range CellRange
-}
-
 // fingerprintDoc is everything that determines cell values: the
 // payload contract version, the plan identity and its full spec list,
 // and the config fields the harness mixes into seeds or repetition
@@ -186,22 +179,24 @@ func Fingerprint(cfg Config, p GridPlan) string {
 }
 
 // RunPlanRange evaluates cells [r.Lo:r.Hi) of the plan on the worker
-// pool and returns their results in cell order. Result i corresponds
-// to global cell index r.Lo+i; values are identical to the same slice
-// of a full-plan run because every cell derives its seeds from its
-// own coordinates, never from execution context.
-func RunPlanRange(cfg Config, p GridPlan, r CellRange) []GridResult {
+// pool and returns their rows in cell order, each tagged with its
+// global cell index. Values are identical to the same slice of a
+// full-plan run because every cell derives its seeds from its own
+// coordinates, never from execution context.
+func RunPlanRange(cfg Config, p GridPlan, r CellRange) []ShardCell {
 	cells := p.Cells()
 	if r.Lo < 0 || r.Hi > len(cells) || r.Lo > r.Hi {
 		panic(fmt.Sprintf("exp: range %s out of bounds for %d cells", r, len(cells)))
 	}
-	return runCells(cfg, r.Len(), func(i int) GridResult {
-		return EvalCell(cfg, cells[r.Lo+i])
+	return runCells(cfg, r.Len(), func(i int) ShardCell {
+		row := EvalCell(cfg, cells[r.Lo+i])
+		row.Index = r.Lo + i
+		return row
 	})
 }
 
 // RunPlan evaluates the full plan.
-func RunPlan(cfg Config, p GridPlan) []GridResult {
+func RunPlan(cfg Config, p GridPlan) []ShardCell {
 	return RunPlanRange(cfg, p, CellRange{Lo: 0, Hi: p.NumCells()})
 }
 
@@ -221,9 +216,12 @@ type CellRow struct {
 	Trial    int    `json:"trial,omitempty"`
 	// Seed is the derived (point, trial) seed the cell ran under,
 	// recorded so a single cell can be reproduced in isolation.
-	Seed       int64   `json:"seed"`
-	Class      string  `json:"class,omitempty"`
-	Kind       string  `json:"kind,omitempty"`
+	Seed  int64  `json:"seed"`
+	Class string `json:"class,omitempty"`
+	// Kind is the built construction's display name.
+	Kind string `json:"kind,omitempty"`
+	// Mean is the estimated expected makespan (-1 when runs hit the
+	// step cap).
 	Mean       float64 `json:"mean"`
 	LowerBound float64 `json:"lower_bound"`
 	// PrefixLen is the built schedule's oblivious prefix length (0 for
@@ -238,7 +236,8 @@ type CellRow struct {
 	Err      string `json:"err,omitempty"`
 }
 
-// ShardCell is one envelope entry: the deterministic row plus the
+// ShardCell is one evaluated grid cell, the row every grid renderer
+// reads and every envelope carries: the deterministic row plus the
 // producing process's timing.
 type ShardCell struct {
 	CellRow
@@ -317,81 +316,24 @@ type MergedGrid struct {
 	Cells         []CellRow `json:"cells"`
 }
 
-// rowFromResult projects an evaluated cell onto the envelope payload.
-func rowFromResult(cfg Config, index int, r GridResult) CellRow {
-	row := CellRow{
-		Index:      index,
-		Scenario:   r.Cell.Point.Scenario,
-		Jobs:       r.Cell.Point.Jobs,
-		Machines:   r.Cell.Point.Machines,
-		Arg:        r.Cell.Point.Arg,
-		Solver:     r.Cell.Solver,
-		Trial:      r.Cell.Trial,
-		Seed:       pointSeed(cfg.Seed, r.Cell.Point, r.Cell.Trial),
-		Class:      r.Class,
-		Kind:       r.Kind,
-		Mean:       r.Mean,
-		LowerBound: r.LowerBound,
-		PrefixLen:  r.PrefixLen,
-		Engine:     r.Engine,
-		LPPivots:   r.LPPivots,
-	}
-	if r.Err != nil {
-		row.Err = r.Err.Error()
-	}
-	return row
-}
-
-// resultFromRow is the inverse projection, for rendering tables from
-// merged documents. BuildTime carries the shard-recorded timing when
-// the caller has one (0 otherwise — timings are not payload).
-func resultFromRow(row CellRow, buildMS float64) GridResult {
-	r := GridResult{
-		Cell: GridCell{
-			Point: GridPoint{
-				Scenario: row.Scenario,
-				Jobs:     row.Jobs,
-				Machines: row.Machines,
-				Arg:      row.Arg,
-			},
-			Solver: row.Solver,
-			Trial:  row.Trial,
-		},
-		Class:      row.Class,
-		Kind:       row.Kind,
-		Mean:       row.Mean,
-		LowerBound: row.LowerBound,
-		PrefixLen:  row.PrefixLen,
-		Engine:     row.Engine,
-		BuildTime:  time.Duration(buildMS * float64(time.Millisecond)),
-		LPPivots:   row.LPPivots,
-	}
-	if row.Err != "" {
-		r.Err = errors.New(row.Err)
-	}
-	return r
-}
-
-// RunShard executes one shard and wraps it in its envelope.
-func RunShard(cfg Config, s ShardSpec) *ShardFile {
+// RunShard executes cells r of the plan and seals them in their
+// envelope.
+func RunShard(cfg Config, p GridPlan, r CellRange) *ShardFile {
 	start := time.Now()
-	results := RunPlanRange(cfg, s.Plan, s.Range)
+	cells := RunPlanRange(cfg, p, r)
+	if cells == nil {
+		cells = []ShardCell{} // an empty shard still writes "cells": []
+	}
 	f := &ShardFile{
 		SchemaVersion: ShardSchemaVersion,
-		Fingerprint:   Fingerprint(cfg, s.Plan),
-		Plan:          s.Plan.ID,
+		Fingerprint:   Fingerprint(cfg, p),
+		Plan:          p.ID,
 		Seed:          cfg.Seed,
 		Quick:         cfg.Quick,
-		TotalCells:    s.Plan.NumCells(),
-		Range:         s.Range,
+		TotalCells:    p.NumCells(),
+		Range:         r,
 		GoVersion:     runtime.Version(),
-		Cells:         make([]ShardCell, 0, len(results)),
-	}
-	for i, r := range results {
-		f.Cells = append(f.Cells, ShardCell{
-			CellRow: rowFromResult(cfg, s.Range.Lo+i, r),
-			BuildMS: float64(r.BuildTime.Nanoseconds()) / 1e6,
-		})
+		Cells:         cells,
 	}
 	f.WallMS = float64(time.Since(start).Nanoseconds()) / 1e6
 	f.PayloadSHA256 = f.payloadChecksum()
@@ -496,28 +438,16 @@ func (m *MergedGrid) JSON() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// Results reconstructs the merged rows as grid results (timings zero)
-// so table renderers can consume merged documents.
-func (m *MergedGrid) Results() []GridResult {
-	out := make([]GridResult, len(m.Cells))
-	for i, row := range m.Cells {
-		out[i] = resultFromRow(row, 0)
-	}
-	return out
-}
-
-// ShardResults flattens validated shards into grid results in cell
-// order, keeping each row's producing-process build timing — what
-// suu-bench renders tables from. Call Merge first; this trusts the
-// tiling.
-func ShardResults(shards []*ShardFile) []GridResult {
+// ShardResults flattens validated shards into their rows in cell
+// order, each keeping its producing process's build timing — what
+// suu-bench renders merged tables from. Call Merge first; this trusts
+// the tiling.
+func ShardResults(shards []*ShardFile) []ShardCell {
 	sorted := append([]*ShardFile(nil), shards...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Range.Lo < sorted[j].Range.Lo })
-	var out []GridResult
+	var out []ShardCell
 	for _, s := range sorted {
-		for _, c := range s.Cells {
-			out = append(out, resultFromRow(c.CellRow, c.BuildMS))
-		}
+		out = append(out, s.Cells...)
 	}
 	return out
 }

@@ -115,7 +115,7 @@ func shardTestConfig() Config { return Config{Quick: true, Seed: 5, Workers: 1} 
 // baseline for any sharded run of the same (cfg, plan).
 func runMerged(t *testing.T, cfg Config, p GridPlan) *MergedGrid {
 	t.Helper()
-	m, err := Merge([]*ShardFile{RunShard(cfg, ShardSpec{Plan: p, Range: CellRange{Lo: 0, Hi: p.NumCells()}})})
+	m, err := Merge([]*ShardFile{RunShard(cfg, p, CellRange{Lo: 0, Hi: p.NumCells()})})
 	if err != nil {
 		// A single full-range shard always tiles.
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func runMerged(t *testing.T, cfg Config, p GridPlan) *MergedGrid {
 func runShards(cfg Config, p GridPlan, rs []CellRange) []*ShardFile {
 	out := make([]*ShardFile, len(rs))
 	for i, r := range rs {
-		out[i] = RunShard(cfg, ShardSpec{Plan: p, Range: r})
+		out[i] = RunShard(cfg, p, r)
 	}
 	return out
 }
@@ -236,22 +236,22 @@ func TestMergeRejectsMissingRange(t *testing.T) {
 func TestMergeRejectsFingerprintMismatch(t *testing.T) {
 	cfg, plan := shardTestConfig(), shardTestPlan()
 	n := plan.NumCells()
-	a := RunShard(cfg, ShardSpec{Plan: plan, Range: CellRange{0, 6}})
+	a := RunShard(cfg, plan, CellRange{0, 6})
 	otherSeed := cfg
 	otherSeed.Seed = 6
-	b := RunShard(otherSeed, ShardSpec{Plan: plan, Range: CellRange{6, n}})
+	b := RunShard(otherSeed, plan, CellRange{6, n})
 	if _, err := Merge([]*ShardFile{a, b}); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("seed mismatch: err = %v, want fingerprint mismatch", err)
 	}
 	// Same config, structurally different plan.
 	other := shardTestPlan()
 	other.Specs[1].Solvers = []string{"chains"}
-	c := RunShard(cfg, ShardSpec{Plan: other, Range: CellRange{6, other.NumCells()}})
+	c := RunShard(cfg, other, CellRange{6, other.NumCells()})
 	if _, err := Merge([]*ShardFile{a, c}); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("plan mismatch: err = %v, want fingerprint mismatch", err)
 	}
 	// Foreign schema version.
-	d := RunShard(cfg, ShardSpec{Plan: plan, Range: CellRange{6, n}})
+	d := RunShard(cfg, plan, CellRange{6, n})
 	d.SchemaVersion = ShardSchemaVersion + 1
 	if _, err := Merge([]*ShardFile{a, d}); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Errorf("schema mismatch: err = %v, want schema report", err)
@@ -262,7 +262,7 @@ func TestMergeRejectsFingerprintMismatch(t *testing.T) {
 // decoder rejects foreign documents instead of zero-filling them.
 func TestShardEnvelopeRoundTrips(t *testing.T) {
 	cfg, plan := shardTestConfig(), shardTestPlan()
-	f := RunShard(cfg, ShardSpec{Plan: plan, Range: CellRange{0, 6}})
+	f := RunShard(cfg, plan, CellRange{0, 6})
 	data, err := EncodeShardFile(f)
 	if err != nil {
 		t.Fatal(err)
@@ -350,8 +350,8 @@ func requireShardedBytesIdentical(t *testing.T, cfg Config, plan GridPlan, want 
 }
 
 // TestShardMergeByteIdenticalAllGridDrivers is the acceptance bar:
-// for every shardable table — T13, T14, the T10 solver sweep, and the
-// A2/A5 ablation grids (override- and custom-evaluator cells
+// for every driver with a plan — the T10 solver sweep, T13, T14, T15
+// and the A2/A5 ablation grids (override- and custom-evaluator cells
 // included) — merging N ∈ {2, 3, 8} shard outputs reproduces the
 // single-process canonical JSON byte for byte. N=8 on T14's 3 cells
 // additionally exercises empty shards. The CI shard→merge job
@@ -361,7 +361,10 @@ func TestShardMergeByteIdenticalAllGridDrivers(t *testing.T) {
 		t.Skip("skipping Monte Carlo shard/merge sweep in -short mode")
 	}
 	cfg := Config{Quick: true, Seed: 7}
-	for _, g := range GridDrivers {
+	for _, g := range Drivers {
+		if g.Plan == nil {
+			continue
+		}
 		plan := g.Plan(cfg)
 		want, err := runMerged(t, cfg, plan).JSON()
 		if err != nil {
@@ -370,14 +373,14 @@ func TestShardMergeByteIdenticalAllGridDrivers(t *testing.T) {
 		for _, n := range []int{2, 3, 8} {
 			requireShardedBytesIdentical(t, cfg, plan, want, n)
 		}
-		// The rendered table from merged results matches the sequential
+		// The rendered table from merged shards matches the sequential
 		// driver's, timing columns masked (they measure the producing
 		// process).
-		m, err := Merge(runShards(cfg, plan, ShardRanges(plan.NumCells(), 3)))
-		if err != nil {
+		shards := runShards(cfg, plan, ShardRanges(plan.NumCells(), 3))
+		if _, err := Merge(shards); err != nil {
 			t.Fatal(err)
 		}
-		fromMerged := g.Render(cfg, m.Results())
+		fromMerged := g.Render(cfg, ShardResults(shards))
 		direct := g.Render(cfg, RunPlan(cfg, plan))
 		maskTimingColumns(fromMerged)
 		maskTimingColumns(direct)
@@ -441,7 +444,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 // the payload region fails decode with a checksum error.
 func TestEnvelopeChecksumDetectsCorruption(t *testing.T) {
 	cfg, plan := shardTestConfig(), shardTestPlan()
-	f := RunShard(cfg, ShardSpec{Plan: plan, Range: CellRange{0, 6}})
+	f := RunShard(cfg, plan, CellRange{0, 6})
 	if f.PayloadSHA256 == "" {
 		t.Fatal("RunShard left the envelope unsealed")
 	}

@@ -306,8 +306,8 @@ func TestLaneDeterministicAcrossConcurrency(t *testing.T) {
 
 // TestLaneGroupAllocationFree proves a lane group walk allocates
 // nothing once the worker exists (prefix-resident groups), and that
-// the worker's win-mask buffer holds one group at a time: after one
-// pass over many groups, a second pass over them allocates nothing.
+// the worker's event buffer holds one group at a time: after one pass
+// over many groups, a second pass over them allocates nothing.
 func TestLaneGroupAllocationFree(t *testing.T) {
 	in, o := chainsFixture()
 	c := Prepare(in, o).compiled
@@ -335,13 +335,15 @@ func TestLaneGroupAllocationFree(t *testing.T) {
 	}
 }
 
-// TestLaneWinSegments pins the per-group win-mask segments: after every
-// group, each job's segment ends at the lanes that completed it, also
-// for a job whose walk was skipped after an earlier group walked it.
+// TestLaneWinsBeforeEndsAtDoneMask pins the lookup successor
+// eligibility reads: after every group, winsBefore(j, prefix), the
+// lanes that completed job j before the prefix ends, equals done[j].
+// That holds also for a job whose walk was skipped after an earlier
+// group walked it, so its event bounds must be those of this group.
 // Job 0 of a chain completes within the prefix in about half of the
 // one-lane groups, so jobs 1 and 2 alternate between walked and
 // skipped.
-func TestLaneWinSegments(t *testing.T) {
+func TestLaneWinsBeforeEndsAtDoneMask(t *testing.T) {
 	in := model.New(3, 1)
 	in.P[0] = []float64{0.15, 0.5, 0.5}
 	in.Prec.MustEdge(0, 1)
@@ -371,7 +373,7 @@ func TestLaneWinSegments(t *testing.T) {
 		}
 		for j := 0; j < in.N; j++ {
 			if got := w.winsBefore(j, int32(len(steps))); got != w.done[j] {
-				t.Fatalf("group %d job %d: segment ends at %#x, want done mask %#x", g, j, got, w.done[j])
+				t.Fatalf("group %d job %d: winsBefore at the prefix's end is %#x, want done mask %#x", g, j, got, w.done[j])
 			}
 		}
 	}
